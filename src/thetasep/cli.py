@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all checks passed, 1 a verification margin failed,
 2 malformed input or domain violation, 3 numerical-reliability error
-(contour too close to a zero, unresolved phase, Newton failure).
+(contour too close to a zero, unresolved phase, Newton failure, a value
+beyond the float range).
 
 Output formats: human (default), json (deterministic: keys sorted, timing
 omitted unless --timing is given), csv.  Complex numbers parse as Cartesian
@@ -17,10 +18,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import asymptotics, lemmas, zeros
 from .core import C0, DEFAULT_BUDGET, QParameter, SeriesBudget
 from .core import eval_G, eval_Q, eval_R, eval_U
-from .core import eval_theta, eval_theta_dagger, eval_theta_star
+from .core import eval_theta, eval_theta_dagger, eval_theta_star, ldexp_complex
 from .errors import (
     BudgetExceeded,
     ContourTooClose,
@@ -182,8 +181,11 @@ def cmd_eval(args):
         res = fn(q, z, budget)
     else:
         res = fn(q, budget)
-    results = {"value": res.value, "abs": abs(res.value),
-               "tail_bound": res.tail_bound, "terms_used": res.terms_used}
+    # ldexp raises OverflowError when the value leaves the float range
+    value = ldexp_complex(res.value, res.exponent)
+    results = {"value": value, "abs": abs(value),
+               "tail_bound": math.ldexp(res.tail_bound, res.exponent),
+               "terms_used": res.terms_used}
     return OutputRecord("eval", inputs, results), EXIT_OK
 
 
@@ -258,7 +260,7 @@ def _scan_cell(modulus, argument, k, residual_tol):
                      "location_im": rec.location.imag, "residual": rec.residual,
                      "annulus_ok": rec.annulus_ok,
                      "separated": count == 1 and rec.annulus_ok})
-    except (ContourTooClose, BudgetExceeded, NoConvergence) as exc:
+    except (ContourTooClose, BudgetExceeded, NoConvergence, OverflowError) as exc:
         cell.update({"count": None, "separated": False, "error": str(exc)})
     return cell
 
@@ -274,15 +276,8 @@ def cmd_scan(args):
         raise DomainError("--steps counts must be >= 1")
     moduli = np.linspace(args.a / n_mod, args.a, n_mod)
     arguments = np.linspace(math.pi / 2, 3 * math.pi / 2, n_arg)
-    cells = [(float(m), float(a)) for m in moduli for a in arguments]
-    workers = _thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda cell: _scan_cell(cell[0], cell[1], args.k, args.residual_tol),
-                cells))
-    else:
-        rows = [_scan_cell(m, a, args.k, args.residual_tol) for m, a in cells]
+    rows = [_scan_cell(float(m), float(a), args.k, args.residual_tol)
+            for m in moduli for a in arguments]
     ok = all(row.get("separated") for row in rows)
     had_errors = any("error" in row for row in rows)
     results = {"rows": rows, "cells": len(rows), "all_separated": ok}
@@ -310,14 +305,6 @@ def cmd_table(args):
     results = {"rows": rows, "alpha0": asymptotics.alpha0(),
                "limit": math.exp(1.0 / asymptotics.alpha0())}
     return OutputRecord("table", {"n": ns}, results), EXIT_OK
-
-
-def _thread_cap():
-    raw = os.environ.get("THETA_SEP_THREADS", "1")
-    try:
-        return max(1, min(int(raw), 64))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +376,9 @@ def main(argv=None):
         record, code = args.run(args)
     except (ContourTooClose, BudgetExceeded, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"error: overflow: a value leaves the float range ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,20 +15,53 @@ for 0 < |q| < 1.  Alongside it this module evaluates
 Every evaluation returns an `EvalResult` whose `tail_bound` is a proven
 majorant of the dropped tail: for the series, term-modulus ratios are
 eventually geometric, and for the products the dropped log-factors are
-bounded by a geometric sum.  All functions are pure and thread-safe.
+bounded by a geometric sum.  Series sums carry a binary exponent, so term
+moduli far beyond the float range (theta near its k-th zero grows like
+|q|^{-k^2/2}) are summed without overflow.  All functions are pure and
+thread-safe.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import BudgetExceeded, DomainError, ZeroArgument
 
 # Radius below which strong modulus-separation of the zeros of theta(q, .) is
 # already established; quoted as an input, not recomputed.
 C0 = 0.2078750206
+
+# Before a term whose modulus would pass _RESCALE_AT is added, a series sum is
+# multiplied by 2^-_RESCALE_BITS and the bits move into its exponent.
+_RESCALE_BITS = 600
+_RESCALE_AT = 2.0 ** _RESCALE_BITS
+
+
+def _rescale(modulus, ratio, exponent, tolerance):
+    """One rescale step of a series sum whose next term, modulus * ratio, would pass _RESCALE_AT.
+
+    Returns the factor by which to multiply the sum, its last term, its
+    compensation and its scale; the new exponent; and the tail tolerance in
+    units of 2^exponent, floored at the smallest normal float (a scaled
+    tail below it loses precision; the returned tail_bound stays honest).
+    Raises OverflowError when the term or the ratio itself leaves the float
+    range, as no rescaling then keeps the next term finite.
+    """
+    if modulus == math.inf or ratio == math.inf:
+        raise OverflowError("a term of the series leaves the float range")
+    exponent += _RESCALE_BITS
+    return 2.0 ** -_RESCALE_BITS, exponent, max(math.ldexp(tolerance, -exponent),
+                                                 sys.float_info.min)
+
+
+def ldexp_complex(value, exponent):
+    """value * 2^exponent, exact; OverflowError if a part leaves the float range."""
+    return complex(math.ldexp(value.real, exponent), math.ldexp(value.imag, exponent))
 
 
 def require_finite(z, name="value"):
@@ -106,12 +139,18 @@ class EvalResult:
     conditioning scale of the evaluation.  |value| is meaningless below
     roughly `scale` times machine epsilon, so residual-style quantities
     should be measured relative to `scale`.
+
+    `value`, `tail_bound` and `scale` are stored times 2^-exponent.  The
+    exponent is 0 whenever they fit in a float, and a positive multiple of
+    600 only for a series result beyond the float range; ratios such as
+    |value| / scale and the phase of value do not depend on it.
     """
 
     value: complex
     tail_bound: float
     terms_used: int
     scale: float
+    exponent: int = 0
 
 
 def _series_eval(first, steps, budget, what):
@@ -119,27 +158,48 @@ def _series_eval(first, steps, budget, what):
 
     The step moduli must be nonincreasing, so once |s_{j+1}| = r < 1/2 the
     dropped tail is below |t_j| * r / (1 - r).  Uses Kahan-compensated
-    complex accumulation.
+    complex accumulation.  Before a term whose modulus would pass
+    _RESCALE_AT is added, the sum is rescaled (see `_rescale`); the
+    exponent is folded back into the result whenever it fits in a float.
     """
     total = first
     comp = 0j
     term = first
-    scale = abs(first)
+    modulus = scale = abs(first)
     used = 1
+    exponent = 0
+    tolerance = budget.tolerance
     pending = next(steps)
     while True:
         r = abs(pending)
+        bound = modulus * r
         if r < 0.5:
-            tail = abs(term) * r / (1.0 - r)
-            if tail <= budget.tolerance:
-                return EvalResult(total, tail, used, scale + tail)
+            tail = bound / (1.0 - r)
+            if tail <= tolerance:
+                scale += tail
+                if exponent:
+                    try:
+                        return EvalResult(ldexp_complex(total, exponent), math.ldexp(tail, exponent),
+                                          used, math.ldexp(scale, exponent))
+                    except OverflowError:
+                        pass
+                return EvalResult(total, tail, used, scale, exponent)
         if used >= budget.max_terms:
             raise BudgetExceeded(
                 f"{what}: tail not below {budget.tolerance:g} within {budget.max_terms} terms")
+        while bound > _RESCALE_AT:
+            factor, exponent, tolerance = _rescale(modulus, r, exponent, budget.tolerance)
+            term *= factor
+            total *= factor
+            comp *= factor
+            scale *= factor
+            modulus *= factor
+            bound = modulus * r
         term *= pending
         pending = next(steps)
         used += 1
-        scale += abs(term)
+        modulus = abs(term)
+        scale += modulus
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -216,6 +276,48 @@ def eval_theta_dz(q, z, budget=DEFAULT_BUDGET):
     q = as_q(q)
     z = require_finite(z, "z")
     return _series_eval(complex(q.value), _theta_dz_steps(q.value, z), budget, "theta_dz")
+
+
+def theta_on_circle(q, radius, angles, budget=DEFAULT_BUDGET):
+    """theta at radius * e^{i*angles} (vectorized), the shared term-sum scale, and the exponent.
+
+    Every term has the same modulus at every angle, so one scalar tracks the
+    term moduli, the tail and the rescaling (see `_rescale`) for the whole
+    array.  The values and the scale are stored times 2^-exponent.
+    """
+    q = as_q(q)
+    z = radius * np.exp(1j * np.asarray(angles, dtype=float))
+    vals = np.ones(z.shape, dtype=complex)
+    term = np.ones(z.shape, dtype=complex)
+    qv, aq = q.value, q.modulus
+    qpow = 1.0 + 0j
+    tmod = 1.0
+    scale = 1.0
+    exponent = 0
+    tolerance = budget.tolerance
+    j = 0
+    while True:
+        r = aq ** (j + 1) * radius
+        bound = tmod * r
+        if r < 0.5:
+            tail = bound / (1.0 - r)
+            if tail <= tolerance:
+                return vals, scale + tail, exponent
+        j += 1
+        if j >= budget.max_terms:
+            raise BudgetExceeded(f"contour evaluation at radius {radius:g}: term budget exhausted")
+        while bound > _RESCALE_AT:
+            factor, exponent, tolerance = _rescale(tmod, r, exponent, budget.tolerance)
+            term *= factor
+            vals *= factor
+            tmod *= factor
+            scale *= factor
+            bound = tmod * r
+        qpow *= qv
+        term = term * (qpow * z)
+        vals = vals + term
+        tmod = bound
+        scale += tmod
 
 
 def _product_eval(first_dev, ratio, budget, what):
@@ -320,8 +422,11 @@ def eval_theta_star(q, z, budget=DEFAULT_BUDGET, method="series"):
         half = SeriesBudget(budget.tolerance / 2.0, budget.max_terms)
         a = eval_theta(q, z, half)
         b = eval_G(q, z, half)
-        return EvalResult(a.value + b.value, a.tail_bound + b.tail_bound,
-                          a.terms_used + b.terms_used, a.scale + b.scale)
+        # carry both halves to the larger exponent; the smaller one may underflow
+        exponent = max(a.exponent, b.exponent)
+        fa, fb = 2.0 ** (a.exponent - exponent), 2.0 ** (b.exponent - exponent)
+        return EvalResult(a.value * fa + b.value * fb, a.tail_bound * fa + b.tail_bound * fb,
+                          a.terms_used + b.terms_used, a.scale * fa + b.scale * fb, exponent)
     if method == "product":
         return _triple_product(q, z, budget)
     raise DomainError(f"method must be 'series' or 'product', got {method!r}")

@@ -3,15 +3,24 @@
 For q in the left half-disk the k-th zero sits near -q^{-k}; each one is
 isolated inside the modulus annulus |q|^{-k+1/2} < |z| < |q|^{-k-1/2} (the
 punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.  Zeros
-inside a circle are counted by tracking the phase of theta along the circle
-with adaptive bisection; locations are refined by Newton's method seeded
-from the asymptotic position.
+inside a circle are counted by the argument principle: theta is summed at
+256 points of the circle in one array pass, the phase increments between
+neighbours below pi/2 are summed as an array, and only the other intervals
+are bisected, one scalar evaluation per new point.  Locations are refined
+by Newton's method seeded from the asymptotic position.
+
+Near the k-th zero the term moduli grow like |q|^{-k^2/2}, past the float
+range for k >= 25 at |q| = 0.1.  Both series kernels used here (core's
+contour array `theta_on_circle` and its scalar kernel behind `eval_theta`)
+therefore carry a binary exponent: values and scales are stored times
+2^-exponent.  Phases, Newton steps f / f' (times 2^(e_f - e_f')) and the
+scaled modulus |theta| / scale do not depend on it.
 
 Residuals are backward-relative: |theta(z)| divided by the sum of the term
 moduli at z.  The raw modulus |theta(z)| has an irreducible rounding floor
 of about `scale * eps` (the series reaches 1e15 at desk-scale inputs), so
 only the scaled residual is meaningful across the whole (q, k) range; the
-raw value is recorded alongside.
+raw value is recorded alongside, as inf where it leaves the float range.
 """
 
 from __future__ import annotations
@@ -23,7 +32,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import C0, DEFAULT_BUDGET, QParameter, as_q, eval_theta, eval_theta_dz
+from .core import (
+    C0,
+    DEFAULT_BUDGET,
+    QParameter,
+    as_q,
+    eval_theta,
+    eval_theta_dz,
+    ldexp_complex,
+    theta_on_circle,
+)
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
 
 # Below this scaled modulus the argument principle is considered unreliable.
@@ -89,8 +107,8 @@ class ZeroRecord:
     annulus_ok: bool
     newton_iterations: int
     converged: bool
-    theta_abs: float         # raw |theta(location)|
-    derivative_abs: float
+    theta_abs: float         # raw |theta(location)|, inf beyond the float range
+    derivative_abs: float    # raw |theta'(location)|, likewise
 
 
 @dataclass
@@ -105,47 +123,23 @@ class SeparationReport:
     notes: dict = field(default_factory=dict)           # k -> error message
 
 
-def _theta_on_circle(q, radius, angles, budget):
-    """theta at radius * e^{i*angles} (vectorized) plus the shared term-sum scale."""
-    z = radius * np.exp(1j * np.asarray(angles, dtype=float))
-    vals = np.ones(z.shape, dtype=complex)
-    term = np.ones(z.shape, dtype=complex)
-    qv, aq = q.value, q.modulus
-    qpow = 1.0 + 0j
-    tmod = 1.0
-    scale = 1.0
-    j = 0
-    while True:
-        r = aq ** (j + 1) * radius
-        if r < 0.5:
-            tail = tmod * r / (1.0 - r)
-            if tail <= budget.tolerance:
-                return vals, scale + tail
-        j += 1
-        if j >= budget.max_terms:
-            raise BudgetExceeded(f"contour evaluation at radius {radius:g}: term budget exhausted")
-        qpow *= qv
-        term = term * (qpow * z)
-        vals = vals + term
-        tmod *= aq ** j * radius
-        scale += tmod
-
-
 def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BUDGET):
     """Number of zeros of theta(q, .) inside |z| = radius, by phase tracking.
 
-    Consecutive phase increments are refined by bisection until each is
-    below pi/2 (depth-capped); the accumulated phase must land within
-    1e-3 * 2pi of an integer multiple.  Raises ContourTooClose when the
-    scaled modulus drops below the safety floor (a zero hugs the circle),
-    BudgetExceeded when the phase cannot be resolved despite healthy moduli.
+    Phase increments between neighbouring samples are computed as one
+    array; those below pi/2 are summed, the others are refined by bisection
+    until each is below pi/2 (depth-capped).  The accumulated phase must
+    land within 1e-3 * 2pi of an integer multiple.  Raises ContourTooClose
+    when the scaled modulus drops below the safety floor (a zero hugs the
+    circle), BudgetExceeded when the phase cannot be resolved despite
+    healthy moduli.
     """
     q = as_q(q)
     if not (radius > 0 and math.isfinite(radius)):
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
     angles = np.linspace(0.0, 2.0 * math.pi, n0, endpoint=False)
-    vals, scale = _theta_on_circle(q, radius, angles, budget)
+    vals, scale, exponent = theta_on_circle(q, radius, angles, budget)
     samples = n0
     min_scaled = float(np.min(np.abs(vals))) / scale
     if min_scaled == 0.0:
@@ -154,15 +148,16 @@ def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 
     def point(angle):
         res = eval_theta(q, radius * cmath.exp(1j * angle), budget)
-        return res.value
+        return ldexp_complex(res.value, res.exponent - exponent)
 
-    total = 0.0
+    next_vals = np.roll(vals, -1)
+    increments = np.angle(next_vals / vals)
+    fine = np.abs(increments) < math.pi / 2
+    total = float(np.sum(increments[fine]))
     stack = []
-    for i in range(n0):
-        a0, v0 = angles[i], vals[i]
+    for i in np.flatnonzero(~fine):
         a1 = angles[i + 1] if i + 1 < n0 else 2.0 * math.pi
-        v1 = vals[(i + 1) % n0]
-        stack.append((a0, v0, a1, v1, 0))
+        stack.append((angles[i], vals[i], a1, next_vals[i], 0))
     while stack:
         a0, v0, a1, v1, depth = stack.pop()
         increment = cmath.phase(v1 / v0)
@@ -209,6 +204,14 @@ def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
     return outer.count - inner.count
 
 
+def _raw_abs(res):
+    """|value| of an EvalResult in absolute units, inf where that leaves the float range."""
+    try:
+        return math.ldexp(abs(res.value), res.exponent)
+    except OverflowError:
+        return math.inf
+
+
 def _newton(q, seed, residual_tol, max_iterations, budget):
     """Newton iteration for theta(q, .) = 0; returns (record fields, converged)."""
     z = complex(seed)
@@ -218,21 +221,21 @@ def _newton(q, seed, residual_tol, max_iterations, budget):
         scaled = abs(f.value) / f.scale
         if scaled < residual_tol:
             fp = eval_theta_dz(q, z, budget)
-            return z, scaled, abs(f.value), abs(fp.value), iterations, True
+            return z, scaled, _raw_abs(f), _raw_abs(fp), iterations, True
         fp = eval_theta_dz(q, z, budget)
         if fp.value == 0:
             break
-        step = f.value / fp.value
+        step = ldexp_complex(f.value / fp.value, f.exponent - fp.exponent)
         z -= step
         iterations += 1
         if abs(step) <= 4.0 * 2.2e-16 * abs(z):
             f = eval_theta(q, z, budget)
             scaled = abs(f.value) / f.scale
             fp = eval_theta_dz(q, z, budget)
-            return z, scaled, abs(f.value), abs(fp.value), iterations, scaled < residual_tol
+            return z, scaled, _raw_abs(f), _raw_abs(fp), iterations, scaled < residual_tol
     f = eval_theta(q, z, budget)
     fp = eval_theta_dz(q, z, budget)
-    return z, abs(f.value) / f.scale, abs(f.value), abs(fp.value), iterations, False
+    return z, abs(f.value) / f.scale, _raw_abs(f), _raw_abs(fp), iterations, False
 
 
 def locate_zero(q, k, residual_tol=1e-10, max_iterations=50, budget=DEFAULT_BUDGET, seed=None):
@@ -313,10 +316,9 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
 
     windings = {0: 0}
     for k in range(1, k_max + 1):
-        radius = q.modulus ** -(k + 0.5)
         try:
-            windings[k] = winding_number(q, radius, budget=budget).count
-        except (ContourTooClose, BudgetExceeded) as exc:
+            windings[k] = winding_number(q, q.modulus ** -(k + 0.5), budget=budget).count
+        except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
             if on_error == "raise":
                 exc.k = k
                 raise
@@ -328,7 +330,7 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
         report.counts[k] = None if (below is None or above is None) else above - below
         try:
             report.records[k] = _locate_with_fallback(q, k, residual_tol, budget)
-        except (NoConvergence, ContourTooClose, BudgetExceeded) as exc:
+        except (NoConvergence, ContourTooClose, BudgetExceeded, OverflowError) as exc:
             if on_error == "raise":
                 exc.k = k
                 raise

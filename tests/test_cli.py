@@ -76,6 +76,19 @@ def test_eval_error_message_names_precondition(capsys):
     assert "z != 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "Q", "--q", "0.9999999"],               # product tail bound overflows
+    ["eval", "U", "--q", "0.5", "--z", "1e200"],     # product overflows
+    ["eval", "theta", "--q", "0.1", "--z", "1e40"],  # sum is about 2e780
+])
+def test_eval_overflow_exits_3_without_traceback(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: overflow") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
@@ -148,12 +161,21 @@ def test_verify_all_aggregates(capsys):
             assert rep["passed"] is True, name
 
 
+def test_zeros_small_q_to_k40(capsys):
+    # terms near the 40th zero reach 1e780: summed with a carried exponent
+    code, out, err = run(capsys, ["zeros", "--q", "0.1", "--kmax", "40", "--format", "json"])
+    assert code == 0
+    assert err == ""
+    results = json.loads(out)["results"]
+    assert results["strongly_separated"] is True
+    assert all(entry["count"] == 1 and entry["annulus_ok"] for entry in results["k"].values())
+
+
 # ---------------------------------------------------------------------------
 # scan / table
 # ---------------------------------------------------------------------------
 
-def test_scan_small_grid(capsys, monkeypatch):
-    monkeypatch.setenv("THETA_SEP_THREADS", "2")
+def test_scan_small_grid(capsys):
     code, out, _ = run(capsys, ["scan", "--a", "0.3", "--k", "1", "--steps", "4x5",
                                 "--format", "json"])
     assert code == 0

@@ -100,6 +100,60 @@ def test_theta_tail_bound_within_tolerance():
     assert 0.0 <= res.tail_bound <= budget.tolerance
 
 
+def _mp_theta(q, z, terms):
+    import mpmath
+    q, z = mpmath.mpf(q), mpmath.mpf(z)
+    return mpmath.fsum(q ** (j * (j + 1) // 2) * z ** j for j in range(terms))
+
+
+def test_theta_exponent_folded_back_when_the_result_fits():
+    import mpmath
+    assert eval_theta(0.55j, 12.0 - 3.0j).exponent == 0
+    assert eval_theta_dz(-0.5, 40.0).exponent == 0
+    # the largest terms, about 1e190, pass the rescale threshold; the sum fits
+    res = eval_theta(0.1, 1e20)
+    assert res.exponent == 0
+    assert res.tail_bound <= SeriesBudget().tolerance    # tested in units of 2^600 while summed
+    with mpmath.workdps(40):
+        exact = _mp_theta(0.1, 1e20, 80)
+        assert abs(mpmath.mpc(res.value) - exact) <= 1e-14 * abs(exact)
+        assert res.scale >= abs(exact) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("q, z, terms", [
+    (0.1, 1e40, 120),     # sum about 2e780
+    (0.5, 1e308, 1200),   # single term ratios up to 5e307
+])
+def test_theta_exponent_carries_terms_beyond_float_range(q, z, terms):
+    import mpmath
+    res = eval_theta(q, z)
+    assert res.exponent > 0
+    assert all(math.isfinite(x) for x in (res.value.real, res.value.imag, res.scale))
+    with mpmath.workdps(40):
+        exact = _mp_theta(q, z, terms)
+        got = mpmath.mpc(res.value) * mpmath.mpf(2) ** res.exponent
+        assert abs(got - exact) <= 1e-12 * abs(exact)
+        # the scale sum is uncompensated: it may round below a sum of positive terms
+        assert mpmath.mpf(res.scale) * mpmath.mpf(2) ** res.exponent >= abs(exact) * (1 - 1e-12)
+
+
+def test_series_term_beyond_float_range_raises_overflow():
+    with pytest.raises(OverflowError):
+        eval_theta_dz(0.99, 1.7e308)    # the ratio 2 q^2 z is itself beyond the float range
+    with pytest.raises(OverflowError):
+        eval_G(0.5, 1e-310)             # the first term 1/z is
+
+
+@pytest.mark.parametrize("z", [1e40, 1e-40, -1e30 + 1e30j])
+def test_theta_star_series_combines_exponents(z):
+    star = eval_theta_star(0.1, z)
+    parts = [eval_theta(0.1, z, SeriesBudget(5e-13)), eval_G(0.1, z, SeriesBudget(5e-13))]
+    assert star.exponent == max(p.exponent for p in parts) > 0
+    expected = sum(p.value * 2.0 ** (p.exponent - star.exponent) for p in parts)
+    assert star.value == pytest.approx(expected, rel=1e-15)
+    assert star.terms_used == sum(p.terms_used for p in parts)
+
+
 def test_theta_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         eval_theta(0.9, 5.0, SeriesBudget(tolerance=1e-30, max_terms=5))

@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from thetasep import (
     verify_separation,
     winding_number,
 )
+from thetasep.core import eval_theta, eval_theta_dz, theta_on_circle
 
 
 def test_annulus_validation():
@@ -43,13 +46,11 @@ def test_annulus_radii_and_membership():
 
 def test_winding_zero_on_small_disk_with_scan_oracle():
     # oracle: 10^6-point modulus scan shows |theta| bounded away from 0 on |z| <= 0.5
-    from thetasep.core import DEFAULT_BUDGET
-    from thetasep.zeros import _theta_on_circle
     q = QParameter(0.1)
     angles = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
     low = math.inf
     for r in np.linspace(0.005, 0.5, 100):
-        vals, _ = _theta_on_circle(q, float(r), angles, DEFAULT_BUDGET)
+        vals, _, _ = theta_on_circle(q, float(r), angles)
         low = min(low, float(np.min(np.abs(vals))))
     assert low > 0.9
     assert winding_number(q, 0.5).count == 0
@@ -82,6 +83,68 @@ def test_winding_contour_through_zero_raises():
     loc = locate_zero(q, 1).location  # real positive zero, hit by the angle-0 sample
     with pytest.raises(ContourTooClose):
         winding_number(q, abs(loc) * (1 + 1e-12))
+
+
+def test_winding_mixed_array_and_bisection_path():
+    # with 16 samples, 16 intervals jump by pi/2 or more and are bisected once each
+    q = QParameter(0.55j)
+    coarse = winding_number(q, 0.55 ** -6.5, initial_samples=16)
+    assert (coarse.count, coarse.samples_used) == (6, 32)
+    fine = winding_number(q, 0.55 ** -6.5, initial_samples=256)
+    assert (fine.count, fine.samples_used) == (6, 256)
+
+
+def test_winding_bisection_samples_carried_into_array_units():
+    # on |z| = |q|^-24.1 the terms reach 1e203: the contour array is rescaled
+    # once, while the scalar samples of the bisection fit in a float
+    q = QParameter(cmath.rect(0.2, 3.0))
+    radius = q.modulus ** -24.1
+    assert theta_on_circle(q, radius, np.zeros(1))[2] == 600
+    assert eval_theta(q, radius).exponent == 0
+    res = winding_number(q, radius, initial_samples=64)
+    count, samples, low = _winding_reference(q, radius, 64)
+    assert (res.count, res.samples_used) == (count, samples) == (24, 128)
+    # the smallest sampled modulus is a bisection sample, so it is only right
+    # when the scalar samples are carried into the array's units
+    assert res.min_modulus_on_contour == pytest.approx(low, rel=1e-9)
+
+
+def _winding_reference(q, radius, n0):
+    """Per-sample phase tracking with scalar evaluations and a LIFO bisection stack.
+
+    Returns the count, the samples used and the smallest sampled |theta| / scale.
+    """
+    angles = [2.0 * math.pi * i / n0 for i in range(n0)] + [2.0 * math.pi]
+    vals = [eval_theta(q, radius * cmath.exp(1j * a)).value for a in angles[:-1]]
+    low = min(abs(v) for v in vals)
+    vals.append(vals[0])
+    stack = [(angles[i], vals[i], angles[i + 1], vals[i + 1]) for i in range(n0)]
+    total, samples = 0.0, n0
+    while stack:
+        a0, v0, a1, v1 = stack.pop()
+        increment = cmath.phase(v1 / v0)
+        if abs(increment) < math.pi / 2:
+            total += increment
+            continue
+        am = 0.5 * (a0 + a1)
+        vm = eval_theta(q, radius * cmath.exp(1j * am)).value
+        samples += 1
+        low = min(low, abs(vm))
+        stack += [(a0, v0, am, vm), (am, vm, a1, v1)]
+    return round(total / (2.0 * math.pi)), samples, low / eval_theta(q, radius).scale
+
+
+@pytest.mark.parametrize("q, exponent, n0", [
+    (0.55j, 6.5, 16), (0.55j, 3.5, 16), (-0.4, 2.5, 16),
+    (cmath.rect(0.3, 2.0), 4.5, 32), (cmath.rect(0.5, 2.5), 5.5, 256),
+])
+def test_winding_matches_scalar_reference_loop(q, exponent, n0):
+    q = QParameter(q)
+    radius = q.modulus ** -exponent
+    res = winding_number(q, radius, initial_samples=n0)
+    count, samples, low = _winding_reference(q, radius, n0)
+    assert (res.count, res.samples_used) == (count, samples)
+    assert res.min_modulus_on_contour == pytest.approx(low, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +261,74 @@ def test_separation_rejects_bad_arguments():
         verify_separation(QParameter(0.3j), 0)
     with pytest.raises(DomainError):
         verify_separation(QParameter(0.3j), 2, on_error="ignore")
+
+
+# ---------------------------------------------------------------------------
+# the edge of the domain: term moduli beyond the float range
+# ---------------------------------------------------------------------------
+
+def _mp_scaled_residual(q, z, dps=40):
+    """|theta(q, z)| / sum_j |q^{j(j+1)/2} z^j|, summed independently in mpmath."""
+    import mpmath
+    with mpmath.workdps(dps):
+        q, z = mpmath.mpc(q), mpmath.mpc(z)
+        total, scale, term, qj = mpmath.mpc(1), mpmath.mpf(1), mpmath.mpc(1), mpmath.mpc(1)
+        while True:
+            qj *= q
+            ratio = qj * z
+            if abs(ratio) < 0.5 and abs(term) < mpmath.mpf(10) ** -dps * scale:
+                return float(abs(total) / scale)
+            term *= ratio
+            total += term
+            scale += abs(term)
+
+
+def test_separation_small_q_to_k40():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = verify_separation(QParameter(0.1), 40)
+    assert rep.strongly_separated
+    assert all(rep.counts[k] == 1 for k in range(1, 41))
+    assert rep.notes == {}
+
+
+def test_separation_reaches_the_float_range_of_the_radius():
+    # at |q| = 1e-3 term ratios reach 1e307 and terms 1e15000; the outer radius
+    # |q|^-(k+1/2) of k = 102 is the last that fits in a float
+    q = QParameter(1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = verify_separation(q, 103, on_error="record")
+        with pytest.raises(OverflowError):
+            verify_separation(q, 103)
+    assert all(rep.counts[k] == 1 and rep.records[k].annulus_ok for k in range(1, 103))
+    assert list(rep.notes) == [103]
+    assert not rep.strongly_separated
+
+
+@pytest.mark.parametrize("q", [0.1, cmath.rect(0.21875, 3 * math.pi / 4)])
+@pytest.mark.parametrize("k", [26, 33, 40])
+def test_deep_zero_located_in_annulus(q, k):
+    q = QParameter(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert count_zeros_in_annulus(q, Annulus.for_index(k)) == 1
+        rec = locate_zero(q, k)
+    assert rec.converged and rec.annulus_ok
+    assert Annulus.for_index(k).contains(q, rec.location)
+    assert _mp_scaled_residual(q.value, rec.location) < 1e-9
+
+
+def test_newton_step_uses_exponent_difference():
+    # near the k = 28 zero at q = 0.1, theta and theta' are rescaled a different
+    # number of times, so the step f / f' must be multiplied by 2^(e_f - e_f')
+    q = QParameter(0.1)
+    target = locate_zero(q, 28).location
+    seed = target * (1 + 1e-6)
+    assert eval_theta(q, seed).exponent != eval_theta_dz(q, seed).exponent
+    rec = locate_zero(q, 28, seed=seed)
+    assert rec.newton_iterations >= 1
+    assert abs(rec.location - target) <= 1e-9 * abs(target)
 
 
 # ---------------------------------------------------------------------------
