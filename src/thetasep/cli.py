@@ -222,7 +222,8 @@ def _report_payload(rep):
 
 def cmd_verify(args):
     # unset step flags fall back to each check's library default grid
-    ms, asteps, zsteps = args.modulus_steps, args.argument_steps, args.z_steps
+    ms, asteps = args.modulus_steps, args.argument_steps
+    zsteps = args.z_steps or lemmas.DEFAULT_K1_Z_STEPS
     q_grid = lemmas.GridSpec((0.6 / (ms or 2000), 0.6), ms or 2000,
                              (math.pi / 2, math.pi), asteps or 2000)
     k1_grid = lemmas.GridSpec((C0, 0.6), ms or 80, (math.pi / 2, math.pi), asteps or 80)
@@ -235,8 +236,8 @@ def cmd_verify(args):
         "Q": lambda: lemmas.verify_lemma_Q(grid=q_grid),
         "k5": lambda: lemmas.verify_lemma_k5(),
         "k4": lambda: lemmas.verify_lemma_k4(),
-        "k1": lambda: lemmas.verify_lemma_k1(grid=k1_grid, z_steps=zsteps or 720),
-        "k2": lambda: lemmas.verify_lemma_k2(grid=k2_grid, z_steps=max(128, (zsteps or 720) // 2)),
+        "k1": lambda: lemmas.verify_lemma_k1(grid=k1_grid, z_steps=zsteps),
+        "k2": lambda: lemmas.verify_lemma_k2(grid=k2_grid, z_steps=lemmas.k2_z_steps(zsteps)),
     }
     if args.lemma == "all":
         reports = {name: run() for name, run in runners.items()}

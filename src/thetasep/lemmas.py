@@ -10,13 +10,17 @@ every margin is strictly positive.
 
 Grid-backed checks record the observed minimum and its location so the
 resolution slack can be judged by the caller; they sample, they do not
-certify.
+certify.  The k1 and k2 circle scans sum a series sum_j c_j(q) z^j over
+one modulus row's (arg q) x (arg z) grid as one matrix product of the
+coefficients c_j(q_i) |z|^j with the powers e^{i j psi_k}; k1 takes its term
+count from the proven tail of theta_dagger and reports that tail's bound.
+The sampled checks use the array forms of `mu`, `A_j`, `B_j` and `phi_*`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +85,7 @@ class ReferenceConstant:
     value: float
     digits: int
     definition: str
+    recompute: object = field(default=None, repr=False, compare=False)  # () -> float
 
 
 def _infinite_product(factor, start, floor_deviation=1e-17, limit=200_000):
@@ -97,14 +102,21 @@ def _infinite_product(factor, start, floor_deviation=1e-17, limit=200_000):
             raise BudgetExceeded("infinite product did not settle")
 
 
+def _span(x):  # (min, max) of a float or an array
+    return (np.min(x), np.max(x)) if isinstance(x, np.ndarray) else (x, x)
+
+
 def _power_sum(base, exponent, start, floor_term=1e-18, limit=10_000):
-    """sum_{j>=start} base**exponent(j) for superexponentially growing exponents."""
+    """sum_{j>=start} base**exponent(j) for superexponentially growing exponents.
+
+    An array base is summed until the terms of every entry are below floor_term.
+    """
     s = 0.0
     j = start
     while True:
         t = base ** exponent(j)
-        s += t
-        if t < floor_term:
+        s = s + t
+        if _span(t)[1] < floor_term:
             return s
         j += 1
         if j - start > limit:
@@ -116,13 +128,14 @@ def mu(j, m):
 
     Index j grades how far zeta is guaranteed to sit from the positive real
     axis: j = 1 assumes nothing (|1 - m|), j = 4 assumes arg(zeta) at least
-    3pi/4 away.
+    3pi/4 away.  An array m gives an array.
     """
     if j not in (1, 2, 3, 4):
         raise DomainError(f"j must be in 1..4, got {j!r}")
-    if m < 0:
+    if _span(m)[0] < 0:
         raise DomainError(f"m must be >= 0, got {m!r}")
-    return math.sqrt(1.0 + m * m - 2.0 * m * math.cos((j - 1) * math.pi / 4.0))
+    sqrt = np.sqrt if isinstance(m, np.ndarray) else math.sqrt
+    return sqrt(1.0 + m * m - 2.0 * m * math.cos((j - 1) * math.pi / 4.0))
 
 
 def A_j(rho, j):
@@ -131,40 +144,39 @@ def A_j(rho, j):
     The moduli of the triple are rho^{3j-5/2} > rho^{3j-3/2} > rho^{3j-1/2};
     the weakest bound mu_1 must absorb the largest modulus, so the product
     pairs mu_1, mu_2, mu_3 with descending moduli.  This pairing is what the
-    tabulated chi_j values realize.
+    tabulated chi_j values realize.  An array rho gives an array.
     """
-    if not 0.0 < rho <= 0.6:
-        raise DomainError(f"rho must lie in (0, 0.6], got {rho!r}")
-    if j < 1:
-        raise DomainError(f"j must be >= 1, got {j!r}")
-    return (mu(1, rho ** (3 * j - 2.5))
-            * mu(2, rho ** (3 * j - 1.5))
-            * mu(3, rho ** (3 * j - 0.5)))
+    return _chord_triple(rho, j, 1, 2, 3)
 
 
 def B_j(rho, j):
     """Variant of A_j for the rotation pattern that pins the middle factor at mu_4."""
-    if not 0.0 < rho <= 0.6:
+    return _chord_triple(rho, j, 1, 4, 1)
+
+
+def _chord_triple(rho, j, a, b, c):
+    lo, hi = _span(rho)
+    if not (0.0 < lo and hi <= 0.6):
         raise DomainError(f"rho must lie in (0, 0.6], got {rho!r}")
     if j < 1:
         raise DomainError(f"j must be >= 1, got {j!r}")
-    return (mu(1, rho ** (3 * j - 2.5))
-            * mu(4, rho ** (3 * j - 1.5))
-            * mu(1, rho ** (3 * j - 0.5)))
+    return mu(a, rho ** (3 * j - 2.5)) * mu(b, rho ** (3 * j - 1.5)) * mu(c, rho ** (3 * j - 0.5))
 
 
 def phi_flat(r):
-    """sum_{j>=2} r^{j(j-2)/2}: modulus bound for the tail from the z^2 term on."""
-    if not 0.0 < r < 1.0:
+    """sum_{j>=2} r^{j(j-2)/2}, r a float or an array: bound on the tail from the z^2 term on."""
+    lo, hi = _span(r)
+    if not (0.0 < lo and hi < 1.0):
         raise DomainError(f"r must lie in (0, 1), got {r!r}")
     return _power_sum(r, lambda j: j * (j - 2) / 2.0, 2)
 
 
 def phi_star(r):
-    """sqrt(1 + 1/r): chord bound for |1 + z| on |z| = r^{-1/2}, Re z >= 0."""
-    if not 0.0 < r < 1.0:
+    """sqrt(1 + 1/r), r a float or an array: bound for |1 + z| on |z| = r^{-1/2}, Re z >= 0."""
+    lo, hi = _span(r)
+    if not (0.0 < lo and hi < 1.0):
         raise DomainError(f"r must lie in (0, 1), got {r!r}")
-    return math.sqrt(1.0 + 1.0 / r)
+    return (np.sqrt if isinstance(r, np.ndarray) else math.sqrt)(1.0 + 1.0 / r)
 
 
 def _gamma():
@@ -205,104 +217,68 @@ def _qur_floor_k4():
     return 1.2 * _chi0() * A_j(0.6, 1) * chi_star ** 2
 
 
-REFERENCE_CONSTANTS = {
-    "c0": ReferenceConstant(
+REFERENCE_CONSTANTS = {c.name: c for c in (
+    ReferenceConstant(  # quoted input, not derivable from the material in scope
         "c0", 0.2078750206, 10,
-        "radius below which strong modulus-separation of the zeros is already known"),
-    "alpha0": ReferenceConstant(
-        "alpha0", 0.2756644477, 10, "sqrt(3) / (2 pi)"),
-    "exp_inv_alpha0": ReferenceConstant(
-        "exp_inv_alpha0", 37.62236657, 10,
-        "e^{1/alpha0}, common limit of the annulus radii m_n and M_n"),
-    "gamma": ReferenceConstant(
-        "gamma", 0.9945691384, 10, "prod_{j>=12} (1 - 0.6^j)"),
-    "Q0_floor": ReferenceConstant(
-        "Q0_floor", 1.206552620, 10,
-        "1.2 / gamma, required boundary floor for prod_{j<=11} (1 - q^j)"),
-    "eta": ReferenceConstant(
-        "eta", 0.2411047426, 10, "prod_{j>=1} |0.6^{j-9/2} - 1|"),
-    "xi": ReferenceConstant(
-        "xi", 0.7715882456, 10, "prod_{j>=0} (1 - 0.6^{j+9/2})"),
-    "qur_floor_k5": ReferenceConstant(
-        "qur_floor_k5", 0.2232403024, 10,
-        "1.2 * eta * xi: product floor on |z| = |q|^{-k+1/2}, k >= 5"),
-    "g_bound_k5": ReferenceConstant(
-        "g_bound_k5", 0.1066576686, 10, "sum_{j>=1} 0.6^{j(j-1)/2 + 9j/2}"),
-    "g_bound_k4": ReferenceConstant(
-        "g_bound_k4", 0.1851580824, 10, "sum_{j>=1} 0.6^{j(j-1)/2 + 7j/2}"),
-    "chi0": ReferenceConstant(
-        "chi0", 1.742379963, 10,
-        "mu3(0.6^{-5/2}) mu2(0.6^{-3/2}) mu1(0.6^{-1/2})"),
-    "chi1": ReferenceConstant("chi1", 0.1749135662, 10, "A_1(0.6)"),
-    "chi2": ReferenceConstant("chi2", 0.7772399345, 10, "A_2(0.6)"),
-    "chi3": ReferenceConstant("chi3", 0.9492771959, 10, "A_3(0.6)"),
-    "chi4": ReferenceConstant("chi4", 0.9889171980, 10, "A_4(0.6)"),
-    "chi5": ReferenceConstant(
-        "chi5", 0.9957913379, 10, "prod_{k>=16} (1 - 0.6^{k-7/2})"),
-    "qur_floor_k4": ReferenceConstant(
-        "qur_floor_k4", 0.1930636291, 10,
-        "1.2 chi0 chi1 (chi2 chi3 chi4 chi5)^2: product floor on |z| = |q|^{-7/2}"),
-    "phi_star_06": ReferenceConstant(
-        "phi_star_06", 1.632993162, 10, "sqrt(1 + 1/0.6)"),
-    "phi_flat_06": ReferenceConstant(
-        "phi_flat_06", 1.618354488, 10, "sum_{j>=2} 0.6^{j(j-2)/2}"),
-    "phi_flat_03_minus_1": ReferenceConstant(
-        "phi_flat_03_minus_1", 0.1725370862, 10, "sum_{j>=3} 0.3^{j(j-2)/2}"),
-    "a0": ReferenceConstant(
-        "a0", 2.330487021, 10, "1 + sum_{j>=4} 0.6^{j(j-1)/2 - 3j/2}"),
-    "xiB_floor_wide_arg": ReferenceConstant(
-        "xiB_floor_wide_arg", 2.405626123, 10,
-        "0.6^{-3/2} sqrt(3/(4*0.6)): |xi B| floor for arg(q) in [2pi/3, pi]"),
-    "xiB_floor_small_q": ReferenceConstant(
-        "xiB_floor_small_q", 2.337543079, 10,
-        "0.55^{-2}/sqrt(2): |xi B| floor for |q| <= 0.55"),
-    "a_tail_bound": ReferenceConstant(
-        "a_tail_bound", 0.0002925303367, 10, "sum_{j>=8} 0.6^{j(j-1)/2 - 3j/2}"),
-    "tau_pinch_modulus": ReferenceConstant(
+        "radius below which strong modulus-separation of the zeros is already known", lambda: C0),
+    ReferenceConstant("alpha0", 0.2756644477, 10, "sqrt(3) / (2 pi)",
+                      lambda: math.sqrt(3.0) / (2.0 * math.pi)),
+    ReferenceConstant("exp_inv_alpha0", 37.62236657, 10,
+                      "e^{1/alpha0}, common limit of the annulus radii m_n and M_n",
+                      lambda: math.exp(2.0 * math.pi / math.sqrt(3.0))),
+    ReferenceConstant("gamma", 0.9945691384, 10, "prod_{j>=12} (1 - 0.6^j)", _gamma),
+    ReferenceConstant("Q0_floor", 1.206552620, 10,
+                      "1.2 / gamma, required boundary floor for prod_{j<=11} (1 - q^j)",
+                      lambda: 1.2 / _gamma()),
+    ReferenceConstant("eta", 0.2411047426, 10, "prod_{j>=1} |0.6^{j-9/2} - 1|", _eta),
+    ReferenceConstant("xi", 0.7715882456, 10, "prod_{j>=0} (1 - 0.6^{j+9/2})", _xi),
+    ReferenceConstant("qur_floor_k5", 0.2232403024, 10,
+                      "1.2 * eta * xi: product floor on |z| = |q|^{-k+1/2}, k >= 5",
+                      lambda: 1.2 * _eta() * _xi()),
+    ReferenceConstant("g_bound_k5", 0.1066576686, 10, "sum_{j>=1} 0.6^{j(j-1)/2 + 9j/2}",
+                      lambda: _g_bound(4.5)),
+    ReferenceConstant("g_bound_k4", 0.1851580824, 10, "sum_{j>=1} 0.6^{j(j-1)/2 + 7j/2}",
+                      lambda: _g_bound(3.5)),
+    ReferenceConstant("chi0", 1.742379963, 10,
+                      "mu3(0.6^{-5/2}) mu2(0.6^{-3/2}) mu1(0.6^{-1/2})", _chi0),
+    ReferenceConstant("chi1", 0.1749135662, 10, "A_1(0.6)", lambda: A_j(0.6, 1)),
+    ReferenceConstant("chi2", 0.7772399345, 10, "A_2(0.6)", lambda: A_j(0.6, 2)),
+    ReferenceConstant("chi3", 0.9492771959, 10, "A_3(0.6)", lambda: A_j(0.6, 3)),
+    ReferenceConstant("chi4", 0.9889171980, 10, "A_4(0.6)", lambda: A_j(0.6, 4)),
+    ReferenceConstant("chi5", 0.9957913379, 10, "prod_{k>=16} (1 - 0.6^{k-7/2})", _chi5),
+    ReferenceConstant("qur_floor_k4", 0.1930636291, 10,
+                      "1.2 chi0 chi1 (chi2 chi3 chi4 chi5)^2: product floor on |z| = |q|^{-7/2}",
+                      _qur_floor_k4),
+    ReferenceConstant("phi_star_06", 1.632993162, 10, "sqrt(1 + 1/0.6)", lambda: phi_star(0.6)),
+    ReferenceConstant("phi_flat_06", 1.618354488, 10, "sum_{j>=2} 0.6^{j(j-2)/2}",
+                      lambda: phi_flat(0.6)),
+    ReferenceConstant("phi_flat_03_minus_1", 0.1725370862, 10, "sum_{j>=3} 0.3^{j(j-2)/2}",
+                      lambda: phi_flat(0.3) - 1.0),
+    ReferenceConstant("a0", 2.330487021, 10, "1 + sum_{j>=4} 0.6^{j(j-1)/2 - 3j/2}", _a0),
+    ReferenceConstant("xiB_floor_wide_arg", 2.405626123, 10,
+                      "0.6^{-3/2} sqrt(3/(4*0.6)): |xi B| floor for arg(q) in [2pi/3, pi]",
+                      lambda: 0.6 ** -1.5 * math.sqrt(3.0 / (4.0 * 0.6))),
+    ReferenceConstant("xiB_floor_small_q", 2.337543079, 10,
+                      "0.55^{-2}/sqrt(2): |xi B| floor for |q| <= 0.55",
+                      lambda: 0.55 ** -2 / SQRT2),
+    ReferenceConstant("a_tail_bound", 0.0002925303367, 10,
+                      "sum_{j>=8} 0.6^{j(j-1)/2 - 3j/2}", _a_tail_bound),
+    ReferenceConstant(
         "tau_pinch_modulus", 0.3431457506, 10,
-        "modulus where (2|q|)^{-1/2} - 2^{-1/2} = 1/2 (weakest point of the 3A bound)"),
-    "case4d_drop": ReferenceConstant(
-        "case4d_drop", 0.7470048804, 10,
-        "-(0.6^{-1/2} cos(11pi/12) + 1 + cos(8pi/3))"),
-}
-
-_RECOMPUTE = {
-    "c0": lambda: C0,  # quoted input, not derivable from the material in scope
-    "alpha0": lambda: math.sqrt(3.0) / (2.0 * math.pi),
-    "exp_inv_alpha0": lambda: math.exp(2.0 * math.pi / math.sqrt(3.0)),
-    "gamma": _gamma,
-    "Q0_floor": lambda: 1.2 / _gamma(),
-    "eta": _eta,
-    "xi": _xi,
-    "qur_floor_k5": lambda: 1.2 * _eta() * _xi(),
-    "g_bound_k5": lambda: _g_bound(4.5),
-    "g_bound_k4": lambda: _g_bound(3.5),
-    "chi0": _chi0,
-    "chi1": lambda: A_j(0.6, 1),
-    "chi2": lambda: A_j(0.6, 2),
-    "chi3": lambda: A_j(0.6, 3),
-    "chi4": lambda: A_j(0.6, 4),
-    "chi5": _chi5,
-    "qur_floor_k4": _qur_floor_k4,
-    "phi_star_06": lambda: phi_star(0.6),
-    "phi_flat_06": lambda: phi_flat(0.6),
-    "phi_flat_03_minus_1": lambda: phi_flat(0.3) - 1.0,
-    "a0": _a0,
-    "xiB_floor_wide_arg": lambda: 0.6 ** -1.5 * math.sqrt(3.0 / (4.0 * 0.6)),
-    "xiB_floor_small_q": lambda: 0.55 ** -2 / SQRT2,
-    "a_tail_bound": _a_tail_bound,
-    "tau_pinch_modulus": lambda: 0.5 / (0.5 + 2.0 ** -0.5) ** 2,
-    "case4d_drop": lambda: -(0.6 ** -0.5 * math.cos(11 * math.pi / 12)
-                             + 1.0 + math.cos(8 * math.pi / 3)),
-}
+        "modulus where (2|q|)^{-1/2} - 2^{-1/2} = 1/2 (weakest point of the 3A bound)",
+        lambda: 0.5 / (0.5 + 2.0 ** -0.5) ** 2),
+    ReferenceConstant("case4d_drop", 0.7470048804, 10,
+                      "-(0.6^{-1/2} cos(11pi/12) + 1 + cos(8pi/3))",
+                      lambda: -(0.6 ** -0.5 * math.cos(11 * math.pi / 12)
+                                + 1.0 + math.cos(8 * math.pi / 3))),
+)}
 
 
 def recompute_constant(name):
     """Recompute a registry constant from its defining formula."""
-    try:
-        return _RECOMPUTE[name]()
-    except KeyError:
-        raise DomainError(f"unknown constant {name!r}") from None
+    if name not in REFERENCE_CONSTANTS:
+        raise DomainError(f"unknown constant {name!r}")
+    return REFERENCE_CONSTANTS[name].recompute()
 
 
 def agreement_margin(computed, reference):
@@ -336,24 +312,19 @@ def mu_properties_check(samples=2000, seed=20260811):
     """
     if samples < 100:
         raise DomainError("samples must be >= 100")
-    rng = np.random.default_rng(seed)
-    order_margin = math.inf
-    mono_margin = math.inf
-    exchange_margin = math.inf
-    for _ in range(samples):
-        m = float(rng.uniform(1e-4, 8.0))
-        vals = [mu(j, m) for j in (1, 2, 3, 4)]
-        order_margin = min(order_margin,
-                           vals[1] - vals[0], vals[2] - vals[1], vals[3] - vals[2])
-        lo = 1.0 + float(rng.uniform(0.0, 4.0))
-        hi = lo + float(rng.uniform(1e-6, 2.0))
-        mono_margin = min(mono_margin, *(mu(j, hi) - mu(j, lo) for j in (1, 2, 3, 4)))
-        m2 = float(rng.uniform(1e-4, 0.99))
-        m1 = float(rng.uniform(m2 + 1e-3, 1.0))  # keep the pair separated
-        for ell, em in ((2, 1), (3, 1), (3, 2)):
-            exchange_margin = min(
-                exchange_margin,
-                mu(ell, m1) * mu(em, m2) - mu(ell, m2) * mu(em, m1))
+    # per sample m, lo - 1, hi - lo, m2, m1, mapped as rng.uniform(low, high) maps a draw
+    u = np.random.default_rng(seed).random((samples, 5))
+    m = 1e-4 + (8.0 - 1e-4) * u[:, 0]
+    lo = 1.0 + 4.0 * u[:, 1]
+    hi = lo + (1e-6 + (2.0 - 1e-6) * u[:, 2])
+    m2 = 1e-4 + (0.99 - 1e-4) * u[:, 3]
+    m1 = (m2 + 1e-3) + (1.0 - (m2 + 1e-3)) * u[:, 4]
+    vals = [mu(j, m) for j in (1, 2, 3, 4)]
+    order_margin = float(min(np.min(b - a) for a, b in zip(vals, vals[1:])))
+    mono_margin = float(min(np.min(mu(j, hi) - mu(j, lo)) for j in (1, 2, 3, 4)))
+    exchange_margin = float(min(
+        np.min(mu(ell, m1) * mu(em, m2) - mu(ell, m2) * mu(em, m1))
+        for ell, em in ((2, 1), (3, 1), (3, 2))))
     computed = {"samples": float(samples)}
     margins = {"ordering": order_margin,
                "monotone_above_1": mono_margin,
@@ -378,12 +349,11 @@ def verify_AB_monotone(j_max=6, grid_points=2000):
     computed = {}
     margins = {}
     for j in range(1, j_max + 1):
-        a = np.array([A_j(r, j) for r in rhos])
-        b = np.array([B_j(r, j) for r in rhos])
+        a, b = A_j(rhos, j), B_j(rhos, j)
         margins[f"A_{j}_decreasing"] = float(np.min(a[:-1] - a[1:])) + ulp_tie
         margins[f"B_{j}_decreasing"] = float(np.min(b[:-1] - b[1:])) + ulp_tie
-        computed[f"A_{j}(0.6)"] = float(a[-1])
-        computed[f"B_{j}(0.6)"] = float(b[-1])
+        computed[f"A_{j}(0.6)"] = A_j(0.6, j)
+        computed[f"B_{j}(0.6)"] = B_j(0.6, j)
     return VerificationReport.build("AB", computed, margins)
 
 
@@ -509,8 +479,8 @@ def verify_lemma_k1_cases(samples=2000, t_samples=4096):
     pf03m1 = phi_flat(0.3) - 1.0
 
     rgrid = np.linspace(c0, 0.6, samples)
-    ps_vals = np.array([phi_star(r) for r in rgrid])
-    pf_vals = np.array([phi_flat(r) for r in rgrid])
+    ps_vals = phi_star(rgrid)
+    pf_vals = phi_flat(rgrid)
 
     # weakest point of the two-sided 3A estimate sqrt((1-2 tau)^2/2 + 1/2)
     tau = (2.0 * rgrid) ** -0.5 - 2.0 ** -0.5
@@ -566,61 +536,87 @@ def verify_lemma_k1_cases(samples=2000, t_samples=4096):
 
 
 DEFAULT_K1_GRID = GridSpec((C0, 0.6), 80, (math.pi / 2, math.pi), 80)
+DEFAULT_K1_Z_STEPS = 720
 
 
-def _theta_dagger_grid(rho, omegas, psis, z_modulus, floor_term=1e-16):
-    """theta_dagger(rho e^{i omega}, z_modulus e^{i psi}) over the outer product grid."""
-    q = rho * np.exp(1j * omegas)[:, None]
-    z = z_modulus * np.exp(1j * psis)[None, :]
-    vals = np.ones((len(omegas), len(psis)), dtype=complex)
-    term = np.ones_like(vals)
-    qpow = np.ones_like(q)  # q^{j-1} when stepping into term j
-    tmod = 1.0              # |term_j| = rho^{j(j-1)/2} z_modulus^j, shared by the grid
-    j = 1
-    while True:
-        term = term * qpow * z
-        vals = vals + term
-        tmod *= rho ** (j - 1) * z_modulus
-        # ratio of successive term moduli is rho^{j-1/2} < 1/2 from j = 2 on
-        if tmod < floor_term and j > 1:
-            return vals
-        qpow = qpow * q
-        j += 1
+def k2_z_steps(k1_z_steps):
+    """k2's circle samples for a run with k1_z_steps on the k1 circle: half, at least 128."""
+    return max(128, k1_z_steps // 2)
 
 
-def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=720):
-    """Direct scan: min |theta_dagger| on |z| = |q|^{-1/2} over the left quarter-disk.
+def _circle_sum(rho, omegas, z_modulus, powers, q_exponents, basis):
+    """sum_j q^{e_j} z^{p_j} at q = rho e^{i omega} (rows), z = z_modulus e^{i psi} (columns).
 
-    arg(q) in [pi/2, pi] suffices by conjugation symmetry.  The minimum must
-    be strictly positive; its value and location are reported so resolution
-    slack can be judged.
+    The grid is an outer product, so the sum is one matrix product C @ V[p] with
+    C[i, j] = rho^{e_j} z_modulus^{p_j} e^{i e_j omega_i} and basis V[p, k] = e^{i p psi_k}.
+    """
+    e = np.asarray(q_exponents, dtype=float)
+    moduli = rho ** e * z_modulus ** np.asarray(powers, dtype=float)
+    return (moduli * np.exp(1j * np.outer(omegas, e))) @ basis[powers]
+
+
+def _scan_min(grid, z_steps, max_power, row_values):
+    """Minimum over the grid of row_values(rho, omegas, basis), and its (rho, omega, psi).
+
+    Rows are evaluated one modulus at a time, so memory stays one row; the basis
+    e^{i p psi_k}, p <= max_power, is built once for all rows.
     """
     psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
     omegas = grid.arguments()
-    best = math.inf
-    best_at = (math.nan, math.nan, math.nan)
+    basis = np.exp(1j * np.outer(np.arange(max_power + 1), psis))
+    best, best_at = math.inf, (math.nan, math.nan, math.nan)
     for rho in grid.moduli():
-        vals = _theta_dagger_grid(float(rho), omegas, psis, float(rho) ** -0.5)
-        mods = np.abs(vals)
-        i, k = np.unravel_index(int(np.argmin(mods)), mods.shape)
-        if mods[i, k] < best:
-            best = float(mods[i, k])
-            best_at = (float(rho), float(omegas[i]), float(psis[k]))
-    computed = {"min_abs": best, "at_modulus": best_at[0],
-                "at_q_argument": best_at[1], "at_z_argument": best_at[2],
-                "z_points": float(z_steps)}
-    margins = {"min_abs_positive": best}
-    return VerificationReport.build("k1_direct", computed, margins, grid)
+        vals = row_values(float(rho), omegas, basis)
+        i, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[i, k] < best:
+            best, best_at = float(vals[i, k]), (float(rho), float(omegas[i]), float(psis[k]))
+    return best, best_at
 
 
-def verify_lemma_k1(grid=DEFAULT_K1_GRID, z_steps=720, samples=2000):
+def _theta_dagger_terms(rho, tolerance=1e-16):
+    """(n, bound): theta_dagger on |z| = rho^{-1/2}, summed over j < n, drops a tail <= bound.
+
+    Term moduli t_j = rho^{j(j-2)/2} have ratios rho^{j-1/2}, falling in j, so the tail
+    from term n on is at most t_n / (1 - rho^{n-1/2}); n is the least with bound <= tolerance.
+    """
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
+    n = 2
+    while (bound := rho ** (n * (n - 2) / 2.0) / (1.0 - rho ** (n - 0.5))) > tolerance:
+        n += 1
+    return n, bound
+
+
+def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
+    """Direct scan: min |theta_dagger| on |z| = |q|^{-1/2} over the left quarter-disk.
+
+    arg(q) in [pi/2, pi] suffices by conjugation symmetry.  Each modulus row
+    is one matrix product of the series coefficients with the powers
+    e^{i j psi} (`_circle_sum`), summed to the term count of the proven
+    geometric tail (`_theta_dagger_terms`); the largest dropped-tail bound is
+    reported as `tail_bound`.  The minimum must be strictly positive; its
+    value and location are reported so resolution slack can be judged.
+    """
+    terms = {rho: _theta_dagger_terms(rho) for rho in map(float, grid.moduli())}
+
+    def row(rho, omegas, basis):
+        j = np.arange(terms[rho][0])
+        return np.abs(_circle_sum(rho, omegas, rho ** -0.5, j, j * (j - 1) / 2, basis))
+
+    counts, tails = zip(*terms.values())
+    best, at = _scan_min(grid, z_steps, max(counts) - 1, row)
+    computed = {"min_abs": best, "at_modulus": at[0], "at_q_argument": at[1],
+                "at_z_argument": at[2], "z_points": float(z_steps), "tail_bound": max(tails)}
+    return VerificationReport.build("k1_direct", computed, {"min_abs_positive": best}, grid)
+
+
+def verify_lemma_k1(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS, samples=2000):
     """Case landmarks plus the direct grid scan, merged into one report."""
     cases = verify_lemma_k1_cases(samples=samples)
     direct = verify_lemma_k1_direct(grid=grid, z_steps=z_steps)
-    computed = {f"cases.{k}": v for k, v in cases.computed.items()}
-    computed.update({f"direct.{k}": v for k, v in direct.computed.items()})
-    margins = {f"cases.{k}": v for k, v in cases.margins.items()}
-    margins.update({f"direct.{k}": v for k, v in direct.margins.items()})
+    parts = {"cases": cases, "direct": direct}
+    computed = {f"{p}.{k}": v for p, rep in parts.items() for k, v in rep.computed.items()}
+    margins = {f"{p}.{k}": v for p, rep in parts.items() for k, v in rep.margins.items()}
     return VerificationReport.build("k1", computed, margins, grid)
 
 
@@ -648,7 +644,7 @@ def B_closed_form(rho, omega, psi):
 DEFAULT_K2_GRID = GridSpec((0.55, 0.6), 60, (math.pi / 2, 2 * math.pi / 3), 60)
 
 
-def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=512):
+def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=k2_z_steps(DEFAULT_K1_Z_STEPS)):
     """Dominance |xi B| > |A| on |xi| = |q|^{-3/2} (i.e. |z| = |q|^{-5/2}).
 
     Analytic branches: (i) |A| <= a0 always; (ii) for arg(q) in [2pi/3, pi]
@@ -656,29 +652,22 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=512):
     remaining corner arg(q) in [pi/2, 2pi/3], |q| in [0.55, 0.6] is scanned:
     A is split as A* (terms j <= 7) plus a tail A** bounded by
     0.0002925...; the margin min(|xi B| - |A*| - bound) is reported as
-    observed, not certified.
+    observed, not certified.  On each modulus row B = 1 + q xi + q^3 xi^2
+    and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6 + q^21 xi^7 are each one
+    matrix product of their coefficients with the powers e^{i j psi}
+    (`_circle_sum`); both polynomials are exact, so only A** is bounded.
     """
     a0 = _a0()
     tail = _a_tail_bound()
-    wide = 0.6 ** -1.5 * math.sqrt(3.0 / (4.0 * 0.6))
-    small = 0.55 ** -2 / SQRT2
-    psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
-    omegas = grid.arguments()
-    worst = math.inf
-    worst_at = (math.nan, math.nan, math.nan)
-    for rho in grid.moduli():
-        rho = float(rho)
+    wide, small = (recompute_constant(n) for n in ("xiB_floor_wide_arg", "xiB_floor_small_q"))
+
+    def row(rho, omegas, basis):
         xi_mod = rho ** -1.5
-        q = rho * np.exp(1j * omegas)[:, None]
-        xi = xi_mod * np.exp(1j * psis)[None, :]
-        b_vals = 1.0 + q * xi + q ** 3 * xi ** 2
-        a_star = 1.0 + q ** 6 * xi ** 4 + q ** 10 * xi ** 5 \
-            + q ** 15 * xi ** 6 + q ** 21 * xi ** 7
-        margin = xi_mod * np.abs(b_vals) - np.abs(a_star) - tail
-        i, k = np.unravel_index(int(np.argmin(margin)), margin.shape)
-        if margin[i, k] < worst:
-            worst = float(margin[i, k])
-            worst_at = (rho, float(omegas[i]), float(psis[k]))
+        b_vals = _circle_sum(rho, omegas, xi_mod, [0, 1, 2], [0, 1, 3], basis)
+        a_star = _circle_sum(rho, omegas, xi_mod, [0, 4, 5, 6, 7], [0, 6, 10, 15, 21], basis)
+        return xi_mod * np.abs(b_vals) - np.abs(a_star) - tail
+
+    worst, worst_at = _scan_min(grid, z_steps, 7, row)
     computed = {"a0": a0, "a_tail_bound": tail,
                 "xiB_floor_wide_arg": wide, "xiB_floor_small_q": small,
                 "grid_min_margin": worst, "at_modulus": worst_at[0],
@@ -698,7 +687,7 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=512):
 # ---------------------------------------------------------------------------
 
 def verify_all(q_grid=DEFAULT_Q_GRID, k1_grid=DEFAULT_K1_GRID, k2_grid=DEFAULT_K2_GRID,
-               z_steps=720, samples=2000):
+               z_steps=DEFAULT_K1_Z_STEPS, samples=2000):
     """Run every named verification; returns an ordered {id: report} map."""
     return {
         "constants": verify_constants(),
@@ -708,5 +697,5 @@ def verify_all(q_grid=DEFAULT_Q_GRID, k1_grid=DEFAULT_K1_GRID, k2_grid=DEFAULT_K
         "k5": verify_lemma_k5(),
         "k4": verify_lemma_k4(),
         "k1": verify_lemma_k1(grid=k1_grid, z_steps=z_steps, samples=samples),
-        "k2": verify_lemma_k2(grid=k2_grid, z_steps=max(128, z_steps // 2)),
+        "k2": verify_lemma_k2(grid=k2_grid, z_steps=k2_z_steps(z_steps)),
     }

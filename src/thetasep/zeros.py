@@ -128,9 +128,12 @@ def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 
     Phase increments between neighbouring samples are computed as one
     array; those below pi/2 are summed, the others are refined by bisection
-    until each is below pi/2 (depth-capped).  The accumulated phase must
-    land within 1e-3 * 2pi of an integer multiple.  Raises ContourTooClose
-    when the scaled modulus drops below the safety floor (a zero hugs the
+    until each is below pi/2 (depth-capped).  On intervals longer than
+    2pi / (4 (n* + 1)), n* the index of the largest term on the circle, an
+    increment must also lie within pi/2 of that term's own turn, or a coarse
+    grid could read a turn of 2pi + d as d.  The accumulated phase must land
+    within 1e-3 * 2pi of an integer multiple.  Raises ContourTooClose when
+    the scaled modulus drops below the safety floor (a zero hugs the
     circle), BudgetExceeded when the phase cannot be resolved despite
     healthy moduli.
     """
@@ -138,6 +141,10 @@ def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
     if not (radius > 0 and math.isfinite(radius)):
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
+    n_star = max(0, math.floor(math.log(radius) / -math.log(q.modulus)))  # last |q|^n r >= 1
+    min_depth = 0
+    while n0 << min_depth < 4 * (n_star + 1):
+        min_depth += 1
     angles = np.linspace(0.0, 2.0 * math.pi, n0, endpoint=False)
     vals, scale, exponent = theta_on_circle(q, radius, angles, budget)
     samples = n0
@@ -153,6 +160,8 @@ def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
     next_vals = np.roll(vals, -1)
     increments = np.angle(next_vals / vals)
     fine = np.abs(increments) < math.pi / 2
+    if min_depth:
+        fine &= np.abs(increments - n_star * 2.0 * math.pi / n0) < math.pi / 2
     total = float(np.sum(increments[fine]))
     stack = []
     for i in np.flatnonzero(~fine):
@@ -161,7 +170,8 @@ def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
     while stack:
         a0, v0, a1, v1, depth = stack.pop()
         increment = cmath.phase(v1 / v0)
-        if abs(increment) < math.pi / 2:
+        if abs(increment) < math.pi / 2 and (
+                depth >= min_depth or abs(increment - n_star * (a1 - a0)) < math.pi / 2):
             total += increment
             continue
         local = min(abs(v0), abs(v1)) / scale

@@ -319,3 +319,144 @@ def test_verify_all_structure():
             assert not rep.passed
         else:
             assert rep.passed, f"{name} failed: {rep.margins}"
+
+
+# ---------------------------------------------------------------------------
+# matrix-product grid kernels and array forms
+# ---------------------------------------------------------------------------
+
+def _row(rho, omegas, psis, z_modulus, powers, q_exponents):
+    from thetasep.lemmas import _circle_sum
+    basis = np.exp(1j * np.outer(np.arange(max(powers) + 1), psis))
+    return _circle_sum(rho, np.asarray(omegas), z_modulus, powers, q_exponents, basis)
+
+
+def test_k1_kernel_matches_scalar_theta_dagger():
+    from thetasep import SeriesBudget, eval_theta_dagger
+    from thetasep.lemmas import C0, _theta_dagger_terms
+    rng = np.random.default_rng(41)
+    reference_budget = SeriesBudget(tolerance=1e-17)
+    for rho in np.linspace(C0, 0.6, 6):
+        rho = float(rho)
+        n, tail = _theta_dagger_terms(rho)
+        assert 0.0 < tail <= 1e-16
+        omegas = rng.uniform(math.pi / 2, math.pi, 4)
+        psis = rng.uniform(0.0, 2 * math.pi, 7)
+        j = list(range(n))
+        vals = _row(rho, omegas, psis, rho ** -0.5, j, [i * (i - 1) / 2 for i in j])
+        for i, omega in enumerate(omegas):
+            for k, psi in enumerate(psis):
+                ref = eval_theta_dagger(cmath.rect(rho, omega), cmath.rect(rho ** -0.5, psi),
+                                        reference_budget)
+                gap = abs(vals[i, k] - ref.value)
+                assert gap <= tail + ref.tail_bound + 1e-13 * abs(ref.value)
+
+
+def test_k1_tail_bound_is_proven_geometric_tail():
+    from thetasep.lemmas import _theta_dagger_terms
+    for rho in (0.2078750206, 0.4, 0.6):
+        n, bound = _theta_dagger_terms(rho)
+        # the dropped terms t_j = rho^{j(j-2)/2}, j >= n, summed directly
+        dropped = math.fsum(rho ** (j * (j - 2) / 2) for j in range(n, n + 40))
+        assert dropped <= bound <= 1e-16
+        # one term fewer would not meet the tolerance
+        assert rho ** ((n - 1) * (n - 3) / 2) / (1 - rho ** (n - 1.5)) > 1e-16
+    with pytest.raises(DomainError):
+        _theta_dagger_terms(1.0)
+
+
+def test_k1_direct_reports_tail_bound_in_computed_only():
+    grid = GridSpec((0.2078750206, 0.6), 12, (math.pi / 2, math.pi), 12)
+    rep = verify_lemma_k1_direct(grid=grid, z_steps=120)
+    assert 0.0 < rep.computed["tail_bound"] <= 1e-16
+    assert set(rep.margins) == {"min_abs_positive"}
+    merged = verify_lemma_k1(grid=grid, z_steps=120, samples=400)
+    assert "direct.tail_bound" in merged.computed
+    assert not any("tail_bound" in key for key in merged.margins)
+
+
+def test_k2_matrices_match_direct_polynomials():
+    rng = np.random.default_rng(43)
+    for rho in (0.55, 0.575, 0.6):
+        xi_mod = rho ** -1.5
+        omegas = rng.uniform(math.pi / 2, 2 * math.pi / 3, 5)
+        psis = rng.uniform(0.0, 2 * math.pi, 9)
+        b_vals = _row(rho, omegas, psis, xi_mod, [0, 1, 2], [0, 1, 3])
+        a_star = _row(rho, omegas, psis, xi_mod, [0, 4, 5, 6, 7], [0, 6, 10, 15, 21])
+        for i, omega in enumerate(omegas):
+            for k, psi in enumerate(psis):
+                q = cmath.rect(rho, omega)
+                xi = cmath.rect(xi_mod, psi)
+                b = 1 + q * xi + q ** 3 * xi ** 2
+                a = 1 + q ** 6 * xi ** 4 + q ** 10 * xi ** 5 + q ** 15 * xi ** 6 + q ** 21 * xi ** 7
+                assert abs(b_vals[i, k] - b) <= 1e-13 * (1 + xi_mod + xi_mod ** 2)
+                assert abs(a_star[i, k] - a) <= 1e-13 * 5
+
+
+def test_grid_scans_at_cli_defaults_keep_value_and_location():
+    # recorded from the per-point evaluation the matrix products replaced
+    k1 = verify_lemma_k1_direct()
+    assert k1.computed["min_abs"] == pytest.approx(0.48326300304392056, rel=1e-12)
+    assert (k1.computed["at_modulus"], k1.computed["at_q_argument"],
+            k1.computed["at_z_argument"]) == (0.6, 1.5707963267948966, 1.5969762655748114)
+    k2 = verify_lemma_k2()
+    assert k2.computed["grid_min_margin"] == pytest.approx(0.10280925018208102, rel=1e-12)
+    assert (k2.computed["at_modulus"], k2.computed["at_q_argument"],
+            k2.computed["at_xi_argument"]) == (0.6, 1.5707963267948966, 5.724679946541401)
+
+
+def test_mu_margins_pinned_exactly():
+    # recorded from the per-sample rng.uniform loop the array draw replaced
+    assert mu_properties_check().margins == {
+        "ordering": 0.0009764750462100125,
+        "monotone_above_1": 0.000284450551139237,
+        "exchange": 2.266932954020362e-05,
+    }
+
+
+def test_k1_case_sweeps_pinned_exactly():
+    # recorded from the per-point phi_star / phi_flat loop the array forms replaced
+    margins = verify_lemma_k1_cases().margins
+    assert margins["phi_star_decreasing"] == 0.00016688398833597518
+    assert margins["phi_flat_increasing"] == 0.00014129835154941262
+
+
+def test_AB_margins_pinned_exactly():
+    # recorded from the per-point A_j / B_j loop the array forms replaced
+    tie = 5e-16
+    assert verify_AB_monotone().margins == {
+        "A_1_decreasing": 0.000160996954874371, "B_1_decreasing": 0.00025017556789161437,
+        "A_2_decreasing": 4.825751309625856e-12, "B_2_decreasing": 4.8214214398298175e-12,
+        "A_3_decreasing": tie, "B_3_decreasing": tie, "A_4_decreasing": tie,
+        "B_4_decreasing": tie, "A_5_decreasing": tie, "B_5_decreasing": tie,
+        "A_6_decreasing": tie, "B_6_decreasing": 2.7795539507496873e-16,
+    }
+
+
+def test_array_forms_match_scalar_forms():
+    rng = np.random.default_rng(47)
+    m = rng.uniform(0.0, 5.0, 64)
+    rho = rng.uniform(1e-3, 0.6, 64)
+    r = rng.uniform(0.05, 0.95, 64)
+    for j in (1, 2, 3, 4):
+        assert np.array_equal(mu(j, m), [mu(j, float(x)) for x in m])
+    for j in (1, 2, 5):
+        assert np.allclose(A_j(rho, j), [A_j(float(x), j) for x in rho], rtol=1e-15, atol=0)
+        assert np.allclose(B_j(rho, j), [B_j(float(x), j) for x in rho], rtol=1e-15, atol=0)
+    assert np.array_equal(phi_star(r), [phi_star(float(x)) for x in r])
+    assert np.allclose(phi_flat(r), [phi_flat(float(x)) for x in r], rtol=1e-15, atol=0)
+    assert isinstance(mu(2, 0.5), float) and isinstance(phi_flat(0.5), float)
+    with pytest.raises(DomainError):
+        mu(1, np.array([0.5, -0.1]))
+    with pytest.raises(DomainError):
+        A_j(np.array([0.3, 0.7]), 1)
+    with pytest.raises(DomainError):
+        phi_flat(np.array([0.3, 1.0]))
+
+
+def test_k2_z_steps_rule_is_the_library_default():
+    import inspect
+    from thetasep.lemmas import DEFAULT_K1_Z_STEPS, k2_z_steps
+    assert k2_z_steps(DEFAULT_K1_Z_STEPS) == 360
+    assert k2_z_steps(180) == 128 and k2_z_steps(1000) == 500
+    assert inspect.signature(verify_lemma_k2).parameters["z_steps"].default == 360

@@ -360,3 +360,11 @@ def test_trace_ray_validation():
         trace_zero_ray(math.pi, 1, 0.5, 0.05, 10)   # reversed radii
     with pytest.raises(DomainError):
         trace_zero_ray(math.pi, 1, 0.05, 0.7, 10)   # beyond 0.6
+
+
+@pytest.mark.parametrize("n0", [16, 32, 48, 256])
+def test_winding_coarse_grid_does_not_alias_a_full_turn(n0):
+    # 23 zeros inside; without the guard 16 or 32 initial samples read 19: single
+    # intervals turn by 2pi + d there, and the largest term (n* = 23) by more than pi/2
+    res = winding_number(QParameter(-0.2), 1.7401891665718316e16, initial_samples=n0)
+    assert res.count == 23
