@@ -57,6 +57,7 @@ from .zeros import (
     trace_zero_ray,
     verify_separation,
     winding_number,
+    winding_numbers,
 )
 
 __version__ = "0.1.0"

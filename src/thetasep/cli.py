@@ -221,6 +221,10 @@ def _report_payload(rep):
 
 
 def cmd_verify(args):
+    for flag in ("modulus_steps", "argument_steps", "z_steps"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise DomainError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     # unset step flags fall back to each check's library default grid
     ms, asteps = args.modulus_steps, args.argument_steps
     zsteps = args.z_steps or lemmas.DEFAULT_K1_Z_STEPS
@@ -236,7 +240,7 @@ def cmd_verify(args):
         "Q": lambda: lemmas.verify_lemma_Q(grid=q_grid),
         "k5": lambda: lemmas.verify_lemma_k5(),
         "k4": lambda: lemmas.verify_lemma_k4(),
-        "k1": lambda: lemmas.verify_lemma_k1(grid=k1_grid, z_steps=zsteps),
+        "k1": lambda: lemmas.verify_lemma_k1(grid=k1_grid, z_steps=zsteps, samples=args.samples),
         "k2": lambda: lemmas.verify_lemma_k2(grid=k2_grid, z_steps=lemmas.k2_z_steps(zsteps)),
     }
     if args.lemma == "all":

@@ -153,7 +153,7 @@ class EvalResult:
     exponent: int = 0
 
 
-def _series_eval(first, steps, budget, what):
+def _series_eval(first, steps, budget, what, kept=None):
     """Sum first * (1 + s1 + s1 s2 + ...) where `steps` yields s1, s2, ...
 
     The step moduli must be nonincreasing, so once |s_{j+1}| = r < 1/2 the
@@ -161,6 +161,8 @@ def _series_eval(first, steps, budget, what):
     complex accumulation.  Before a term whose modulus would pass
     _RESCALE_AT is added, the sum is rescaled (see `_rescale`); the
     exponent is folded back into the result whenever it fits in a float.
+    With a list `kept`, the included terms t_0, t_1, ... are also appended
+    to it, in units of 2^-exponent, and the exponent is not folded back.
     """
     total = first
     comp = 0j
@@ -169,6 +171,8 @@ def _series_eval(first, steps, budget, what):
     used = 1
     exponent = 0
     tolerance = budget.tolerance
+    if kept is not None:
+        kept.append(first)
     pending = next(steps)
     while True:
         r = abs(pending)
@@ -177,7 +181,7 @@ def _series_eval(first, steps, budget, what):
             tail = bound / (1.0 - r)
             if tail <= tolerance:
                 scale += tail
-                if exponent:
+                if exponent and kept is None:
                     try:
                         return EvalResult(ldexp_complex(total, exponent), math.ldexp(tail, exponent),
                                           used, math.ldexp(scale, exponent))
@@ -195,6 +199,8 @@ def _series_eval(first, steps, budget, what):
             scale *= factor
             modulus *= factor
             bound = modulus * r
+            if kept:
+                kept[:] = [t * factor for t in kept]
         term *= pending
         pending = next(steps)
         used += 1
@@ -204,6 +210,8 @@ def _series_eval(first, steps, budget, what):
         t = total + y
         comp = (t - total) - y
         total = t
+        if kept is not None:
+            kept.append(term)
 
 
 def _theta_steps(q, z):
@@ -278,46 +286,37 @@ def eval_theta_dz(q, z, budget=DEFAULT_BUDGET):
     return _series_eval(complex(q.value), _theta_dz_steps(q.value, z), budget, "theta_dz")
 
 
-def theta_on_circle(q, radius, angles, budget=DEFAULT_BUDGET):
-    """theta at radius * e^{i*angles} (vectorized), the shared term-sum scale, and the exponent.
+def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET):
+    """The terms of theta(q, radius) folded mod n, the term-sum scale and the exponent.
 
-    Every term has the same modulus at every angle, so one scalar tracks the
-    term moduli, the tail and the rescaling (see `_rescale`) for the whole
-    array.  The values and the scale are stored times 2^-exponent.
+    On |z| = radius, theta(q, radius e^{i psi}) = sum_j c_j e^{i j psi} with
+    c_j = q^{j(j+1)/2} radius^j, the terms of theta(q, radius) itself.  At
+    psi = 2 pi k / n the powers e^{i j psi} repeat with period n in j, so
+    the n samples are sum_m a_m e^{2 pi i m k / n}, an inverse DFT without
+    the 1/n, of the folded terms a_m = sum_{j = m mod n} c_j.  The terms,
+    their tail bound, the rescaling and the term budget are those of the
+    scalar kernel; a and the scale are stored times 2^-exponent.
     """
     q = as_q(q)
-    z = radius * np.exp(1j * np.asarray(angles, dtype=float))
-    vals = np.ones(z.shape, dtype=complex)
-    term = np.ones(z.shape, dtype=complex)
-    qv, aq = q.value, q.modulus
-    qpow = 1.0 + 0j
-    tmod = 1.0
-    scale = 1.0
-    exponent = 0
-    tolerance = budget.tolerance
-    j = 0
-    while True:
-        r = aq ** (j + 1) * radius
-        bound = tmod * r
-        if r < 0.5:
-            tail = bound / (1.0 - r)
-            if tail <= tolerance:
-                return vals, scale + tail, exponent
-        j += 1
-        if j >= budget.max_terms:
-            raise BudgetExceeded(f"contour evaluation at radius {radius:g}: term budget exhausted")
-        while bound > _RESCALE_AT:
-            factor, exponent, tolerance = _rescale(tmod, r, exponent, budget.tolerance)
-            term *= factor
-            vals *= factor
-            tmod *= factor
-            scale *= factor
-            bound = tmod * r
-        qpow *= qv
-        term = term * (qpow * z)
-        vals = vals + term
-        tmod = bound
-        scale += tmod
+    kept = []
+    res = _series_eval(1.0 + 0j, _theta_steps(q.value, float(radius)), budget,
+                       f"theta on |z| = {radius:g}", kept)
+    folded = np.zeros(n, dtype=complex)
+    folded[:min(n, len(kept))] = kept[:n]
+    for start in range(n, len(kept), n):
+        chunk = kept[start:start + n]
+        folded[:len(chunk)] += chunk
+    return folded, res.scale, res.exponent
+
+
+def theta_on_circle(q, radius, n, budget=DEFAULT_BUDGET):
+    """theta at the n points radius * e^{2 pi i k / n}, the term-sum scale, and the exponent.
+
+    One inverse FFT of the folded series terms (see `circle_coefficients`);
+    the values and the scale are stored times 2^-exponent.
+    """
+    coefficients, scale, exponent = circle_coefficients(q, radius, n, budget)
+    return np.fft.ifft(coefficients, norm="forward"), scale, exponent
 
 
 def _product_eval(first_dev, ratio, budget, what):

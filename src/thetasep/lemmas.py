@@ -472,6 +472,8 @@ def verify_lemma_k1_cases(samples=2000, t_samples=4096):
     |z| = |q|^{-1/2} and compares the bound against the tail majorant
     phi_flat - 1 (or phi_flat); the margins below are the recomputed slacks.
     """
+    if samples < 2:
+        raise DomainError(f"samples must be >= 2, got {samples!r}")
     c0 = C0
     pf06 = phi_flat(0.6)
     ps06 = phi_star(0.6)

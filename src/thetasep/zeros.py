@@ -3,18 +3,19 @@
 For q in the left half-disk the k-th zero sits near -q^{-k}; each one is
 isolated inside the modulus annulus |q|^{-k+1/2} < |z| < |q|^{-k-1/2} (the
 punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.  Zeros
-inside a circle are counted by the argument principle: theta is summed at
-256 points of the circle in one array pass, the phase increments between
-neighbours below pi/2 are summed as an array, and only the other intervals
-are bisected, one scalar evaluation per new point.  Locations are refined
-by Newton's method seeded from the asymptotic position.
+inside a circle are counted by the argument principle: the 256 samples of
+theta on each circle are one inverse FFT of the series terms (core's
+`circle_coefficients`), all circles of a call are rows of one 2-D pass, the
+phase increments between neighbours below pi/2 are summed as an array, and
+only the other intervals are bisected, one scalar evaluation per new point.
+Locations are refined by Newton's method seeded from the asymptotic
+position.
 
 Near the k-th zero the term moduli grow like |q|^{-k^2/2}, past the float
-range for k >= 25 at |q| = 0.1.  Both series kernels used here (core's
-contour array `theta_on_circle` and its scalar kernel behind `eval_theta`)
-therefore carry a binary exponent: values and scales are stored times
-2^-exponent.  Phases, Newton steps f / f' (times 2^(e_f - e_f')) and the
-scaled modulus |theta| / scale do not depend on it.
+range for k >= 25 at |q| = 0.1.  The series kernel behind both the contour
+terms and `eval_theta` therefore carries a binary exponent: values and
+scales are stored times 2^-exponent.  Phases, Newton steps f / f' (times
+2^(e_f - e_f')) and the scaled modulus |theta| / scale do not depend on it.
 
 Residuals are backward-relative: |theta(z)| divided by the sum of the term
 moduli at z.  The raw modulus |theta(z)| has an irreducible rounding floor
@@ -37,10 +38,10 @@ from .core import (
     DEFAULT_BUDGET,
     QParameter,
     as_q,
+    circle_coefficients,
     eval_theta,
     eval_theta_dz,
     ldexp_complex,
-    theta_on_circle,
 )
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
 
@@ -135,39 +136,93 @@ def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
     within 1e-3 * 2pi of an integer multiple.  Raises ContourTooClose when
     the scaled modulus drops below the safety floor (a zero hugs the
     circle), BudgetExceeded when the phase cannot be resolved despite
-    healthy moduli.
+    healthy moduli.  The one-circle case of `winding_numbers`.
+    """
+    (result,) = winding_numbers(q, [radius], initial_samples, budget)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BUDGET):
+    """`winding_number` for several circles at once; one entry per radius.
+
+    An entry is the circle's WindingResult, or the ContourTooClose,
+    BudgetExceeded or OverflowError that circle raised.  The initial samples
+    of all circles are rows of one inverse FFT, and their increments, guard
+    masks, phase totals and minimum moduli are computed as 2-D arrays; a
+    circle whose series fails takes no row, and the row of a circle with a
+    zero sample is replaced before any division.  Only the intervals that
+    are not fine are bisected, circle by circle, one scalar evaluation per
+    new point.
     """
     q = as_q(q)
-    if not (radius > 0 and math.isfinite(radius)):
-        raise DomainError(f"radius must be positive and finite, got {radius!r}")
+    for radius in radii:
+        if not (radius > 0 and math.isfinite(radius)):
+            raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
-    n_star = max(0, math.floor(math.log(radius) / -math.log(q.modulus)))  # last |q|^n r >= 1
-    min_depth = 0
-    while n0 << min_depth < 4 * (n_star + 1):
-        min_depth += 1
-    angles = np.linspace(0.0, 2.0 * math.pi, n0, endpoint=False)
-    vals, scale, exponent = theta_on_circle(q, radius, angles, budget)
-    samples = n0
-    min_scaled = float(np.min(np.abs(vals))) / scale
-    if min_scaled == 0.0:
-        raise ContourTooClose(f"theta vanishes on the contour |z| = {radius:g}",
-                              radius=radius, min_modulus=0.0)
-
-    def point(angle):
-        res = eval_theta(q, radius * cmath.exp(1j * angle), budget)
-        return ldexp_complex(res.value, res.exponent - exponent)
-
-    next_vals = np.roll(vals, -1)
+    results = [None] * len(radii)
+    circles, rows = [], []  # per row of the sample array: (index, scale, exponent)
+    for i, radius in enumerate(radii):
+        try:
+            row, scale, exponent = circle_coefficients(q, radius, n0, budget)
+        except (BudgetExceeded, OverflowError) as exc:
+            results[i] = exc
+        else:
+            circles.append((i, scale, exponent))
+            rows.append(row)
+    if not rows:
+        return results
+    vals = np.fft.ifft(np.array(rows), axis=1, norm="forward")
+    minima = np.min(np.abs(vals), axis=1) / np.array([scale for _, scale, _ in circles])
+    # a circle through an exact zero fails in _resolve_phase; no array divides by its samples
+    vals[minima == 0.0] = 1.0
+    n_stars = [max(0, math.floor(math.log(radii[i]) / -math.log(q.modulus)))  # last |q|^n r >= 1
+               for i, _, _ in circles]
+    min_depths = []
+    for n_star in n_stars:
+        depth = 0
+        while n0 << depth < 4 * (n_star + 1):
+            depth += 1
+        min_depths.append(depth)
+    next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
     increments = np.angle(next_vals / vals)
     fine = np.abs(increments) < math.pi / 2
-    if min_depth:
-        fine &= np.abs(increments - n_star * 2.0 * math.pi / n0) < math.pi / 2
-    total = float(np.sum(increments[fine]))
-    stack = []
-    for i in np.flatnonzero(~fine):
-        a1 = angles[i + 1] if i + 1 < n0 else 2.0 * math.pi
-        stack.append((angles[i], vals[i], a1, next_vals[i], 0))
-    while stack:
+    guarded = np.array(min_depths) > 0
+    if guarded.any():
+        turn = np.array(n_stars, dtype=float)[:, None] * 2.0 * math.pi / n0
+        fine &= (np.abs(increments - turn) < math.pi / 2) | ~guarded[:, None]
+    totals = np.sum(increments, axis=1, where=fine).tolist()
+
+    step = 2.0 * math.pi / n0
+    stacks = [[] for _ in circles]
+    if not fine.all():
+        for row, j in np.argwhere(~fine).tolist():
+            a1 = (j + 1) * step if j + 1 < n0 else 2.0 * math.pi
+            stacks[row].append((j * step, vals[row, j], a1, next_vals[row, j], 0))
+    for row, (i, scale, exponent) in enumerate(circles):
+        try:
+            results[i] = _resolve_phase(q, radii[i], stacks[row], totals[row], float(minima[row]),
+                                        n0, n_stars[row], min_depths[row], scale, exponent, budget)
+        except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
+            results[i] = exc
+    return results
+
+
+def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_depth,
+                   scale, exponent, budget):
+    """Bisect the intervals on `stack` of one circle and check its accumulated phase.
+
+    `total` and `min_scaled` cover the fine intervals and the initial
+    samples; bisection samples are carried into the units 2^exponent of the
+    circle's array.
+    """
+    while True:
+        if min_scaled == 0.0:
+            raise ContourTooClose(f"theta vanishes on the contour |z| = {radius:g}",
+                                  radius=radius, min_modulus=0.0)
+        if not stack:
+            break
         a0, v0, a1, v1, depth = stack.pop()
         increment = cmath.phase(v1 / v0)
         if abs(increment) < math.pi / 2 and (
@@ -184,12 +239,10 @@ def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
             raise BudgetExceeded(
                 f"phase not resolvable on |z| = {radius:g} at bisection depth {depth}")
         am = 0.5 * (a0 + a1)
-        vm = point(am)
+        res = eval_theta(q, radius * cmath.exp(1j * am), budget)
+        vm = ldexp_complex(res.value, res.exponent - exponent)
         samples += 1
         min_scaled = min(min_scaled, abs(vm) / scale)
-        if min_scaled == 0.0:
-            raise ContourTooClose(f"theta vanishes on the contour |z| = {radius:g}",
-                                  radius=radius, min_modulus=0.0)
         stack.append((a0, v0, am, vm, depth + 1))
         stack.append((am, vm, a1, v1, depth + 1))
 
@@ -207,11 +260,15 @@ def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
     """Zeros (with multiplicity) strictly between the two boundary circles."""
     q = as_q(q)
-    outer = winding_number(q, annulus.outer_radius(q), budget=budget)
-    if annulus.degenerate:
-        return outer.count
-    inner = winding_number(q, annulus.inner_radius(q), budget=budget)
-    return outer.count - inner.count
+    radii = [annulus.outer_radius(q)]
+    if not annulus.degenerate:
+        radii.append(annulus.inner_radius(q))
+    counts = []
+    for result in winding_numbers(q, radii, budget=budget):
+        if isinstance(result, Exception):
+            raise result
+        counts.append(result.count)
+    return counts[0] - sum(counts[1:])
 
 
 def _raw_abs(res):
@@ -325,15 +382,23 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
         report.warnings.append(msg)
 
     windings = {0: 0}
+    radii, circles = {}, {}
     for k in range(1, k_max + 1):
         try:
-            windings[k] = winding_number(q, q.modulus ** -(k + 0.5), budget=budget).count
-        except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
+            radii[k] = q.modulus ** -(k + 0.5)
+        except OverflowError as exc:  # the radius itself leaves the float range
+            circles[k] = exc
+    circles.update(zip(radii, winding_numbers(q, list(radii.values()), budget=budget)))
+    for k in range(1, k_max + 1):
+        result = circles[k]
+        if isinstance(result, Exception):
             if on_error == "raise":
-                exc.k = k
-                raise
+                result.k = k
+                raise result
             windings[k] = None
-            report.notes[k] = f"contour |z| = |q|^-{k + 0.5}: {exc}"
+            report.notes[k] = f"contour |z| = |q|^-{k + 0.5}: {result}"
+        else:
+            windings[k] = result.count
 
     for k in range(1, k_max + 1):
         below, above = windings[k - 1], windings[k]

@@ -6,6 +6,7 @@ import pytest
 
 from thetasep.cli import main, parse_complex
 from thetasep.errors import DomainError
+from thetasep.lemmas import verify_lemma_k1_cases
 
 
 def run(capsys, argv):
@@ -144,6 +145,25 @@ def test_verify_Q_fails_with_report(capsys):
     payload = json.loads(out)
     assert payload["pass"] is False
     assert payload["results"]["margins"]["Q0_boundary_min"] < 0
+
+
+@pytest.mark.parametrize("argv", [["--z-steps", "-5"], ["--z-steps", "0"],
+                                  ["--modulus-steps", "0"], ["--argument-steps", "-1"],
+                                  ["--samples", "1"]])
+def test_verify_rejects_bad_step_flags(capsys, argv):
+    code, out, err = run(capsys, ["verify", "--lemma", "k1", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_k1_honours_samples(capsys):
+    code, out, _ = run(capsys, ["verify", "--lemma", "k1", "--samples", "400",
+                                "--format", "json"])
+    assert code == 0
+    computed = json.loads(out)["results"]["computed"]
+    expected = verify_lemma_k1_cases(samples=400).computed["pinch_grid_modulus"]
+    assert computed["cases.pinch_grid_modulus"] == expected == 0.34349719392631584
 
 
 def test_verify_all_aggregates(capsys):

@@ -20,6 +20,7 @@ from thetasep import (
     eval_theta_dz,
     eval_theta_star,
 )
+from thetasep.core import ldexp_complex, theta_on_circle
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +379,27 @@ def test_tail_bound_honesty_sampled():
         g1 = eval_G(q, z, coarse)
         g2 = eval_G(q, z, fine)
         assert abs(g1.value - g2.value) <= g1.tail_bound + 1e-12 * g1.scale
+
+
+# ---------------------------------------------------------------------------
+# contour samples by inverse FFT of the series terms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, exponent, n, rescaled, folded", [
+    (cmath.rect(0.4, 2.5), 3.5, 256, False, False),   # plain circle
+    (cmath.rect(0.2, 3.0), 24.1, 64, True, False),    # terms reach 1e203: rescaled once
+    (-0.9995, 1.5, 256, False, True),                 # 1388 terms folded mod 256
+])
+def test_fft_contour_matches_scalar_eval(q, exponent, n, rescaled, folded):
+    q = QParameter(q)
+    radius = q.modulus ** -exponent
+    vals, scale, exp2 = theta_on_circle(q, radius, n)
+    centre = eval_theta(q, radius)  # the same terms: its tail is the contour's tail
+    assert (exp2 == 600) is rescaled
+    assert (centre.terms_used > n) is folded
+    tail = math.ldexp(centre.tail_bound, centre.exponent - exp2)
+    for k in range(n):
+        ref = eval_theta(q, radius * cmath.exp(2j * math.pi * k / n))
+        value = ldexp_complex(ref.value, ref.exponent - exp2)
+        bound = tail + math.ldexp(ref.tail_bound, ref.exponent - exp2) + 1e-13 * scale
+        assert abs(vals[k] - value) <= bound

@@ -16,7 +16,9 @@ from thetasep import (
     trace_zero_ray,
     verify_separation,
     winding_number,
+    winding_numbers,
 )
+from thetasep import zeros
 from thetasep.core import eval_theta, eval_theta_dz, theta_on_circle
 
 
@@ -50,7 +52,7 @@ def test_winding_zero_on_small_disk_with_scan_oracle():
     angles = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
     low = math.inf
     for r in np.linspace(0.005, 0.5, 100):
-        vals, _, _ = theta_on_circle(q, float(r), angles)
+        vals, _, _ = theta_on_circle(q, float(r), len(angles))
         low = min(low, float(np.min(np.abs(vals))))
     assert low > 0.9
     assert winding_number(q, 0.5).count == 0
@@ -99,7 +101,7 @@ def test_winding_bisection_samples_carried_into_array_units():
     # once, while the scalar samples of the bisection fit in a float
     q = QParameter(cmath.rect(0.2, 3.0))
     radius = q.modulus ** -24.1
-    assert theta_on_circle(q, radius, np.zeros(1))[2] == 600
+    assert theta_on_circle(q, radius, 1)[2] == 600
     assert eval_theta(q, radius).exponent == 0
     res = winding_number(q, radius, initial_samples=64)
     count, samples, low = _winding_reference(q, radius, 64)
@@ -368,3 +370,55 @@ def test_winding_coarse_grid_does_not_alias_a_full_turn(n0):
     # intervals turn by 2pi + d there, and the largest term (n* = 23) by more than pi/2
     res = winding_number(QParameter(-0.2), 1.7401891665718316e16, initial_samples=n0)
     assert res.count == 23
+
+
+def test_winding_numbers_match_one_circle_at_a_time():
+    q = QParameter.from_polar(0.55, 3 * math.pi / 4)
+    radii = [q.modulus ** -(k + 0.5) for k in range(1, 9)]
+    for n0 in (16, 256):
+        batch = winding_numbers(q, radii, initial_samples=n0)
+        for radius, res in zip(radii, batch):
+            one = winding_number(q, radius, initial_samples=n0)
+            assert (res.count, res.samples_used) == (one.count, one.samples_used)
+            assert res.min_modulus_on_contour == pytest.approx(one.min_modulus_on_contour,
+                                                               rel=1e-12)
+    assert [res.count for res in batch] == list(range(1, 9))
+
+
+def test_winding_numbers_failing_circle_stays_in_its_row():
+    # the radius of test_winding_contour_through_zero_raises among healthy circles
+    q = QParameter(-0.3)
+    loc = locate_zero(q, 1).location
+    radii = [q.modulus ** -(k + 0.5) for k in range(1, 5)]
+    radii.insert(2, abs(loc) * (1 + 1e-12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = winding_numbers(q, radii)
+    assert isinstance(batch[2], ContourTooClose)
+    for i in (0, 1, 3, 4):
+        one = winding_number(q, radii[i])
+        assert (batch[i].count, batch[i].samples_used) == (one.count, one.samples_used)
+        assert batch[i].min_modulus_on_contour == pytest.approx(one.min_modulus_on_contour,
+                                                                rel=1e-12)
+
+
+def test_winding_numbers_exact_zero_sample_stays_in_its_row(monkeypatch):
+    # a row 1 - e^{2 pi i k / n} vanishes exactly at k = 0; no array divides by it
+    q = QParameter(cmath.rect(0.4, 2.5))
+    radii = [q.modulus ** -(k + 0.5) for k in range(1, 4)]
+    kernel = zeros.circle_coefficients
+
+    def coefficients(q, radius, n, budget):
+        if radius != radii[1]:
+            return kernel(q, radius, n, budget)
+        row = np.zeros(n, dtype=complex)
+        row[:2] = 1.0, -1.0
+        return row, 2.0, 0
+
+    monkeypatch.setattr(zeros, "circle_coefficients", coefficients)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = winding_numbers(q, radii)
+    assert isinstance(batch[1], ContourTooClose) and batch[1].min_modulus == 0.0
+    assert [batch[0].count, batch[2].count] == [1, 3]
+    assert batch[0].samples_used == batch[2].samples_used == 256
