@@ -12,6 +12,7 @@ from .core import (
     eval_R,
     eval_U,
     eval_theta,
+    eval_theta_and_dz,
     eval_theta_dagger,
     eval_theta_dz,
     eval_theta_star,

@@ -235,7 +235,7 @@ def cmd_verify(args):
                               (math.pi / 2, 2 * math.pi / 3), asteps or 60)
     runners = {
         "constants": lambda: lemmas.verify_constants(),
-        "mu": lambda: lemmas.mu_properties_check(samples=args.samples),
+        "mu": lambda: lemmas.mu_properties_check(samples=lemmas.mu_samples(args.samples)),
         "AB": lambda: lemmas.verify_AB_monotone(grid_points=args.grid_points),
         "Q": lambda: lemmas.verify_lemma_Q(grid=q_grid),
         "k5": lambda: lemmas.verify_lemma_k5(),
@@ -385,10 +385,7 @@ def main(argv=None):
     except OverflowError as exc:
         print(f"error: overflow: a value leaves the float range ({exc})", file=sys.stderr)
         return EXIT_NUMERICAL
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ThetaError as exc:
+    except ThetaError as exc:  # DomainError and ZeroArgument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     record.timing_ms = int((time.perf_counter() - started) * 1000)

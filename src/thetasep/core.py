@@ -10,7 +10,8 @@ for 0 < |q| < 1.  Alongside it this module evaluates
       Q = prod_{j>=1} (1 - q^j),
       U = prod_{j>=1} (1 + z q^j),
       R = prod_{j>=1} (1 + q^{j-1} / z),
-* the z-derivative of theta (for Newton refinement of zeros).
+* the z-derivative of theta, alone or with theta from the same pass over
+  its terms (for Newton refinement of zeros).
 
 Every evaluation returns an `EvalResult` whose `tail_bound` is a proven
 majorant of the dropped tail: for the series, term-modulus ratios are
@@ -153,44 +154,50 @@ class EvalResult:
     exponent: int = 0
 
 
-def _series_eval(first, steps, budget, what, kept=None):
-    """Sum first * (1 + s1 + s1 s2 + ...) where `steps` yields s1, s2, ...
+def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, derivative=False):
+    """Sum t_0 + t_1 + ... with t_0 = first, t_j = t_{j-1} s_j and s_j = p q^{j-1} x.
 
-    The step moduli must be nonincreasing, so once |s_{j+1}| = r < 1/2 the
-    dropped tail is below |t_j| * r / (1 - r).  Uses Kahan-compensated
-    complex accumulation.  Before a term whose modulus would pass
-    _RESCALE_AT is added, the sum is rescaled (see `_rescale`); the
-    exponent is folded back into the result whenever it fits in a float.
-    With a list `kept`, the included terms t_0, t_1, ... are also appended
-    to it, in units of 2^-exponent, and the exponent is not folded back.
+    With `ratio_weight`, s_j also carries a factor (j + 1) / j.  The step
+    moduli must be nonincreasing, so once r = |s_n| < 1/2 the dropped tail
+    is below |t_{n-1}| r / (1 - r).  Sums are Kahan-compensated, rescaled
+    before a term would pass _RESCALE_AT (see `_rescale`), and returned with
+    the exponent folded back when it fits.  A list `kept` receives the
+    included terms, in units of 2^-exponent, and then nothing is folded.
+    With `derivative` (x = z != 0) the pass also sums j t_j, whose tail is
+    below |t_{n-1}| r (n / (1 - r) + r / (1 - r)^2), and returns two results
+    with one exponent: the sum as it stops alone, and sum_j j t_j / z once
+    that tail divided by |z| is below tolerance too.
     """
-    total = first
+    total = term = first
     comp = 0j
-    term = first
     modulus = scale = abs(first)
-    used = 1
-    exponent = 0
-    tolerance = budget.tolerance
+    used, exponent, frozen = 1, 0, None
+    tolerance, max_terms = budget.tolerance, budget.max_terms
     if kept is not None:
         kept.append(first)
-    pending = next(steps)
+    weighted, weighted_comp, weighted_scale = 0j, 0j, 0.0  # sum_j j t_j, with `derivative`
     while True:
+        pending = p * x
+        p *= q
+        if ratio_weight:
+            pending *= (used + 1) / used
         r = abs(pending)
         bound = modulus * r
         if r < 0.5:
             tail = bound / (1.0 - r)
             if tail <= tolerance:
-                scale += tail
-                if exponent and kept is None:
-                    try:
-                        return EvalResult(ldexp_complex(total, exponent), math.ldexp(tail, exponent),
-                                          used, math.ldexp(scale, exponent))
-                    except OverflowError:
-                        pass
-                return EvalResult(total, tail, used, scale, exponent)
-        if used >= budget.max_terms:
+                frozen = frozen or (total, tail, used, scale + tail)
+                if not derivative:
+                    return _shared_exponent([frozen], exponent, kept is None)[0]
+                weighted_tail = tail * (used + r / (1.0 - r))
+                z_modulus = abs(x)
+                if weighted_tail / z_modulus <= tolerance:
+                    return _shared_exponent(
+                        [frozen, (weighted / x, weighted_tail / z_modulus, used - 1,
+                                  (weighted_scale + weighted_tail) / z_modulus)], exponent)
+        if used >= max_terms:
             raise BudgetExceeded(
-                f"{what}: tail not below {budget.tolerance:g} within {budget.max_terms} terms")
+                f"{what}: tail not below {budget.tolerance:g} within {max_terms} terms")
         while bound > _RESCALE_AT:
             factor, exponent, tolerance = _rescale(modulus, r, exponent, budget.tolerance)
             term *= factor
@@ -201,8 +208,9 @@ def _series_eval(first, steps, budget, what, kept=None):
             bound = modulus * r
             if kept:
                 kept[:] = [t * factor for t in kept]
+            weighted, weighted_comp, weighted_scale = (
+                weighted * factor, weighted_comp * factor, weighted_scale * factor)
         term *= pending
-        pending = next(steps)
         used += 1
         modulus = abs(term)
         scale += modulus
@@ -212,48 +220,32 @@ def _series_eval(first, steps, budget, what, kept=None):
         total = t
         if kept is not None:
             kept.append(term)
+        if derivative:
+            j = used - 1
+            weighted_scale += j * modulus
+            y = j * term - weighted_comp
+            t = weighted + y
+            weighted_comp = (t - weighted) - y
+            weighted = t
 
 
-def _theta_steps(q, z):
-    # t_j / t_{j-1} = q^j z
-    p = 1.0 + 0j
-    while True:
-        p *= q
-        yield p * z
-
-
-def _theta_dagger_steps(q, z):
-    # t_j / t_{j-1} = q^{j-1} z
-    yield complex(z)
-    p = 1.0 + 0j
-    while True:
-        p *= q
-        yield p * z
-
-
-def _g_steps(q, z):
-    # g_{m+1} / g_m = q^m / z
-    p = 1.0 + 0j
-    while True:
-        p *= q
-        yield p / z
-
-
-def _theta_dz_steps(q, z):
-    # d_j / d_{j-1} = (j / (j-1)) q^j z
-    p = complex(q)
-    j = 1
-    while True:
-        j += 1
-        p *= q
-        yield p * z * (j / (j - 1))
+def _shared_exponent(parts, exponent, fold=True):
+    """EvalResults of (value, tail, terms, scale) parts in one exponent, folded into all or none."""
+    if exponent and fold:
+        try:
+            return [EvalResult(ldexp_complex(v, exponent), math.ldexp(t, exponent), n,
+                               math.ldexp(s, exponent)) for v, t, n, s in parts]
+        except OverflowError:
+            pass
+    return [EvalResult(v, t, n, s, exponent) for v, t, n, s in parts]
 
 
 def eval_theta(q, z, budget=DEFAULT_BUDGET):
     """sum_{j>=0} q^{j(j+1)/2} z^j with a certified geometric tail bound."""
     q = as_q(q)
     z = require_finite(z, "z")
-    return _series_eval(1.0 + 0j, _theta_steps(q.value, z), budget, "theta")
+    # t_j / t_{j-1} = q^j z
+    return _series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, z, budget, "theta")
 
 
 def eval_theta_dagger(q, z, budget=DEFAULT_BUDGET):
@@ -264,7 +256,8 @@ def eval_theta_dagger(q, z, budget=DEFAULT_BUDGET):
     """
     q = as_q(q)
     z = require_finite(z, "z")
-    return _series_eval(1.0 + 0j, _theta_dagger_steps(q.value, z), budget, "theta_dagger")
+    # t_j / t_{j-1} = q^{j-1} z
+    return _series_eval(1.0 + 0j, 1.0 + 0j, q.value, z, budget, "theta_dagger")
 
 
 def eval_G(q, z, budget=DEFAULT_BUDGET):
@@ -276,14 +269,30 @@ def eval_G(q, z, budget=DEFAULT_BUDGET):
     z = require_finite(z, "z")
     if z == 0:
         raise ZeroArgument("G(q, z) requires z != 0")
-    return _series_eval(1.0 / z, _g_steps(q.value, z), budget, "G")
+    # g_{m+1} / g_m = q^m (1 / z)
+    return _series_eval(1.0 / z, (1.0 + 0j) * q.value, q.value, 1.0 / z, budget, "G")
 
 
 def eval_theta_dz(q, z, budget=DEFAULT_BUDGET):
     """d/dz of the partial theta series: sum_{j>=1} j q^{j(j+1)/2} z^{j-1}."""
     q = as_q(q)
     z = require_finite(z, "z")
-    return _series_eval(complex(q.value), _theta_dz_steps(q.value, z), budget, "theta_dz")
+    # d_j / d_{j-1} = (j / (j-1)) q^j z
+    return _series_eval(complex(q.value), q.value * q.value, q.value, z, budget, "theta_dz",
+                        ratio_weight=True)
+
+
+def eval_theta_and_dz(q, z, budget=DEFAULT_BUDGET):
+    """(eval_theta(q, z), theta'(q, z) = sum_j j t_j / z) from one pass over the terms t_j.
+
+    Both share one exponent; theta' has its own tail bound and may need more terms.
+    """
+    q = as_q(q)
+    z = require_finite(z, "z")
+    if z == 0:
+        return EvalResult(1.0 + 0j, 0.0, 1, 1.0), EvalResult(q.value, 0.0, 1, q.modulus)
+    return tuple(_series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, z, budget, "theta",
+                              derivative=True))
 
 
 def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET):
@@ -299,7 +308,7 @@ def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET):
     """
     q = as_q(q)
     kept = []
-    res = _series_eval(1.0 + 0j, _theta_steps(q.value, float(radius)), budget,
+    res = _series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, float(radius), budget,
                        f"theta on |z| = {radius:g}", kept)
     folded = np.zeros(n, dtype=complex)
     folded[:min(n, len(kept))] = kept[:n]

@@ -90,8 +90,7 @@ class ReferenceConstant:
 
 def _infinite_product(factor, start, floor_deviation=1e-17, limit=200_000):
     """prod_{j>=start} factor(j); factor deviations must decay to 0."""
-    p = 1.0
-    j = start
+    p, j = 1.0, start
     while True:
         f = factor(j)
         p *= f
@@ -111,8 +110,7 @@ def _power_sum(base, exponent, start, floor_term=1e-18, limit=10_000):
 
     An array base is summed until the terms of every entry are below floor_term.
     """
-    s = 0.0
-    j = start
+    s, j = 0.0, start
     while True:
         t = base ** exponent(j)
         s = s + t
@@ -289,18 +287,20 @@ def agreement_margin(computed, reference):
 
 def verify_constants():
     """Recompute every registry entry and compare against its recorded digits."""
-    computed = {}
-    margins = {}
-    for name, ref in REFERENCE_CONSTANTS.items():
-        value = recompute_constant(name)
-        computed[name] = value
-        margins[name] = agreement_margin(value, ref.value)
+    computed = {name: recompute_constant(name) for name in REFERENCE_CONSTANTS}
+    margins = {name: agreement_margin(computed[name], ref.value)
+               for name, ref in REFERENCE_CONSTANTS.items()}
     return VerificationReport.build("constants", computed, margins)
 
 
 # ---------------------------------------------------------------------------
 # mu ordering / monotonicity / exchange properties
 # ---------------------------------------------------------------------------
+
+def mu_samples(samples):
+    """mu's sample count in a battery run with `samples`: the same, at least 100."""
+    return max(samples, 100)
+
 
 def mu_properties_check(samples=2000, seed=20260811):
     """Sampled checks of the chord-bound family.
@@ -693,7 +693,7 @@ def verify_all(q_grid=DEFAULT_Q_GRID, k1_grid=DEFAULT_K1_GRID, k2_grid=DEFAULT_K
     """Run every named verification; returns an ordered {id: report} map."""
     return {
         "constants": verify_constants(),
-        "mu": mu_properties_check(samples=max(samples, 100)),
+        "mu": mu_properties_check(samples=mu_samples(samples)),
         "AB": verify_AB_monotone(),
         "Q": verify_lemma_Q(grid=q_grid),
         "k5": verify_lemma_k5(),

@@ -12,10 +12,11 @@ Locations are refined by Newton's method seeded from the asymptotic
 position.
 
 Near the k-th zero the term moduli grow like |q|^{-k^2/2}, past the float
-range for k >= 25 at |q| = 0.1.  The series kernel behind both the contour
-terms and `eval_theta` therefore carries a binary exponent: values and
-scales are stored times 2^-exponent.  Phases, Newton steps f / f' (times
-2^(e_f - e_f')) and the scaled modulus |theta| / scale do not depend on it.
+range for k >= 25 at |q| = 0.1.  The series kernel behind the contour terms
+and Newton therefore carries a binary exponent: values and scales are stored
+times 2^-exponent.  Each Newton iterate takes theta and theta' from one pass
+over the terms (core's `eval_theta_and_dz`), in one exponent, so the step
+f / f', like the phases and the scaled modulus |theta| / scale, ignores it.
 
 Residuals are backward-relative: |theta(z)| divided by the sum of the term
 moduli at z.  The raw modulus |theta(z)| has an irreducible rounding floor
@@ -40,7 +41,8 @@ from .core import (
     as_q,
     circle_coefficients,
     eval_theta,
-    eval_theta_dz,
+    eval_theta_and_dz,
+    eval_theta_dz,  # noqa: F401  (kept importable: bench/tracer.py wraps zeros.eval_theta_dz)
     ldexp_complex,
 )
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
@@ -179,12 +181,8 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
     vals[minima == 0.0] = 1.0
     n_stars = [max(0, math.floor(math.log(radii[i]) / -math.log(q.modulus)))  # last |q|^n r >= 1
                for i, _, _ in circles]
-    min_depths = []
-    for n_star in n_stars:
-        depth = 0
-        while n0 << depth < 4 * (n_star + 1):
-            depth += 1
-        min_depths.append(depth)
+    # the least depth with n0 * 2^depth >= 4 (n* + 1)
+    min_depths = [(-(-4 * (n_star + 1) // n0) - 1).bit_length() for n_star in n_stars]
     next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
     increments = np.angle(next_vals / vals)
     fine = np.abs(increments) < math.pi / 2
@@ -280,29 +278,23 @@ def _raw_abs(res):
 
 
 def _newton(q, seed, residual_tol, max_iterations, budget):
-    """Newton iteration for theta(q, .) = 0; returns (record fields, converged)."""
+    """Newton iteration for theta(q, .) = 0; returns (record fields, converged).
+
+    Converged: scaled residual below residual_tol within max_iterations steps,
+    or after a step below rounding.
+    """
     z = complex(seed)
-    iterations = 0
-    for _ in range(max_iterations):
-        f = eval_theta(q, z, budget)
+    iterations, tiny = 0, False
+    while True:
+        f, fp = eval_theta_and_dz(q, z, budget)
         scaled = abs(f.value) / f.scale
-        if scaled < residual_tol:
-            fp = eval_theta_dz(q, z, budget)
-            return z, scaled, _raw_abs(f), _raw_abs(fp), iterations, True
-        fp = eval_theta_dz(q, z, budget)
-        if fp.value == 0:
-            break
-        step = ldexp_complex(f.value / fp.value, f.exponent - fp.exponent)
+        converged = scaled < residual_tol and (tiny or iterations < max_iterations)
+        if converged or tiny or iterations == max_iterations or fp.value == 0:
+            return z, scaled, _raw_abs(f), _raw_abs(fp), iterations, converged
+        step = f.value / fp.value
         z -= step
         iterations += 1
-        if abs(step) <= 4.0 * 2.2e-16 * abs(z):
-            f = eval_theta(q, z, budget)
-            scaled = abs(f.value) / f.scale
-            fp = eval_theta_dz(q, z, budget)
-            return z, scaled, _raw_abs(f), _raw_abs(fp), iterations, scaled < residual_tol
-    f = eval_theta(q, z, budget)
-    fp = eval_theta_dz(q, z, budget)
-    return z, abs(f.value) / f.scale, _raw_abs(f), _raw_abs(fp), iterations, False
+        tiny = abs(step) <= 4.0 * 2.2e-16 * abs(z)
 
 
 def locate_zero(q, k, residual_tol=1e-10, max_iterations=50, budget=DEFAULT_BUDGET, seed=None):

@@ -6,7 +6,7 @@ import pytest
 
 from thetasep.cli import main, parse_complex
 from thetasep.errors import DomainError
-from thetasep.lemmas import verify_lemma_k1_cases
+from thetasep.lemmas import verify_all, verify_lemma_k1_cases
 
 
 def run(capsys, argv):
@@ -179,6 +179,20 @@ def test_verify_all_aggregates(capsys):
             assert rep["passed"] is False
         else:
             assert rep["passed"] is True, name
+
+
+def test_verify_all_samples_rule_matches_library(capsys):
+    # mu needs at least 100 samples; the CLI and verify_all apply the same rule
+    code, out, err = run(capsys, ["verify", "--lemma", "all", "--samples", "50",
+                                  "--format", "json"])
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    reports = verify_all(samples=50)
+    assert sorted(results) == sorted(reports)
+    for name, rep in reports.items():
+        assert results[name]["passed"] is rep.passed, name
+        assert results[name]["margins"] == rep.margins, name
+    assert results["mu"]["computed"]["samples"] == 100.0
 
 
 def test_zeros_small_q_to_k40(capsys):

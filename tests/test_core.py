@@ -1,9 +1,12 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetasep import (
     BudgetExceeded,
@@ -16,6 +19,7 @@ from thetasep import (
     eval_R,
     eval_U,
     eval_theta,
+    eval_theta_and_dz,
     eval_theta_dagger,
     eval_theta_dz,
     eval_theta_star,
@@ -318,6 +322,124 @@ def test_dz_conjugation_symmetry():
     a = eval_theta_dz(q.conjugate(), z.conjugate()).value
     b = eval_theta_dz(q, z).value.conjugate()
     assert abs(a - b) < 1e-12 * max(1.0, abs(b))
+
+
+# ---------------------------------------------------------------------------
+# theta and theta' from one pass over the terms of theta
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    # repr tells -0.0 from 0.0 and prints every float exactly
+    return repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
+
+
+def _check_pass(q, z, budget=SeriesBudget()):
+    """The pass's theta is eval_theta's; its theta' is eval_theta_dz's within the bounds."""
+    f, fp = eval_theta_and_dz(q, z, budget)
+    assert _same_bits(f, eval_theta(q, z, budget))
+    assert fp.exponent == f.exponent
+    assert f.tail_bound <= budget.tolerance and fp.tail_bound <= budget.tolerance
+    ref = eval_theta_dz(q, z, budget)
+    e = max(fp.exponent, ref.exponent)  # compare in the larger units: nothing overflows
+    got = ldexp_complex(fp.value, fp.exponent - e)
+    want = ldexp_complex(ref.value, ref.exponent - e)
+    tails = math.ldexp(fp.tail_bound, fp.exponent - e) + math.ldexp(ref.tail_bound, ref.exponent - e)
+    scale = max(math.ldexp(fp.scale, fp.exponent - e), math.ldexp(ref.scale, ref.exponent - e))
+    assert abs(got - want) <= tails + 1e-13 * scale
+    return f, fp
+
+
+@pytest.mark.parametrize("q, z", [
+    (0.5, 0.3), (0.55j, 12.0 - 3.0j), (-0.3 + 0.3j, -(-0.3 + 0.3j) ** -5),
+    (0.9, 0.05),              # theta' needs two terms more than theta
+    (0.1, 2.0),               # theta' needs one term less
+    (0.5, 1e-20),             # theta stops after t_0, theta' after t_1
+    (cmath.rect(0.95, 2.0), -3.0 + 1.0j), (0.1, 1e20), (-0.5, 40.0),
+])
+def test_theta_and_dz_match_separate_evaluations(q, z):
+    _check_pass(q, z)
+
+
+@pytest.mark.parametrize("q, z", [
+    (0.5, 0.3), (0.9, 0.05), (cmath.rect(0.4, 2.5), 7.0 - 2.0j), (0.3j, 0.001), (-0.6, 25.0),
+])
+def test_theta_and_dz_weighted_tail_bounds_the_dropped_terms(q, z):
+    import mpmath
+    budget = SeriesBudget(tolerance=1e-8)
+    _, fp = eval_theta_and_dz(q, z, budget)
+    assert fp.exponent == 0 and fp.tail_bound <= budget.tolerance
+    n = fp.terms_used + 1  # the first dropped term of theta' = sum_j j t_j / z
+    with mpmath.workdps(50):
+        mq, mz = abs(mpmath.mpc(q)), abs(mpmath.mpc(z))
+        dropped = mpmath.fsum(j * mq ** (j * (j + 1) // 2) * mz ** (j - 1)
+                              for j in range(n, n + 80))
+        assert dropped > 0
+        assert mpmath.mpf(fp.tail_bound) * (1 + mpmath.mpf(1e-12)) >= dropped
+
+
+def test_theta_and_dz_share_one_exponent():
+    q = QParameter(0.1)
+    # near the k = 28 zero the terms reach 1e392: neither result fits in a float, and
+    # the separate evaluations carry different exponents
+    seed = -(0.1 ** -28) * (1 + 1e-6)
+    f, fp = _check_pass(q, seed)
+    assert f.exponent == fp.exponent > 0
+    assert eval_theta_dz(q, seed).exponent not in (0, f.exponent)
+    # at |z| = 10^25.5 theta' alone would fit (scale about 1e288) but theta does not
+    f, fp = _check_pass(q, -(10 ** 25.5))
+    assert f.exponent == fp.exponent == 600
+    assert math.isfinite(math.ldexp(fp.scale, 600))
+    with pytest.raises(OverflowError):
+        math.ldexp(f.scale, 600)
+    # terms pass the rescale threshold but both results fit: both are folded back
+    f, fp = _check_pass(q, 1e20)
+    assert f.exponent == fp.exponent == 0
+
+
+def test_theta_and_dz_at_zero():
+    for q in (0.3j, -0.25, QParameter.from_polar(0.5, 2.0)):
+        f, fp = eval_theta_and_dz(q, 0.0)
+        assert _same_bits(f, eval_theta(q, 0.0))
+        assert _same_bits(fp, eval_theta_dz(q, 0.0))
+
+
+def test_theta_and_dz_errors():
+    # theta alone stops within 8 terms; the pass needs 10 for theta'
+    budget = SeriesBudget(max_terms=8)
+    assert eval_theta(0.9, 0.05, budget).terms_used == 8
+    with pytest.raises(BudgetExceeded):
+        eval_theta_and_dz(0.9, 0.05, budget)
+    # eval_theta_dz overflows in its ratio 2 q^2 z here; the pass takes q z
+    with pytest.raises(BudgetExceeded):
+        eval_theta_and_dz(0.99, 1.7e308)
+    with pytest.raises(OverflowError):
+        eval_theta_and_dz(0.9, 1.7e308 + 1.7e308j)   # |q z| is beyond the float range
+    with pytest.raises(DomainError):
+        eval_theta_and_dz(0.5, complex("nan"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(modulus=st.floats(0.01, 0.95, exclude_max=True), arg_q=st.floats(-math.pi, math.pi),
+       power=st.floats(-3.0, 14.0), arg_z=st.floats(-math.pi, math.pi))
+def test_theta_and_dz_property(modulus, arg_q, power, arg_z):
+    # |z| = |q|^-power: from well inside the first zero to past the 14th
+    _check_pass(cmath.rect(modulus, arg_q), cmath.rect(modulus ** -power, arg_z))
+
+
+@pytest.mark.parametrize("q, z, before", [
+    (0.5, 0.3, 15.893508532117336 + 0j),
+    (0.5, -2 + 1j, -0.34216335182387353 - 0.13041272638870238j),
+    (-0.3 + 0.4j, 0.05 - 0.02j, -854.4026216305778 - 907.9057444705111j),
+    (0.1, 1e-3j, 899000.0001000004 + 899000.9999999992j),
+    (0.6j, -0.7 - 0.2j, -0.37917259541785675 + 1.834620813983742j),
+    (-0.55, 0.011 + 0.3j, 10.619149811616444 - 9.49535778378924j),
+    (0.40859144976559214 + 0.801905871769531j, 0.02,
+     -2.9876424076166457e+32 + 1.8304634323691433e+32j),
+])
+def test_g_steps_by_inverse_of_z(q, z, before):
+    # the G steps are q^m * (1 / z); values summed with q^m / z are recorded in `before`
+    res = eval_G(q, z)
+    assert abs(res.value - before) <= 4 * 2.0 ** -52 * res.scale
 
 
 # ---------------------------------------------------------------------------
