@@ -41,6 +41,8 @@ C0 = 0.2078750206
 # multiplied by 2^-_RESCALE_BITS and the bits move into its exponent.
 _RESCALE_BITS = 600
 _RESCALE_AT = 2.0 ** _RESCALE_BITS
+# A positive tail bound is never returned below the least subnormal.
+_LEAST_TAIL = math.ulp(0.0)
 
 
 def _rescale(modulus, ratio, exponent, tolerance):
@@ -159,14 +161,17 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
 
     With `ratio_weight`, s_j also carries a factor (j + 1) / j.  The step
     moduli must be nonincreasing, so once r = |s_n| < 1/2 the dropped tail
-    is below |t_{n-1}| r / (1 - r).  Sums are Kahan-compensated, rescaled
-    before a term would pass _RESCALE_AT (see `_rescale`), and returned with
-    the exponent folded back when it fits.  A list `kept` receives the
-    included terms, in units of 2^-exponent, and then nothing is folded.
-    With `derivative` (x = z != 0) the pass also sums j t_j, whose tail is
-    below |t_{n-1}| r (n / (1 - r) + r / (1 - r)^2), and returns two results
-    with one exponent: the sum as it stops alone, and sum_j j t_j / z once
-    that tail divided by |z| is below tolerance too.
+    is below |t_{n-1}| r / (1 - r).  With x != 0 the dropped terms are
+    nonzero, so a bound that underflows to 0.0 is rounded up to the least
+    subnormal.  Sums are Kahan-compensated, rescaled before a term would
+    pass _RESCALE_AT (see `_rescale`), and returned with the exponent folded
+    back when it fits.  A list `kept` receives the included terms, in units
+    of 2^-exponent, and then nothing is folded.  With `derivative`
+    (x = z != 0) the pass also sums j t_j / z, each term formed as
+    j t_{j-1} p q^{j-1} so that no subnormal t_j is divided by z; its tail
+    is below |t_{n-1} p q^{n-1}| (n / (1 - r) + r / (1 - r)^2).  It returns
+    two results with one exponent: the sum as it stops alone, and
+    sum_j j t_j / z once that tail is below tolerance too.
     """
     total = term = first
     comp = 0j
@@ -175,10 +180,9 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
     tolerance, max_terms = budget.tolerance, budget.max_terms
     if kept is not None:
         kept.append(first)
-    weighted, weighted_comp, weighted_scale = 0j, 0j, 0.0  # sum_j j t_j, with `derivative`
+    weighted, weighted_comp, weighted_scale = 0j, 0j, 0.0  # sum_j j t_j / z, with `derivative`
     while True:
         pending = p * x
-        p *= q
         if ratio_weight:
             pending *= (used + 1) / used
         r = abs(pending)
@@ -186,15 +190,18 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
         if r < 0.5:
             tail = bound / (1.0 - r)
             if tail <= tolerance:
+                if not tail and x:
+                    tail = _LEAST_TAIL
                 frozen = frozen or (total, tail, used, scale + tail)
                 if not derivative:
                     return _shared_exponent([frozen], exponent, kept is None)[0]
-                weighted_tail = tail * (used + r / (1.0 - r))
-                z_modulus = abs(x)
-                if weighted_tail / z_modulus <= tolerance:
+                # |t_{n-1}| r / |z| = |t_{n-1} p|
+                weighted_tail = (modulus * abs(p) * (used + r / (1.0 - r)) / (1.0 - r)
+                                 or _LEAST_TAIL)
+                if weighted_tail <= tolerance:
                     return _shared_exponent(
-                        [frozen, (weighted / x, weighted_tail / z_modulus, used - 1,
-                                  (weighted_scale + weighted_tail) / z_modulus)], exponent)
+                        [frozen, (weighted, weighted_tail, used - 1,
+                                  weighted_scale + weighted_tail)], exponent)
         if used >= max_terms:
             raise BudgetExceeded(
                 f"{what}: tail not below {budget.tolerance:g} within {max_terms} terms")
@@ -210,7 +217,15 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
                 kept[:] = [t * factor for t in kept]
             weighted, weighted_comp, weighted_scale = (
                 weighted * factor, weighted_comp * factor, weighted_scale * factor)
+        if derivative:
+            slope = used * (term * p)  # j t_j / z for j = used
+            weighted_scale += abs(slope)
+            y = slope - weighted_comp
+            t = weighted + y
+            weighted_comp = (t - weighted) - y
+            weighted = t
         term *= pending
+        p *= q
         used += 1
         modulus = abs(term)
         scale += modulus
@@ -220,13 +235,6 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
         total = t
         if kept is not None:
             kept.append(term)
-        if derivative:
-            j = used - 1
-            weighted_scale += j * modulus
-            y = j * term - weighted_comp
-            t = weighted + y
-            weighted_comp = (t - weighted) - y
-            weighted = t
 
 
 def _shared_exponent(parts, exponent, fold=True):
@@ -295,7 +303,7 @@ def eval_theta_and_dz(q, z, budget=DEFAULT_BUDGET):
                               derivative=True))
 
 
-def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET):
+def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET, derivative=False):
     """The terms of theta(q, radius) folded mod n, the term-sum scale and the exponent.
 
     On |z| = radius, theta(q, radius e^{i psi}) = sum_j c_j e^{i j psi} with
@@ -305,17 +313,28 @@ def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET):
     the 1/n, of the folded terms a_m = sum_{j = m mod n} c_j.  The terms,
     their tail bound, the rescaling and the term budget are those of the
     scalar kernel; a and the scale are stored times 2^-exponent.
+
+    With `derivative` the folded terms are a (2, n) array whose second row
+    folds the j c_j of z theta'(z) = sum_j j c_j e^{i j psi}: for j = m + l n
+    that is m a_m + n sum_l l c_{m + l n}, and the second sum is nonzero only
+    on a circle with more than n terms.
     """
     q = as_q(q)
     kept = []
     res = _series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, float(radius), budget,
                        f"theta on |z| = {radius:g}", kept)
-    folded = np.zeros(n, dtype=complex)
+    rows = np.zeros((2 if derivative else 1, n), dtype=complex)
+    folded = rows[0]
     folded[:min(n, len(kept))] = kept[:n]
-    for start in range(n, len(kept), n):
+    for wrap, start in enumerate(range(n, len(kept), n), 1):
         chunk = kept[start:start + n]
         folded[:len(chunk)] += chunk
-    return folded, res.scale, res.exponent
+        if derivative:
+            rows[1, :len(chunk)] += np.multiply(n * wrap, chunk)
+    if not derivative:
+        return folded, res.scale, res.exponent
+    rows[1] += np.arange(n) * folded
+    return rows, res.scale, res.exponent
 
 
 def theta_on_circle(q, radius, n, budget=DEFAULT_BUDGET):

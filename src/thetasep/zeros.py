@@ -1,4 +1,4 @@
-"""Argument-principle zero counting and Newton location of the zeros of theta(q, .).
+"""Argument-principle zero counting and contour-moment location of the zeros of theta(q, .).
 
 For q in the left half-disk the k-th zero sits near -q^{-k}; each one is
 isolated inside the modulus annulus |q|^{-k+1/2} < |z| < |q|^{-k-1/2} (the
@@ -8,8 +8,16 @@ theta on each circle are one inverse FFT of the series terms (core's
 `circle_coefficients`), all circles of a call are rows of one 2-D pass, the
 phase increments between neighbours below pi/2 are summed as an array, and
 only the other intervals are bisected, one scalar evaluation per new point.
-Locations are refined by Newton's method seeded from the asymptotic
-position.
+
+`verify_separation` also takes z theta' at the same samples, from a second
+folded row of each circle in the same FFT pass.  The first moment
+s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n is the trapezoid rule for
+(1/2 pi i) times the integral of z theta'/theta around |z| = r (Delves and
+Lyness, Math. Comp. 21, 1967): the sum of the zeros inside, to an error that
+shrinks geometrically in N.  An annulus that holds one zero therefore has it
+at s1(r_k) - s1(r_{k-1}).  One evaluation checks that estimate, and Newton
+polishes it only when it misses the residual tolerance.  Any other annulus,
+and a bare `locate_zero`, runs Newton from the asymptotic position -q^{-k}.
 
 Near the k-th zero the term moduli grow like |q|^{-k^2/2}, past the float
 range for k >= 25 at |q| = 0.1.  The series kernel behind the contour terms
@@ -28,6 +36,7 @@ raw value is recorded alongside, as inf where it leaves the float range.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -54,6 +63,8 @@ CONTOUR_SAFETY = 1e-6
 INITIAL_SAMPLES = 256
 MAX_BISECTION_DEPTH = 12
 WINDING_INTEGRALITY = 1e-3
+
+MAX_NEWTON_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,8 @@ class ZeroRecord:
     location: complex
     residual: float          # |theta(location)| / scale  (backward-relative)
     annulus_ok: bool
-    newton_iterations: int
+    newton_iterations: int   # Newton steps from the seed; in verify_separation, polish
+                             # steps from the moment estimate (0 when it met the tolerance)
     converged: bool
     theta_abs: float         # raw |theta(location)|, inf beyond the float range
     derivative_abs: float    # raw |theta'(location)|, likewise
@@ -158,24 +170,38 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
     are not fine are bisected, circle by circle, one scalar evaluation per
     new point.
     """
+    return _contours(q, radii, initial_samples, budget)[0]
+
+
+def _contours(q, radii, initial_samples, budget, moments=False):
+    """`winding_numbers`, and with `moments` the first moment s1 of each circle too.
+
+    s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
+    samples, the sum of the zeros inside |z| = r; the z theta'_n come from
+    the derivative row of each circle (core's `circle_coefficients`) in the
+    same inverse FFT as theta, so the exponent cancels in the ratio.  A
+    moment is None where the circle failed.
+    """
     q = as_q(q)
     for radius in radii:
         if not (radius > 0 and math.isfinite(radius)):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
-    results = [None] * len(radii)
+    results, sums = [None] * len(radii), [None] * len(radii)
+    kernel_args = (n0, budget, True) if moments else (n0, budget)
     circles, rows = [], []  # per row of the sample array: (index, scale, exponent)
     for i, radius in enumerate(radii):
         try:
-            row, scale, exponent = circle_coefficients(q, radius, n0, budget)
+            row, scale, exponent = circle_coefficients(q, radius, *kernel_args)
         except (BudgetExceeded, OverflowError) as exc:
             results[i] = exc
         else:
             circles.append((i, scale, exponent))
             rows.append(row)
     if not rows:
-        return results
-    vals = np.fft.ifft(np.array(rows), axis=1, norm="forward")
+        return results, sums
+    samples = np.fft.ifft(np.array(rows), axis=-1, norm="forward")
+    vals = samples[:, 0] if moments else samples
     minima = np.min(np.abs(vals), axis=1) / np.array([scale for _, scale, _ in circles])
     # a circle through an exact zero fails in _resolve_phase; no array divides by its samples
     vals[minima == 0.0] = 1.0
@@ -204,7 +230,21 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
                                         n0, n_stars[row], min_depths[row], scale, exponent, budget)
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
             results[i] = exc
-    return results
+    if moments:
+        first = ((samples[:, 1] / vals) @ _unit_roots(n0) / n0
+                 * [radii[i] for i, _, _ in circles]).tolist()
+        for row, (i, _, _) in enumerate(circles):
+            if isinstance(results[i], WindingResult):
+                sums[i] = first[row]
+    return results, sums
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_roots(n):
+    """z_n / r = e^{2 pi i n / N} at the N samples of a circle (read-only: it is shared)."""
+    roots = np.exp(2j * math.pi / n * np.arange(n))
+    roots.flags.writeable = False
+    return roots
 
 
 def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_depth,
@@ -297,17 +337,22 @@ def _newton(q, seed, residual_tol, max_iterations, budget):
         tiny = abs(step) <= 4.0 * 2.2e-16 * abs(z)
 
 
-def locate_zero(q, k, residual_tol=1e-10, max_iterations=50, budget=DEFAULT_BUDGET, seed=None):
-    """Locate the k-th zero by Newton refinement from the asymptotic seed -q^{-k}.
+def locate_zero(q, k, residual_tol=1e-10, max_iterations=MAX_NEWTON_ITERATIONS,
+                budget=DEFAULT_BUDGET, seed=None):
+    """Locate the k-th zero by Newton refinement from `seed`, by default the asymptotic -q^{-k}.
 
-    Raises NoConvergence if the tolerance is not met; callers may retry with
-    a sharper seed (see verify_separation's annulus-bisection fallback).
+    Raises NoConvergence if the tolerance is not met.
     """
     q = as_q(q)
     if k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
     if seed is None:
         seed = -q.value ** (-k)
+    return _zero_record(q, k, seed, residual_tol, max_iterations, budget)
+
+
+def _zero_record(q, k, seed, residual_tol, max_iterations, budget):
+    """The ZeroRecord of the k-th zero by Newton from `seed`; NoConvergence if it misses."""
     z, residual, raw, dmod, iterations, ok = _newton(q, seed, residual_tol,
                                                      max_iterations, budget)
     if not ok:
@@ -322,42 +367,14 @@ def locate_zero(q, k, residual_tol=1e-10, max_iterations=50, budget=DEFAULT_BUDG
                       theta_abs=raw, derivative_abs=dmod)
 
 
-def _bisection_seed(q, k, budget, levels=6):
-    """Narrow the k-th annulus by winding counts and return a refined seed.
-
-    Splits [r_in, r_out] at geometric means, keeping the sub-annulus that
-    holds a zero; the seed's phase comes from the asymptotic -q^{-k}.
-    """
-    annulus = Annulus.for_index(k)
-    lo = annulus.inner_radius(q)
-    if lo == 0.0:
-        lo = q.modulus ** 0.5  # harmless positive floor inside the punctured disk
-    hi = annulus.outer_radius(q)
-    w_lo = winding_number(q, lo, budget=budget).count
-    for _ in range(levels):
-        mid = math.sqrt(lo * hi)
-        w_mid = winding_number(q, mid, budget=budget).count
-        if w_mid > w_lo:
-            hi = mid
-        else:
-            lo, w_lo = mid, w_mid
-    phase = cmath.phase(-q.value ** (-k))
-    return cmath.rect(math.sqrt(lo * hi), phase)
-
-
-def _locate_with_fallback(q, k, residual_tol, budget):
-    try:
-        return locate_zero(q, k, residual_tol=residual_tol, budget=budget)
-    except NoConvergence:
-        seed = _bisection_seed(q, k, budget)
-        return locate_zero(q, k, residual_tol=residual_tol, budget=budget, seed=seed)
-
-
 def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_error="raise"):
     """Count and locate the zeros for k = 1..k_max and check the annulus conditions.
 
     Declares strong separation iff every annulus holds exactly one zero and
-    every located zero satisfies its modulus condition.  With
+    every located zero satisfies its modulus condition.  The zero of an
+    annulus that holds one is the difference of the first moments of its
+    boundary circles, checked by one evaluation and polished by Newton only
+    if it misses `residual_tol`; any other annulus runs `locate_zero`.  With
     on_error="record", per-k contour/convergence failures are noted in the
     report instead of raised.
     """
@@ -373,14 +390,16 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
         warnings.warn(msg, stacklevel=2)
         report.warnings.append(msg)
 
-    windings = {0: 0}
+    windings, moments = {0: 0}, {0: 0j}
     radii, circles = {}, {}
     for k in range(1, k_max + 1):
         try:
             radii[k] = q.modulus ** -(k + 0.5)
         except OverflowError as exc:  # the radius itself leaves the float range
             circles[k] = exc
-    circles.update(zip(radii, winding_numbers(q, list(radii.values()), budget=budget)))
+    results, sums = _contours(q, list(radii.values()), INITIAL_SAMPLES, budget, moments=True)
+    circles.update(zip(radii, results))
+    moments.update(zip(radii, sums))
     for k in range(1, k_max + 1):
         result = circles[k]
         if isinstance(result, Exception):
@@ -396,7 +415,14 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
         below, above = windings[k - 1], windings[k]
         report.counts[k] = None if (below is None or above is None) else above - below
         try:
-            report.records[k] = _locate_with_fallback(q, k, residual_tol, budget)
+            if report.counts[k] == 1:  # both circles counted, so both have a moment
+                estimate = moments[k] - moments[k - 1]
+                if not q.value.imag:  # the lone zero of an annulus is then its own conjugate
+                    estimate = complex(estimate.real)
+                report.records[k] = _zero_record(q, k, estimate, residual_tol,
+                                                 MAX_NEWTON_ITERATIONS, budget)
+            else:
+                report.records[k] = locate_zero(q, k, residual_tol=residual_tol, budget=budget)
         except (NoConvergence, ContourTooClose, BudgetExceeded, OverflowError) as exc:
             if on_error == "raise":
                 exc.k = k

@@ -396,6 +396,42 @@ def test_theta_and_dz_share_one_exponent():
     assert f.exponent == fp.exponent == 0
 
 
+def test_theta_and_dz_tails_stay_honest_after_two_rescales():
+    # in units 2^-1200 the dropped terms of both halves lie below the least subnormal
+    import mpmath
+    q, z = 0.1, -(0.1 ** -28) * (1 + 1e-6)
+    f, fp = _check_pass(q, z)
+    assert f.exponent == fp.exponent == 1200
+    with mpmath.workdps(50):
+        mq, mz = mpmath.mpf(q), abs(mpmath.mpf(z))
+        unit = mpmath.mpf(2) ** -f.exponent
+        theta_dropped = mpmath.fsum(mq ** (j * (j + 1) // 2) * mz ** j
+                                    for j in range(f.terms_used, f.terms_used + 40)) * unit
+        dz_dropped = mpmath.fsum(j * mq ** (j * (j + 1) // 2) * mz ** (j - 1)
+                                 for j in range(fp.terms_used + 1, fp.terms_used + 40)) * unit
+        assert 0 < dz_dropped < mpmath.mpf(math.ulp(0.0))
+        slack = 1 + mpmath.mpf(1e-12)  # rounding of the float term moduli
+        assert mpmath.mpf(f.tail_bound) * slack >= theta_dropped > 0
+        assert mpmath.mpf(fp.tail_bound) * slack >= dz_dropped
+
+
+@pytest.mark.parametrize("q", [0.5, -0.3 + 0.3j, cmath.rect(0.9, 2.0)])
+@pytest.mark.parametrize("z", [1e-310, -3e-320j, 5e-324, cmath.rect(2e-308, 1.0)])
+def test_theta_and_dz_at_subnormal_z(q, z):
+    # theta' = q + 2 q^3 z + ...: no subnormal t_1 = q z is divided by z
+    f, fp = _check_pass(q, z)
+    ref = eval_theta_dz(q, z)
+    assert abs(fp.value - ref.value) <= fp.tail_bound + ref.tail_bound
+    # terms were dropped by all three sums, so no tail reads 0
+    assert f.tail_bound > 0 and fp.tail_bound > 0 and ref.tail_bound > 0
+
+
+def test_tail_is_zero_only_where_nothing_was_dropped():
+    for q in (0.3j, -0.25):
+        assert eval_theta(q, 0.0).tail_bound == eval_theta_dagger(q, 0.0).tail_bound == 0.0
+        assert eval_theta(q, 5e-324).tail_bound == math.ulp(0.0)
+
+
 def test_theta_and_dz_at_zero():
     for q in (0.3j, -0.25, QParameter.from_polar(0.5, 2.0)):
         f, fp = eval_theta_and_dz(q, 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thetasep import (
+    C0,
     Annulus,
     ContourTooClose,
     DomainError,
@@ -19,7 +20,14 @@ from thetasep import (
     winding_numbers,
 )
 from thetasep import zeros
-from thetasep.core import eval_theta, eval_theta_dz, theta_on_circle
+from thetasep.core import (
+    circle_coefficients,
+    eval_theta,
+    eval_theta_and_dz,
+    eval_theta_dz,
+    ldexp_complex,
+    theta_on_circle,
+)
 
 
 def test_annulus_validation():
@@ -422,3 +430,119 @@ def test_winding_numbers_exact_zero_sample_stays_in_its_row(monkeypatch):
     assert isinstance(batch[1], ContourTooClose) and batch[1].min_modulus == 0.0
     assert [batch[0].count, batch[2].count] == [1, 3]
     assert batch[0].samples_used == batch[2].samples_used == 256
+
+
+# ---------------------------------------------------------------------------
+# zeros from contour moments
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, exponent, rescaled, folded", [
+    (cmath.rect(0.4, 2.5), 3.5, False, False),   # plain circle
+    (cmath.rect(0.2, 3.0), 24.1, True, False),   # terms reach 1e203: rescaled once
+    (-0.9995, 1.5, False, True),                 # 1388 terms folded mod 256
+])
+def test_derivative_row_samples_are_z_theta_prime(q, exponent, rescaled, folded):
+    import mpmath
+    q = QParameter(q)
+    radius, n = q.modulus ** -exponent, 256
+    rows, _, exp2 = circle_coefficients(q, radius, n, derivative=True)
+    samples = np.fft.ifft(rows, norm="forward")
+    centre = eval_theta(q, radius)  # the terms both rows fold
+    assert (exp2 == 600) is rescaled
+    assert (centre.terms_used > n) is folded
+    # the derivative row drops sum_{j >= terms_used} j |c_j|, in units 2^-exp2
+    with mpmath.workdps(30):
+        mq, mr = mpmath.mpf(q.modulus), mpmath.mpf(radius)
+        dropped = float(mpmath.fsum(j * mq ** (j * (j + 1) // 2) * mr ** j
+                                    for j in range(centre.terms_used, centre.terms_used + 60))
+                        * mpmath.mpf(2) ** -exp2)
+    tail = math.ldexp(centre.tail_bound, centre.exponent - exp2)
+    for k in range(n):
+        z = radius * cmath.exp(2j * math.pi * k / n)
+        f, fp = eval_theta_and_dz(q, z)
+        assert abs(samples[0, k] - ldexp_complex(f.value, f.exponent - exp2)) \
+            <= tail + math.ldexp(f.tail_bound + 1e-13 * f.scale, f.exponent - exp2)
+        want = ldexp_complex(z * fp.value, fp.exponent - exp2)
+        bound = dropped + math.ldexp(abs(z) * (fp.tail_bound + 1e-13 * fp.scale),
+                                     fp.exponent - exp2)
+        assert abs(samples[1, k] - want) <= bound
+
+
+def _region_draws(count, seed):
+    """(q, k_max) uniform by area on D(0.6) and the right half of |q| <= C0, k_max = 1..8."""
+    rng = np.random.default_rng(seed)
+    left, right = math.pi * 0.6 ** 2 / 2, math.pi * C0 ** 2 / 2
+    draws = []
+    for i in range(count):
+        area = rng.random() * (left + right)
+        if area <= left:
+            q = cmath.rect(0.6 * math.sqrt(area / left), math.pi / 2 + math.pi * rng.random())
+        else:
+            q = cmath.rect(C0 * math.sqrt((area - left) / right), -math.pi / 2 + math.pi * rng.random())
+        draws.append((QParameter(q), i % 8 + 1))
+    return draws
+
+
+def test_moment_locations_match_newton_from_the_asymptotic_seed():
+    for q, k_max in _region_draws(512, 2024):
+        rep = verify_separation(q, k_max, on_error="record")
+        assert rep.notes == {}
+        for k in range(1, k_max + 1):
+            assert rep.counts[k] == count_zeros_in_annulus(q, Annulus.for_index(k))
+            rec, ref = rep.records[k], locate_zero(q, k)
+            assert abs(rec.location - ref.location) <= 1e-9 * abs(ref.location)
+            assert rec.residual < 1e-10 and rec.converged
+            if rep.counts[k] == 1:
+                # the moment estimate met the tolerance without a Newton step
+                assert rec.newton_iterations == 0
+
+
+def test_moment_estimate_off_by_1e_6_is_polished_by_newton(monkeypatch):
+    q = QParameter(-0.3 + 0.3j)
+    exact = verify_separation(q, 8)
+    kernel = zeros.circle_coefficients
+
+    def coefficients(q, radius, n, budget, derivative=False):
+        rows, scale, exponent = kernel(q, radius, n, budget, derivative)
+        if derivative:
+            rows[1] *= 1 + 1e-6  # every moment, so every estimate, 1e-6 relative off
+        return rows, scale, exponent
+
+    monkeypatch.setattr(zeros, "circle_coefficients", coefficients)
+    rep = verify_separation(q, 8)
+    assert rep.strongly_separated
+    for k in range(1, 9):
+        rec, ref = rep.records[k], exact.records[k]
+        assert ref.newton_iterations == 0 < rec.newton_iterations
+        assert rec.residual < 1e-10
+        assert abs(rec.location - ref.location) <= 1e-9 * abs(ref.location)
+
+
+def test_annuli_without_one_zero_take_locate_zero(monkeypatch):
+    # at q = -0.7 the counts of k = 1..4 are 1, 0, 2, 1
+    q = QParameter(-0.7)
+    calls = []
+
+    def spy(q, k, **kwargs):
+        calls.append(k)
+        return locate_zero(q, k, **kwargs)
+
+    monkeypatch.setattr(zeros, "locate_zero", spy)
+    with pytest.warns(UserWarning):
+        rep = verify_separation(q, 4, on_error="record")
+    assert [rep.counts[k] for k in range(1, 5)] == [1, 0, 2, 1]
+    assert calls == [2, 3]
+    for k in (2, 3):
+        assert rep.records[k] == locate_zero(q, k)
+    assert rep.records[1].newton_iterations == rep.records[4].newton_iterations == 0
+
+
+@pytest.mark.parametrize("q, k_max", [(0.1, 8), (-0.5, 6), (-0.05, 4)])
+def test_moment_zeros_of_real_q_are_real(q, k_max):
+    # theta(q, .) has real coefficients: a lone zero of an annulus is its own conjugate
+    rep = verify_separation(QParameter(q), k_max)
+    for k in range(1, k_max + 1):
+        rec = rep.records[k]
+        assert rec.location.imag == 0.0 and rec.newton_iterations == 0
+        ref = locate_zero(q, k)
+        assert abs(rec.location - ref.location) <= 1e-9 * abs(ref.location)
