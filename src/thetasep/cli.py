@@ -41,6 +41,11 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
+# Largest accepted `verify` step flags, refused before any grid is built.  Each alone keeps
+# a check's largest arrays (a k1 row's products over arg q x arg z, and the coefficient
+# matrices the k1 scan keeps for every modulus row) to a few hundred MB.
+MAX_VERIFY_STEPS = {"modulus_steps": 10_000, "argument_steps": 10_000, "z_steps": 100_000}
+
 
 @dataclass
 class OutputRecord:
@@ -221,10 +226,10 @@ def _report_payload(rep):
 
 
 def cmd_verify(args):
-    for flag in ("modulus_steps", "argument_steps", "z_steps"):
+    for flag, most in MAX_VERIFY_STEPS.items():
         value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise DomainError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+        if value is not None and not 1 <= value <= most:
+            raise DomainError(f"--{flag.replace('_', '-')} must lie in [1, {most}], got {value}")
     # unset step flags fall back to each check's library default grid
     ms, asteps = args.modulus_steps, args.argument_steps
     zsteps = args.z_steps or lemmas.DEFAULT_K1_Z_STEPS

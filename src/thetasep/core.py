@@ -43,6 +43,7 @@ _RESCALE_BITS = 600
 _RESCALE_AT = 2.0 ** _RESCALE_BITS
 # A positive tail bound is never returned below the least subnormal.
 _LEAST_TAIL = math.ulp(0.0)
+_ULP = 2.0 ** -52
 
 
 def _rescale(modulus, ratio, exponent, tolerance):
@@ -172,6 +173,19 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
     is below |t_{n-1} p q^{n-1}| (n / (1 - r) + r / (1 - r)^2).  It returns
     two results with one exponent: the sum as it stops alone, and
     sum_j j t_j / z once that tail is below tolerance too.
+
+    Both tail bounds allow for rounding, u = 2^-53.  The computed |t_{n-1}|
+    is a product of n - 1 computed steps, and step s_j carries the j - 1
+    products of p q^{j-1}, its product with x, with `ratio_weight` a
+    rounded real factor and its product, and the product with t_{j-1}.  So
+    at most (n^2 + 7n + 8)/2 roundings reach the tail bound with those of
+    r and of the bound's three operations, and at most n + 6 more reach the
+    theta' bound through |p q^{n-1}|; each is a relative 2.25 u or less (a
+    complex product is within sqrt(5) u).  The count is quadratic in n
+    because every rounding of p q^{j-1} is carried into all later terms.
+    Both bounds are therefore multiplied by 1 + 2^-52 (n + 6)^2 before they
+    are tested, which covers (1 + 2.25 u)^((n + 6)^2 / 2) and the product
+    itself while the moduli are normal floats.
     """
     total = term = first
     comp = 0j
@@ -189,6 +203,9 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
         bound = modulus * r
         if r < 0.5:
             tail = bound / (1.0 - r)
+            if tail <= tolerance:  # the allowance only raises it: test the raw bound first
+                allowance = 1.0 + _ULP * (used + 6) ** 2  # rounding of |t_{n-1}| and r, see above
+                tail *= allowance
             if tail <= tolerance:
                 if not tail and x:
                     tail = _LEAST_TAIL
@@ -197,7 +214,7 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
                     return _shared_exponent([frozen], exponent, kept is None)[0]
                 # |t_{n-1}| r / |z| = |t_{n-1} p|
                 weighted_tail = (modulus * abs(p) * (used + r / (1.0 - r)) / (1.0 - r)
-                                 or _LEAST_TAIL)
+                                 * allowance or _LEAST_TAIL)
                 if weighted_tail <= tolerance:
                     return _shared_exponent(
                         [frozen, (weighted, weighted_tail, used - 1,

@@ -14,6 +14,9 @@ certify.  The k1 and k2 circle scans sum a series sum_j c_j(q) z^j over
 one modulus row's (arg q) x (arg z) grid as one matrix product of the
 coefficients c_j(q_i) |z|^j with the powers e^{i j psi_k}; k1 takes its term
 count from the proven tail of theta_dagger and reports that tail's bound.
+Both scans (`_scan_min`) return the exhaustive scan's minimum and location,
+but evaluate every arg z only on the (|q|, arg q) rows that a coarse pass
+over every S-th arg z and the proven slope bound sum_j j |c_j| cannot rule out.
 The sampled checks use the array forms of `mu`, `A_j`, `B_j` and `phi_*`.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -546,32 +550,108 @@ def k2_z_steps(k1_z_steps):
     return max(128, k1_z_steps // 2)
 
 
+class _Row(NamedTuple):
+    """One modulus row of a grid scan: its values are combine([C @ basis[p] for C, p in sums])."""
+
+    sums: list       # (C, p): C[i, j] = c_j(q_i) |z|^{p_j} at the row's q_i, and the powers p_j
+    combine: object  # list of sums -> real values, rows over arg q and columns over arg z
+    slope: float     # L_psi: |d value / d psi| <= slope on every circle of the row
+    scale: float     # M: the moduli of the terms of one value, summed with their weights
+
+
+def _coefficients(rho, z_modulus, powers, q_exponents, phases):
+    """(C, moduli): C[i, j] = moduli_j e^{i e_j omega_i}, moduli_j = rho^{e_j} z_modulus^{p_j}.
+
+    `phases` holds e^{i e_j omega_i}; it does not depend on rho, so a check builds it once.
+    """
+    e, p = np.asarray(q_exponents, dtype=float), np.asarray(powers, dtype=float)
+    moduli = rho ** e * z_modulus ** p
+    return moduli * phases, moduli
+
+
 def _circle_sum(rho, omegas, z_modulus, powers, q_exponents, basis):
     """sum_j q^{e_j} z^{p_j} at q = rho e^{i omega} (rows), z = z_modulus e^{i psi} (columns).
 
     The grid is an outer product, so the sum is one matrix product C @ V[p] with
     C[i, j] = rho^{e_j} z_modulus^{p_j} e^{i e_j omega_i} and basis V[p, k] = e^{i p psi_k}.
     """
-    e = np.asarray(q_exponents, dtype=float)
-    moduli = rho ** e * z_modulus ** np.asarray(powers, dtype=float)
-    return (moduli * np.exp(1j * np.outer(omegas, e))) @ basis[powers]
+    phases = np.exp(1j * np.outer(omegas, np.asarray(q_exponents, dtype=float)))
+    return _coefficients(rho, z_modulus, powers, q_exponents, phases)[0] @ basis[powers]
 
 
-def _scan_min(grid, z_steps, max_power, row_values):
-    """Minimum over the grid of row_values(rho, omegas, basis), and its (rho, omega, psi).
+# The stride keeps the Lipschitz pad L_psi floor(S/2) dpsi of `_scan_min` at most this.
+# Both scans have values of order one (|theta_dagger| with t_0 = 1, and a margin of about
+# 0.1 beside term sums of about 10), so a pad this size still parts most rows from the
+# minimum while one coarse sample stands for S fine ones.
+_PAD = 0.25
 
-    Rows are evaluated one modulus at a time, so memory stays one row; the basis
-    e^{i p psi_k}, p <= max_power, is built once for all rows.
+
+def _scan_min(grid, z_steps, max_power, row):
+    """Minimum over the grid of the values of row(rho), and its (rho, omega, psi).
+
+    The scan samples; it does not certify.  It returns the minimum and the
+    location the exhaustive scan returns (first in (omega, psi) order within
+    a modulus row, the first modulus row on ties across rows), but evaluates
+    at full psi resolution only the (rho, omega) rows that a proven slope
+    bound cannot rule out:
+
+    1. Every (rho, omega) row is evaluated on the coarse subset psis[::S];
+       its minimum is kept, and ub is the least of them, a computed grid
+       value.  The powers e^{i p psi_k}, p <= max_power, are built once,
+       and so is each modulus row's coefficient matrix, kept for step 2
+       (n_rho n_omega K complex numbers: 1.1 MB on k1's default grid).
+    2. A row is refined over all psi only if its coarse minimum, less the
+       pad L floor(S/2) dpsi and the allowance 4 delta below, is <= ub.
+       psi wraps around, so every node lies within floor(S/2) steps of a
+       coarse one, and along the circle the value moves by at most
+       L = row.slope per radian.
+
+    Rounding allowance.  With u = 2^-53, one computed value differs from the
+    exact value of the row's stored coefficients at its node by less than
+    u((2K + 10) M + 2 pi L), for K terms per sum and M = row.scale, and the
+    exact values obey the slope bound: each basis entry e^{i p psi} carries
+    u(2 pi p + 2) from the rounded p psi and exp, the K products and sums
+    of a complex dot product at most 2(K + 2) u M, and the modulus and k2's
+    weight and differences a few u M more.  delta = 2^-50 (K + 8)(M + L)
+    covers that, and also the rounding of the grid nodes, of L and of the
+    test itself.  A skipped row's value at any node is then at least its
+    coarse minimum - L floor(S/2) dpsi - 2 delta > ub + 2 delta, and ub + 2
+    delta is at least the refined value at ub's node: a skipped row holds no
+    point at or below the computed minimum.
+
+    The stride S = 2 floor(_PAD / (L dpsi)) + 1, with the largest L of the
+    grid, keeps the pad at most _PAD; at S = 1 only the rows within the
+    allowance of the minimum are evaluated twice.
+    numpy hands a one-row product to another BLAS routine (gemv), whose sums
+    may round differently from gemm's, so a lone refined row is doubled:
+    every refined value is then computed as the exhaustive scan computes it.
     """
     psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
     omegas = grid.arguments()
     basis = np.exp(1j * np.outer(np.arange(max_power + 1), psis))
+    spacing = 2.0 * math.pi / z_steps
+    rows = [(float(rho), row(float(rho))) for rho in grid.moduli()]
+    slope = max(r.slope for _, r in rows)
+    half = z_steps // 2  # S = 2 half + 1; a coarse sample at psi = 0 alone reaches this far
+    if slope * spacing * half > _PAD:
+        half = math.floor(_PAD / (slope * spacing))
+    coarse = basis[:, ::2 * half + 1]
+    row_minima = np.array([np.min(r.combine([c @ coarse[p] for c, p in r.sums]), axis=1)
+                           for _, r in rows])
+    ub = float(np.min(row_minima))
     best, best_at = math.inf, (math.nan, math.nan, math.nan)
-    for rho in grid.moduli():
-        vals = row_values(float(rho), omegas, basis)
+    for (rho, r), minima in zip(rows, row_minima):
+        terms = max(c.shape[1] for c, _ in r.sums)
+        allowance = 2.0 ** -48 * (terms + 8) * (r.scale + r.slope)  # 4 delta
+        live = np.flatnonzero(minima - r.slope * half * spacing - allowance <= ub)
+        if not live.size:
+            continue
+        if live.size == 1:
+            live = np.repeat(live, 2)
+        vals = r.combine([c[live] @ basis[p] for c, p in r.sums])
         i, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
         if vals[i, k] < best:
-            best, best_at = float(vals[i, k]), (float(rho), float(omegas[i]), float(psis[k]))
+            best, best_at = float(vals[i, k]), (rho, float(omegas[live[i]]), float(psis[k]))
     return best, best_at
 
 
@@ -589,26 +669,44 @@ def _theta_dagger_terms(rho, tolerance=1e-16):
     return n, bound
 
 
+def _theta_dagger_scan(grid):
+    """(row, max_power, tail): the k1 scan of |theta_dagger| on |z| = rho^{-1/2} over `grid`.
+
+    Each modulus row sums j < n, n from the proven geometric tail
+    (`_theta_dagger_terms`), and tail is the largest dropped-tail bound.  The
+    phases e^{i j(j-1)/2 omega} are built once for all rows; the slope bound
+    is L_psi = sum_{j<n} j |c_j| over the terms the row sums.
+    """
+    terms = {rho: _theta_dagger_terms(rho) for rho in map(float, grid.moduli())}
+    counts, tails = zip(*terms.values())
+    j = np.arange(max(counts))
+    e = j * (j - 1) / 2
+    phases = np.exp(1j * np.outer(grid.arguments(), e))
+
+    def row(rho):
+        n = terms[rho][0]
+        coefficients, moduli = _coefficients(rho, rho ** -0.5, j[:n], e[:n], phases[:, :n])
+        return _Row([(coefficients, j[:n])], lambda sums: np.abs(sums[0]),
+                    slope=float(j[:n] @ moduli), scale=float(np.sum(moduli)))
+
+    return row, max(counts) - 1, max(tails)
+
+
 def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
     """Direct scan: min |theta_dagger| on |z| = |q|^{-1/2} over the left quarter-disk.
 
     arg(q) in [pi/2, pi] suffices by conjugation symmetry.  Each modulus row
     is one matrix product of the series coefficients with the powers
-    e^{i j psi} (`_circle_sum`), summed to the term count of the proven
-    geometric tail (`_theta_dagger_terms`); the largest dropped-tail bound is
-    reported as `tail_bound`.  The minimum must be strictly positive; its
-    value and location are reported so resolution slack can be judged.
+    e^{i j psi}, summed to the term count of the proven geometric tail
+    (`_theta_dagger_scan`), and `_scan_min` refines only the rows its slope
+    bound cannot rule out; the largest dropped-tail bound is reported as
+    `tail_bound`.  The minimum must be strictly positive; its value and
+    location are reported so resolution slack can be judged.
     """
-    terms = {rho: _theta_dagger_terms(rho) for rho in map(float, grid.moduli())}
-
-    def row(rho, omegas, basis):
-        j = np.arange(terms[rho][0])
-        return np.abs(_circle_sum(rho, omegas, rho ** -0.5, j, j * (j - 1) / 2, basis))
-
-    counts, tails = zip(*terms.values())
-    best, at = _scan_min(grid, z_steps, max(counts) - 1, row)
+    row, max_power, tail = _theta_dagger_scan(grid)
+    best, at = _scan_min(grid, z_steps, max_power, row)
     computed = {"min_abs": best, "at_modulus": at[0], "at_q_argument": at[1],
-                "at_z_argument": at[2], "z_points": float(z_steps), "tail_bound": max(tails)}
+                "at_z_argument": at[2], "z_points": float(z_steps), "tail_bound": tail}
     return VerificationReport.build("k1_direct", computed, {"min_abs_positive": best}, grid)
 
 
@@ -646,6 +744,30 @@ def B_closed_form(rho, omega, psi):
 DEFAULT_K2_GRID = GridSpec((0.55, 0.6), 60, (math.pi / 2, 2 * math.pi / 3), 60)
 
 
+def _dominance_row(grid, tail):
+    """Row function of the k2 scan of xi |B| - |A*| - tail on |xi| = rho^{-3/2} over `grid`.
+
+    B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6
+    + q^21 xi^7; their phases are built once for all rows, and the slope
+    bound is L_psi = |xi| sum_p p |b_p| + sum_p p |a_p|.
+    """
+    b_powers, b_exponents = np.array([0, 1, 2]), np.array([0.0, 1.0, 3.0])
+    a_powers, a_exponents = np.array([0, 4, 5, 6, 7]), np.array([0.0, 6.0, 10.0, 15.0, 21.0])
+    b_phases, a_phases = (np.exp(1j * np.outer(grid.arguments(), e))
+                          for e in (b_exponents, a_exponents))
+
+    def row(rho):
+        xi_mod = rho ** -1.5
+        b, b_moduli = _coefficients(rho, xi_mod, b_powers, b_exponents, b_phases)
+        a, a_moduli = _coefficients(rho, xi_mod, a_powers, a_exponents, a_phases)
+        return _Row([(b, b_powers), (a, a_powers)],
+                    lambda sums: xi_mod * np.abs(sums[0]) - np.abs(sums[1]) - tail,
+                    slope=xi_mod * float(b_powers @ b_moduli) + float(a_powers @ a_moduli),
+                    scale=xi_mod * float(np.sum(b_moduli)) + float(np.sum(a_moduli)) + tail)
+
+    return row
+
+
 def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=k2_z_steps(DEFAULT_K1_Z_STEPS)):
     """Dominance |xi B| > |A| on |xi| = |q|^{-3/2} (i.e. |z| = |q|^{-5/2}).
 
@@ -657,19 +779,14 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=k2_z_steps(DEFAULT_K1_Z_STEPS)
     observed, not certified.  On each modulus row B = 1 + q xi + q^3 xi^2
     and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6 + q^21 xi^7 are each one
     matrix product of their coefficients with the powers e^{i j psi}
-    (`_circle_sum`); both polynomials are exact, so only A** is bounded.
+    (`_dominance_row`), and `_scan_min` refines only the rows its slope
+    bound cannot rule out; both polynomials are exact, so only A** is bounded.
     """
     a0 = _a0()
     tail = _a_tail_bound()
     wide, small = (recompute_constant(n) for n in ("xiB_floor_wide_arg", "xiB_floor_small_q"))
 
-    def row(rho, omegas, basis):
-        xi_mod = rho ** -1.5
-        b_vals = _circle_sum(rho, omegas, xi_mod, [0, 1, 2], [0, 1, 3], basis)
-        a_star = _circle_sum(rho, omegas, xi_mod, [0, 4, 5, 6, 7], [0, 6, 10, 15, 21], basis)
-        return xi_mod * np.abs(b_vals) - np.abs(a_star) - tail
-
-    worst, worst_at = _scan_min(grid, z_steps, 7, row)
+    worst, worst_at = _scan_min(grid, z_steps, 7, _dominance_row(grid, tail))
     computed = {"a0": a0, "a_tail_bound": tail,
                 "xiB_floor_wide_arg": wide, "xiB_floor_small_q": small,
                 "grid_min_margin": worst, "at_modulus": worst_at[0],

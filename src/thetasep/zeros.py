@@ -348,11 +348,17 @@ def locate_zero(q, k, residual_tol=1e-10, max_iterations=MAX_NEWTON_ITERATIONS,
         raise DomainError(f"k must be a positive integer, got {k!r}")
     if seed is None:
         seed = -q.value ** (-k)
-    return _zero_record(q, k, seed, residual_tol, max_iterations, budget)
+    annulus = Annulus.for_index(k)
+    return _zero_record(q, k, seed, (annulus.inner_radius(q), annulus.outer_radius(q)),
+                        residual_tol, max_iterations, budget)
 
 
-def _zero_record(q, k, seed, residual_tol, max_iterations, budget):
-    """The ZeroRecord of the k-th zero by Newton from `seed`; NoConvergence if it misses."""
+def _zero_record(q, k, seed, radii, residual_tol, max_iterations, budget):
+    """The ZeroRecord of the k-th zero by Newton from `seed`; NoConvergence if it misses.
+
+    `radii` are the inner and outer radii of the k-th annulus, |q|^{-(k -+ 1/2)}
+    (inner 0 for k = 1).
+    """
     z, residual, raw, dmod, iterations, ok = _newton(q, seed, residual_tol,
                                                      max_iterations, budget)
     if not ok:
@@ -360,9 +366,9 @@ def _zero_record(q, k, seed, residual_tol, max_iterations, budget):
             f"Newton did not reach residual {residual_tol:g} for k = {k} "
             f"(best scaled residual {residual:.2e} after {iterations} iterations)",
             k=k, iterations=iterations)
-    annulus = Annulus.for_index(k)
+    inner, outer = radii
     return ZeroRecord(k=k, location=z, residual=residual,
-                      annulus_ok=annulus.contains(q, z),
+                      annulus_ok=inner < abs(z) < outer,
                       newton_iterations=iterations, converged=True,
                       theta_abs=raw, derivative_abs=dmod)
 
@@ -419,7 +425,8 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
                 estimate = moments[k] - moments[k - 1]
                 if not q.value.imag:  # the lone zero of an annulus is then its own conjugate
                     estimate = complex(estimate.real)
-                report.records[k] = _zero_record(q, k, estimate, residual_tol,
+                annulus = (radii.get(k - 1, 0.0), radii[k])  # |q|^{-(k -+ 1/2)}, 0 for k = 1
+                report.records[k] = _zero_record(q, k, estimate, annulus, residual_tol,
                                                  MAX_NEWTON_ITERATIONS, budget)
             else:
                 report.records[k] = locate_zero(q, k, residual_tol=residual_tol, budget=budget)

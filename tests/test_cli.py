@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
 from thetasep.cli import main, parse_complex
@@ -155,6 +156,63 @@ def test_verify_rejects_bad_step_flags(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_refuses_huge_step_flags_before_building_a_grid(capsys, monkeypatch):
+    # refused in cmd_verify: no lemma check, and so no allocation, is reached
+    from thetasep import lemmas
+    monkeypatch.setattr(lemmas, "verify_lemma_k1", None)
+    for flag in ("--z-steps", "--modulus-steps", "--argument-steps"):
+        code, out, err = run(capsys, ["verify", "--lemma", "k1", flag, "1000000000000"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} must lie in [1, ") and err.count("\n") == 1
+
+
+def _exhaustive_grid_minimum(grid, z_steps, max_power, values):
+    """(min, rho, omega, psi) of values(rho, omegas, basis) over every grid node."""
+    psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
+    omegas = grid.arguments()
+    basis = np.exp(1j * np.outer(np.arange(max_power + 1), psis))
+    best = (math.inf,)
+    for rho in map(float, grid.moduli()):
+        vals = values(rho, omegas, basis)
+        i, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[i, k] < best[0]:
+            best = (float(vals[i, k]), rho, float(omegas[i]), float(psis[k]))
+    return best
+
+
+def test_verify_small_grids_give_the_exhaustive_minima(capsys):
+    from thetasep.lemmas import C0, GridSpec, _a_tail_bound, _circle_sum, _theta_dagger_terms
+    small = ["--z-steps", "7", "--modulus-steps", "5", "--argument-steps", "3", "--format", "json"]
+
+    def theta_dagger(rho, omegas, basis):
+        j = np.arange(_theta_dagger_terms(rho)[0])
+        return np.abs(_circle_sum(rho, omegas, rho ** -0.5, j, j * (j - 1) / 2, basis))
+
+    grid = GridSpec((C0, 0.6), 5, (math.pi / 2, math.pi), 3)
+    n_max = max(_theta_dagger_terms(float(rho))[0] for rho in grid.moduli())
+    code, out, _ = run(capsys, ["verify", "--lemma", "k1", *small])
+    computed = json.loads(out)["results"]["computed"]
+    assert code == 0
+    assert (computed["direct.min_abs"], computed["direct.at_modulus"],
+            computed["direct.at_q_argument"], computed["direct.at_z_argument"]) \
+        == _exhaustive_grid_minimum(grid, 7, n_max - 1, theta_dagger)
+
+    tail = _a_tail_bound()
+
+    def dominance(rho, omegas, basis):
+        xi = rho ** -1.5
+        b = _circle_sum(rho, omegas, xi, [0, 1, 2], [0, 1, 3], basis)
+        a = _circle_sum(rho, omegas, xi, [0, 4, 5, 6, 7], [0, 6, 10, 15, 21], basis)
+        return xi * np.abs(b) - np.abs(a) - tail
+
+    grid = GridSpec((0.55, 0.6), 5, (math.pi / 2, 2 * math.pi / 3), 3)
+    code, out, _ = run(capsys, ["verify", "--lemma", "k2", *small])
+    computed = json.loads(out)["results"]["computed"]
+    assert code == 0
+    assert (computed["grid_min_margin"], computed["at_modulus"], computed["at_q_argument"],
+            computed["at_xi_argument"]) == _exhaustive_grid_minimum(grid, 128, 7, dominance)
 
 
 def test_verify_k1_honours_samples(capsys):

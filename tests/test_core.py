@@ -415,6 +415,39 @@ def test_theta_and_dz_tails_stay_honest_after_two_rescales():
         assert mpmath.mpf(fp.tail_bound) * slack >= dz_dropped
 
 
+def _dropped_moduli(q, z, first, weight):
+    """mpmath sum over j >= first of weight(j) |q|^{j(j+1)/2} |z|^j, to 40 digits."""
+    import mpmath
+    mq, mz = abs(mpmath.mpc(q)), abs(mpmath.mpc(z))
+    total, j = mpmath.mpf(0), first
+    while True:
+        term = weight(j) * mq ** (j * (j + 1) // 2) * mz ** j
+        total += term
+        if term < total * mpmath.mpf(10) ** -40:
+            return total
+        j += 1
+
+
+# |q| in [0.05, 0.9] and |z| = |q|^-s, s in [0, 25], at random arguments
+_TAIL_POINTS = [(0.1, -(0.1 ** -28) * (1 + 1e-6))] + [
+    (cmath.rect(m, a), cmath.rect(m ** -s, b)) for m, a, s, b in np.random.default_rng(61).uniform(
+        (0.05, -math.pi, 0.0, -math.pi), (0.9, math.pi, 25.0, math.pi), (6, 4))]
+
+
+@pytest.mark.parametrize("q, z", _TAIL_POINTS)
+def test_tail_bounds_cover_the_dropped_moduli_without_slack(q, z):
+    # the rounding allowance makes both bounds hold against the exact dropped moduli
+    import mpmath
+    f, fp = eval_theta_and_dz(q, z)
+    assert _same_bits(f, eval_theta(q, z))
+    with mpmath.workdps(60):
+        unit = mpmath.mpf(2) ** -f.exponent
+        theta = _dropped_moduli(q, z, f.terms_used, lambda j: 1) * unit
+        dz = _dropped_moduli(q, z, fp.terms_used + 1, lambda j: j) / abs(mpmath.mpc(z)) * unit
+        assert mpmath.mpf(f.tail_bound) >= theta > 0
+        assert mpmath.mpf(fp.tail_bound) >= dz > 0
+
+
 @pytest.mark.parametrize("q", [0.5, -0.3 + 0.3j, cmath.rect(0.9, 2.0)])
 @pytest.mark.parametrize("z", [1e-310, -3e-320j, 5e-324, cmath.rect(2e-308, 1.0)])
 def test_theta_and_dz_at_subnormal_z(q, z):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetasep import (
     A_j,
@@ -27,6 +29,7 @@ from thetasep import (
     verify_lemma_k4,
     verify_lemma_k5,
 )
+from thetasep.lemmas import C0
 
 RTOL_9_DIGITS = 5e-9
 
@@ -403,6 +406,119 @@ def test_grid_scans_at_cli_defaults_keep_value_and_location():
     assert k2.computed["grid_min_margin"] == pytest.approx(0.10280925018208102, rel=1e-12)
     assert (k2.computed["at_modulus"], k2.computed["at_q_argument"],
             k2.computed["at_xi_argument"]) == (0.6, 1.5707963267948966, 5.724679946541401)
+
+
+# ---------------------------------------------------------------------------
+# pruned grid minima
+# ---------------------------------------------------------------------------
+
+def _exhaustive_min(grid, z_steps, max_power, row):
+    """The scan `_scan_min` prunes, at every node: the first minimum in
+    (omega, psi) order within a modulus row, the first modulus row on ties."""
+    psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
+    omegas = grid.arguments()
+    basis = np.exp(1j * np.outer(np.arange(max_power + 1), psis))
+    best, at = math.inf, None
+    for rho in map(float, grid.moduli()):
+        r = row(rho)
+        vals = r.combine([c @ basis[p] for c, p in r.sums])
+        i, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[i, k] < best:
+            best, at = float(vals[i, k]), (rho, float(omegas[i]), float(psis[k]))
+    return best, at
+
+
+def _scan(check, grid):
+    """(max_power, row) of the k1 or the k2 scan over `grid`."""
+    from thetasep.lemmas import _a_tail_bound, _dominance_row, _theta_dagger_scan
+    if check == "k1":
+        row, max_power, _ = _theta_dagger_scan(grid)
+        return max_power, row
+    return 7, _dominance_row(grid, _a_tail_bound())
+
+
+@settings(max_examples=80, deadline=None)
+@given(check=st.sampled_from(["k1", "k2"]),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       modulus_steps=st.integers(2, 12), argument_steps=st.integers(2, 12),
+       z_steps=st.integers(1, 97), pad=st.sampled_from([None, 1.0, 4.0]))
+def test_pruned_scan_matches_the_exhaustive_scan(check, ends, modulus_steps, argument_steps,
+                                                 z_steps, pad):
+    # a larger pad gives strides up to about 25 on these circles, most not dividing z_steps
+    from thetasep import lemmas
+    lo, hi = (C0, 0.6) if check == "k1" else (0.55, 0.6)
+    a, b = sorted(ends)
+    grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), modulus_steps,
+                    (math.pi / 2, math.pi if check == "k1" else 2 * math.pi / 3), argument_steps)
+    max_power, row = _scan(check, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        if pad is not None:
+            patch.setattr(lemmas, "_PAD", pad)
+        pruned = lemmas._scan_min(grid, z_steps, max_power, row)
+    assert pruned == _exhaustive_min(grid, z_steps, max_power, row)
+
+
+@pytest.mark.parametrize("check", ["k1", "k2"])
+def test_slope_bounds_are_the_term_majorants(check):
+    # L_psi = sum_p p |c_p| (k2: weighted by |xi| for B), and it bounds the sampled slope
+    from thetasep.lemmas import _theta_dagger_terms
+    lo, hi, top = (C0, 0.6, math.pi) if check == "k1" else (0.55, 0.6, 2 * math.pi / 3)
+    grid = GridSpec((lo, hi), 3, (math.pi / 2, top), 5)
+    max_power, row = _scan(check, grid)
+    psis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    basis = np.exp(1j * np.outer(np.arange(max_power + 1), psis))
+    for rho in map(float, grid.moduli()):
+        r = row(rho)
+        if check == "k1":
+            moduli = [rho ** (j * (j - 2) / 2) for j in range(_theta_dagger_terms(rho)[0])]
+            slope = math.fsum(j * m for j, m in enumerate(moduli))
+        else:
+            xi = rho ** -1.5
+            slope = (xi * (rho * xi + 2 * rho ** 3 * xi ** 2)
+                     + math.fsum(p * rho ** e * xi ** p
+                                 for p, e in ((4, 6), (5, 10), (6, 15), (7, 21))))
+        assert r.slope == pytest.approx(slope, rel=1e-12)
+        vals = r.combine([c @ basis[p] for c, p in r.sums])
+        steps = np.abs(np.diff(vals, axis=1, append=vals[:, :1])) / (psis[1] - psis[0])
+        assert np.max(steps) <= r.slope
+
+
+def test_an_unsound_slope_bound_misses_the_minimum():
+    # a row that claims a zero slope is judged by its psi = 0 sample alone
+    from thetasep.lemmas import _scan_min
+    grid = GridSpec((C0, 0.6), 6, (math.pi / 2, math.pi), 6)
+    max_power, row = _scan("k1", grid)
+
+    def flat(rho):
+        return row(rho)._replace(slope=0.0)
+
+    assert _scan_min(grid, 97, max_power, row) == _exhaustive_min(grid, 97, max_power, row)
+    assert _scan_min(grid, 97, max_power, flat) != _exhaustive_min(grid, 97, max_power, flat)
+
+
+def test_pruned_scans_at_the_defaults_refine_few_rows(monkeypatch):
+    # on the default grids (strides 11 and 3) a small share of (rho, omega) rows is refined
+    from thetasep import lemmas
+    shapes = []
+    scan_min = lemmas._scan_min
+
+    def recording(grid, z_steps, max_power, row):
+        def recorded(rho):
+            r = row(rho)
+
+            def combine(sums):
+                shapes.append(sums[0].shape)
+                return r.combine(sums)
+            return r._replace(combine=combine)
+        return scan_min(grid, z_steps, max_power, recorded)
+
+    monkeypatch.setattr(lemmas, "_scan_min", recording)
+    for check, z_steps, rows in ((verify_lemma_k1_direct, 720, 6400),
+                                 (verify_lemma_k2, 360, 3600)):
+        shapes.clear()
+        check()
+        assert sum(n for n, columns in shapes if columns < z_steps) == rows
+        assert sum(n for n, columns in shapes if columns == z_steps) < rows / 4
 
 
 def test_mu_margins_pinned_exactly():
