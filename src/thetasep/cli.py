@@ -45,6 +45,13 @@ EXIT_NUMERICAL = 3
 # a check's largest arrays (a k1 row's products over arg q x arg z, and the coefficient
 # matrices the k1 scan keeps for every modulus row) to a few hundred MB.
 MAX_VERIFY_STEPS = {"modulus_steps": 10_000, "argument_steps": 10_000, "z_steps": 100_000}
+# Accepted ranges of the `verify` sample flags, refused before any array is built: the
+# least each check takes, and at the top a few hundred MB (mu keeps about 200 bytes a
+# sample, AB about 100 a grid point).
+VERIFY_SAMPLE_RANGES = {"samples": (2, 1_000_000), "grid_points": (1000, 1_000_000)}
+# Largest accepted modulus x argument node count of a grid that a run scans: Q's default
+# 2000 x 2000.  The k1 scan keeps about 200 bytes of coefficients a node, 0.8 GB at the cap.
+MAX_VERIFY_GRID_NODES = 2000 * 2000
 
 
 @dataclass
@@ -226,18 +233,26 @@ def _report_payload(rep):
 
 
 def cmd_verify(args):
-    for flag, most in MAX_VERIFY_STEPS.items():
+    ranges = {flag: (1, most) for flag, most in MAX_VERIFY_STEPS.items()}
+    for flag, (least, most) in (ranges | VERIFY_SAMPLE_RANGES).items():
         value = getattr(args, flag)
-        if value is not None and not 1 <= value <= most:
-            raise DomainError(f"--{flag.replace('_', '-')} must lie in [1, {most}], got {value}")
+        if value is not None and not least <= value <= most:
+            raise DomainError(
+                f"--{flag.replace('_', '-')} must lie in [{least}, {most}], got {value}")
     # unset step flags fall back to each check's library default grid
     ms, asteps = args.modulus_steps, args.argument_steps
+    nodes = {"Q": (ms or 2000, asteps or 2000), "k1": (ms or 80, asteps or 80),
+             "k2": (ms or 60, asteps or 60)}
+    for name, (n_mod, n_arg) in nodes.items():
+        if args.lemma in (name, "all") and n_mod * n_arg > MAX_VERIFY_GRID_NODES:
+            raise DomainError(
+                f"the {name} grid of {n_mod} x {n_arg} nodes (--modulus-steps x "
+                f"--argument-steps) exceeds {MAX_VERIFY_GRID_NODES}")
     zsteps = args.z_steps or lemmas.DEFAULT_K1_Z_STEPS
-    q_grid = lemmas.GridSpec((0.6 / (ms or 2000), 0.6), ms or 2000,
-                             (math.pi / 2, math.pi), asteps or 2000)
-    k1_grid = lemmas.GridSpec((C0, 0.6), ms or 80, (math.pi / 2, math.pi), asteps or 80)
-    k2_grid = lemmas.GridSpec((0.55, 0.6), ms or 60,
-                              (math.pi / 2, 2 * math.pi / 3), asteps or 60)
+    (q_mod, q_arg), (k1_mod, k1_arg), (k2_mod, k2_arg) = nodes.values()
+    q_grid = lemmas.GridSpec((0.6 / q_mod, 0.6), q_mod, (math.pi / 2, math.pi), q_arg)
+    k1_grid = lemmas.GridSpec((C0, 0.6), k1_mod, (math.pi / 2, math.pi), k1_arg)
+    k2_grid = lemmas.GridSpec((0.55, 0.6), k2_mod, (math.pi / 2, 2 * math.pi / 3), k2_arg)
     runners = {
         "constants": lambda: lemmas.verify_constants(),
         "mu": lambda: lemmas.mu_properties_check(samples=lemmas.mu_samples(args.samples)),

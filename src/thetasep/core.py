@@ -167,7 +167,9 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
     subnormal.  Sums are Kahan-compensated, rescaled before a term would
     pass _RESCALE_AT (see `_rescale`), and returned with the exponent folded
     back when it fits.  A list `kept` receives the included terms, in units
-    of 2^-exponent, and then nothing is folded.  With `derivative`
+    of 2^-exponent, and then nothing is folded.  `what` names the series in
+    the BudgetExceeded message: a string, or a function that returns one
+    only when the message is made.  With `derivative`
     (x = z != 0) the pass also sums j t_j / z, each term formed as
     j t_{j-1} p q^{j-1} so that no subnormal t_j is divided by z; its tail
     is below |t_{n-1} p q^{n-1}| (n / (1 - r) + r / (1 - r)^2).  It returns
@@ -221,7 +223,8 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
                                   weighted_scale + weighted_tail)], exponent)
         if used >= max_terms:
             raise BudgetExceeded(
-                f"{what}: tail not below {budget.tolerance:g} within {max_terms} terms")
+                f"{what() if callable(what) else what}: tail not below {budget.tolerance:g} "
+                f"within {max_terms} terms")
         while bound > _RESCALE_AT:
             factor, exponent, tolerance = _rescale(modulus, r, exponent, budget.tolerance)
             term *= factor
@@ -320,37 +323,58 @@ def eval_theta_and_dz(q, z, budget=DEFAULT_BUDGET):
                               derivative=True))
 
 
-def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET, derivative=False):
-    """The terms of theta(q, radius) folded mod n, the term-sum scale and the exponent.
+def circle_terms(q, radius, budget=DEFAULT_BUDGET):
+    """The terms c_j = q^{j(j+1)/2} radius^j of theta(q, radius) and their EvalResult.
 
-    On |z| = radius, theta(q, radius e^{i psi}) = sum_j c_j e^{i j psi} with
-    c_j = q^{j(j+1)/2} radius^j, the terms of theta(q, radius) itself.  At
-    psi = 2 pi k / n the powers e^{i j psi} repeat with period n in j, so
-    the n samples are sum_m a_m e^{2 pi i m k / n}, an inverse DFT without
-    the 1/n, of the folded terms a_m = sum_{j = m mod n} c_j.  The terms,
-    their tail bound, the rescaling and the term budget are those of the
-    scalar kernel; a and the scale are stored times 2^-exponent.
-
-    With `derivative` the folded terms are a (2, n) array whose second row
-    folds the j c_j of z theta'(z) = sum_j j c_j e^{i j psi}: for j = m + l n
-    that is m a_m + n sum_l l c_{m + l n}, and the second sum is nonzero only
-    on a circle with more than n terms.
+    The terms are a list in units of 2^-exponent, as are the result's value,
+    tail bound and scale; the exponent is not folded back.  They are those
+    of the scalar kernel: its tail bound, rescaling and term budget.
     """
     q = as_q(q)
     kept = []
     res = _series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, float(radius), budget,
-                       f"theta on |z| = {radius:g}", kept)
-    rows = np.zeros((2 if derivative else 1, n), dtype=complex)
-    folded = rows[0]
-    folded[:min(n, len(kept))] = kept[:n]
-    for wrap, start in enumerate(range(n, len(kept), n), 1):
-        chunk = kept[start:start + n]
+                       lambda: f"theta on |z| = {radius:g}", kept)
+    return kept, res
+
+
+def fold_terms(terms, out):
+    """Add the terms c_j folded mod n into a zeroed `out`: an (n,) row, or (2, n) rows.
+
+    On |z| = radius, theta(q, radius e^{i psi}) = sum_j c_j e^{i j psi}.  At
+    psi = 2 pi k / n the powers e^{i j psi} repeat with period n in j, so
+    the n samples are sum_m a_m e^{2 pi i m k / n}, an inverse DFT without
+    the 1/n, of the folded terms a_m = sum_{j = m mod n} c_j.
+
+    A (2, n) `out` also takes in its second row the folded j c_j of
+    z theta'(z) = sum_j j c_j e^{i j psi}: for j = m + l n that is
+    m a_m + n sum_l l c_{m + l n}, and the second sum is nonzero only when
+    there are more than n terms.  Only the first min(n, len(terms)) entries
+    of that row take m a_m; the others stay zero.
+    """
+    n = out.shape[-1]
+    derivative = out.ndim == 2
+    folded = out[0] if derivative else out
+    head = min(n, len(terms))
+    folded[:head] = terms[:n]
+    for wrap, start in enumerate(range(n, len(terms), n), 1):
+        chunk = terms[start:start + n]
         folded[:len(chunk)] += chunk
         if derivative:
-            rows[1, :len(chunk)] += np.multiply(n * wrap, chunk)
-    if not derivative:
-        return folded, res.scale, res.exponent
-    rows[1] += np.arange(n) * folded
+            out[1, :len(chunk)] += np.multiply(n * wrap, chunk)
+    if derivative:
+        out[1, :head] += np.arange(head) * folded[:head]
+
+
+def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET, derivative=False):
+    """The terms of theta(q, radius) folded mod n, the term-sum scale and the exponent.
+
+    The folded terms (see `fold_terms`) are an (n,) array, or with
+    `derivative` a (2, n) array whose second row folds the j c_j of
+    z theta'(z); they and the scale are stored times 2^-exponent.
+    """
+    terms, res = circle_terms(q, radius, budget)
+    rows = np.zeros((2, n) if derivative else n, dtype=complex)
+    fold_terms(terms, rows)
     return rows, res.scale, res.exponent
 
 

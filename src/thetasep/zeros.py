@@ -5,9 +5,10 @@ isolated inside the modulus annulus |q|^{-k+1/2} < |z| < |q|^{-k-1/2} (the
 punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.  Zeros
 inside a circle are counted by the argument principle: the 256 samples of
 theta on each circle are one inverse FFT of the series terms (core's
-`circle_coefficients`), all circles of a call are rows of one 2-D pass, the
-phase increments between neighbours below pi/2 are summed as an array, and
-only the other intervals are bisected, one scalar evaluation per new point.
+`circle_terms`, folded by `fold_terms`), all circles of a call are rows of
+one preallocated block and one 2-D pass, the phase increments between
+neighbours below pi/2 are summed as an array, and only the other intervals
+are bisected, one scalar evaluation per new point.
 
 `verify_separation` also takes z theta' at the same samples, from a second
 folded row of each circle in the same FFT pass.  The first moment
@@ -15,9 +16,14 @@ s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n is the trapezoid rule for
 (1/2 pi i) times the integral of z theta'/theta around |z| = r (Delves and
 Lyness, Math. Comp. 21, 1967): the sum of the zeros inside, to an error that
 shrinks geometrically in N.  An annulus that holds one zero therefore has it
-at s1(r_k) - s1(r_{k-1}).  One evaluation checks that estimate, and Newton
-polishes it only when it misses the residual tolerance.  Any other annulus,
-and a bare `locate_zero`, runs Newton from the asymptotic position -q^{-k}.
+at s1(r_k) - s1(r_{k-1}).  That estimate z is checked on the terms c_j the
+outer circle r_k already summed for its FFT, kept in its units 2^-E: one
+Horner pass in w = z / r_k gives theta(z), theta'(z) and the scale
+sum_j |c_j| |w|^j, within a rounding bound gamma_4J times that scale.  No
+series is summed again at z, and Newton polishes the estimate only when it
+misses the residual tolerance (or lies on or outside r_k).  Any other
+annulus, and a bare `locate_zero`, runs Newton from the asymptotic position
+-q^{-k}.
 
 Near the k-th zero the term moduli grow like |q|^{-k^2/2}, past the float
 range for k >= 25 at |q| = 0.1.  The series kernel behind the contour terms
@@ -48,10 +54,11 @@ from .core import (
     DEFAULT_BUDGET,
     QParameter,
     as_q,
-    circle_coefficients,
+    circle_terms,
     eval_theta,
     eval_theta_and_dz,
     eval_theta_dz,  # noqa: F401  (kept importable: bench/tracer.py wraps zeros.eval_theta_dz)
+    fold_terms,
     ldexp_complex,
 )
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
@@ -117,10 +124,13 @@ class WindingResult:
 class ZeroRecord:
     k: int
     location: complex
-    residual: float          # |theta(location)| / scale  (backward-relative)
+    residual: float          # |theta(location)| / scale  (backward-relative); in
+                             # verify_separation, with newton_iterations 0, from the Horner
+                             # check on the outer circle's terms, else from Newton's last pass
     annulus_ok: bool
     newton_iterations: int   # Newton steps from the seed; in verify_separation, polish
-                             # steps from the moment estimate (0 when it met the tolerance)
+                             # steps from the moment estimate (0 when the Horner check of
+                             # the estimate met the tolerance: no series pass was made)
     converged: bool
     theta_abs: float         # raw |theta(location)|, inf beyond the float range
     derivative_abs: float    # raw |theta'(location)|, likewise
@@ -174,33 +184,37 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 
 
 def _contours(q, radii, initial_samples, budget, moments=False):
-    """`winding_numbers`, and with `moments` the first moment s1 of each circle too.
+    """`winding_numbers`, and with `moments` the first moment s1 and the terms of each circle.
 
-    s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
-    samples, the sum of the zeros inside |z| = r; the z theta'_n come from
-    the derivative row of each circle (core's `circle_coefficients`) in the
-    same inverse FFT as theta, so the exponent cancels in the ratio.  A
-    moment is None where the circle failed.
+    Each circle's folded terms are written into its row of one zeroed
+    block, in the order of the circles whose series succeed.  With
+    `moments` a row is a (2, N) pair whose second row folds z theta'
+    (core's `fold_terms`), and s1(r) = (1/N) sum_n z_n (z_n theta'_n) /
+    theta_n over the N initial samples, the sum of the zeros inside
+    |z| = r; theta and z theta' come from the same inverse FFT, so the
+    exponent cancels in the ratio.  Returns the results, the moments and
+    the circles' (terms, EvalResult) from core's `circle_terms`; a moment
+    is None where the circle failed, its terms where its series did.
     """
     q = as_q(q)
     for radius in radii:
         if not (radius > 0 and math.isfinite(radius)):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
-    results, sums = [None] * len(radii), [None] * len(radii)
-    kernel_args = (n0, budget, True) if moments else (n0, budget)
-    circles, rows = [], []  # per row of the sample array: (index, scale, exponent)
+    results, sums, terms = [None] * len(radii), [None] * len(radii), [None] * len(radii)
+    block = np.zeros((len(radii), 2, n0) if moments else (len(radii), n0), dtype=complex)
+    circles = []  # per row of the block: (index, scale, exponent)
     for i, radius in enumerate(radii):
         try:
-            row, scale, exponent = circle_coefficients(q, radius, *kernel_args)
+            terms[i] = kept, res = circle_terms(q, radius, budget)
         except (BudgetExceeded, OverflowError) as exc:
             results[i] = exc
         else:
-            circles.append((i, scale, exponent))
-            rows.append(row)
-    if not rows:
-        return results, sums
-    samples = np.fft.ifft(np.array(rows), axis=-1, norm="forward")
+            fold_terms(kept, block[len(circles)])
+            circles.append((i, res.scale, res.exponent))
+    if not circles:
+        return results, sums, terms
+    samples = np.fft.ifft(block[:len(circles)], axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
     minima = np.min(np.abs(vals), axis=1) / np.array([scale for _, scale, _ in circles])
     # a circle through an exact zero fails in _resolve_phase; no array divides by its samples
@@ -236,7 +250,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
         for row, (i, _, _) in enumerate(circles):
             if isinstance(results[i], WindingResult):
                 sums[i] = first[row]
-    return results, sums
+    return results, sums, terms
 
 
 @functools.lru_cache(maxsize=4)
@@ -309,10 +323,10 @@ def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
     return counts[0] - sum(counts[1:])
 
 
-def _raw_abs(res):
-    """|value| of an EvalResult in absolute units, inf where that leaves the float range."""
+def _raw_abs(modulus, exponent):
+    """modulus * 2^exponent, inf where that leaves the float range."""
     try:
-        return math.ldexp(abs(res.value), res.exponent)
+        return math.ldexp(modulus, exponent)
     except OverflowError:
         return math.inf
 
@@ -330,7 +344,8 @@ def _newton(q, seed, residual_tol, max_iterations, budget):
         scaled = abs(f.value) / f.scale
         converged = scaled < residual_tol and (tiny or iterations < max_iterations)
         if converged or tiny or iterations == max_iterations or fp.value == 0:
-            return z, scaled, _raw_abs(f), _raw_abs(fp), iterations, converged
+            return (z, scaled, _raw_abs(abs(f.value), f.exponent),
+                    _raw_abs(abs(fp.value), fp.exponent), iterations, converged)
         step = f.value / fp.value
         z -= step
         iterations += 1
@@ -373,14 +388,66 @@ def _zero_record(q, k, seed, radii, residual_tol, max_iterations, budget):
                       theta_abs=raw, derivative_abs=dmod)
 
 
+def _horner(terms, w):
+    """(sum_j c_j w^j, sum_j j c_j w^(j-1), sum_j |c_j| |w|^j) by Horner's rule over the c_j.
+
+    For J terms the computed first sum is within gamma_4J sum_j |c_j| |w|^j
+    of the exact one, gamma_m = m u / (1 - m u): Horner's bound for real
+    arithmetic is gamma_2J times that sum (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 5.1), and a complex product
+    is within sqrt(2) gamma_2 of the exact one (section 3.6), so each step
+    contributes at most (1 + 2 sqrt(2)) u < 4u.  The other two sums carry
+    rounding errors of the same order.
+    """
+    backwards = reversed(terms)
+    value = next(backwards)
+    slope, modulus, scale = 0j, abs(w), abs(value)
+    for c in backwards:
+        slope = slope * w + value
+        value = value * w + c
+        scale = scale * modulus + abs(c)
+    return value, slope, scale
+
+
+def _checked_estimate(k, z, circle, radii, residual_tol):
+    """The ZeroRecord of a moment estimate z of the k-th zero if it meets `residual_tol`, else None.
+
+    `circle` holds the terms c_j of the outer circle |z| = r_k and their
+    EvalResult (core's `circle_terms`), in its units 2^-E, and `radii` the
+    annulus radii (inner, r_k).  theta(z) = sum_j c_j w^j with w = z / r_k
+    takes one Horner pass, with theta'(z) = sum_j j c_j w^(j-1) / r_k and
+    the scale sum_j |c_j| |w|^j.  Inside the circle |w| < 1, so the
+    circle's tail bound also bounds the terms the pass drops and joins the
+    scale.  An estimate on or outside the circle gets None.
+    """
+    inner, outer = radii
+    modulus = abs(z)
+    if not modulus < outer:
+        return None
+    terms, res = circle
+    value, slope, scale = _horner(terms, z / outer)
+    residual = abs(value) / (scale + res.tail_bound)
+    if not residual < residual_tol:
+        return None
+    # |slope| / r_k can underflow where |theta'| = 2^E |slope| / r_k does not: divide by the
+    # mantissa of r_k and move its binary exponent into E
+    mantissa, binary = math.frexp(outer)
+    return ZeroRecord(k=k, location=z, residual=residual, annulus_ok=inner < modulus,
+                      newton_iterations=0, converged=True,
+                      theta_abs=_raw_abs(abs(value), res.exponent),
+                      derivative_abs=_raw_abs(abs(slope) / mantissa, res.exponent - binary))
+
+
 def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_error="raise"):
     """Count and locate the zeros for k = 1..k_max and check the annulus conditions.
 
     Declares strong separation iff every annulus holds exactly one zero and
     every located zero satisfies its modulus condition.  The zero of an
     annulus that holds one is the difference of the first moments of its
-    boundary circles, checked by one evaluation and polished by Newton only
-    if it misses `residual_tol`; any other annulus runs `locate_zero`.  With
+    boundary circles.  It is checked by one Horner pass over the terms its
+    outer circle summed for the contour (`_checked_estimate`), and polished
+    by Newton from the estimate only if it misses `residual_tol` or does not
+    lie inside that circle; any other annulus runs `locate_zero`.  With
     on_error="record", per-k contour/convergence failures are noted in the
     report instead of raised.
     """
@@ -403,9 +470,11 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
             radii[k] = q.modulus ** -(k + 0.5)
         except OverflowError as exc:  # the radius itself leaves the float range
             circles[k] = exc
-    results, sums = _contours(q, list(radii.values()), INITIAL_SAMPLES, budget, moments=True)
+    results, sums, terms = _contours(q, list(radii.values()), INITIAL_SAMPLES, budget,
+                                     moments=True)
     circles.update(zip(radii, results))
     moments.update(zip(radii, sums))
+    terms = dict(zip(radii, terms))
     for k in range(1, k_max + 1):
         result = circles[k]
         if isinstance(result, Exception):
@@ -426,8 +495,10 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
                 if not q.value.imag:  # the lone zero of an annulus is then its own conjugate
                     estimate = complex(estimate.real)
                 annulus = (radii.get(k - 1, 0.0), radii[k])  # |q|^{-(k -+ 1/2)}, 0 for k = 1
-                report.records[k] = _zero_record(q, k, estimate, annulus, residual_tol,
-                                                 MAX_NEWTON_ITERATIONS, budget)
+                report.records[k] = (
+                    _checked_estimate(k, estimate, terms[k], annulus, residual_tol)
+                    or _zero_record(q, k, estimate, annulus, residual_tol,
+                                    MAX_NEWTON_ITERATIONS, budget))
             else:
                 report.records[k] = locate_zero(q, k, residual_tol=residual_tol, budget=budget)
         except (NoConvergence, ContourTooClose, BudgetExceeded, OverflowError) as exc:

@@ -168,6 +168,61 @@ def test_verify_refuses_huge_step_flags_before_building_a_grid(capsys, monkeypat
         assert err.startswith(f"error: {flag} must lie in [1, ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lemma, flag, value, least, most", [
+    ("mu", "--samples", "1000000000000", 2, 1_000_000),
+    ("mu", "--samples", "-3", 2, 1_000_000),
+    ("k1", "--samples", "1000001", 2, 1_000_000),
+    ("AB", "--grid-points", "100000000000", 1000, 1_000_000),
+    ("AB", "--grid-points", "999", 1000, 1_000_000),
+])
+def test_verify_refuses_sample_flags_out_of_range_before_any_array(capsys, monkeypatch,
+                                                                   lemma, flag, value,
+                                                                   least, most):
+    # refused in cmd_verify: no check, and so no sample array, is reached
+    from thetasep import lemmas
+    for check in ("mu_properties_check", "verify_AB_monotone", "verify_lemma_k1"):
+        monkeypatch.setattr(lemmas, check, None)
+    code, out, err = run(capsys, ["verify", "--lemma", lemma, flag, value])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must lie in [{least}, {most}], got {value}\n"
+
+
+@pytest.mark.parametrize("lemma, argv, grid", [
+    ("k1", ["--modulus-steps", "10000", "--argument-steps", "10000"], "k1 grid of 10000 x 10000"),
+    ("k2", ["--modulus-steps", "2001", "--argument-steps", "2000"], "k2 grid of 2001 x 2000"),
+    ("Q", ["--modulus-steps", "2001"], "Q grid of 2001 x 2000"),
+    ("all", ["--argument-steps", "2001"], "Q grid of 2000 x 2001"),
+])
+def test_verify_refuses_a_grid_above_the_node_cap_before_building_it(capsys, monkeypatch,
+                                                                      lemma, argv, grid):
+    # each flag lies within its own bound; the product is refused before any GridSpec
+    from thetasep import cli, lemmas
+    monkeypatch.setattr(lemmas, "GridSpec", None)
+    code, out, err = run(capsys, ["verify", "--lemma", lemma, *argv])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: the {grid} nodes") and err.count("\n") == 1
+    assert str(cli.MAX_VERIFY_GRID_NODES) in err
+
+
+def test_verify_node_cap_admits_every_default_grid(capsys, monkeypatch):
+    # Q's default 2000 x 2000 is the cap; a larger product on another check's grid passes
+    from thetasep import cli, lemmas
+    assert cli.MAX_VERIFY_GRID_NODES == 2000 * 2000
+    grids = []
+
+    def stub(grid, **kwargs):
+        grids.append((grid.modulus_steps, grid.argument_steps))
+        return lemmas.VerificationReport.build("Q", {}, {"stub": 1.0}, grid)
+
+    monkeypatch.setattr(lemmas, "verify_lemma_Q", stub)
+    assert run(capsys, ["verify", "--lemma", "Q"])[0] == 0
+    assert run(capsys, ["verify", "--lemma", "Q", "--modulus-steps", "2000",
+                        "--argument-steps", "2000"])[0] == 0
+    monkeypatch.setattr(lemmas, "verify_lemma_k1", stub)
+    assert run(capsys, ["verify", "--lemma", "k1", "--modulus-steps", "10000"])[0] == 0
+    assert grids == [(2000, 2000), (2000, 2000), (10000, 80)]
+
+
 def _exhaustive_grid_minimum(grid, z_steps, max_power, values):
     """(min, rho, omega, psi) of values(rho, omegas, basis) over every grid node."""
     psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)

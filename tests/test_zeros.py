@@ -8,6 +8,7 @@ import pytest
 from thetasep import (
     C0,
     Annulus,
+    BudgetExceeded,
     ContourTooClose,
     DomainError,
     NoConvergence,
@@ -21,7 +22,10 @@ from thetasep import (
 )
 from thetasep import zeros
 from thetasep.core import (
+    EvalResult,
+    SeriesBudget,
     circle_coefficients,
+    circle_terms,
     eval_theta,
     eval_theta_and_dz,
     eval_theta_dz,
@@ -414,16 +418,14 @@ def test_winding_numbers_exact_zero_sample_stays_in_its_row(monkeypatch):
     # a row 1 - e^{2 pi i k / n} vanishes exactly at k = 0; no array divides by it
     q = QParameter(cmath.rect(0.4, 2.5))
     radii = [q.modulus ** -(k + 0.5) for k in range(1, 4)]
-    kernel = zeros.circle_coefficients
+    kernel = zeros.circle_terms
 
-    def coefficients(q, radius, n, budget):
+    def terms(q, radius, budget):
         if radius != radii[1]:
-            return kernel(q, radius, n, budget)
-        row = np.zeros(n, dtype=complex)
-        row[:2] = 1.0, -1.0
-        return row, 2.0, 0
+            return kernel(q, radius, budget)
+        return [1.0, -1.0], EvalResult(0j, 0.0, 2, 2.0)
 
-    monkeypatch.setattr(zeros, "circle_coefficients", coefficients)
+    monkeypatch.setattr(zeros, "circle_terms", terms)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         batch = winding_numbers(q, radii)
@@ -500,15 +502,13 @@ def test_moment_locations_match_newton_from_the_asymptotic_seed():
 def test_moment_estimate_off_by_1e_6_is_polished_by_newton(monkeypatch):
     q = QParameter(-0.3 + 0.3j)
     exact = verify_separation(q, 8)
-    kernel = zeros.circle_coefficients
+    kernel = zeros.fold_terms
 
-    def coefficients(q, radius, n, budget, derivative=False):
-        rows, scale, exponent = kernel(q, radius, n, budget, derivative)
-        if derivative:
-            rows[1] *= 1 + 1e-6  # every moment, so every estimate, 1e-6 relative off
-        return rows, scale, exponent
+    def fold(terms, out):
+        kernel(terms, out)
+        out[1] *= 1 + 1e-6  # every moment, so every estimate, 1e-6 relative off
 
-    monkeypatch.setattr(zeros, "circle_coefficients", coefficients)
+    monkeypatch.setattr(zeros, "fold_terms", fold)
     rep = verify_separation(q, 8)
     assert rep.strongly_separated
     for k in range(1, 9):
@@ -546,3 +546,173 @@ def test_moment_zeros_of_real_q_are_real(q, k_max):
         assert rec.location.imag == 0.0 and rec.newton_iterations == 0
         ref = locate_zero(q, k)
         assert abs(rec.location - ref.location) <= 1e-9 * abs(ref.location)
+
+
+# ---------------------------------------------------------------------------
+# checking a moment estimate on the terms of its outer circle
+# ---------------------------------------------------------------------------
+
+def _series_check(monkeypatch):
+    """Make verify_separation check every moment estimate by a fresh eval_theta_and_dz pass."""
+    monkeypatch.setattr(zeros, "_checked_estimate", lambda *args: None)
+
+
+def _residual_error_bound(q, k, z):
+    """Bound on |Horner residual - series residual| at z for the k-th outer circle.
+
+    Horner's rounding, gamma_4J of the scale for J terms, and the rounding of
+    the terms of both passes, 2^-52 (n + 6)^2 for n terms each (see core's
+    `_series_eval`), plus both dropped tails; in units of the series scale.
+    """
+    u = 2.0 ** -53
+    terms, circle = circle_terms(q, q.modulus ** -(k + 0.5))
+    f = eval_theta(q, z)
+    assert circle.exponent == f.exponent == 0
+    big_j, n = len(terms), f.terms_used
+    rounding = 4 * big_j * u / (1 - 4 * big_j * u) + 2.0 ** -52 * ((big_j + 6) ** 2 + (n + 6) ** 2)
+    return rounding + (circle.tail_bound + f.tail_bound) / f.scale
+
+
+def test_horner_check_matches_the_series_check_on_region_draws(monkeypatch):
+    draws = _region_draws(512, 7919)
+    reports = [verify_separation(q, k_max, on_error="record") for q, k_max in draws]
+    _series_check(monkeypatch)
+    checked = 0
+    for (q, k_max), rep in zip(draws, reports):
+        ref = verify_separation(q, k_max, on_error="record")
+        assert (rep.counts, rep.notes, rep.warnings) == (ref.counts, ref.notes, ref.warnings)
+        assert rep.strongly_separated == ref.strongly_separated
+        for k in range(1, k_max + 1):
+            rec, want = rep.records[k], ref.records[k]
+            assert rec.location == want.location  # bit for bit: the check only accepts it
+            assert (rec.annulus_ok, rec.converged) == (want.annulus_ok, want.converged)
+            assert rec.newton_iterations == want.newton_iterations
+            assert rec.residual < 1e-10
+            assert rec.derivative_abs == pytest.approx(want.derivative_abs, rel=1e-9)
+            if rep.counts[k] == 1 and rec.newton_iterations == 0:
+                checked += 1
+                assert abs(rec.residual - want.residual) <= _residual_error_bound(
+                    q, k, rec.location)
+                if rec.theta_abs:  # |theta| / residual is the scale sum_j |c_j| |w|^j + tail
+                    assert rec.theta_abs / rec.residual == pytest.approx(
+                        eval_theta(q, rec.location).scale, rel=1e-9)
+    assert checked == sum(k_max for _, k_max in draws)
+
+
+@pytest.mark.parametrize("q, exponent, z_over_r", [
+    (cmath.rect(0.4, 2.5), 3.5, cmath.rect(0.7, 1.0)),
+    (-0.5, 6.5, -0.9),
+    (cmath.rect(0.2, 3.0), 24.1, cmath.rect(0.95, -2.0)),  # terms in units 2^-600
+])
+def test_horner_sums_against_mpmath(q, exponent, z_over_r):
+    import mpmath
+    q = QParameter(q)
+    terms, _ = circle_terms(q, q.modulus ** -exponent)
+    value, slope, scale = zeros._horner(terms, z_over_r)
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z_over_r)
+        want = [mpmath.fsum(mpmath.mpc(c) * w ** j for j, c in enumerate(terms)),
+                mpmath.fsum(j * mpmath.mpc(c) * w ** (j - 1) for j, c in enumerate(terms) if j),
+                mpmath.fsum(abs(mpmath.mpc(c)) * abs(w) ** j for j, c in enumerate(terms))]
+        moduli = [want[2], mpmath.fsum(j * abs(mpmath.mpc(c)) * abs(w) ** (j - 1)
+                                       for j, c in enumerate(terms) if j), want[2]]
+        gamma = 4 * len(terms) * 2.0 ** -53 / (1 - 4 * len(terms) * 2.0 ** -53)
+        for got, exact, bound in zip((value, slope, scale), want, moduli):
+            assert abs(mpmath.mpc(got) - exact) <= gamma * bound
+
+
+def test_checked_estimates_make_no_series_pass(monkeypatch):
+    calls = []
+
+    def spy(q, z, budget):
+        calls.append(z)
+        return eval_theta_and_dz(q, z, budget)
+
+    monkeypatch.setattr(zeros, "eval_theta_and_dz", spy)
+    rep = verify_separation(QParameter(-0.3 + 0.3j), 8)
+    assert rep.strongly_separated
+    assert all(rep.records[k].newton_iterations == 0 for k in range(1, 9))
+    assert calls == []
+
+
+@pytest.mark.parametrize("q, k_max", [(0.1, 40), (1e-3, 102)])
+def test_horner_check_past_the_float_range(monkeypatch, q, k_max):
+    # the outer circles of k >= 25 at q = 0.1 (k >= 20 at 1e-3) are rescaled (exponent > 0),
+    # and the raw |theta| and |theta'| near their zeros leave the float range; at 1e-3
+    # |theta'| / 2^E = |sum_j j c_j w^(j-1)| / r_k underflows when it is formed as written
+    q = QParameter(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = verify_separation(q, k_max)
+        _series_check(monkeypatch)
+        ref = verify_separation(q, k_max)
+    exponents = [circle_terms(q, q.modulus ** -(k + 0.5))[1].exponent for k in (1, k_max)]
+    assert exponents[0] == 0 < exponents[-1]
+    assert math.isinf(ref.records[k_max].theta_abs)
+    assert math.isinf(ref.records[k_max].derivative_abs)
+    for k in range(1, k_max + 1):
+        rec, want = rep.records[k], ref.records[k]
+        assert rec.newton_iterations == want.newton_iterations == 0
+        assert rec.location == want.location and rec.residual < 1e-10
+        assert math.isinf(rec.theta_abs) == math.isinf(want.theta_abs)
+        assert rec.derivative_abs == pytest.approx(want.derivative_abs, rel=1e-9)
+
+
+def test_estimate_on_or_outside_its_circle_is_not_checked():
+    q = QParameter(-0.3 + 0.3j)
+    z = locate_zero(q, 3).location
+    inside = q.modulus ** -2.5, abs(z) * (1 + 1e-9)
+    rec = zeros._checked_estimate(3, z, circle_terms(q, inside[1]), inside, 1e-10)
+    assert rec.location == z and rec.newton_iterations == 0 and rec.annulus_ok
+    # on |z| = |w| = 1 the terms still sum theta(z) to the residual tolerance
+    on = inside[0], abs(z)
+    value, _, scale = zeros._horner(circle_terms(q, on[1])[0], z / on[1])
+    assert abs(value) / scale < 1e-10
+    assert zeros._checked_estimate(3, z, circle_terms(q, on[1]), on, 1e-10) is None
+
+
+def test_estimate_pushed_outside_its_circle_takes_newton(monkeypatch):
+    q = QParameter(-0.3 + 0.3j)
+    exact = verify_separation(q, 4)
+    zero, radius = exact.records[4].location, q.modulus ** -4.5
+    contours, record = zeros._contours, zeros._zero_record
+    seeds = []
+
+    def pushed(*args, **kwargs):
+        results, sums, terms = contours(*args, **kwargs)
+        sums[3] += zero / abs(zero) * radius * (1 + 1e-3) - zero  # k = 4 only: it is k_max
+        return results, sums, terms
+
+    def spy(q, k, seed, *args):
+        seeds.append((k, seed))
+        return record(q, k, seed, *args)
+
+    monkeypatch.setattr(zeros, "_contours", pushed)
+    monkeypatch.setattr(zeros, "_zero_record", spy)
+    rep = verify_separation(q, 4)
+    assert [k for k, _ in seeds] == [4] and abs(seeds[0][1]) > radius
+    assert [rep.records[k] for k in range(1, 4)] == [exact.records[k] for k in range(1, 4)]
+    assert rep.records[4].newton_iterations > 0 and rep.records[4].residual < 1e-10
+    assert abs(rep.records[4].location - zero) <= 1e-9 * abs(zero)
+
+
+def test_count_only_contours_fold_no_derivative_row(monkeypatch):
+    shapes = []
+    fold = zeros.fold_terms
+
+    def spy(terms, out):
+        shapes.append(out.shape)
+        fold(terms, out)
+
+    monkeypatch.setattr(zeros, "fold_terms", spy)
+    q = QParameter(-0.3 + 0.3j)
+    count_zeros_in_annulus(q, Annulus.for_index(3))
+    winding_numbers(q, [q.modulus ** -1.5, q.modulus ** -2.5, q.modulus ** -3.5])
+    assert shapes == [(256,)] * 5
+    verify_separation(q, 3)
+    assert shapes[5:] == [(2, 256)] * 3
+
+
+def test_circle_budget_message_names_the_radius():
+    with pytest.raises(BudgetExceeded, match=r"theta on \|z\| = 1e\+06: tail not below"):
+        circle_terms(QParameter(0.5), 1e6, SeriesBudget(max_terms=3))
