@@ -22,9 +22,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import asymptotics, lemmas, zeros
 from .core import C0, DEFAULT_BUDGET, QParameter, SeriesBudget
 from .core import eval_G, eval_Q, eval_R, eval_U
 from .core import eval_theta, eval_theta_dagger, eval_theta_star, ldexp_complex
@@ -50,8 +47,11 @@ MAX_VERIFY_STEPS = {"modulus_steps": 10_000, "argument_steps": 10_000, "z_steps"
 # sample, AB about 100 a grid point).
 VERIFY_SAMPLE_RANGES = {"samples": (2, 1_000_000), "grid_points": (1000, 1_000_000)}
 # Largest accepted modulus x argument node count of a grid that a run scans: Q's default
-# 2000 x 2000.  The k1 scan keeps about 200 bytes of coefficients a node, 0.8 GB at the cap.
+# 2000 x 2000.
 MAX_VERIFY_GRID_NODES = 2000 * 2000
+# Largest accepted estimate of the bytes the k1 or k2 scan holds at once (lemmas.scan_bytes):
+# the coefficients it keeps for every grid node, and one modulus row over arg q x arg z.
+MAX_VERIFY_SCAN_BYTES = 256 * 2 ** 20
 
 
 @dataclass
@@ -98,10 +98,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+    if type(obj).__module__ == "numpy":  # a numpy scalar; numpy itself need not be loaded
         return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -202,6 +200,8 @@ def cmd_eval(args):
 
 
 def cmd_zeros(args):
+    from . import zeros
+
     q = QParameter(parse_complex(args.q))
     report = zeros.verify_separation(q, args.kmax, residual_tol=args.residual_tol,
                                      on_error="record")
@@ -233,6 +233,8 @@ def _report_payload(rep):
 
 
 def cmd_verify(args):
+    from . import lemmas
+
     ranges = {flag: (1, most) for flag, most in MAX_VERIFY_STEPS.items()}
     for flag, (least, most) in (ranges | VERIFY_SAMPLE_RANGES).items():
         value = getattr(args, flag)
@@ -249,6 +251,13 @@ def cmd_verify(args):
                 f"the {name} grid of {n_mod} x {n_arg} nodes (--modulus-steps x "
                 f"--argument-steps) exceeds {MAX_VERIFY_GRID_NODES}")
     zsteps = args.z_steps or lemmas.DEFAULT_K1_Z_STEPS
+    for name in ("k1", "k2"):
+        if args.lemma in (name, "all") and (
+                size := lemmas.scan_bytes(name, *nodes[name], zsteps)) > MAX_VERIFY_SCAN_BYTES:
+            raise DomainError(
+                f"the {name} scan of {nodes[name][0]} x {nodes[name][1]} nodes and {zsteps} "
+                f"z-steps would hold about {size / 2 ** 20:.0f} MB, more than "
+                f"{MAX_VERIFY_SCAN_BYTES // 2 ** 20} MB")
     (q_mod, q_arg), (k1_mod, k1_arg), (k2_mod, k2_arg) = nodes.values()
     q_grid = lemmas.GridSpec((0.6 / q_mod, 0.6), q_mod, (math.pi / 2, math.pi), q_arg)
     k1_grid = lemmas.GridSpec((C0, 0.6), k1_mod, (math.pi / 2, math.pi), k1_arg)
@@ -276,6 +285,8 @@ def cmd_verify(args):
 
 
 def _scan_cell(modulus, argument, k, residual_tol):
+    from . import zeros
+
     q = QParameter.from_polar(modulus, argument)
     cell = {"modulus": modulus, "argument": argument}
     try:
@@ -291,6 +302,8 @@ def _scan_cell(modulus, argument, k, residual_tol):
 
 
 def cmd_scan(args):
+    import numpy as np
+
     if not 0.0 < args.a <= 0.6:
         raise DomainError(f"region radius must lie in (0, 0.6], got {args.a!r}")
     try:
@@ -314,6 +327,8 @@ def cmd_scan(args):
 
 
 def cmd_table(args):
+    from . import asymptotics
+
     if args.n:
         try:
             ns = [int(part) for part in args.n.split(",") if part.strip()]

@@ -29,8 +29,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import BudgetExceeded, DomainError, ZeroArgument
 
 # Radius below which strong modulus-separation of the zeros of theta(q, .) is
@@ -323,46 +321,56 @@ def eval_theta_and_dz(q, z, budget=DEFAULT_BUDGET):
                               derivative=True))
 
 
-def circle_terms(q, radius, budget=DEFAULT_BUDGET):
-    """The terms c_j = q^{j(j+1)/2} radius^j of theta(q, radius) and their EvalResult.
+def circle_terms(q, centre, budget=DEFAULT_BUDGET):
+    """The terms c_j = q^{j(j+1)/2} centre^j of theta(q, centre) and their EvalResult.
 
-    The terms are a list in units of 2^-exponent, as are the result's value,
-    tail bound and scale; the exponent is not folded back.  They are those
-    of the scalar kernel: its tail bound, rescaling and term budget.
+    On the circle through `centre` (a radius, or any nonzero complex
+    point), theta(q, centre e^{i psi}) = sum_j c_j e^{i j psi}.  The terms
+    are a list in units of 2^-exponent, as are the result's value, tail
+    bound and scale; the exponent is not folded back.  They are those of
+    the scalar kernel: its tail bound, rescaling and term budget.
     """
     q = as_q(q)
     kept = []
-    res = _series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, float(radius), budget,
-                       lambda: f"theta on |z| = {radius:g}", kept)
+    centre = centre if isinstance(centre, complex) else float(centre)
+    res = _series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, centre, budget,
+                       lambda: f"theta on |z| = {abs(centre):g}", kept)
     return kept, res
 
 
-def fold_terms(terms, out):
-    """Add the terms c_j folded mod n into a zeroed `out`: an (n,) row, or (2, n) rows.
+def fold_terms(terms, out, offset=0):
+    """Add the terms c_j, placed at bins offset + j, folded mod n into a zeroed `out`.
 
-    On |z| = radius, theta(q, radius e^{i psi}) = sum_j c_j e^{i j psi}.  At
-    psi = 2 pi k / n the powers e^{i j psi} repeat with period n in j, so
-    the n samples are sum_m a_m e^{2 pi i m k / n}, an inverse DFT without
-    the 1/n, of the folded terms a_m = sum_{j = m mod n} c_j.
+    `out` is an (n,) row, or (2, n) rows.  On |z| = radius,
+    theta(q, radius e^{i psi}) = sum_j c_j e^{i j psi}.  At psi = 2 pi k / n
+    the powers e^{i j psi} repeat with period n in j, so the n samples are
+    sum_m a_m e^{2 pi i m k / n}, an inverse DFT without the 1/n, of the
+    folded terms a_m = sum_{j = m mod n} c_j.  With an offset J (0 <= J < n)
+    term j goes to bin J + j mod n, which multiplies the samples by
+    e^{i J psi}.
 
     A (2, n) `out` also takes in its second row the folded j c_j of
     z theta'(z) = sum_j j c_j e^{i j psi}: for j = m + l n that is
     m a_m + n sum_l l c_{m + l n}, and the second sum is nonzero only when
-    there are more than n terms.  Only the first min(n, len(terms)) entries
-    of that row take m a_m; the others stay zero.
+    there are more than n terms.  Only the first min(n, offset + len(terms))
+    entries of that row take m a_m; the others stay zero.  That row weights
+    a term by its unfolded bin, offset + j, which is j only at offset 0.
     """
+    import numpy as np
+
     n = out.shape[-1]
     derivative = out.ndim == 2
     folded = out[0] if derivative else out
-    head = min(n, len(terms))
-    folded[:head] = terms[:n]
-    for wrap, start in enumerate(range(n, len(terms), n), 1):
+    head = min(n - offset, len(terms))
+    folded[offset:offset + head] = terms[:head]
+    for wrap, start in enumerate(range(head, len(terms), n), 1):
         chunk = terms[start:start + n]
         folded[:len(chunk)] += chunk
         if derivative:
             out[1, :len(chunk)] += np.multiply(n * wrap, chunk)
     if derivative:
-        out[1, :head] += np.arange(head) * folded[:head]
+        used = offset + head
+        out[1, :used] += np.arange(used) * folded[:used]
 
 
 def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET, derivative=False):
@@ -372,6 +380,8 @@ def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET, derivative=False):
     `derivative` a (2, n) array whose second row folds the j c_j of
     z theta'(z); they and the scale are stored times 2^-exponent.
     """
+    import numpy as np
+
     terms, res = circle_terms(q, radius, budget)
     rows = np.zeros((2, n) if derivative else n, dtype=complex)
     fold_terms(terms, rows)
@@ -384,6 +394,8 @@ def theta_on_circle(q, radius, n, budget=DEFAULT_BUDGET):
     One inverse FFT of the folded series terms (see `circle_coefficients`);
     the values and the scale are stored times 2^-exponent.
     """
+    import numpy as np
+
     coefficients, scale, exponent = circle_coefficients(q, radius, n, budget)
     return np.fft.ifft(coefficients, norm="forward"), scale, exponent
 

@@ -710,6 +710,26 @@ def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
     return VerificationReport.build("k1_direct", computed, {"min_abs_positive": best}, grid)
 
 
+# Bytes `_scan_min` holds per (arg q, arg z) node of the modulus row it evaluates, above
+# ru_maxrss measured per node: 22 for k1's |sum|, 38 for k2's two sums and their margin.
+_ROW_NODE_BYTES = {"k1": 24, "k2": 40}
+
+
+def scan_bytes(check, modulus_steps, argument_steps, z_steps):
+    """An upper estimate of the bytes the "k1" or "k2" scan holds at once, from its grid shape.
+
+    `_scan_min` keeps every modulus row's coefficient matrices, one complex
+    number a term per (|q|, arg q) node (k1: up to the 14 terms of its
+    largest modulus 0.6; k2: the 8 of B and A*), while it evaluates a
+    refined row over every (arg q, arg z) node; k1 runs with z_steps and k2
+    with k2_z_steps(z_steps) circle samples.
+    """
+    terms = _theta_dagger_terms(DEFAULT_K1_GRID.modulus_range[1])[0] if check == "k1" else 8
+    circle = z_steps if check == "k1" else k2_z_steps(z_steps)
+    return 16 * modulus_steps * argument_steps * terms + (
+        _ROW_NODE_BYTES[check] * argument_steps * circle)
+
+
 def verify_lemma_k1(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS, samples=2000):
     """Case landmarks plus the direct grid scan, merged into one report."""
     cases = verify_lemma_k1_cases(samples=samples)

@@ -32,6 +32,29 @@ times 2^-exponent.  Each Newton iterate takes theta and theta' from one pass
 over the terms (core's `eval_theta_and_dz`), in one exponent, so the step
 f / f', like the phases and the scaled modulus |theta| / scale, ignores it.
 
+Counting circles and Newton points also skip the terms far below the
+largest one, by the shift identity (from theta(q, z) = 1 + q z theta(q, q z)
+applied J times)
+
+    theta(q, z) = sum_{j<J} c_j + q^{J(J+1)/2} z^J theta(q, q^J z),
+
+c_j = q^{j(j+1)/2} z^j.  With t_j = ln(|q|^j |z|), |c_{j-1} / c_j| = e^{-t_j},
+so where |q| / |x| <= 1/2, x = q^J z, the head sum_{j<J} |c_j| is at most
+|c_J| / (|x| - |q|).  J is the largest index for which that bound is at most
+HEAD_FRACTION = 2^-53 of the largest term (`_head_shift`); after the sum the
+bound is checked against the kept series' own scale (`_head_bound`), and
+where it fails the point is summed unshifted, as with J = 0.  A circle
+|z| = r sums theta(q, q^J r) and folds its terms at bins J + i, so that its
+samples are e^{i J psi} theta(q, q^J r e^{i psi}): theta's own samples over
+the constant q^{J(J+1)/2} r^J, up to the head.  Phases, the n* guard,
+minima and counts then take the decisions of the unshifted samples, and a
+count also needs the sampled minimum of |theta| / scale above the head over
+the scale: Rouche's condition on the samples (CONTOUR_SAFETY implies it).  A
+Newton iterate evaluates theta(q, q^J z) and its derivative and steps by
+1 / (J / z + q^J theta' / theta); the factor q^{J(J+1)/2} z^J cancels in
+the step and the residual.  The moment circles of `verify_separation` stay
+unshifted: their Horner check needs the terms down to the inner radius.
+
 Residuals are backward-relative: |theta(z)| divided by the sum of the term
 moduli at z.  The raw modulus |theta(z)| has an irreducible rounding floor
 of about `scale * eps` (the series reaches 1e15 at desk-scale inputs), so
@@ -44,6 +67,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -62,6 +86,17 @@ from .core import (
     ldexp_complex,
 )
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
+
+# A shifted sum drops the head sum_{j<J} |c_j| only where its proven bound is at most this
+# fraction of the scale of the terms it keeps: below the rounding of that sum.
+HEAD_FRACTION = 2.0 ** -53
+_LN2 = math.log(2.0)
+_LOG_KEPT_FLOOR = math.log(2.0 / HEAD_FRACTION)  # 54 ln 2: see `_head_shift`
+_LOG_MIN_NORMAL = -math.log(sys.float_info.min)  # |q|^J is normal while J ln(1/|q|) is below
+# Relative allowance on the computed head bound for the roundings of q^J, x = q^J z, |x| and
+# the bound itself: q^J is a product of at most 2 log2 J rounded factors, or an exp/log pair
+# with an error of about |J log q| u <= 710 u, far below 2^-30 either way.
+_HEAD_ROUNDING = 1.0 + 2.0 ** -30
 
 # Below this scaled modulus the argument principle is considered unreliable.
 CONTOUR_SAFETY = 1e-6
@@ -148,6 +183,80 @@ class SeparationReport:
     notes: dict = field(default_factory=dict)           # k -> error message
 
 
+def _head_shift(q, modulus):
+    """The shift J the terms on |z| = modulus take: the largest whose head is provably negligible.
+
+    With a = -ln|q|, b = ln|z| and t_j = ln(|q|^j |z|) = b - a j, the ratio
+    |c_{j-1} / c_j| is e^{-t_j}.  In units of |c_J| the head sum_{j<J} |c_j|
+    is therefore at most 1 / (|x| - |q|) = e^{-t_J} / (1 - rho), |x| = e^{t_J},
+    where rho = |q| / |x| = e^{-t_{J-1}} bounds its backward ratios, and the
+    largest kept term is |c_{n*} / c_J| = e^{t_{J+1} + ... + t_{n*}}, with
+    n* = floor(b / a).  J is the largest index with rho <= 1/2 (then
+    1 / (1 - rho) <= 2) and head <= HEAD_FRACTION times that term, that is
+    t_{J-1} >= ln 2 and t_J + ... + t_{n*} >= ln(2 / HEAD_FRACTION); 0 where
+    no J >= 1 has both or |q|^J is not a normal float.  With s = t_{n*} and m = n* - J the sum is
+    g(m) = (m + 1)(s + a m / 2), so m is the least root of a quadratic.
+    `_head_bound` proves the head on the computed sum.
+    """
+    a, b = -math.log(q.modulus), math.log(modulus)
+    n_star = math.floor(b / a)
+    if n_star < 1:
+        return 0
+    s = b - a * n_star
+    half = 0.5 * a + s  # g(m) = a m^2 / 2 + half m + s
+    m = max(0, math.ceil((math.sqrt(half * half - 2.0 * a * (s - _LOG_KEPT_FLOOR)) - half) / a))
+    if (m + 1) * (s + 0.5 * a * m) < _LOG_KEPT_FLOOR:  # the rounding of the root
+        m += 1
+    elif m and m * (s + 0.5 * a * (m - 1)) >= _LOG_KEPT_FLOOR:
+        m -= 1
+    m = max(m, math.ceil((_LN2 - s) / a) - 1)  # t_{J-1} = s + a (m + 1) >= ln 2
+    shift = n_star - m
+    return shift if shift > 0 and a * shift < _LOG_MIN_NORMAL else 0
+
+
+def _head_bound(q, x, res):
+    """The head dropped by the shift to x = q^J z, in units of the kept sum's result `res`, or None.
+
+    Terms c_{J+i} = c_J q^{i(i+1)/2} x^i, so sum_{j>=J} c_j = c_J theta(q, x),
+    and the head sum_{j<J} |c_j| is at most |c_J| / (|x| - |q|) (see
+    `_head_shift`).  In the units 2^-exponent of `res`, which sums
+    theta(q, x) from t_0 = 1, that is the returned bound.  None where the
+    backward ratio |q| / |x| passes 1/2 or the bound passes HEAD_FRACTION of
+    the kept scale, so that the shift must not be taken.
+    """
+    modulus = abs(x)
+    if not modulus >= 2.0 * q.modulus:
+        return None
+    head = math.ldexp(_HEAD_ROUNDING / (modulus - q.modulus), -res.exponent)
+    return head if head <= HEAD_FRACTION * res.scale else None
+
+
+def _shifted_circle(q, radius, shifted, budget):
+    """(terms, result, centre, J, head): the kept terms of the circle |z| = radius.
+
+    With `shifted` and J = `_head_shift` >= 1, the terms are those of
+    theta(q, x) at the centre x = q^J radius, and head is their scaled
+    dropped head (`_head_bound`, as a share of the kept scale); folded at
+    bins J + i they give e^{i J psi} theta(q, x e^{i psi}), the samples of
+    theta(q, z) / (q^{J(J+1)/2} z^J) e^{i J psi} up to the head.  Where J is
+    0, the head check fails or the shifted sum raises, it is the unshifted
+    circle: the terms of theta(q, radius), centre radius, J = 0 and head 0.
+    """
+    shift = _head_shift(q, radius) if shifted else 0
+    if shift:
+        centre = q.value ** shift * radius
+        try:
+            kept, res = circle_terms(q, centre, budget)
+        except (BudgetExceeded, OverflowError):
+            pass
+        else:
+            head = _head_bound(q, centre, res)
+            if head is not None:
+                return kept, res, centre, shift, head / res.scale
+    kept, res = circle_terms(q, radius, budget)
+    return kept, res, radius, 0, 0.0
+
+
 def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BUDGET):
     """Number of zeros of theta(q, .) inside |z| = radius, by phase tracking.
 
@@ -203,24 +312,25 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     n0 = max(int(initial_samples), 16)
     results, sums, terms = [None] * len(radii), [None] * len(radii), [None] * len(radii)
     block = np.zeros((len(radii), 2, n0) if moments else (len(radii), n0), dtype=complex)
-    circles = []  # per row of the block: (index, scale, exponent)
+    circles = []  # per row of the block: (index, scale, exponent, centre, shift, head)
     for i, radius in enumerate(radii):
         try:
-            terms[i] = kept, res = circle_terms(q, radius, budget)
+            kept, res, centre, shift, head = _shifted_circle(q, radius, not moments, budget)
         except (BudgetExceeded, OverflowError) as exc:
             results[i] = exc
         else:
-            fold_terms(kept, block[len(circles)])
-            circles.append((i, res.scale, res.exponent))
+            terms[i] = kept, res
+            fold_terms(kept, block[len(circles)], shift % n0)
+            circles.append((i, res.scale, res.exponent, centre, shift, head))
     if not circles:
         return results, sums, terms
     samples = np.fft.ifft(block[:len(circles)], axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
-    minima = np.min(np.abs(vals), axis=1) / np.array([scale for _, scale, _ in circles])
+    minima = np.min(np.abs(vals), axis=1) / np.array([circle[1] for circle in circles])
     # a circle through an exact zero fails in _resolve_phase; no array divides by its samples
     vals[minima == 0.0] = 1.0
     n_stars = [max(0, math.floor(math.log(radii[i]) / -math.log(q.modulus)))  # last |q|^n r >= 1
-               for i, _, _ in circles]
+               for i, *_ in circles]
     # the least depth with n0 * 2^depth >= 4 (n* + 1)
     min_depths = [(-(-4 * (n_star + 1) // n0) - 1).bit_length() for n_star in n_stars]
     next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
@@ -238,16 +348,17 @@ def _contours(q, radii, initial_samples, budget, moments=False):
         for row, j in np.argwhere(~fine).tolist():
             a1 = (j + 1) * step if j + 1 < n0 else 2.0 * math.pi
             stacks[row].append((j * step, vals[row, j], a1, next_vals[row, j], 0))
-    for row, (i, scale, exponent) in enumerate(circles):
+    for row, (i, scale, exponent, centre, shift, head) in enumerate(circles):
         try:
             results[i] = _resolve_phase(q, radii[i], stacks[row], totals[row], float(minima[row]),
-                                        n0, n_stars[row], min_depths[row], scale, exponent, budget)
+                                        n0, n_stars[row], min_depths[row], scale, exponent, budget,
+                                        centre, shift, head)
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
             results[i] = exc
     if moments:
         first = ((samples[:, 1] / vals) @ _unit_roots(n0) / n0
-                 * [radii[i] for i, _, _ in circles]).tolist()
-        for row, (i, _, _) in enumerate(circles):
+                 * [radii[i] for i, *_ in circles]).tolist()
+        for row, (i, *_) in enumerate(circles):
             if isinstance(results[i], WindingResult):
                 sums[i] = first[row]
     return results, sums, terms
@@ -262,12 +373,14 @@ def _unit_roots(n):
 
 
 def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_depth,
-                   scale, exponent, budget):
+                   scale, exponent, budget, centre, shift, head):
     """Bisect the intervals on `stack` of one circle and check its accumulated phase.
 
     `total` and `min_scaled` cover the fine intervals and the initial
-    samples; bisection samples are carried into the units 2^exponent of the
-    circle's array.
+    samples; bisection samples e^{i shift psi} theta(q, centre e^{i psi})
+    are carried into the units 2^exponent of the circle's array.  A count
+    needs min_scaled >= CONTOUR_SAFETY and, with a shift, above `head`, the
+    dropped head over the kept scale (Rouche's condition on the samples).
     """
     while True:
         if min_scaled == 0.0:
@@ -291,8 +404,10 @@ def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_dep
             raise BudgetExceeded(
                 f"phase not resolvable on |z| = {radius:g} at bisection depth {depth}")
         am = 0.5 * (a0 + a1)
-        res = eval_theta(q, radius * cmath.exp(1j * am), budget)
+        res = eval_theta(q, centre * cmath.exp(1j * am), budget)
         vm = ldexp_complex(res.value, res.exponent - exponent)
+        if shift:
+            vm *= cmath.exp(1j * shift * am)
         samples += 1
         min_scaled = min(min_scaled, abs(vm) / scale)
         stack.append((a0, v0, am, vm, depth + 1))
@@ -302,7 +417,7 @@ def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_dep
     if abs(w - round(w)) > WINDING_INTEGRALITY:
         raise BudgetExceeded(
             f"accumulated phase {w:.6f} turns on |z| = {radius:g} is not integral")
-    if min_scaled < CONTOUR_SAFETY:
+    if min_scaled < CONTOUR_SAFETY or min_scaled <= head:
         raise ContourTooClose(
             f"min scaled |theta| on |z| = {radius:g} is {min_scaled:.2e} < {CONTOUR_SAFETY:g}",
             radius=radius, min_modulus=min_scaled)
@@ -323,30 +438,61 @@ def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
     return counts[0] - sum(counts[1:])
 
 
-def _raw_abs(modulus, exponent):
-    """modulus * 2^exponent, inf where that leaves the float range."""
+def _raw_abs(modulus, exponent, log2_factor=0.0):
+    """modulus * 2^(exponent + log2_factor), inf where that leaves the float range."""
+    whole = math.floor(log2_factor)
     try:
-        return math.ldexp(modulus, exponent)
+        return math.ldexp(modulus * 2.0 ** (log2_factor - whole), exponent + whole)
     except OverflowError:
         return math.inf
+
+
+def _shifted_point(q, z, budget):
+    """(theta, slope, log2 |c_J|) at z: theta(z) = c_J 2^E theta.value, theta'(z) = c_J 2^E slope.
+
+    With J = `_head_shift` >= 1, x = q^J z and c_J = q^{J(J+1)/2} z^J,
+    theta(z) = c_J theta(q, x) up to the head, so theta is
+    `eval_theta_and_dz(q, x)`'s first result and slope = J theta(q, x) / z
+    + q^J theta'(q, x), in its units 2^-E; the head must pass `_head_bound`.
+    Otherwise (as `_shifted_circle`) J = 0: theta and theta' at z itself,
+    and log2 |c_0| = 0.
+    """
+    modulus = abs(z)
+    shift = _head_shift(q, modulus) if 0.0 < modulus < math.inf else 0
+    if shift:
+        power = q.value ** shift
+        x = power * z
+        try:
+            f, fp = eval_theta_and_dz(q, x, budget)
+        except (BudgetExceeded, OverflowError):
+            pass
+        else:
+            if _head_bound(q, x, f) is not None:
+                log2_factor = shift * ((shift + 1) / 2 * math.log2(q.modulus) + math.log2(modulus))
+                return f, shift * f.value / z + power * fp.value, log2_factor
+    f, fp = eval_theta_and_dz(q, z, budget)
+    return f, fp.value, 0.0
 
 
 def _newton(q, seed, residual_tol, max_iterations, budget):
     """Newton iteration for theta(q, .) = 0; returns (record fields, converged).
 
+    Each iterate takes theta and theta' through the shift (`_shifted_point`):
+    the common factor c_J cancels in the step theta / theta' and in the
+    scaled residual; the raw moduli are rebuilt from log2 |c_J|.
     Converged: scaled residual below residual_tol within max_iterations steps,
     or after a step below rounding.
     """
     z = complex(seed)
     iterations, tiny = 0, False
     while True:
-        f, fp = eval_theta_and_dz(q, z, budget)
+        f, slope, log2_factor = _shifted_point(q, z, budget)
         scaled = abs(f.value) / f.scale
         converged = scaled < residual_tol and (tiny or iterations < max_iterations)
-        if converged or tiny or iterations == max_iterations or fp.value == 0:
-            return (z, scaled, _raw_abs(abs(f.value), f.exponent),
-                    _raw_abs(abs(fp.value), fp.exponent), iterations, converged)
-        step = f.value / fp.value
+        if converged or tiny or iterations == max_iterations or slope == 0:
+            return (z, scaled, _raw_abs(abs(f.value), f.exponent, log2_factor),
+                    _raw_abs(abs(slope), f.exponent, log2_factor), iterations, converged)
+        step = f.value / slope
         z -= step
         iterations += 1
         tiny = abs(step) <= 4.0 * 2.2e-16 * abs(z)

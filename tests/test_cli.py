@@ -391,3 +391,104 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["command"] == "table"
+
+
+# ---------------------------------------------------------------------------
+# scan memory cap and start-up imports
+# ---------------------------------------------------------------------------
+
+def _largest_accepted_z_steps(check, n_mod, n_arg):
+    """The largest z-steps whose scan estimate stays within the cap, found by bisection."""
+    from thetasep import cli, lemmas
+    low, high = 1, cli.MAX_VERIFY_STEPS["z_steps"]
+    while low < high:
+        mid = (low + high + 1) // 2
+        if lemmas.scan_bytes(check, n_mod, n_arg, mid) <= cli.MAX_VERIFY_SCAN_BYTES:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+@pytest.mark.parametrize("check, n_mod, n_arg", [("k1", 80, 2000), ("k2", 60, 4000)])
+def test_verify_scan_byte_cap_admits_its_edge_and_refuses_one_step_more(capsys, monkeypatch,
+                                                                        check, n_mod, n_arg):
+    from thetasep import cli, lemmas
+    z_steps = _largest_accepted_z_steps(check, n_mod, n_arg)
+    assert 1 < z_steps < cli.MAX_VERIFY_STEPS["z_steps"]
+    stub = lambda grid, **kwargs: lemmas.VerificationReport.build(check, {}, {"stub": 1.0}, grid)
+    monkeypatch.setattr(lemmas, f"verify_lemma_{check}", stub)
+    argv = ["verify", "--lemma", check, "--argument-steps", str(n_arg)]
+    assert run(capsys, argv + ["--z-steps", str(z_steps)])[0] == 0
+    # one step more is refused before any grid is built
+    monkeypatch.setattr(lemmas, "GridSpec", None)
+    code, out, err = run(capsys, argv + ["--z-steps", str(z_steps + 1)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: the {check} scan of {n_mod} x {n_arg} nodes and "
+                          f"{z_steps + 1} z-steps would hold about ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lemma, argv, accepted", [
+    ("k1", ["--argument-steps", "400", "--z-steps", "20000"], True),   # 220 MB peak RSS
+    ("k1", ["--argument-steps", "800", "--z-steps", "20000"], False),  # 322 MB peak RSS
+    ("all", ["--argument-steps", "2000", "--z-steps", "100000"], False),
+    ("k1", ["--modulus-steps", "2000", "--argument-steps", "2000"], False),  # kept: 0.8 GB
+    ("k2", ["--modulus-steps", "2000", "--argument-steps", "2000"], False),
+    ("k2", ["--modulus-steps", "1000", "--argument-steps", "1000"], True),
+])
+def test_verify_scan_byte_cap_on_measured_requests(capsys, monkeypatch, lemma, argv, accepted):
+    from thetasep import lemmas
+    for check in ("k1", "k2"):  # accepted requests reach a stub; refused ones reach nothing
+        monkeypatch.setattr(lemmas, f"verify_lemma_{check}", lambda grid, **kwargs:
+                            lemmas.VerificationReport.build("stub", {}, {"stub": 1.0}, grid))
+    code, out, err = run(capsys, ["verify", "--lemma", lemma, *argv])
+    if accepted:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == "" and err.endswith("MB, more than 256 MB\n")
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["eval", "theta", "--q", "0.3", "--z", "2"], {"thetasep.core"},
+     {"numpy", "thetasep.zeros", "thetasep.lemmas"}),
+    (["table", "--n", "5"], {"thetasep.asymptotics"},
+     {"numpy", "thetasep.zeros", "thetasep.lemmas"}),
+    (["zeros", "--q", "-0.3", "--kmax", "2"], {"numpy", "thetasep.zeros"}, {"thetasep.lemmas"}),
+    (["verify", "--lemma", "k5"], {"numpy", "thetasep.lemmas"}, {"thetasep.zeros"}),
+])
+def test_commands_load_only_the_modules_they_use(argv, loaded, absent):
+    import subprocess
+    import sys
+    from pathlib import Path
+    import thetasep
+    script = ("import sys\n"
+              "from thetasep import cli\n"
+              f"code = cli.main({argv!r} + ['--out', sys.argv[1]])\n"
+              "print(*(m for m in sys.modules if m == 'numpy' or m.startswith('thetasep')))\n"
+              "sys.exit(code)\n")
+    src = str(Path(thetasep.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script, "/dev/null"], capture_output=True,
+                          text=True, env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+                          check=False, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.split())
+    assert loaded <= modules and not modules & absent
+
+
+def test_import_thetasep_loads_neither_numpy_nor_the_heavy_modules_until_asked():
+    import subprocess
+    import sys
+    from pathlib import Path
+    import thetasep
+    script = ("import sys, thetasep\n"
+              "before = {'numpy', 'thetasep.zeros', 'thetasep.lemmas'} & set(sys.modules)\n"
+              "thetasep.locate_zero, thetasep.verify_lemma_k4, thetasep.zeros\n"
+              "after = {'numpy', 'thetasep.zeros', 'thetasep.lemmas'} - set(sys.modules)\n"
+              "print(sorted(before), sorted(after))\n")
+    src = str(Path(thetasep.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}, check=True,
+                          timeout=120)
+    assert proc.stdout.split() == ["[]", "[]"]
+    with pytest.raises(AttributeError):
+        thetasep.no_such_name

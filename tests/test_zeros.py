@@ -1,9 +1,14 @@
 import cmath
+import contextlib
 import math
 import warnings
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetasep import (
     C0,
@@ -13,6 +18,7 @@ from thetasep import (
     DomainError,
     NoConvergence,
     QParameter,
+    ZeroRecord,
     count_zeros_in_annulus,
     locate_zero,
     trace_zero_ray,
@@ -29,6 +35,7 @@ from thetasep.core import (
     eval_theta,
     eval_theta_and_dz,
     eval_theta_dz,
+    fold_terms,
     ldexp_complex,
     theta_on_circle,
 )
@@ -504,8 +511,8 @@ def test_moment_estimate_off_by_1e_6_is_polished_by_newton(monkeypatch):
     exact = verify_separation(q, 8)
     kernel = zeros.fold_terms
 
-    def fold(terms, out):
-        kernel(terms, out)
+    def fold(terms, out, offset=0):
+        kernel(terms, out, offset)
         out[1] *= 1 + 1e-6  # every moment, so every estimate, 1e-6 relative off
 
     monkeypatch.setattr(zeros, "fold_terms", fold)
@@ -700,9 +707,9 @@ def test_count_only_contours_fold_no_derivative_row(monkeypatch):
     shapes = []
     fold = zeros.fold_terms
 
-    def spy(terms, out):
+    def spy(terms, out, offset=0):
         shapes.append(out.shape)
-        fold(terms, out)
+        fold(terms, out, offset)
 
     monkeypatch.setattr(zeros, "fold_terms", spy)
     q = QParameter(-0.3 + 0.3j)
@@ -716,3 +723,161 @@ def test_count_only_contours_fold_no_derivative_row(monkeypatch):
 def test_circle_budget_message_names_the_radius():
     with pytest.raises(BudgetExceeded, match=r"theta on \|z\| = 1e\+06: tail not below"):
         circle_terms(QParameter(0.5), 1e6, SeriesBudget(max_terms=3))
+
+
+# ---------------------------------------------------------------------------
+# the shift identity: theta(q, z) = head + q^{J(J+1)/2} z^J theta(q, q^J z)
+# ---------------------------------------------------------------------------
+
+def _unshifted():
+    """A context in which every circle and Newton point takes J = 0, the unshifted sums."""
+    return mock.patch.object(zeros, "_head_shift", lambda q, modulus: 0)
+
+
+def _outcome(result):
+    if isinstance(result, Exception):
+        return type(result).__name__, getattr(result, "min_modulus", None)
+    return result.count, result.samples_used, result.min_modulus_on_contour
+
+
+def _assert_same_circles(shifted, plain):
+    for a, b in zip(map(_outcome, shifted), map(_outcome, plain)):
+        assert a[:-1] == b[:-1]
+        if a[-1] is not None or b[-1] is not None:
+            assert a[-1] == pytest.approx(b[-1], rel=1e-9, abs=1e-14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(modulus=st.floats(0.01, 0.6), arg_q=st.floats(math.pi / 2, 3 * math.pi / 2),
+       k=st.integers(2, 60))
+def test_shifted_circles_count_as_the_unshifted_ones(modulus, arg_q, k):
+    q = QParameter.from_polar(modulus, arg_q)
+    radii = [modulus ** -(k + 0.5), modulus ** -(k - 0.5), modulus ** -k]
+    shifted = winding_numbers(q, radii)
+    with _unshifted():
+        plain = winding_numbers(q, radii)
+    _assert_same_circles(shifted, plain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(modulus=st.floats(0.01, 0.6), arg_q=st.floats(math.pi / 2, 3 * math.pi / 2),
+       k=st.integers(6, 40), offset=st.floats(-1e-9, 1e-9))
+def test_shifted_circles_within_1e_9_of_a_zero_fail_as_the_unshifted_ones(modulus, arg_q, k,
+                                                                          offset):
+    q = QParameter.from_polar(modulus, arg_q)
+    radius = abs(locate_zero(q, k).location) * (1.0 + offset)
+    shifted = winding_numbers(q, [radius])
+    with _unshifted():
+        plain = winding_numbers(q, [radius])
+    _assert_same_circles(shifted, plain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(modulus=st.floats(0.03, 0.6), arg_q=st.floats(math.pi / 2, 3 * math.pi / 2),
+       k=st.integers(20, 40), size=st.floats(1e-8, 1e-2), turn=st.floats(0.0, 2 * math.pi))
+def test_newton_from_perturbed_seeds_agrees_with_the_unshifted_newton(modulus, arg_q, k, size,
+                                                                     turn):
+    q = QParameter.from_polar(modulus, arg_q)
+    seed = locate_zero(q, k).location * (1.0 + cmath.rect(size, turn))
+    assert zeros._head_shift(q, abs(seed)) > 0
+    outcomes = []
+    for context in (contextlib.nullcontext(), _unshifted()):
+        with context:
+            try:
+                outcomes.append(locate_zero(q, k, seed=seed))
+            except NoConvergence as exc:
+                outcomes.append(type(exc))
+    shifted, plain = outcomes
+    if not isinstance(plain, ZeroRecord):
+        assert shifted == plain
+        return
+    assert shifted.residual < 1e-10 and shifted.converged and shifted.newton_iterations > 0
+    assert abs(shifted.location - plain.location) <= 1e-14 * abs(plain.location)
+    assert shifted.annulus_ok == plain.annulus_ok
+    assert shifted.derivative_abs == pytest.approx(plain.derivative_abs, rel=1e-9)
+    if plain.residual > 1e-12:  # below that, |theta| is the rounding noise of either sum
+        assert shifted.theta_abs == pytest.approx(plain.theta_abs, rel=1e-3)
+
+
+def _mp_shift_rule(q, modulus, shift):
+    """Whether J = shift meets `_head_shift`'s rule, in 50-digit arithmetic.
+
+    t_j = ln(|q|^j |z|): t_{J-1} >= ln 2, and t_J + ... + t_{n*} >= 54 ln 2,
+    n* the index of the largest term; then the head is at most 2^-53 of it.
+    """
+    with mpmath.workdps(50):
+        a, b = -mpmath.log(q.modulus), mpmath.log(modulus)
+        n_star = int(mpmath.floor(b / a))
+        kept = (n_star - shift + 1) * b - a * (n_star * (n_star + 1) - (shift - 1) * shift) / 2
+        return (1 <= shift <= n_star and b - a * (shift - 1) >= mpmath.log(2)
+                and kept >= 54 * mpmath.log(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(modulus=st.floats(0.001, 0.95), log_radius=st.floats(0.0, 700.0))
+def test_head_shift_is_the_largest_shift_the_head_bound_proves(modulus, log_radius):
+    q = QParameter(-modulus)
+    radius = math.exp(log_radius)
+    shift = zeros._head_shift(q, radius)
+    if shift:
+        assert _mp_shift_rule(q, radius, shift)
+        # the head sum_{j<J} |c_j| itself, against the largest term |c_j| = e^{logs[j]}
+        logs = [j * (j + 1) / 2 * math.log(modulus) + j * math.log(radius)
+                for j in range(shift + 40)]
+        top = max(logs)
+        assert math.fsum(math.exp(v - top) for v in logs[:shift]) <= 2.0 ** -53 * (1 + 1e-6)
+    assert not _mp_shift_rule(q, radius, shift + 1)
+
+
+def test_a_deep_circle_sums_far_fewer_terms_through_the_shift():
+    q = QParameter(-0.3 + 0.1j)
+    radius = q.modulus ** -20.5
+    kept, res, centre, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
+    assert shift == 12 and centre == q.value ** 12 * radius
+    assert 0.0 < head <= zeros.HEAD_FRACTION
+    assert len(kept) < len(circle_terms(q, radius)[0]) // 2
+    # the shifted samples are theta's own, divided by c_J, up to the head and rounding
+    psi = 2.0 * math.pi * 37 / 256
+    full = eval_theta(q, radius * cmath.exp(1j * psi))
+    part = eval_theta(q, centre * cmath.exp(1j * psi))
+    c_shift = q.value ** (12 * 13 // 2) * (radius * cmath.exp(1j * psi)) ** 12
+    ratio = ldexp_complex(full.value, full.exponent) / (
+        c_shift * ldexp_complex(part.value, part.exponent))
+    assert ratio == pytest.approx(1.0, rel=1e-13)
+    assert winding_number(q, radius).count == 20
+
+
+def test_a_shift_past_the_bound_falls_back_to_the_unshifted_circle():
+    q = QParameter(-0.3 + 0.1j)
+    radius = q.modulus ** -20.5
+    with mock.patch.object(zeros, "_head_shift", lambda q, modulus: 19):
+        kept, res, centre, shift, head = zeros._shifted_circle(q, radius, True,
+                                                               zeros.DEFAULT_BUDGET)
+        assert (centre, shift, head) == (radius, 0, 0.0)
+        assert winding_number(q, radius).count == 20
+        f, slope, log2_factor = zeros._shifted_point(q, -q.value ** -20, zeros.DEFAULT_BUDGET)
+        assert log2_factor == 0.0
+
+
+def test_moment_circles_stay_unshifted():
+    q = QParameter(-0.1 + 0.05j)
+    with mock.patch.object(zeros, "_head_shift", side_effect=AssertionError):
+        assert verify_separation(q, 12).strongly_separated
+
+
+def test_a_count_needs_its_minimum_above_the_head():
+    # Rouche on the samples: a circle whose minimum is at or below the dropped head is refused
+    with pytest.raises(ContourTooClose):
+        zeros._resolve_phase(QParameter(0.3), 1.0, [], 0.0, 1e-3, 16, 0, 0, 1.0, 0,
+                             zeros.DEFAULT_BUDGET, 1.0, shift=1, head=1e-3)
+
+
+def test_fold_terms_offset_multiplies_the_samples_by_the_bin_turn():
+    terms = [complex(j + 1, -j) for j in range(40)]
+    n, shift = 16, 5
+    plain, moved = np.zeros(n, complex), np.zeros(n, complex)
+    fold_terms(terms, plain)
+    fold_terms(terms, moved, shift)
+    turn = np.exp(2j * math.pi * shift * np.arange(n) / n)
+    assert np.allclose(np.fft.ifft(moved, norm="forward"),
+                       turn * np.fft.ifft(plain, norm="forward"), rtol=1e-13, atol=1e-12)
