@@ -304,8 +304,11 @@ def _scan_cell(modulus, argument, k, residual_tol):
 def cmd_scan(args):
     import numpy as np
 
+    from . import zeros
+
     if not 0.0 < args.a <= 0.6:
         raise DomainError(f"region radius must lie in (0, 0.6], got {args.a!r}")
+    zeros.check_residual_tol(args.residual_tol)
     try:
         n_mod, n_arg = (int(part) for part in args.steps.lower().split("x"))
     except ValueError:
@@ -408,9 +411,32 @@ def build_parser():
     return parser
 
 
+def _join_complex_values(argv):
+    """argv with `--q VALUE` and `--z VALUE` joined as `--q=VALUE` where VALUE starts with '-'.
+
+    argparse reads a word that starts with '-' as an option unless it looks
+    like a plain negative number, so `--q -0.3+0.3i` or `--q -1e-10` would
+    lose their value; a word is joined only if `parse_complex` accepts it.
+    """
+    words = list(argv)
+    for i in reversed(range(1, len(words))):  # from the end, so a join moves no word still ahead
+        if (words[i - 1] in ("--q", "--z") and words[i].startswith("-")
+                and _parses_as_complex(words[i])):
+            words[i - 1:i + 1] = [f"{words[i - 1]}={words[i]}"]
+    return words
+
+
+def _parses_as_complex(text):
+    try:
+        parse_complex(text)
+    except DomainError:
+        return False
+    return True
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
         record, code = args.run(args)

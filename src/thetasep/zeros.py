@@ -6,9 +6,14 @@ punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.  Zeros
 inside a circle are counted by the argument principle: the 256 samples of
 theta on each circle are one inverse FFT of the series terms (core's
 `circle_terms`, folded by `fold_terms`), all circles of a call are rows of
-one preallocated block and one 2-D pass, the phase increments between
-neighbours below pi/2 are summed as an array, and only the other intervals
-are bisected, one scalar evaluation per new point.
+one preallocated block and one 2-D pass, and the phase increments between
+neighbours are one arctan2 of the sample ratios.  Where all of them are
+below pi/2 the totals are row sums; otherwise only the other intervals are
+bisected.  A circle whose largest term has index n* >= N/4 (k >= 64 at
+N = 256) is guarded: its intervals are bisected until they are 2^d times
+finer, and it reads those midpoints from one inverse FFT of its terms at
+N 2^d points.  Any deeper midpoint, near a zero, takes one scalar
+evaluation.
 
 `verify_separation` also takes z theta' at the same samples, from a second
 folded row of each circle in the same FFT pass.  The first moment
@@ -84,6 +89,7 @@ from .core import (
     eval_theta_dz,  # noqa: F401  (kept importable: bench/tracer.py wraps zeros.eval_theta_dz)
     fold_terms,
     ldexp_complex,
+    weight_derivative_rows,
 )
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
 
@@ -104,6 +110,9 @@ CONTOUR_SAFETY = 1e-6
 # Phase resolution machinery.
 INITIAL_SAMPLES = 256
 MAX_BISECTION_DEPTH = 12
+# Most points of the grid from which a guarded circle reads its bisection midpoints (16 MiB
+# of samples); a deeper midpoint takes a scalar evaluation.
+GRID_POINTS = 2 ** 20
 WINDING_INTEGRALITY = 1e-3
 
 MAX_NEWTON_ITERATIONS = 50
@@ -282,12 +291,13 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 
     An entry is the circle's WindingResult, or the ContourTooClose,
     BudgetExceeded or OverflowError that circle raised.  The initial samples
-    of all circles are rows of one inverse FFT, and their increments, guard
-    masks, phase totals and minimum moduli are computed as 2-D arrays; a
-    circle whose series fails takes no row, and the row of a circle with a
-    zero sample is replaced before any division.  Only the intervals that
-    are not fine are bisected, circle by circle, one scalar evaluation per
-    new point.
+    of all circles are rows of one inverse FFT, and their increments, phase
+    totals and minimum moduli are computed as 2-D arrays (guard masks only
+    when a circle is guarded); a circle whose series fails takes no row, and
+    the row of a circle with a zero sample is replaced before any division.
+    Only the intervals that are not fine are bisected, circle by circle; a
+    guarded circle reads its midpoints down to its guard depth from one FFT
+    grid, and every other new point is one scalar evaluation.
     """
     return _contours(q, radii, initial_samples, budget)[0]
 
@@ -296,14 +306,23 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     """`winding_numbers`, and with `moments` the first moment s1 and the terms of each circle.
 
     Each circle's folded terms are written into its row of one zeroed
-    block, in the order of the circles whose series succeed.  With
-    `moments` a row is a (2, N) pair whose second row folds z theta'
-    (core's `fold_terms`), and s1(r) = (1/N) sum_n z_n (z_n theta'_n) /
-    theta_n over the N initial samples, the sum of the zeros inside
-    |z| = r; theta and z theta' come from the same inverse FFT, so the
-    exponent cancels in the ratio.  Returns the results, the moments and
-    the circles' (terms, EvalResult) from core's `circle_terms`; a moment
-    is None where the circle failed, its terms where its series did.
+    block, in the order of the circles whose series succeed, and the block
+    takes one inverse FFT.  With `moments` a row is a (2, N) pair whose
+    second row folds z theta' (core's `fold_terms`, then
+    `weight_derivative_rows` once for the whole block), and
+    s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
+    samples, the sum of the zeros inside |z| = r; theta and z theta' come
+    from the same inverse FFT, so the exponent cancels in the ratio.  The
+    increments are one arctan2 of the ratio of neighbouring samples; when
+    every one is below pi/2 and no circle is guarded (n* + 1 > N / 4), the
+    phase totals are plain row sums, and otherwise the intervals that are
+    not fine go onto per-circle stacks for `_resolve_phase`.  A guarded
+    circle with a stack also folds its terms at N 2^d points, d its guard
+    depth (at most MAX_BISECTION_DEPTH and GRID_POINTS), and one inverse FFT
+    gives every bisection midpoint above that depth.  Returns the results,
+    the moments and the circles' (terms, EvalResult) from core's
+    `circle_terms`; a moment is None where the circle failed, its terms
+    where its series did.
     """
     q = as_q(q)
     for radius in radii:
@@ -324,35 +343,47 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             circles.append((i, res.scale, res.exponent, centre, shift, head))
     if not circles:
         return results, sums, terms
-    samples = np.fft.ifft(block[:len(circles)], axis=-1, norm="forward")
+    block = block[:len(circles)]
+    if moments:
+        weight_derivative_rows(block)
+    samples = np.fft.ifft(block, axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
-    minima = np.min(np.abs(vals), axis=1) / np.array([circle[1] for circle in circles])
-    # a circle through an exact zero fails in _resolve_phase; no array divides by its samples
-    vals[minima == 0.0] = 1.0
-    n_stars = [max(0, math.floor(math.log(radii[i]) / -math.log(q.modulus)))  # last |q|^n r >= 1
+    minima = [low / circle[1] for low, circle in zip(np.abs(vals).min(axis=1).tolist(), circles)]
+    if 0.0 in minima:
+        # a circle through an exact zero fails in _resolve_phase; no array divides by its samples
+        vals[[low == 0.0 for low in minima]] = 1.0
+    log_q = -math.log(q.modulus)
+    n_stars = [max(0, math.floor(math.log(radii[i]) / log_q))  # last |q|^n r >= 1
                for i, *_ in circles]
     # the least depth with n0 * 2^depth >= 4 (n* + 1)
     min_depths = [(-(-4 * (n_star + 1) // n0) - 1).bit_length() for n_star in n_stars]
     next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
-    increments = np.angle(next_vals / vals)
-    fine = np.abs(increments) < math.pi / 2
-    guarded = np.array(min_depths) > 0
-    if guarded.any():
-        turn = np.array(n_stars, dtype=float)[:, None] * 2.0 * math.pi / n0
-        fine &= (np.abs(increments - turn) < math.pi / 2) | ~guarded[:, None]
-    totals = np.sum(increments, axis=1, where=fine).tolist()
-
-    step = 2.0 * math.pi / n0
+    ratios = next_vals / vals
+    increments = np.arctan2(ratios.imag, ratios.real)  # np.angle without its wrapper
+    magnitudes = np.abs(increments)
     stacks = [[] for _ in circles]
-    if not fine.all():
+    any_guarded = any(min_depths)
+    if not any_guarded and magnitudes.max() < math.pi / 2:
+        totals = increments.sum(axis=1).tolist()
+    else:
+        fine = magnitudes < math.pi / 2
+        if any_guarded:
+            guarded = np.array(min_depths) > 0
+            turn = np.array(n_stars, dtype=float)[:, None] * 2.0 * math.pi / n0
+            fine &= (np.abs(increments - turn) < math.pi / 2) | ~guarded[:, None]
+        totals = np.sum(increments, axis=1, where=fine).tolist()
+        step = 2.0 * math.pi / n0
         for row, j in np.argwhere(~fine).tolist():
             a1 = (j + 1) * step if j + 1 < n0 else 2.0 * math.pi
             stacks[row].append((j * step, vals[row, j], a1, next_vals[row, j], 0))
+    deepest_grid = min(MAX_BISECTION_DEPTH, max(0, (GRID_POINTS // n0).bit_length() - 1))
     for row, (i, scale, exponent, centre, shift, head) in enumerate(circles):
+        grid_depth = min(min_depths[row], deepest_grid) if stacks[row] else 0
+        grid = _midpoint_grid(terms[i][0], n0 << grid_depth, shift) if grid_depth else None
         try:
-            results[i] = _resolve_phase(q, radii[i], stacks[row], totals[row], float(minima[row]),
+            results[i] = _resolve_phase(q, radii[i], stacks[row], totals[row], minima[row],
                                         n0, n_stars[row], min_depths[row], scale, exponent, budget,
-                                        centre, shift, head)
+                                        centre, shift, head, grid, grid_depth)
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
             results[i] = exc
     if moments:
@@ -364,6 +395,18 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     return results, sums, terms
 
 
+def _midpoint_grid(kept, size, shift):
+    """The samples e^{i shift psi} theta(q, centre e^{i psi}) at psi = 2 pi m / size, m < size.
+
+    One inverse FFT of the circle's kept terms folded at bins shift + j mod
+    size, in the units 2^exponent of its row; every bisection midpoint down
+    to depth d of an N-sample circle lies on the grid of size N 2^d.
+    """
+    row = np.zeros(size, dtype=complex)
+    fold_terms(kept, row, shift % size)
+    return np.fft.ifft(row, norm="forward")
+
+
 @functools.lru_cache(maxsize=4)
 def _unit_roots(n):
     """z_n / r = e^{2 pi i n / N} at the N samples of a circle (read-only: it is shared)."""
@@ -373,15 +416,20 @@ def _unit_roots(n):
 
 
 def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_depth,
-                   scale, exponent, budget, centre, shift, head):
+                   scale, exponent, budget, centre, shift, head, grid=None, grid_depth=0):
     """Bisect the intervals on `stack` of one circle and check its accumulated phase.
 
     `total` and `min_scaled` cover the fine intervals and the initial
-    samples; bisection samples e^{i shift psi} theta(q, centre e^{i psi})
-    are carried into the units 2^exponent of the circle's array.  A count
-    needs min_scaled >= CONTOUR_SAFETY and, with a shift, above `head`, the
+    samples.  Intervals are taken last in, first out; one of depth below
+    `min_depth` (the n* guard) must also turn by n* times its width, within
+    pi/2.  A midpoint of an interval of depth below `grid_depth` is read
+    from `grid` (`_midpoint_grid`, size N 2^grid_depth); a deeper one takes
+    a scalar sample e^{i shift psi} theta(q, centre e^{i psi}), carried into
+    the units 2^exponent of the circle's array.  A count needs
+    min_scaled >= CONTOUR_SAFETY and, with a shift, above `head`, the
     dropped head over the kept scale (Rouche's condition on the samples).
     """
+    per_radian = 0.0 if grid is None else len(grid) / (2.0 * math.pi)
     while True:
         if min_scaled == 0.0:
             raise ContourTooClose(f"theta vanishes on the contour |z| = {radius:g}",
@@ -404,10 +452,13 @@ def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_dep
             raise BudgetExceeded(
                 f"phase not resolvable on |z| = {radius:g} at bisection depth {depth}")
         am = 0.5 * (a0 + a1)
-        res = eval_theta(q, centre * cmath.exp(1j * am), budget)
-        vm = ldexp_complex(res.value, res.exponent - exponent)
-        if shift:
-            vm *= cmath.exp(1j * shift * am)
+        if depth < grid_depth:
+            vm = complex(grid[round(am * per_radian)])
+        else:
+            res = eval_theta(q, centre * cmath.exp(1j * am), budget)
+            vm = ldexp_complex(res.value, res.exponent - exponent)
+            if shift:
+                vm *= cmath.exp(1j * shift * am)
         samples += 1
         min_scaled = min(min_scaled, abs(vm) / scale)
         stack.append((a0, v0, am, vm, depth + 1))
@@ -498,17 +549,29 @@ def _newton(q, seed, residual_tol, max_iterations, budget):
         tiny = abs(step) <= 4.0 * 2.2e-16 * abs(z)
 
 
+def check_residual_tol(residual_tol):
+    """DomainError unless the residual tolerance lies in (0, inf): Newton could never meet it."""
+    if not 0.0 < residual_tol < math.inf:
+        raise DomainError(f"residual tolerance must lie in (0, inf), got {residual_tol!r}")
+
+
 def locate_zero(q, k, residual_tol=1e-10, max_iterations=MAX_NEWTON_ITERATIONS,
                 budget=DEFAULT_BUDGET, seed=None):
     """Locate the k-th zero by Newton refinement from `seed`, by default the asymptotic -q^{-k}.
 
-    Raises NoConvergence if the tolerance is not met.
+    Raises NoConvergence if the tolerance is not met, OverflowError if the
+    default seed leaves the float range, and DomainError for a tolerance
+    outside (0, inf).
     """
     q = as_q(q)
     if k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
+    check_residual_tol(residual_tol)
     if seed is None:
-        seed = -q.value ** (-k)
+        try:
+            seed = -q.value ** (-k)
+        except (OverflowError, ZeroDivisionError):  # q^-k is inf, or q^k underflowed to 0
+            raise OverflowError(f"the Newton seed -q^-{k} leaves the float range") from None
     annulus = Annulus.for_index(k)
     return _zero_record(q, k, seed, (annulus.inner_radius(q), annulus.outer_radius(q)),
                         residual_tol, max_iterations, budget)
@@ -595,11 +658,12 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
     by Newton from the estimate only if it misses `residual_tol` or does not
     lie inside that circle; any other annulus runs `locate_zero`.  With
     on_error="record", per-k contour/convergence failures are noted in the
-    report instead of raised.
+    report instead of raised.  A tolerance outside (0, inf) raises DomainError.
     """
     q = as_q(q)
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max!r}")
+    check_residual_tol(residual_tol)
     if on_error not in ("raise", "record"):
         raise DomainError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     report = SeparationReport(q=q.value, k_max=k_max)

@@ -123,6 +123,48 @@ def test_zeros_small_q_all_annuli(capsys):
         assert entry["count"] == 1 and entry["annulus_ok"] is True
 
 
+@pytest.mark.parametrize("q", ["1e-100", "1e-160"])
+def test_zeros_seed_beyond_the_float_range_exits_3_per_k(capsys, q):
+    code, out, err = run(capsys, ["zeros", "--q", q, "--kmax", "4", "--format", "json"])
+    assert code == 3 and err == ""
+    entry = json.loads(out)["results"]["k"]["4"]
+    assert "the Newton seed -q^-4 leaves the float range" in entry["error"]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--q", "-0.3", "--kmax", "3"],
+    ["scan", "--a", "0.3", "--k", "1", "--steps", "2x2"],
+])
+def test_residual_tolerance_outside_the_positive_reals_exits_2(capsys, argv, tol):
+    code, out, err = run(capsys, argv + ["--residual-tol", tol])
+    assert code == 2 and out == ""
+    assert err.startswith("error: residual tolerance") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["zeros", "--q", "-0.3+0.3i", "--kmax", "2"], -0.3 + 0.3j),
+    (["zeros", "--q", "-1e-10", "--kmax", "2"], -1e-10),
+    (["zeros", "--kmax", "2", "--q", "-0.3-0.3i"], -0.3 - 0.3j),
+    (["eval", "theta", "--q", "-0.2-0.1i", "--z", "-1e-3-2i"], -0.2 - 0.1j),
+])
+def test_negative_complex_values_follow_q_and_z(capsys, argv, value):
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["inputs"]["q"] == {"re": value.real, "im": value.imag}
+    if payload["command"] == "eval":
+        assert payload["inputs"]["z"] == {"re": -1e-3, "im": -2.0}
+
+
+@pytest.mark.parametrize("argv", [["zeros", "--q", "--kmax", "2"], ["zeros", "--q"]])
+def test_a_word_that_is_no_complex_number_stays_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "argument --q: expected one argument" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
