@@ -349,13 +349,12 @@ def fold_terms(terms, out, offset=0):
     term j goes to bin J + j mod n, which multiplies the samples by
     e^{i J psi}.
 
-    A (2, n) `out` is a pair for theta and z theta'(z) = sum_j j c_j e^{i j psi}.
-    For j = m + l n the folded j c_j are m a_m + n sum_l l c_{m + l n}; the
-    second row takes here only the wrap corrections n sum_l l c_{m + l n},
-    nonzero only when there are more than n - offset terms.
-    `weight_derivative_rows` then adds the m a_m of every pair of a block in
-    one multiply.  A term is weighted by its unfolded bin, offset + j, which
-    is j only at offset 0.
+    A (2, n) `out` also takes in its second row the folded j c_j of
+    z theta'(z) = sum_j j c_j e^{i j psi}: for j = m + l n that is
+    m a_m + n sum_l l c_{m + l n}, and the second sum is nonzero only when
+    there are more than n terms.  Only the first min(n, offset + len(terms))
+    entries of that row take m a_m; the others stay zero.  That row weights
+    a term by its unfolded bin, offset + j, which is j only at offset 0.
     """
     import numpy as np
 
@@ -369,18 +368,9 @@ def fold_terms(terms, out, offset=0):
         folded[:len(chunk)] += chunk
         if derivative:
             out[1, :len(chunk)] += np.multiply(n * wrap, chunk)
-
-
-def weight_derivative_rows(rows):
-    """Add m a_m to the second row of each folded (..., 2, n) pair of `rows`, in place.
-
-    After `fold_terms` the pair's first row holds the folded terms a_m and
-    its second the wrap corrections; the bin weights m make the second row
-    the folded z theta' for every pair of a block at once.
-    """
-    import numpy as np
-
-    rows[..., 1, :] += np.arange(rows.shape[-1]) * rows[..., 0, :]
+    if derivative:
+        used = offset + head
+        out[1, :used] += np.arange(used) * folded[:used]
 
 
 def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET, derivative=False):
@@ -388,16 +378,13 @@ def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET, derivative=False):
 
     The folded terms (see `fold_terms`) are an (n,) array, or with
     `derivative` a (2, n) array whose second row folds the j c_j of
-    z theta'(z) (`weight_derivative_rows`); they and the scale are stored
-    times 2^-exponent.
+    z theta'(z); they and the scale are stored times 2^-exponent.
     """
     import numpy as np
 
     terms, res = circle_terms(q, radius, budget)
     rows = np.zeros((2, n) if derivative else n, dtype=complex)
     fold_terms(terms, rows)
-    if derivative:
-        weight_derivative_rows(rows)
     return rows, res.scale, res.exponent
 
 

@@ -6,14 +6,10 @@ punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.  Zeros
 inside a circle are counted by the argument principle: the 256 samples of
 theta on each circle are one inverse FFT of the series terms (core's
 `circle_terms`, folded by `fold_terms`), all circles of a call are rows of
-one preallocated block and one 2-D pass, and the phase increments between
-neighbours are one arctan2 of the sample ratios.  Where all of them are
-below pi/2 the totals are row sums; otherwise only the other intervals are
-bisected.  A circle whose largest term has index n* >= N/4 (k >= 64 at
-N = 256) is guarded: its intervals are bisected until they are 2^d times
-finer, and it reads those midpoints from one inverse FFT of its terms at
-N 2^d points.  Any deeper midpoint, near a zero, takes one scalar
-evaluation.
+one preallocated block and one 2-D pass, the phase increments between
+neighbours (one arctan2 of the sample ratios) below pi/2 are summed as an
+array, and only the other intervals are bisected, one scalar evaluation per
+new point.
 
 `verify_separation` also takes z theta' at the same samples, from a second
 folded row of each circle in the same FFT pass.  The first moment
@@ -89,7 +85,6 @@ from .core import (
     eval_theta_dz,  # noqa: F401  (kept importable: bench/tracer.py wraps zeros.eval_theta_dz)
     fold_terms,
     ldexp_complex,
-    weight_derivative_rows,
 )
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
 
@@ -110,9 +105,6 @@ CONTOUR_SAFETY = 1e-6
 # Phase resolution machinery.
 INITIAL_SAMPLES = 256
 MAX_BISECTION_DEPTH = 12
-# Most points of the grid from which a guarded circle reads its bisection midpoints (16 MiB
-# of samples); a deeper midpoint takes a scalar evaluation.
-GRID_POINTS = 2 ** 20
 WINDING_INTEGRALITY = 1e-3
 
 MAX_NEWTON_ITERATIONS = 50
@@ -295,9 +287,8 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
     totals and minimum moduli are computed as 2-D arrays (guard masks only
     when a circle is guarded); a circle whose series fails takes no row, and
     the row of a circle with a zero sample is replaced before any division.
-    Only the intervals that are not fine are bisected, circle by circle; a
-    guarded circle reads its midpoints down to its guard depth from one FFT
-    grid, and every other new point is one scalar evaluation.
+    Only the intervals that are not fine are bisected, circle by circle, one
+    scalar evaluation per new point.
     """
     return _contours(q, radii, initial_samples, budget)[0]
 
@@ -308,19 +299,15 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     Each circle's folded terms are written into its row of one zeroed
     block, in the order of the circles whose series succeed, and the block
     takes one inverse FFT.  With `moments` a row is a (2, N) pair whose
-    second row folds z theta' (core's `fold_terms`, then
-    `weight_derivative_rows` once for the whole block), and
+    second row folds z theta' (core's `fold_terms`), and
     s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
     samples, the sum of the zeros inside |z| = r; theta and z theta' come
     from the same inverse FFT, so the exponent cancels in the ratio.  The
-    increments are one arctan2 of the ratio of neighbouring samples; when
-    every one is below pi/2 and no circle is guarded (n* + 1 > N / 4), the
-    phase totals are plain row sums, and otherwise the intervals that are
-    not fine go onto per-circle stacks for `_resolve_phase`.  A guarded
-    circle with a stack also folds its terms at N 2^d points, d its guard
-    depth (at most MAX_BISECTION_DEPTH and GRID_POINTS), and one inverse FFT
-    gives every bisection midpoint above that depth.  Returns the results,
-    the moments and the circles' (terms, EvalResult) from core's
+    increments are one arctan2 of the ratio of neighbouring samples; the
+    phase totals sum the fine ones (below pi/2, and for a guarded circle,
+    n* + 1 > N / 4, also within pi/2 of n* times the interval), and the
+    others go onto per-circle stacks for `_resolve_phase`.  Returns the
+    results, the moments and the circles' (terms, EvalResult) from core's
     `circle_terms`; a moment is None where the circle failed, its terms
     where its series did.
     """
@@ -343,10 +330,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             circles.append((i, res.scale, res.exponent, centre, shift, head))
     if not circles:
         return results, sums, terms
-    block = block[:len(circles)]
-    if moments:
-        weight_derivative_rows(block)
-    samples = np.fft.ifft(block, axis=-1, norm="forward")
+    samples = np.fft.ifft(block[:len(circles)], axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
     minima = [low / circle[1] for low, circle in zip(np.abs(vals).min(axis=1).tolist(), circles)]
     if 0.0 in minima:
@@ -360,30 +344,24 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
     ratios = next_vals / vals
     increments = np.arctan2(ratios.imag, ratios.real)  # np.angle without its wrapper
-    magnitudes = np.abs(increments)
+    fine = np.abs(increments) < math.pi / 2
+    if any(min_depths):
+        guarded = np.array(min_depths) > 0
+        turn = np.array(n_stars, dtype=float)[:, None] * 2.0 * math.pi / n0
+        fine &= (np.abs(increments - turn) < math.pi / 2) | ~guarded[:, None]
+    totals = np.sum(increments, axis=1, where=fine).tolist()
+
+    step = 2.0 * math.pi / n0
     stacks = [[] for _ in circles]
-    any_guarded = any(min_depths)
-    if not any_guarded and magnitudes.max() < math.pi / 2:
-        totals = increments.sum(axis=1).tolist()
-    else:
-        fine = magnitudes < math.pi / 2
-        if any_guarded:
-            guarded = np.array(min_depths) > 0
-            turn = np.array(n_stars, dtype=float)[:, None] * 2.0 * math.pi / n0
-            fine &= (np.abs(increments - turn) < math.pi / 2) | ~guarded[:, None]
-        totals = np.sum(increments, axis=1, where=fine).tolist()
-        step = 2.0 * math.pi / n0
+    if not fine.all():
         for row, j in np.argwhere(~fine).tolist():
             a1 = (j + 1) * step if j + 1 < n0 else 2.0 * math.pi
             stacks[row].append((j * step, vals[row, j], a1, next_vals[row, j], 0))
-    deepest_grid = min(MAX_BISECTION_DEPTH, max(0, (GRID_POINTS // n0).bit_length() - 1))
     for row, (i, scale, exponent, centre, shift, head) in enumerate(circles):
-        grid_depth = min(min_depths[row], deepest_grid) if stacks[row] else 0
-        grid = _midpoint_grid(terms[i][0], n0 << grid_depth, shift) if grid_depth else None
         try:
             results[i] = _resolve_phase(q, radii[i], stacks[row], totals[row], minima[row],
                                         n0, n_stars[row], min_depths[row], scale, exponent, budget,
-                                        centre, shift, head, grid, grid_depth)
+                                        centre, shift, head)
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
             results[i] = exc
     if moments:
@@ -395,18 +373,6 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     return results, sums, terms
 
 
-def _midpoint_grid(kept, size, shift):
-    """The samples e^{i shift psi} theta(q, centre e^{i psi}) at psi = 2 pi m / size, m < size.
-
-    One inverse FFT of the circle's kept terms folded at bins shift + j mod
-    size, in the units 2^exponent of its row; every bisection midpoint down
-    to depth d of an N-sample circle lies on the grid of size N 2^d.
-    """
-    row = np.zeros(size, dtype=complex)
-    fold_terms(kept, row, shift % size)
-    return np.fft.ifft(row, norm="forward")
-
-
 @functools.lru_cache(maxsize=4)
 def _unit_roots(n):
     """z_n / r = e^{2 pi i n / N} at the N samples of a circle (read-only: it is shared)."""
@@ -416,20 +382,18 @@ def _unit_roots(n):
 
 
 def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_depth,
-                   scale, exponent, budget, centre, shift, head, grid=None, grid_depth=0):
+                   scale, exponent, budget, centre, shift, head):
     """Bisect the intervals on `stack` of one circle and check its accumulated phase.
 
     `total` and `min_scaled` cover the fine intervals and the initial
     samples.  Intervals are taken last in, first out; one of depth below
     `min_depth` (the n* guard) must also turn by n* times its width, within
-    pi/2.  A midpoint of an interval of depth below `grid_depth` is read
-    from `grid` (`_midpoint_grid`, size N 2^grid_depth); a deeper one takes
-    a scalar sample e^{i shift psi} theta(q, centre e^{i psi}), carried into
-    the units 2^exponent of the circle's array.  A count needs
-    min_scaled >= CONTOUR_SAFETY and, with a shift, above `head`, the
-    dropped head over the kept scale (Rouche's condition on the samples).
+    pi/2.  Each midpoint is a scalar sample e^{i shift psi}
+    theta(q, centre e^{i psi}), carried into the units 2^exponent of the
+    circle's array.  A count needs min_scaled >= CONTOUR_SAFETY and, with a
+    shift, above `head`, the dropped head over the kept scale (Rouche's
+    condition on the samples).
     """
-    per_radian = 0.0 if grid is None else len(grid) / (2.0 * math.pi)
     while True:
         if min_scaled == 0.0:
             raise ContourTooClose(f"theta vanishes on the contour |z| = {radius:g}",
@@ -452,13 +416,10 @@ def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_dep
             raise BudgetExceeded(
                 f"phase not resolvable on |z| = {radius:g} at bisection depth {depth}")
         am = 0.5 * (a0 + a1)
-        if depth < grid_depth:
-            vm = complex(grid[round(am * per_radian)])
-        else:
-            res = eval_theta(q, centre * cmath.exp(1j * am), budget)
-            vm = ldexp_complex(res.value, res.exponent - exponent)
-            if shift:
-                vm *= cmath.exp(1j * shift * am)
+        res = eval_theta(q, centre * cmath.exp(1j * am), budget)
+        vm = ldexp_complex(res.value, res.exponent - exponent)
+        if shift:
+            vm *= cmath.exp(1j * shift * am)
         samples += 1
         min_scaled = min(min_scaled, abs(vm) / scale)
         stack.append((a0, v0, am, vm, depth + 1))

@@ -158,6 +158,8 @@ def _winding_reference(q, radius, n0):
 @pytest.mark.parametrize("q, exponent, n0", [
     (0.55j, 6.5, 16), (0.55j, 3.5, 16), (-0.4, 2.5, 16),
     (cmath.rect(0.3, 2.0), 4.5, 32), (cmath.rect(0.5, 2.5), 5.5, 256),
+    # guarded circles, 4 (n* + 1) > N: n* = 70 at the default 256 samples, n* = 9 at 16
+    (-0.3, 70.5, 256), (cmath.rect(0.5, 2.5), 9.5, 16),
 ])
 def test_winding_matches_scalar_reference_loop(q, exponent, n0):
     q = QParameter(q)
@@ -170,7 +172,7 @@ def test_winding_matches_scalar_reference_loop(q, exponent, n0):
 
 def test_one_call_mixes_fine_rows_with_a_bisected_row():
     # the middle circle passes 1e-4 outside the first zero: a few of its intervals turn by pi/2
-    # or more, so the call takes the masked path; every row must read as if alone
+    # or more and are bisected, the other rows are all fine; every row must read as if alone
     q = QParameter(-0.3)
     near = abs(locate_zero(q, 1).location) * (1 + 1e-4)
     radii = [q.modulus ** -1.5, near, q.modulus ** -2.5]
@@ -181,56 +183,6 @@ def test_one_call_mixes_fine_rows_with_a_bisected_row():
         count, samples, low = _winding_reference(q, radius, 256)
         assert (res.count, res.samples_used) == (count, samples)
         assert res.min_modulus_on_contour == pytest.approx(low, rel=1e-9)
-
-
-@pytest.mark.parametrize("q, exponent, n0, grid", [
-    (0.55j, 6.5, 16, 32),      # n* = 6: 4 (n* + 1) > 16, guard depth 1
-    (-0.3, 70.5, 256, 512),    # n* = 70 at the default 256 samples
-    (cmath.rect(0.5, 2.5), 9.5, 16, 64),
-])
-def test_guarded_circle_reads_its_midpoints_from_one_grid(monkeypatch, q, exponent, n0, grid):
-    q = QParameter(q)
-    radius = q.modulus ** -exponent
-    angles = []
-
-    def spy(q, z, budget=zeros.DEFAULT_BUDGET):
-        angles.append(cmath.phase(z) % (2.0 * math.pi))
-        return eval_theta(q, z, budget)
-
-    monkeypatch.setattr(zeros, "eval_theta", spy)
-    res = winding_number(q, radius, initial_samples=n0)
-    monkeypatch.undo()
-    # a scalar sample only below the guard depth: never at a point of the grid of N 2^depth
-    assert all(abs(a * grid / (2.0 * math.pi) - round(a * grid / (2.0 * math.pi))) > 0.25
-               for a in angles)
-    count, samples, low = _winding_reference(q, radius, n0)
-    assert (res.count, res.samples_used) == (count, samples)
-    assert res.samples_used > n0
-    assert res.min_modulus_on_contour == pytest.approx(low, rel=1e-9)
-
-
-def test_guarded_moment_circles_take_no_scalar_sample(monkeypatch):
-    # at 256 samples the circles |z| = |q|^-(k + 1/2) from k = 64 on are guarded
-    q = QParameter(-0.3)
-    spy = mock.Mock(side_effect=eval_theta)
-    monkeypatch.setattr(zeros, "eval_theta", spy)
-    rep = verify_separation(q, 70)
-    assert rep.strongly_separated and all(rep.counts[k] == 1 for k in range(1, 71))
-    assert all(rec.newton_iterations == 0 for rec in rep.records.values())
-    assert spy.call_count and all(abs(call.args[1]) < q.modulus ** -64
-                                  for call in spy.call_args_list)
-
-
-def test_midpoint_grid_falls_back_to_scalar_samples_past_its_size(monkeypatch):
-    q = QParameter(-0.3)
-    radius = q.modulus ** -70.5
-    monkeypatch.setattr(zeros, "GRID_POINTS", 128)  # no room for a grid of even the samples
-    spy = mock.Mock(side_effect=eval_theta)
-    monkeypatch.setattr(zeros, "eval_theta", spy)
-    res = winding_number(q, radius)
-    assert spy.call_count == res.samples_used - 256 == 256
-    monkeypatch.undo()
-    assert res.count == winding_number(q, radius).count == 70
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +521,16 @@ def test_circle_coefficients_rows_are_the_contour_block_rows():
     for q, exponent in cases:
         q = QParameter(q)
         radii = [q.modulus ** -exponent, q.modulus ** -(exponent + 1), q.modulus ** -0.5]
-        blocks = []
-        weight = zeros.weight_derivative_rows
+        block = []
+        fold = zeros.fold_terms
 
-        def spy(rows):
-            weight(rows)
-            blocks.append(rows.copy())
+        def spy(terms, out, offset=0):
+            fold(terms, out, offset)
+            block.append(out.copy())  # the block row, as the inverse FFT reads it
 
-        with mock.patch.object(zeros, "weight_derivative_rows", spy):
+        with mock.patch.object(zeros, "fold_terms", spy):
             zeros._contours(q, radii, 256, zeros.DEFAULT_BUDGET, moments=True)
-        (block,) = blocks
+        assert len(block) == len(radii)
         for row, radius in zip(block, radii):
             rows, _, _ = circle_coefficients(q, radius, 256, derivative=True)
             assert rows.tobytes() == row.tobytes()
@@ -616,13 +568,13 @@ def test_moment_locations_match_newton_from_the_asymptotic_seed():
 def test_moment_estimate_off_by_1e_6_is_polished_by_newton(monkeypatch):
     q = QParameter(-0.3 + 0.3j)
     exact = verify_separation(q, 8)
-    kernel = zeros.weight_derivative_rows
+    kernel = zeros.fold_terms
 
-    def weight(rows):
-        kernel(rows)
-        rows[..., 1, :] *= 1 + 1e-6  # every moment, so every estimate, 1e-6 relative off
+    def fold(terms, out, offset=0):
+        kernel(terms, out, offset)
+        out[1] *= 1 + 1e-6  # every moment, so every estimate, 1e-6 relative off
 
-    monkeypatch.setattr(zeros, "weight_derivative_rows", weight)
+    monkeypatch.setattr(zeros, "fold_terms", fold)
     rep = verify_separation(q, 8)
     assert rep.strongly_separated
     for k in range(1, 9):
@@ -811,26 +763,20 @@ def test_estimate_pushed_outside_its_circle_takes_newton(monkeypatch):
 
 
 def test_count_only_contours_fold_no_derivative_row(monkeypatch):
-    shapes, weighted = [], []
-    fold, weight = zeros.fold_terms, zeros.weight_derivative_rows
+    shapes = []
+    fold = zeros.fold_terms
 
     def spy(terms, out, offset=0):
         shapes.append(out.shape)
         fold(terms, out, offset)
 
-    def weight_spy(rows):
-        weighted.append(rows.shape)
-        weight(rows)
-
     monkeypatch.setattr(zeros, "fold_terms", spy)
-    monkeypatch.setattr(zeros, "weight_derivative_rows", weight_spy)
     q = QParameter(-0.3 + 0.3j)
     count_zeros_in_annulus(q, Annulus.for_index(3))
     winding_numbers(q, [q.modulus ** -1.5, q.modulus ** -2.5, q.modulus ** -3.5])
-    assert shapes == [(256,)] * 5 and weighted == []
+    assert shapes == [(256,)] * 5
     verify_separation(q, 3)
-    # one weighting pass for the whole block of moment circles
-    assert shapes[5:] == [(2, 256)] * 3 and weighted == [(3, 2, 256)]
+    assert shapes[5:] == [(2, 256)] * 3
 
 
 def test_circle_budget_message_names_the_radius():
