@@ -199,10 +199,29 @@ def cmd_eval(args):
     return OutputRecord("eval", inputs, results), EXIT_OK
 
 
+def _last_finite_circle(modulus):
+    """The largest k whose circle |z| = modulus^-(k + 1/2) is a finite float, or 0."""
+    k = int(math.log(sys.float_info.max) / -math.log(modulus))
+    while k > 0:
+        try:
+            modulus ** -(k + 0.5)
+            return k
+        except OverflowError:
+            k -= 1
+    return 0
+
+
 def cmd_zeros(args):
     from . import zeros
 
     q = QParameter(parse_complex(args.q))
+    # No |q| <= 0.6 has a finite circle past k = 1388; the overflow notes of the indices a
+    # given q loses to the float range before that (1e-100 from k = 3) stay in the report.
+    if args.kmax > (most := _last_finite_circle(max(q.modulus, 0.6))):
+        raise DomainError(
+            f"--kmax must be at most {most}, got {args.kmax}: the circle |z| = |q|^-(k+1/2) "
+            f"is a finite float up to k = {_last_finite_circle(q.modulus)} at |q| = "
+            f"{q.modulus:g}")
     report = zeros.verify_separation(q, args.kmax, residual_tol=args.residual_tol,
                                      on_error="record")
     per_k = {}

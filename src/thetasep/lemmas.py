@@ -10,14 +10,15 @@ every margin is strictly positive.
 
 Grid-backed checks record the observed minimum and its location so the
 resolution slack can be judged by the caller; they sample, they do not
-certify.  The k1 and k2 circle scans sum a series sum_j c_j(q) z^j over
-one modulus row's (arg q) x (arg z) grid as one matrix product of the
-coefficients c_j(q_i) |z|^j with the powers e^{i j psi_k}; k1 takes its term
-count from the proven tail of theta_dagger and reports that tail's bound.
-Both scans (`_scan_min`) return the exhaustive scan's minimum and location,
-but evaluate every arg z only on the (|q|, arg q) rows that a coarse pass
-over every S-th arg z and the proven slope bound sum_j j |c_j| cannot rule out.
-The sampled checks use the array forms of `mu`, `A_j`, `B_j` and `phi_*`.
+certify.  The k1 and k2 circle scans sum a series sum_j c_j(q) z^j as matrix
+products of the coefficients c_j(q) |z|^j of every (|q|, arg q) node, built
+once, with the powers e^{i j psi_k}; k1 sums to the proven tail of theta_dagger
+and reports its bound.  Both scans (`_scan_min`) return the exhaustive scan's
+minimum and location: a complex64 pass over every S-th arg z, the proven slope
+bound sum_j j |c_j| and a rounding allowance rule out most rows, and only the
+others are evaluated over every arg z in complex128, stacked in blocks whose
+rows round as in their own modulus row's product.  The sampled checks use the
+array forms of `mu`, `A_j`, `B_j` and `phi_*`.
 """
 
 from __future__ import annotations
@@ -550,33 +551,53 @@ def k2_z_steps(k1_z_steps):
     return max(128, k1_z_steps // 2)
 
 
-class _Row(NamedTuple):
-    """One modulus row of a grid scan: its values are combine([C @ basis[p] for C, p in sums])."""
+class _Scan(NamedTuple):
+    """A grid scan: at (rho_r, omega_i) its values over arg z are combine(sums, r), where
+    sums[s] = C[r, i, :n] @ basis[p[:n]] for the s-th (C, p) and n = terms[r, s]."""
 
-    sums: list       # (C, p): C[i, j] = c_j(q_i) |z|^{p_j} at the row's q_i, and the powers p_j
-    combine: object  # list of sums -> real values, rows over arg q and columns over arg z
-    slope: float     # L_psi: |d value / d psi| <= slope on every circle of the row
-    scale: float     # M: the moduli of the terms of one value, summed with their weights
+    sums: list          # (C, p): C[r, i, j] = c_j(q_ri) |z_r|^{p_j}, (n_rho, n_omega, K); powers p
+    terms: np.ndarray   # (n_rho, len(sums)): the terms each modulus row sums of each sum
+    combine: object     # (sums over stacked rows, the modulus row of each) -> real values
+    slope: np.ndarray   # L_psi per modulus row: |d value / d psi| <= slope on each of its circles
+    scale: np.ndarray   # M per modulus row: the moduli of the terms of one value, weighted, summed
 
 
-def _coefficients(rho, z_modulus, powers, q_exponents, phases):
-    """(C, moduli): C[i, j] = moduli_j e^{i e_j omega_i}, moduli_j = rho^{e_j} z_modulus^{p_j}.
+def _coefficients(rhos, z_moduli, powers, q_exponents, omegas):
+    """(C, moduli): C[r, i, j] = moduli[r, j] e^{i e_j omega_i}, moduli[r, j] = rho_r^e_j z_r^p_j.
 
-    `phases` holds e^{i e_j omega_i}; it does not depend on rho, so a check builds it once.
+    z_moduli are scalar powers such as rho ** -0.5, which numpy's array power rounds otherwise.
     """
     e, p = np.asarray(q_exponents, dtype=float), np.asarray(powers, dtype=float)
-    moduli = rho ** e * z_modulus ** p
-    return moduli * phases, moduli
+    moduli = rhos[:, None] ** e * np.asarray(z_moduli)[:, None] ** p
+    return moduli[:, None, :] * np.exp(1j * np.outer(omegas, e)), moduli
 
 
-def _circle_sum(rho, omegas, z_modulus, powers, q_exponents, basis):
-    """sum_j q^{e_j} z^{p_j} at q = rho e^{i omega} (rows), z = z_modulus e^{i psi} (columns).
+# Most complex multiply-adds of one gemm in `_blocks`: OpenBLAS runs a larger product on two
+# threads, and their hand-offs stalled for milliseconds at a time on a busy two-core host.
+_GEMM_MADDS = 2 ** 16
 
-    The grid is an outer product, so the sum is one matrix product C @ V[p] with
-    C[i, j] = rho^{e_j} z_modulus^{p_j} e^{i e_j omega_i} and basis V[p, k] = e^{i p psi_k}.
+
+def _blocks(scan, basis, rows, cap):
+    """(rows, values) of `rows`, ascending flat (rho, omega) indices, over the basis columns.
+
+    A block holds rows of one term count, in the precision of the basis, and at most
+    cap values or one gemm; it is one batched product of gemms of `width` >= 2 rows
+    (numpy hands a one-row product to gemv, which may round differently), padded with
+    copies of the group's last row.  BLAS computes each row of a product from that row
+    and the basis alone, so a row's values are those of C[r] @ basis[p] in full.
     """
-    phases = np.exp(1j * np.outer(omegas, np.asarray(q_exponents, dtype=float)))
-    return _coefficients(rho, z_modulus, powers, q_exponents, phases)[0] @ basis[powers]
+    n_omega, columns = scan.sums[0][0].shape[1], basis.shape[1]
+    present = np.bincount(rows // n_omega, minlength=len(scan.terms)) > 0
+    for key in sorted(set(map(tuple, scan.terms[present].tolist()))):
+        same = rows[np.all(scan.terms == key, axis=1)[rows // n_omega]]
+        gemms = -(-same.size // max(2, _GEMM_MADDS // (max(key) * columns)))
+        width = max(2, -(-same.size // gemms))  # the fewest gemms, evened out
+        same = same[np.minimum(np.arange(gemms * width), same.size - 1)]
+        span = width * max(1, cap // (width * columns))
+        for at in (same[i:i + span] for i in range(0, same.size, span)):
+            sums = [c.reshape(-1, c.shape[2])[at, :n].astype(basis.dtype, copy=False)
+                    .reshape(-1, width, n) @ basis[p[:n]] for (c, p), n in zip(scan.sums, key)]
+            yield at, scan.combine([s.reshape(at.size, columns) for s in sums], at // n_omega)
 
 
 # The stride keeps the Lipschitz pad L_psi floor(S/2) dpsi of `_scan_min` at most this.
@@ -586,73 +607,61 @@ def _circle_sum(rho, omegas, z_modulus, powers, q_exponents, basis):
 _PAD = 0.25
 
 
-def _scan_min(grid, z_steps, max_power, row):
-    """Minimum over the grid of the values of row(rho), and its (rho, omega, psi).
+def _scan_min(grid, z_steps, scan):
+    """Minimum over the grid of the values of `scan`, and its (rho, omega, psi).
 
-    The scan samples; it does not certify.  It returns the minimum and the
-    location the exhaustive scan returns (first in (omega, psi) order within
-    a modulus row, the first modulus row on ties across rows), but evaluates
-    at full psi resolution only the (rho, omega) rows that a proven slope
-    bound cannot rule out:
+    The scan samples; it does not certify.  It returns the minimum and location
+    of the exhaustive scan (the first in (rho, omega, psi) order), but evaluates
+    over all psi only the (rho, omega) rows a proven slope bound cannot rule out:
 
-    1. Every (rho, omega) row is evaluated on the coarse subset psis[::S];
-       its minimum is kept, and ub is the least of them, a computed grid
-       value.  The powers e^{i p psi_k}, p <= max_power, are built once,
-       and so is each modulus row's coefficient matrix, kept for step 2
-       (n_rho n_omega K complex numbers: 1.1 MB on k1's default grid).
-    2. A row is refined over all psi only if its coarse minimum, less the
-       pad L floor(S/2) dpsi and the allowance 4 delta below, is <= ub.
-       psi wraps around, so every node lies within floor(S/2) steps of a
-       coarse one, and along the circle the value moves by at most
-       L = row.slope per radian.
+    1. Every row is evaluated in complex64 on the coarse subset psis[::S]; ub is
+       the least of their minima.
+    2. A row is refined, in complex128, only if its coarse minimum, less the pad
+       L floor(S/2) dpsi and the allowance 2 (delta32 + delta), is <= ub: every
+       node lies within floor(S/2) steps of a coarse one (psi wraps around), and
+       along a circle the value moves by at most L = scan.slope per radian.
 
-    Rounding allowance.  With u = 2^-53, one computed value differs from the
-    exact value of the row's stored coefficients at its node by less than
-    u((2K + 10) M + 2 pi L), for K terms per sum and M = row.scale, and the
-    exact values obey the slope bound: each basis entry e^{i p psi} carries
-    u(2 pi p + 2) from the rounded p psi and exp, the K products and sums
-    of a complex dot product at most 2(K + 2) u M, and the modulus and k2's
-    weight and differences a few u M more.  delta = 2^-50 (K + 8)(M + L)
-    covers that, and also the rounding of the grid nodes, of L and of the
-    test itself.  A skipped row's value at any node is then at least its
-    coarse minimum - L floor(S/2) dpsi - 2 delta > ub + 2 delta, and ub + 2
-    delta is at least the refined value at ub's node: a skipped row holds no
-    point at or below the computed minimum.
+    Both passes go through `_blocks` of n_omega z_steps / 4 values at most (a whole
+    row's product held 2 MB more), and refine to the values the exhaustive scan has.
+    The stride S = 2 floor(_PAD / (L dpsi)) + 1, with the grid's largest L, keeps
+    the pad at most _PAD.
 
-    The stride S = 2 floor(_PAD / (L dpsi)) + 1, with the largest L of the
-    grid, keeps the pad at most _PAD; at S = 1 only the rows within the
-    allowance of the minimum are evaluated twice.
-    numpy hands a one-row product to another BLAS routine (gemv), whose sums
-    may round differently from gemm's, so a lone refined row is doubled:
-    every refined value is then computed as the exhaustive scan computes it.
+    Rounding.  With u = 2^-53 a computed value differs from the exact value of the
+    row's stored coefficients at its node by less than u((2K + 10) M + 2 pi L), for
+    K terms per sum and M = scan.scale: each basis entry e^{i p psi} carries
+    u(2 pi p + 2) from the rounded p psi and exp, the K products and sums of a
+    complex dot product at most 2(K + 2) u M, and the modulus and k2's weight and
+    differences a few u M (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sections 3.1 and 3.6).  delta = 2^-50 (K + 8)(M + L) covers that and
+    the rounding of the nodes, of L and of the test; with u = 2^-24, which also
+    covers rounding coefficients and basis to complex64, delta32 = 2^-21 (K + 8)(M
+    + L) bounds a coarse value's error.  A skipped row's value at any node is then
+    at least its coarse minimum - L floor(S/2) dpsi - delta32 - delta > ub + delta32
+    + delta, at least the refined value at ub's node: it holds no point at or
+    below the computed minimum.
     """
     psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
-    omegas = grid.arguments()
-    basis = np.exp(1j * np.outer(np.arange(max_power + 1), psis))
-    spacing = 2.0 * math.pi / z_steps
-    rows = [(float(rho), row(float(rho))) for rho in grid.moduli()]
-    slope = max(r.slope for _, r in rows)
+    rhos, omegas = grid.moduli(), grid.arguments()
+    basis = np.exp(1j * np.outer(np.arange(max(int(p[-1]) for _, p in scan.sums) + 1), psis))
+    spacing, slope = 2.0 * math.pi / z_steps, float(np.max(scan.slope))
     half = z_steps // 2  # S = 2 half + 1; a coarse sample at psi = 0 alone reaches this far
     if slope * spacing * half > _PAD:
         half = math.floor(_PAD / (slope * spacing))
-    coarse = basis[:, ::2 * half + 1]
-    row_minima = np.array([np.min(r.combine([c @ coarse[p] for c, p in r.sums]), axis=1)
-                           for _, r in rows])
-    ub = float(np.min(row_minima))
-    best, best_at = math.inf, (math.nan, math.nan, math.nan)
-    for (rho, r), minima in zip(rows, row_minima):
-        terms = max(c.shape[1] for c, _ in r.sums)
-        allowance = 2.0 ** -48 * (terms + 8) * (r.scale + r.slope)  # 4 delta
-        live = np.flatnonzero(minima - r.slope * half * spacing - allowance <= ub)
-        if not live.size:
-            continue
-        if live.size == 1:
-            live = np.repeat(live, 2)
-        vals = r.combine([c[live] @ basis[p] for c, p in r.sums])
+    minima, cap = np.empty(rhos.size * omegas.size), omegas.size * z_steps // 4
+    for block, vals in _blocks(scan, basis[:, ::2 * half + 1].astype(np.complex64),
+                               np.arange(minima.size), cap):
+        minima[block] = np.min(vals, axis=1)
+    minima = minima.reshape(rhos.size, omegas.size)
+    ub = float(np.min(minima))
+    allowance = scan.slope * half * spacing + (2.0 ** -49 + 2.0 ** -20) * (
+        scan.terms.max(axis=1) + 8) * (scan.scale + scan.slope)  # 2 (delta + delta32)
+    live, best = np.flatnonzero(minima - allowance[:, None] <= ub), (math.inf, 0, 0)
+    for block, vals in _blocks(scan, basis, live, cap):
         i, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        if vals[i, k] < best:
-            best, best_at = float(vals[i, k]), (rho, float(omegas[live[i]]), float(psis[k]))
-    return best, best_at
+        best = min(best, (float(vals[i, k]), int(block[i]), int(k)))
+    value, row, k = best
+    return value, (float(rhos[row // omegas.size]), float(omegas[row % omegas.size]),
+                   float(psis[k]))
 
 
 def _theta_dagger_terms(rho, tolerance=1e-16):
@@ -670,64 +679,60 @@ def _theta_dagger_terms(rho, tolerance=1e-16):
 
 
 def _theta_dagger_scan(grid):
-    """(row, max_power, tail): the k1 scan of |theta_dagger| on |z| = rho^{-1/2} over `grid`.
+    """(scan, tail): the k1 scan of |theta_dagger| on |z| = rho^{-1/2} over `grid`.
 
     Each modulus row sums j < n, n from the proven geometric tail
     (`_theta_dagger_terms`), and tail is the largest dropped-tail bound.  The
-    phases e^{i j(j-1)/2 omega} are built once for all rows; the slope bound
-    is L_psi = sum_{j<n} j |c_j| over the terms the row sums.
+    slope bound is L_psi = sum_{j<n} j |c_j| over the terms the row sums.
     """
-    terms = {rho: _theta_dagger_terms(rho) for rho in map(float, grid.moduli())}
-    counts, tails = zip(*terms.values())
+    rhos = list(map(float, grid.moduli()))
+    counts, tails = zip(*map(_theta_dagger_terms, rhos))
     j = np.arange(max(counts))
-    e = j * (j - 1) / 2
-    phases = np.exp(1j * np.outer(grid.arguments(), e))
-
-    def row(rho):
-        n = terms[rho][0]
-        coefficients, moduli = _coefficients(rho, rho ** -0.5, j[:n], e[:n], phases[:, :n])
-        return _Row([(coefficients, j[:n])], lambda sums: np.abs(sums[0]),
-                    slope=float(j[:n] @ moduli), scale=float(np.sum(moduli)))
-
-    return row, max(counts) - 1, max(tails)
+    coefficients, moduli = _coefficients(grid.moduli(), [rho ** -0.5 for rho in rhos], j,
+                                         j * (j - 1) / 2, grid.arguments())
+    moduli = moduli * (j < np.array(counts)[:, None])  # the terms each row sums
+    return _Scan([(coefficients, j)], np.array(counts)[:, None], lambda sums, r: np.abs(sums[0]),
+                 slope=moduli @ j, scale=np.sum(moduli, axis=1)), max(tails)
 
 
 def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
     """Direct scan: min |theta_dagger| on |z| = |q|^{-1/2} over the left quarter-disk.
 
-    arg(q) in [pi/2, pi] suffices by conjugation symmetry.  Each modulus row
-    is one matrix product of the series coefficients with the powers
-    e^{i j psi}, summed to the term count of the proven geometric tail
-    (`_theta_dagger_scan`), and `_scan_min` refines only the rows its slope
-    bound cannot rule out; the largest dropped-tail bound is reported as
-    `tail_bound`.  The minimum must be strictly positive; its value and
-    location are reported so resolution slack can be judged.
+    arg(q) in [pi/2, pi] suffices by conjugation symmetry.  The series is summed
+    to the term count of the proven geometric tail (`_theta_dagger_scan`), whose
+    largest bound is reported as `tail_bound`, and `_scan_min` refines only the
+    rows its slope bound cannot rule out.  The minimum must be strictly positive;
+    its value and location are reported so resolution slack can be judged, and
+    `sample_pad` = L pi / z_steps, with the largest slope bound L of the grid,
+    is the most the value can dip between two neighbouring samples of a circle.
     """
-    row, max_power, tail = _theta_dagger_scan(grid)
-    best, at = _scan_min(grid, z_steps, max_power, row)
+    scan, tail = _theta_dagger_scan(grid)
+    best, at = _scan_min(grid, z_steps, scan)
     computed = {"min_abs": best, "at_modulus": at[0], "at_q_argument": at[1],
-                "at_z_argument": at[2], "z_points": float(z_steps), "tail_bound": tail}
+                "at_z_argument": at[2], "z_points": float(z_steps), "tail_bound": tail,
+                "sample_pad": float(np.max(scan.slope)) * math.pi / z_steps}
     return VerificationReport.build("k1_direct", computed, {"min_abs_positive": best}, grid)
 
 
-# Bytes `_scan_min` holds per (arg q, arg z) node of the modulus row it evaluates, above
-# ru_maxrss measured per node: 22 for k1's |sum|, 38 for k2's two sums and their margin.
-_ROW_NODE_BYTES = {"k1": 24, "k2": 40}
+# Bytes `_scan_min` holds, above the ru_maxrss growth measured on 600 x 300 grids and on long
+# circles (in parentheses): per (|q|, arg q) node, 16 a term of coefficients and 96 of indices
+# (k1 254, k2 168); per arg q x arg z value, 24 for k1 and 48 for k2 (14, 20: a block holds a
+# quarter of them); and 16 a term and arg z for the powers e^{i p psi}.
+_NODE_BYTES, _VALUE_BYTES = 96, {"k1": 24, "k2": 48}
 
 
 def scan_bytes(check, modulus_steps, argument_steps, z_steps):
     """An upper estimate of the bytes the "k1" or "k2" scan holds at once, from its grid shape.
 
-    `_scan_min` keeps every modulus row's coefficient matrices, one complex
-    number a term per (|q|, arg q) node (k1: up to the 14 terms of its
-    largest modulus 0.6; k2: the 8 of B and A*), while it evaluates a
-    refined row over every (arg q, arg z) node; k1 runs with z_steps and k2
-    with k2_z_steps(z_steps) circle samples.
+    `_scan_min` keeps the complex128 coefficients of every (|q|, arg q) node (k1: up to
+    the 14 terms of its largest modulus 0.6; k2: the 8 of B and A*) while it evaluates a
+    block of at most arg q x arg z values; k1 runs with z_steps and k2 with
+    k2_z_steps(z_steps) circle samples.
     """
     terms = _theta_dagger_terms(DEFAULT_K1_GRID.modulus_range[1])[0] if check == "k1" else 8
     circle = z_steps if check == "k1" else k2_z_steps(z_steps)
-    return 16 * modulus_steps * argument_steps * terms + (
-        _ROW_NODE_BYTES[check] * argument_steps * circle)
+    return ((16 * terms + _NODE_BYTES) * modulus_steps * argument_steps
+            + (_VALUE_BYTES[check] * argument_steps + 16 * terms) * circle)
 
 
 def verify_lemma_k1(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS, samples=2000):
@@ -764,28 +769,22 @@ def B_closed_form(rho, omega, psi):
 DEFAULT_K2_GRID = GridSpec((0.55, 0.6), 60, (math.pi / 2, 2 * math.pi / 3), 60)
 
 
-def _dominance_row(grid, tail):
-    """Row function of the k2 scan of xi |B| - |A*| - tail on |xi| = rho^{-3/2} over `grid`.
+def _dominance_scan(grid, tail):
+    """The k2 scan of xi |B| - |A*| - tail on |xi| = rho^{-3/2} over `grid`.
 
     B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6
-    + q^21 xi^7; their phases are built once for all rows, and the slope
-    bound is L_psi = |xi| sum_p p |b_p| + sum_p p |a_p|.
+    + q^21 xi^7, and the slope bound is L_psi = |xi| sum_p p |b_p| + sum_p p |a_p|.
     """
-    b_powers, b_exponents = np.array([0, 1, 2]), np.array([0.0, 1.0, 3.0])
-    a_powers, a_exponents = np.array([0, 4, 5, 6, 7]), np.array([0.0, 6.0, 10.0, 15.0, 21.0])
-    b_phases, a_phases = (np.exp(1j * np.outer(grid.arguments(), e))
-                          for e in (b_exponents, a_exponents))
-
-    def row(rho):
-        xi_mod = rho ** -1.5
-        b, b_moduli = _coefficients(rho, xi_mod, b_powers, b_exponents, b_phases)
-        a, a_moduli = _coefficients(rho, xi_mod, a_powers, a_exponents, a_phases)
-        return _Row([(b, b_powers), (a, a_powers)],
-                    lambda sums: xi_mod * np.abs(sums[0]) - np.abs(sums[1]) - tail,
-                    slope=xi_mod * float(b_powers @ b_moduli) + float(a_powers @ a_moduli),
-                    scale=xi_mod * float(np.sum(b_moduli)) + float(np.sum(a_moduli)) + tail)
-
-    return row
+    xi = np.array([rho ** -1.5 for rho in map(float, grid.moduli())])
+    b_powers, a_powers = np.array([0, 1, 2]), np.array([0, 4, 5, 6, 7])
+    b, b_moduli = _coefficients(grid.moduli(), xi, b_powers, [0, 1, 3], grid.arguments())
+    a, a_moduli = _coefficients(grid.moduli(), xi, a_powers, [0, 6, 10, 15, 21],
+                                grid.arguments())
+    return _Scan([(b, b_powers), (a, a_powers)], np.tile([3, 5], (xi.size, 1)),
+                 lambda sums, r: (xi[r, None].astype(sums[0].real.dtype) * np.abs(sums[0])
+                                  - np.abs(sums[1]) - tail),  # in the precision of the sums
+                 slope=xi * (b_moduli @ b_powers) + a_moduli @ a_powers,
+                 scale=xi * np.sum(b_moduli, axis=1) + np.sum(a_moduli, axis=1) + tail)
 
 
 def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=k2_z_steps(DEFAULT_K1_Z_STEPS)):
@@ -796,21 +795,22 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=k2_z_steps(DEFAULT_K1_Z_STEPS)
     remaining corner arg(q) in [pi/2, 2pi/3], |q| in [0.55, 0.6] is scanned:
     A is split as A* (terms j <= 7) plus a tail A** bounded by
     0.0002925...; the margin min(|xi B| - |A*| - bound) is reported as
-    observed, not certified.  On each modulus row B = 1 + q xi + q^3 xi^2
-    and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6 + q^21 xi^7 are each one
-    matrix product of their coefficients with the powers e^{i j psi}
-    (`_dominance_row`), and `_scan_min` refines only the rows its slope
-    bound cannot rule out; both polynomials are exact, so only A** is bounded.
+    observed, not certified.  B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4
+    + q^10 xi^5 + q^15 xi^6 + q^21 xi^7 are exact (`_dominance_scan`), so only
+    A** is bounded, and `_scan_min` refines only the rows its slope bound
+    cannot rule out.  `sample_pad` is k1's, for this scan's slope and circle.
     """
     a0 = _a0()
     tail = _a_tail_bound()
     wide, small = (recompute_constant(n) for n in ("xiB_floor_wide_arg", "xiB_floor_small_q"))
 
-    worst, worst_at = _scan_min(grid, z_steps, 7, _dominance_row(grid, tail))
+    scan = _dominance_scan(grid, tail)
+    worst, worst_at = _scan_min(grid, z_steps, scan)
     computed = {"a0": a0, "a_tail_bound": tail,
                 "xiB_floor_wide_arg": wide, "xiB_floor_small_q": small,
                 "grid_min_margin": worst, "at_modulus": worst_at[0],
-                "at_q_argument": worst_at[1], "at_xi_argument": worst_at[2]}
+                "at_q_argument": worst_at[1], "at_xi_argument": worst_at[2],
+                "sample_pad": float(np.max(scan.slope)) * math.pi / z_steps}
     margins = {
         "a0_digits": agreement_margin(a0, REFERENCE_CONSTANTS["a0"].value),
         "tail_digits": agreement_margin(tail, REFERENCE_CONSTANTS["a_tail_bound"].value),

@@ -108,6 +108,9 @@ MAX_BISECTION_DEPTH = 12
 WINDING_INTEGRALITY = 1e-3
 
 MAX_NEWTON_ITERATIONS = 50
+# Below this |q| the rounding of a moment estimate, about 2^-52 r_k, passes the inner radius
+# |q| r_k of its annulus, so an estimate that fails its Horner check is no Newton seed.
+MOMENT_SEED_MIN_MODULUS = 2.0 ** -48
 
 
 @dataclass(frozen=True)
@@ -617,7 +620,8 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
     boundary circles.  It is checked by one Horner pass over the terms its
     outer circle summed for the contour (`_checked_estimate`), and polished
     by Newton from the estimate only if it misses `residual_tol` or does not
-    lie inside that circle; any other annulus runs `locate_zero`.  With
+    lie inside that circle, and by Newton from -q^-k instead at |q| <=
+    MOMENT_SEED_MIN_MODULUS; any other annulus runs `locate_zero`.  With
     on_error="record", per-k contour/convergence failures are noted in the
     report instead of raised.  A tolerance outside (0, inf) raises DomainError.
     """
@@ -668,8 +672,10 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
                 annulus = (radii.get(k - 1, 0.0), radii[k])  # |q|^{-(k -+ 1/2)}, 0 for k = 1
                 report.records[k] = (
                     _checked_estimate(k, estimate, terms[k], annulus, residual_tol)
-                    or _zero_record(q, k, estimate, annulus, residual_tol,
-                                    MAX_NEWTON_ITERATIONS, budget))
+                    or (_zero_record(q, k, estimate, annulus, residual_tol,
+                                     MAX_NEWTON_ITERATIONS, budget)
+                        if q.modulus > MOMENT_SEED_MIN_MODULUS
+                        else locate_zero(q, k, residual_tol=residual_tol, budget=budget)))
             else:
                 report.records[k] = locate_zero(q, k, residual_tol=residual_tol, budget=budget)
         except (NoConvergence, ContourTooClose, BudgetExceeded, OverflowError) as exc:

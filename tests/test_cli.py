@@ -131,6 +131,33 @@ def test_zeros_seed_beyond_the_float_range_exits_3_per_k(capsys, q):
     assert "the Newton seed -q^-4 leaves the float range" in entry["error"]
 
 
+@pytest.mark.parametrize("q, kmax, most, last", [("-0.3", "100000000", 1388, 589),
+                                                 ("-0.3", "1389", 1388, 589),
+                                                 ("0.7", "1990", 1989, 1989)])
+def test_zeros_kmax_past_the_float_range_exits_2_at_once(capsys, monkeypatch, q, kmax, most,
+                                                         last):
+    # no contour work starts: every |q| <= 0.6 has lost its circles to overflow past k = 1388
+    from thetasep import zeros
+    monkeypatch.setattr(zeros, "verify_separation", None)
+    code, out, err = run(capsys, ["zeros", "--q", q, "--kmax", kmax])
+    assert code == 2 and out == ""
+    assert err == (f"error: --kmax must be at most {most}, got {kmax}: the circle "
+                   f"|z| = |q|^-(k+1/2) is a finite float up to k = {last} at |q| = "
+                   f"{abs(complex(q)):g}\n")
+
+
+def test_zeros_kmax_at_the_bound_is_accepted(capsys, monkeypatch):
+    from thetasep import cli, zeros
+    seen = []
+    monkeypatch.setattr(zeros, "verify_separation", lambda q, k_max, **kw: seen.append(k_max)
+                        or zeros.SeparationReport(q=q.value, k_max=k_max))
+    run(capsys, ["zeros", "--q", "-0.3", "--kmax", "1388"])
+    assert seen == [1388]
+    assert 0.6 ** -(1388.5) < math.inf and cli._last_finite_circle(0.6) == 1388
+    with pytest.raises(OverflowError):
+        0.6 ** -(1389.5)
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["zeros", "--q", "-0.3", "--kmax", "3"],
@@ -280,8 +307,13 @@ def _exhaustive_grid_minimum(grid, z_steps, max_power, values):
 
 
 def test_verify_small_grids_give_the_exhaustive_minima(capsys):
-    from thetasep.lemmas import C0, GridSpec, _a_tail_bound, _circle_sum, _theta_dagger_terms
+    from thetasep.lemmas import C0, GridSpec, _a_tail_bound, _coefficients, _theta_dagger_terms
     small = ["--z-steps", "7", "--modulus-steps", "5", "--argument-steps", "3", "--format", "json"]
+
+    def _circle_sum(rho, omegas, z_modulus, powers, q_exponents, basis):
+        # one modulus row's coefficients, built on their own, times the powers e^{i p psi}
+        rows = _coefficients(np.array([rho]), [z_modulus], powers, q_exponents, omegas)[0]
+        return rows[0] @ basis[powers]
 
     def theta_dagger(rho, omegas, basis):
         j = np.arange(_theta_dagger_terms(rho)[0])

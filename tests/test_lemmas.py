@@ -329,9 +329,10 @@ def test_verify_all_structure():
 # ---------------------------------------------------------------------------
 
 def _row(rho, omegas, psis, z_modulus, powers, q_exponents):
-    from thetasep.lemmas import _circle_sum
+    from thetasep.lemmas import _coefficients
     basis = np.exp(1j * np.outer(np.arange(max(powers) + 1), psis))
-    return _circle_sum(rho, np.asarray(omegas), z_modulus, powers, q_exponents, basis)
+    rows = _coefficients(np.array([rho]), [z_modulus], powers, q_exponents, np.asarray(omegas))[0]
+    return rows[0] @ basis[powers]
 
 
 def test_k1_kernel_matches_scalar_theta_dagger():
@@ -412,16 +413,26 @@ def test_grid_scans_at_cli_defaults_keep_value_and_location():
 # pruned grid minima
 # ---------------------------------------------------------------------------
 
-def _exhaustive_min(grid, z_steps, max_power, row):
+def _basis(scan, psis):
+    """The powers e^{i p psi} up to the scan's largest power, one row a power."""
+    return np.exp(1j * np.outer(np.arange(max(int(p[-1]) for _, p in scan.sums) + 1), psis))
+
+
+def _row_values(scan, r, basis):
+    """Modulus row r's values, each sum one float64 product C[r] @ basis[p] of its own terms."""
+    sums = [c[r, :, :n] @ basis[p[:n]] for (c, p), n in zip(scan.sums, scan.terms[r])]
+    return scan.combine(sums, np.full(sums[0].shape[0], r))
+
+
+def _exhaustive_min(grid, z_steps, scan):
     """The scan `_scan_min` prunes, at every node: the first minimum in
     (omega, psi) order within a modulus row, the first modulus row on ties."""
     psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
     omegas = grid.arguments()
-    basis = np.exp(1j * np.outer(np.arange(max_power + 1), psis))
+    basis = _basis(scan, psis)
     best, at = math.inf, None
-    for rho in map(float, grid.moduli()):
-        r = row(rho)
-        vals = r.combine([c @ basis[p] for c, p in r.sums])
+    for r, rho in enumerate(map(float, grid.moduli())):
+        vals = _row_values(scan, r, basis)
         i, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
         if vals[i, k] < best:
             best, at = float(vals[i, k]), (rho, float(omegas[i]), float(psis[k]))
@@ -429,12 +440,9 @@ def _exhaustive_min(grid, z_steps, max_power, row):
 
 
 def _scan(check, grid):
-    """(max_power, row) of the k1 or the k2 scan over `grid`."""
-    from thetasep.lemmas import _a_tail_bound, _dominance_row, _theta_dagger_scan
-    if check == "k1":
-        row, max_power, _ = _theta_dagger_scan(grid)
-        return max_power, row
-    return 7, _dominance_row(grid, _a_tail_bound())
+    """The k1 or the k2 scan over `grid`."""
+    from thetasep.lemmas import _a_tail_bound, _dominance_scan, _theta_dagger_scan
+    return _theta_dagger_scan(grid)[0] if check == "k1" else _dominance_scan(grid, _a_tail_bound())
 
 
 @settings(max_examples=80, deadline=None)
@@ -450,12 +458,36 @@ def test_pruned_scan_matches_the_exhaustive_scan(check, ends, modulus_steps, arg
     a, b = sorted(ends)
     grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), modulus_steps,
                     (math.pi / 2, math.pi if check == "k1" else 2 * math.pi / 3), argument_steps)
-    max_power, row = _scan(check, grid)
+    scan = _scan(check, grid)
     with pytest.MonkeyPatch.context() as patch:
         if pad is not None:
             patch.setattr(lemmas, "_PAD", pad)
-        pruned = lemmas._scan_min(grid, z_steps, max_power, row)
-    assert pruned == _exhaustive_min(grid, z_steps, max_power, row)
+        pruned = lemmas._scan_min(grid, z_steps, scan)
+    assert pruned == _exhaustive_min(grid, z_steps, scan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(check=st.sampled_from(["k1", "k2"]), modulus_steps=st.integers(2, 12),
+       argument_steps=st.integers(2, 12), z_steps=st.integers(1, 97),
+       cap=st.integers(1, 5000), data=st.data())
+def test_blocks_give_each_row_its_own_modulus_row_product(check, modulus_steps, argument_steps,
+                                                          z_steps, cap, data):
+    # any subset of rows, stacked across modulus rows of one term count, in blocks of any
+    # size: every row's values equal its row of C[r] @ basis[p] bit for bit
+    from thetasep import lemmas
+    lo, hi, top = (C0, 0.6, math.pi) if check == "k1" else (0.55, 0.6, 2 * math.pi / 3)
+    grid = GridSpec((lo, hi), modulus_steps, (math.pi / 2, top), argument_steps)
+    scan = _scan(check, grid)
+    basis = _basis(scan, np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False))
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, modulus_steps * argument_steps - 1),
+                                             min_size=1))))
+    seen = set()
+    for at, values in lemmas._blocks(scan, basis, rows, cap):
+        for row, got in zip(at.tolist(), values):
+            r, i = divmod(row, argument_steps)
+            assert np.array_equal(got, _row_values(scan, r, basis)[i])
+            seen.add(row)
+    assert seen == set(rows.tolist())
 
 
 @pytest.mark.parametrize("check", ["k1", "k2"])
@@ -464,11 +496,10 @@ def test_slope_bounds_are_the_term_majorants(check):
     from thetasep.lemmas import _theta_dagger_terms
     lo, hi, top = (C0, 0.6, math.pi) if check == "k1" else (0.55, 0.6, 2 * math.pi / 3)
     grid = GridSpec((lo, hi), 3, (math.pi / 2, top), 5)
-    max_power, row = _scan(check, grid)
+    scan = _scan(check, grid)
     psis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    basis = np.exp(1j * np.outer(np.arange(max_power + 1), psis))
-    for rho in map(float, grid.moduli()):
-        r = row(rho)
+    basis = _basis(scan, psis)
+    for r, rho in enumerate(map(float, grid.moduli())):
         if check == "k1":
             moduli = [rho ** (j * (j - 2) / 2) for j in range(_theta_dagger_terms(rho)[0])]
             slope = math.fsum(j * m for j, m in enumerate(moduli))
@@ -477,48 +508,117 @@ def test_slope_bounds_are_the_term_majorants(check):
             slope = (xi * (rho * xi + 2 * rho ** 3 * xi ** 2)
                      + math.fsum(p * rho ** e * xi ** p
                                  for p, e in ((4, 6), (5, 10), (6, 15), (7, 21))))
-        assert r.slope == pytest.approx(slope, rel=1e-12)
-        vals = r.combine([c @ basis[p] for c, p in r.sums])
+        assert scan.slope[r] == pytest.approx(slope, rel=1e-12)
+        vals = _row_values(scan, r, basis)
         steps = np.abs(np.diff(vals, axis=1, append=vals[:, :1])) / (psis[1] - psis[0])
-        assert np.max(steps) <= r.slope
+        assert np.max(steps) <= scan.slope[r]
 
 
 def test_an_unsound_slope_bound_misses_the_minimum():
     # a row that claims a zero slope is judged by its psi = 0 sample alone
     from thetasep.lemmas import _scan_min
     grid = GridSpec((C0, 0.6), 6, (math.pi / 2, math.pi), 6)
-    max_power, row = _scan("k1", grid)
-
-    def flat(rho):
-        return row(rho)._replace(slope=0.0)
-
-    assert _scan_min(grid, 97, max_power, row) == _exhaustive_min(grid, 97, max_power, row)
-    assert _scan_min(grid, 97, max_power, flat) != _exhaustive_min(grid, 97, max_power, flat)
+    scan = _scan("k1", grid)
+    flat = scan._replace(slope=np.zeros_like(scan.slope))
+    assert _scan_min(grid, 97, scan) == _exhaustive_min(grid, 97, scan)
+    assert _scan_min(grid, 97, flat) != _exhaustive_min(grid, 97, flat)
 
 
 def test_pruned_scans_at_the_defaults_refine_few_rows(monkeypatch):
-    # on the default grids (strides 11 and 3) a small share of (rho, omega) rows is refined
+    # on the default grids (strides 11 and 3) a small share of (rho, omega) rows is refined:
+    # 405 and 583 with the complex128 coarse pass, a few more with the complex64 allowance
     from thetasep import lemmas
-    shapes = []
-    scan_min = lemmas._scan_min
+    blocks, evaluated = lemmas._blocks, []
 
-    def recording(grid, z_steps, max_power, row):
-        def recorded(rho):
-            r = row(rho)
+    def recording(scan, basis, rows, cap):
+        for at, values in blocks(scan, basis, rows, cap):
+            evaluated.append((basis.dtype, basis.shape[1], at, values.shape))
+            yield at, values
 
-            def combine(sums):
-                shapes.append(sums[0].shape)
-                return r.combine(sums)
-            return r._replace(combine=combine)
-        return scan_min(grid, z_steps, max_power, recorded)
-
-    monkeypatch.setattr(lemmas, "_scan_min", recording)
-    for check, z_steps, rows in ((verify_lemma_k1_direct, 720, 6400),
-                                 (verify_lemma_k2, 360, 3600)):
-        shapes.clear()
+    monkeypatch.setattr(lemmas, "_blocks", recording)
+    for check, z_steps, rows, refined in ((verify_lemma_k1_direct, 720, 6400, 405),
+                                          (verify_lemma_k2, 360, 3600, 583)):
+        evaluated.clear()
         check()
-        assert sum(n for n, columns in shapes if columns < z_steps) == rows
-        assert sum(n for n, columns in shapes if columns == z_steps) < rows / 4
+        coarse = [at for dtype, columns, at, _ in evaluated if columns < z_steps]
+        fine = [at for dtype, columns, at, _ in evaluated if columns == z_steps]
+        assert all(dtype == (np.complex64 if columns < z_steps else np.complex128)
+                   and shape == (at.size, columns) for dtype, columns, at, shape in evaluated)
+        # every row in the coarse pass; blocks ascend, and a repeat pads a group's last row
+        assert np.array_equal(np.unique(np.concatenate(coarse)), np.arange(rows))
+        for at in coarse + fine:
+            distinct = np.unique(at).size
+            assert np.all(np.diff(at[:distinct]) > 0) and np.all(at[distinct:] == at[-1])
+        live = np.unique(np.concatenate(fine)).size
+        assert live < rows / 4 and abs(live - refined) <= 0.01 * refined
+
+
+def _coarse_error_and_allowance(check, grid, z_steps):
+    """Per modulus row: the largest |complex64 value - float64 value| over every node, as
+    `_blocks` evaluates the coarse pass, and delta32 + delta = (2^-21 + 2^-50)(K + 8)(M + L)."""
+    from thetasep import lemmas
+    scan = _scan(check, grid)
+    basis = _basis(scan, np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False))
+    n_omega = grid.argument_steps
+    single = np.empty((grid.modulus_steps * n_omega, z_steps))
+    for at, values in lemmas._blocks(scan, basis.astype(np.complex64),
+                                     np.arange(single.shape[0]), n_omega * z_steps):
+        single[at] = values
+    error = np.array([np.max(np.abs(single[r * n_omega:(r + 1) * n_omega]
+                                    - _row_values(scan, r, basis)))
+                      for r in range(grid.modulus_steps)])
+    rounding = (scan.terms.max(axis=1) + 8) * (scan.scale + scan.slope)
+    return error, (2.0 ** -21 + 2.0 ** -50) * rounding
+
+
+@pytest.mark.parametrize("check", ["k1", "k2"])
+def test_single_precision_values_lie_within_their_allowance_at_the_defaults(check):
+    # the premise of the skip rule: at every node of a default grid, so at every coarse node
+    from thetasep.lemmas import DEFAULT_K1_GRID, DEFAULT_K2_GRID
+    grid, z_steps = (DEFAULT_K1_GRID, 720) if check == "k1" else (DEFAULT_K2_GRID, 360)
+    error, allowance = _coarse_error_and_allowance(check, grid, z_steps)
+    assert np.all(error <= allowance)
+    assert np.all(error > 0)  # the pass does round: the bound is exercised, not vacuous
+
+
+@settings(max_examples=40, deadline=None)
+@given(check=st.sampled_from(["k1", "k2"]),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       modulus_steps=st.integers(2, 12), argument_steps=st.integers(2, 12),
+       z_steps=st.integers(1, 97))
+def test_single_precision_values_lie_within_their_allowance(check, ends, modulus_steps,
+                                                            argument_steps, z_steps):
+    lo, hi = (C0, 0.6) if check == "k1" else (0.55, 0.6)
+    a, b = sorted(ends)
+    grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), modulus_steps,
+                    (math.pi / 2, math.pi if check == "k1" else 2 * math.pi / 3), argument_steps)
+    error, allowance = _coarse_error_and_allowance(check, grid, z_steps)
+    assert np.all(error <= allowance)
+
+
+def test_default_scans_keep_their_minima_bit_for_bit():
+    k1, k2 = verify_lemma_k1_direct().computed, verify_lemma_k2().computed
+    assert (k1["min_abs"], k1["at_modulus"], k1["at_q_argument"], k1["at_z_argument"]) == (
+        0.4832630030439204, 0.6, math.pi / 2, 1.5969762655748114)
+    assert (k2["grid_min_margin"], k2["at_modulus"], k2["at_q_argument"],
+            k2["at_xi_argument"]) == (0.10280925018208191, 0.6, math.pi / 2, 5.724679946541401)
+
+
+def test_sample_pad_is_the_slope_bound_over_half_a_step_in_computed_only():
+    from thetasep.lemmas import DEFAULT_K1_GRID, DEFAULT_K2_GRID, _theta_dagger_scan
+    k1, k2 = verify_lemma_k1_direct(), verify_lemma_k2()
+    slope = float(np.max(_theta_dagger_scan(DEFAULT_K1_GRID)[0].slope))
+    assert k1.computed["sample_pad"] == slope * math.pi / 720
+    assert k2.computed["sample_pad"] == float(np.max(_scan("k2", DEFAULT_K2_GRID).slope)) \
+        * math.pi / 360
+    assert round(k1.computed["sample_pad"], 3) == 0.023 and round(k2.computed["sample_pad"], 3) \
+        == 0.118
+    assert "sample_pad" not in k1.margins and "sample_pad" not in k2.margins
+    # one sample per circle: the reported minimum 0.975 could hide a dip of 16.7
+    coarse = verify_lemma_k1(z_steps=1, samples=400)
+    assert round(coarse.computed["direct.sample_pad"], 1) == 16.7
+    assert round(coarse.computed["direct.min_abs"], 3) == 0.975
+    assert not any("sample_pad" in key for key in coarse.margins)
 
 
 def test_mu_margins_pinned_exactly():

@@ -257,6 +257,20 @@ def test_locate_no_convergence_with_single_iteration():
     assert err.value.k == 3
 
 
+@pytest.mark.parametrize("exponent, k_max", [(40, 7), (50, 5), (60, 4), (75, 3), (100, 2)])
+def test_tiny_q_separation_seeds_newton_from_the_asymptotic_zero(exponent, k_max):
+    # below |q| = 2^-48 a moment estimate's rounding passes its annulus' inner radius, so one
+    # that fails its Horner check is replaced by -q^-k; from the estimate Newton fails here
+    q = 10.0 ** -exponent
+    assert q <= zeros.MOMENT_SEED_MIN_MODULUS
+    rep = verify_separation(q, k_max, on_error="record")
+    assert rep.strongly_separated and rep.notes == {}
+    for k in range(1, k_max + 1):
+        assert rep.records[k].location == pytest.approx(-q ** -k, rel=1e-6)
+    with mock.patch.object(zeros, "MOMENT_SEED_MIN_MODULUS", 0.0):
+        assert not verify_separation(q, k_max, on_error="record").strongly_separated
+
+
 @pytest.mark.parametrize("q, ks", [(1e-100, [4]), (1e-160, [2, 3, 4])])
 def test_a_seed_beyond_the_float_range_is_an_overflow(q, ks):
     # |q|^-k passes the float range: the complex power would underflow q^k to 0 and divide
