@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -22,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .core import C0, DEFAULT_BUDGET, QParameter, SeriesBudget
+from .core import DEFAULT_BUDGET, QParameter, SeriesBudget
 from .core import eval_G, eval_Q, eval_R, eval_U
 from .core import eval_theta, eval_theta_dagger, eval_theta_star, ldexp_complex
 from .errors import (
@@ -46,8 +47,8 @@ MAX_VERIFY_STEPS = {"modulus_steps": 10_000, "argument_steps": 10_000, "z_steps"
 # least each check takes, and at the top a few hundred MB (mu keeps about 200 bytes a
 # sample, AB about 100 a grid point).
 VERIFY_SAMPLE_RANGES = {"samples": (2, 1_000_000), "grid_points": (1000, 1_000_000)}
-# Largest accepted modulus x argument node count of a grid that a run scans: Q's default
-# 2000 x 2000.
+# Largest accepted modulus x argument node count of a grid that a `verify` run scans, Q's
+# default 2000 x 2000, and of the cells of a `scan`.
 MAX_VERIFY_GRID_NODES = 2000 * 2000
 # Largest accepted estimate of the bytes the k1 or k2 scan holds at once (lemmas.scan_bytes):
 # the coefficients it keeps for every grid node, and one modulus row over arg q x arg z.
@@ -254,51 +255,33 @@ def _report_payload(rep):
 def cmd_verify(args):
     from . import lemmas
 
-    ranges = {flag: (1, most) for flag, most in MAX_VERIFY_STEPS.items()}
-    for flag, (least, most) in (ranges | VERIFY_SAMPLE_RANGES).items():
-        value = getattr(args, flag)
-        if value is not None and not least <= value <= most:
-            raise DomainError(
-                f"--{flag.replace('_', '-')} must lie in [{least}, {most}], got {value}")
-    # unset step flags fall back to each check's library default grid
-    ms, asteps = args.modulus_steps, args.argument_steps
-    nodes = {"Q": (ms or 2000, asteps or 2000), "k1": (ms or 80, asteps or 80),
-             "k2": (ms or 60, asteps or 60)}
+    ranges = {flag: (1, most) for flag, most in MAX_VERIFY_STEPS.items()} | VERIFY_SAMPLE_RANGES
+    settings = {flag: value for flag in ranges if (value := getattr(args, flag)) is not None}
+    for flag, value in settings.items():
+        if not ranges[flag][0] <= value <= ranges[flag][1]:
+            raise DomainError(f"--{flag.replace('_', '-')} must lie in "
+                              f"[{ranges[flag][0]}, {ranges[flag][1]}], got {value}")
+    check = None if args.lemma == "all" else args.lemma
+    # every grid's size, refused before any grid is built
+    nodes = {name: steps for name in (lemmas.BATTERY if check is None else [check])
+             if (steps := lemmas.grid_steps(name, args.modulus_steps, args.argument_steps))}
     for name, (n_mod, n_arg) in nodes.items():
-        if args.lemma in (name, "all") and n_mod * n_arg > MAX_VERIFY_GRID_NODES:
+        if n_mod * n_arg > MAX_VERIFY_GRID_NODES:
             raise DomainError(
                 f"the {name} grid of {n_mod} x {n_arg} nodes (--modulus-steps x "
                 f"--argument-steps) exceeds {MAX_VERIFY_GRID_NODES}")
-    zsteps = args.z_steps or lemmas.DEFAULT_K1_Z_STEPS
+    zsteps = settings.get("z_steps", lemmas.DEFAULT_K1_Z_STEPS)
     for name in ("k1", "k2"):
-        if args.lemma in (name, "all") and (
+        if name in nodes and (
                 size := lemmas.scan_bytes(name, *nodes[name], zsteps)) > MAX_VERIFY_SCAN_BYTES:
             raise DomainError(
                 f"the {name} scan of {nodes[name][0]} x {nodes[name][1]} nodes and {zsteps} "
                 f"z-steps would hold about {size / 2 ** 20:.0f} MB, more than "
                 f"{MAX_VERIFY_SCAN_BYTES // 2 ** 20} MB")
-    (q_mod, q_arg), (k1_mod, k1_arg), (k2_mod, k2_arg) = nodes.values()
-    q_grid = lemmas.GridSpec((0.6 / q_mod, 0.6), q_mod, (math.pi / 2, math.pi), q_arg)
-    k1_grid = lemmas.GridSpec((C0, 0.6), k1_mod, (math.pi / 2, math.pi), k1_arg)
-    k2_grid = lemmas.GridSpec((0.55, 0.6), k2_mod, (math.pi / 2, 2 * math.pi / 3), k2_arg)
-    runners = {
-        "constants": lambda: lemmas.verify_constants(),
-        "mu": lambda: lemmas.mu_properties_check(samples=lemmas.mu_samples(args.samples)),
-        "AB": lambda: lemmas.verify_AB_monotone(grid_points=args.grid_points),
-        "Q": lambda: lemmas.verify_lemma_Q(grid=q_grid),
-        "k5": lambda: lemmas.verify_lemma_k5(),
-        "k4": lambda: lemmas.verify_lemma_k4(),
-        "k1": lambda: lemmas.verify_lemma_k1(grid=k1_grid, z_steps=zsteps, samples=args.samples),
-        "k2": lambda: lemmas.verify_lemma_k2(grid=k2_grid, z_steps=lemmas.k2_z_steps(zsteps)),
-    }
-    if args.lemma == "all":
-        reports = {name: run() for name, run in runners.items()}
-        ok = all(rep.passed for rep in reports.values())
-        results = {name: _report_payload(rep) for name, rep in reports.items()}
-    else:
-        rep = runners[args.lemma]()
-        ok = rep.passed
-        results = _report_payload(rep)
+    reports = lemmas.verify_all(check=check, **settings)
+    ok = all(rep.passed for rep in reports.values())
+    results = {name: _report_payload(rep) for name, rep in reports.items()}
+    results = results if check is None else results[check]
     record = OutputRecord("verify", {"lemma": args.lemma}, results, ok=ok)
     return record, (EXIT_OK if ok else EXIT_VERIFICATION_FAILED)
 
@@ -334,6 +317,8 @@ def cmd_scan(args):
         raise DomainError(f"--steps must look like 20x20, got {args.steps!r}") from None
     if n_mod < 1 or n_arg < 1:
         raise DomainError("--steps counts must be >= 1")
+    if n_mod * n_arg > MAX_VERIFY_GRID_NODES:
+        raise DomainError(f"--steps {n_mod} x {n_arg} cells exceeds {MAX_VERIFY_GRID_NODES}")
     moduli = np.linspace(args.a / n_mod, args.a, n_mod)
     arguments = np.linspace(math.pi / 2, 3 * math.pi / 2, n_arg)
     rows = [_scan_cell(float(m), float(a), args.k, args.residual_tol)
@@ -403,14 +388,13 @@ def build_parser():
     p_zeros.set_defaults(run=cmd_zeros)
 
     p_verify = sub.add_parser("verify", help="run the named verification suites")
+    # the checks of lemmas.BATTERY, stated here so that parsing loads neither lemmas nor numpy
     p_verify.add_argument("--lemma", required=True,
-                          choices=("Q", "k5", "k4", "k1", "k2", "mu", "AB",
-                                   "constants", "all"))
-    p_verify.add_argument("--modulus-steps", type=int, default=None)
-    p_verify.add_argument("--argument-steps", type=int, default=None)
-    p_verify.add_argument("--z-steps", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=2000)
-    p_verify.add_argument("--grid-points", type=int, default=2000)
+                          choices=("constants", "mu", "AB", "Q", "k5", "k4", "k1", "k2", "all"))
+    # an unset flag keeps lemmas.verify_all's default
+    for flag in ("--modulus-steps", "--argument-steps", "--z-steps", "--samples",
+                 "--grid-points"):
+        p_verify.add_argument(flag, type=int, default=None)
     common(p_verify)
     p_verify.set_defaults(run=cmd_verify)
 
@@ -453,9 +437,13 @@ def _parses_as_complex(text):
     return True
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_complex_values(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
         record, code = args.run(args)
@@ -470,7 +458,12 @@ def main(argv=None):
         return EXIT_DOMAIN
     record.timing_ms = int((time.perf_counter() - started) * 1000)
     record.show_timing = args.timing
-    emit(record, args)
+    try:
+        emit(record, args)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
     return code
 
 

@@ -373,33 +373,6 @@ def fold_terms(terms, out, offset=0):
         out[1, :used] += np.arange(used) * folded[:used]
 
 
-def circle_coefficients(q, radius, n, budget=DEFAULT_BUDGET, derivative=False):
-    """The terms of theta(q, radius) folded mod n, the term-sum scale and the exponent.
-
-    The folded terms (see `fold_terms`) are an (n,) array, or with
-    `derivative` a (2, n) array whose second row folds the j c_j of
-    z theta'(z); they and the scale are stored times 2^-exponent.
-    """
-    import numpy as np
-
-    terms, res = circle_terms(q, radius, budget)
-    rows = np.zeros((2, n) if derivative else n, dtype=complex)
-    fold_terms(terms, rows)
-    return rows, res.scale, res.exponent
-
-
-def theta_on_circle(q, radius, n, budget=DEFAULT_BUDGET):
-    """theta at the n points radius * e^{2 pi i k / n}, the term-sum scale, and the exponent.
-
-    One inverse FFT of the folded series terms (see `circle_coefficients`);
-    the values and the scale are stored times 2^-exponent.
-    """
-    import numpy as np
-
-    coefficients, scale, exponent = circle_coefficients(q, radius, n, budget)
-    return np.fft.ifft(coefficients, norm="forward"), scale, exponent
-
-
 def _product_eval(first_dev, ratio, budget, what):
     """prod_j (1 + d_j) with d_{j+1} = d_j * ratio and |ratio| < 1.
 

@@ -19,11 +19,15 @@ bound sum_j j |c_j| and a rounding allowance rule out most rows, and only the
 others are evaluated over every arg z in complex128, stacked in blocks whose
 rows round as in their own modulus row's product.  The sampled checks use the
 array forms of `mu`, `A_j`, `B_j` and `phi_*`.
+
+`BATTERY` defines the battery once, for `verify_all` and `thetasep verify`:
+each check's grid, default steps and settings rules.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -78,6 +82,49 @@ class VerificationReport:
     def build(cls, lemma_id, computed, margins, grid=None):
         passed = all(m > 0 for m in margins.values())
         return cls(lemma_id, dict(computed), dict(margins), passed, grid)
+
+
+# ---------------------------------------------------------------------------
+# The battery
+# ---------------------------------------------------------------------------
+
+# A battery check: run(s) runs it with the settings s (a _Run) of a battery run.  A grid-backed
+# check also has grid(m, a), its grid of m x a steps, its default steps (m, a), and circle(z),
+# the samples it takes on each circle in a run with z-steps z.
+_Check = namedtuple("_Check", "run grid steps circle", defaults=(None, None, None))
+_Run = namedtuple("_Run", "grid circle samples grid_points")
+
+# The battery, in report order.  Q's segment starts one modulus step above 0; mu takes at
+# least 100 samples; k2 samples its circles at half k1's z-steps, at least 128.
+BATTERY = {
+    "constants": _Check(lambda s: verify_constants()),
+    "mu": _Check(lambda s: mu_properties_check(samples=max(s.samples, 100))),
+    "AB": _Check(lambda s: verify_AB_monotone(grid_points=s.grid_points)),
+    "Q": _Check(lambda s: verify_lemma_Q(grid=s.grid),
+                lambda m, a: GridSpec((0.6 / m, 0.6), m, (math.pi / 2, math.pi), a), (2000, 2000)),
+    "k5": _Check(lambda s: verify_lemma_k5()),
+    "k4": _Check(lambda s: verify_lemma_k4()),
+    "k1": _Check(lambda s: verify_lemma_k1(grid=s.grid, z_steps=s.circle, samples=s.samples),
+                 lambda m, a: GridSpec((C0, 0.6), m, (math.pi / 2, math.pi), a), (80, 80),
+                 lambda z: z),
+    "k2": _Check(lambda s: verify_lemma_k2(grid=s.grid, z_steps=s.circle),
+                 lambda m, a: GridSpec((0.55, 0.6), m, (math.pi / 2, 2 * math.pi / 3), a),
+                 (60, 60), lambda z: max(128, z // 2)),
+}
+DEFAULT_K1_Z_STEPS = 720
+
+
+def grid_steps(check, modulus_steps=None, argument_steps=None):
+    """(modulus, argument) steps of `check`'s grid in a battery run, an unset one at its
+    default; None without a grid.  It builds no grid, so a caller can bound the sizes first."""
+    default = BATTERY[check].steps
+    return default and (modulus_steps or default[0], argument_steps or default[1])
+
+
+def _battery_grid(check, modulus_steps=None, argument_steps=None):
+    """The GridSpec of `check` in a battery run (see `grid_steps`), None without a grid."""
+    steps = grid_steps(check, modulus_steps, argument_steps)
+    return steps and BATTERY[check].grid(*steps)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +349,6 @@ def verify_constants():
 # mu ordering / monotonicity / exchange properties
 # ---------------------------------------------------------------------------
 
-def mu_samples(samples):
-    """mu's sample count in a battery run with `samples`: the same, at least 100."""
-    return max(samples, 100)
-
-
 def mu_properties_check(samples=2000, seed=20260811):
     """Sampled checks of the chord-bound family.
 
@@ -377,7 +419,7 @@ def _partial_q_product(qs, degree=11):
     return p
 
 
-DEFAULT_Q_GRID = GridSpec((0.6 / 2000, 0.6), 2000, (math.pi / 2, math.pi), 2000)
+DEFAULT_Q_GRID = _battery_grid("Q")
 
 
 def verify_lemma_Q(grid=DEFAULT_Q_GRID):
@@ -542,13 +584,7 @@ def verify_lemma_k1_cases(samples=2000, t_samples=4096):
     return VerificationReport.build("k1_cases", computed, margins)
 
 
-DEFAULT_K1_GRID = GridSpec((C0, 0.6), 80, (math.pi / 2, math.pi), 80)
-DEFAULT_K1_Z_STEPS = 720
-
-
-def k2_z_steps(k1_z_steps):
-    """k2's circle samples for a run with k1_z_steps on the k1 circle: half, at least 128."""
-    return max(128, k1_z_steps // 2)
+DEFAULT_K1_GRID = _battery_grid("k1")
 
 
 class _Scan(NamedTuple):
@@ -726,11 +762,10 @@ def scan_bytes(check, modulus_steps, argument_steps, z_steps):
 
     `_scan_min` keeps the complex128 coefficients of every (|q|, arg q) node (k1: up to
     the 14 terms of its largest modulus 0.6; k2: the 8 of B and A*) while it evaluates a
-    block of at most arg q x arg z values; k1 runs with z_steps and k2 with
-    k2_z_steps(z_steps) circle samples.
+    block of at most arg q x arg z values, on the circles of a battery run with z_steps.
     """
     terms = _theta_dagger_terms(DEFAULT_K1_GRID.modulus_range[1])[0] if check == "k1" else 8
-    circle = z_steps if check == "k1" else k2_z_steps(z_steps)
+    circle = BATTERY[check].circle(z_steps)
     return ((16 * terms + _NODE_BYTES) * modulus_steps * argument_steps
             + (_VALUE_BYTES[check] * argument_steps + 16 * terms) * circle)
 
@@ -766,7 +801,7 @@ def B_closed_form(rho, omega, psi):
     return 1.0 / rho + 4.0 * a * b / math.sqrt(rho) + 4.0 * a * a
 
 
-DEFAULT_K2_GRID = GridSpec((0.55, 0.6), 60, (math.pi / 2, 2 * math.pi / 3), 60)
+DEFAULT_K2_GRID = _battery_grid("k2")
 
 
 def _dominance_scan(grid, tail):
@@ -787,7 +822,7 @@ def _dominance_scan(grid, tail):
                  scale=xi * np.sum(b_moduli, axis=1) + np.sum(a_moduli, axis=1) + tail)
 
 
-def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=k2_z_steps(DEFAULT_K1_Z_STEPS)):
+def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=BATTERY["k2"].circle(DEFAULT_K1_Z_STEPS)):
     """Dominance |xi B| > |A| on |xi| = |q|^{-3/2} (i.e. |z| = |q|^{-5/2}).
 
     Analytic branches: (i) |A| <= a0 always; (ii) for arg(q) in [2pi/3, pi]
@@ -825,16 +860,12 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=k2_z_steps(DEFAULT_K1_Z_STEPS)
 # Aggregate
 # ---------------------------------------------------------------------------
 
-def verify_all(q_grid=DEFAULT_Q_GRID, k1_grid=DEFAULT_K1_GRID, k2_grid=DEFAULT_K2_GRID,
-               z_steps=DEFAULT_K1_Z_STEPS, samples=2000):
-    """Run every named verification; returns an ordered {id: report} map."""
-    return {
-        "constants": verify_constants(),
-        "mu": mu_properties_check(samples=mu_samples(samples)),
-        "AB": verify_AB_monotone(),
-        "Q": verify_lemma_Q(grid=q_grid),
-        "k5": verify_lemma_k5(),
-        "k4": verify_lemma_k4(),
-        "k1": verify_lemma_k1(grid=k1_grid, z_steps=z_steps, samples=samples),
-        "k2": verify_lemma_k2(grid=k2_grid, z_steps=k2_z_steps(z_steps)),
-    }
+def verify_all(modulus_steps=None, argument_steps=None, z_steps=DEFAULT_K1_Z_STEPS,
+               samples=2000, grid_points=2000, check=None):
+    """Run the battery (`BATTERY`), or its one check `check`; returns an ordered {id: report}
+    map.  The step counts apply to every grid, an unset one keeping each grid's default."""
+    if check is not None and check not in BATTERY:
+        raise DomainError(f"unknown check {check!r}; the battery has {', '.join(BATTERY)}")
+    return {name: entry.run(_Run(_battery_grid(name, modulus_steps, argument_steps),
+                                 entry.circle and entry.circle(z_steps), samples, grid_points))
+            for name, entry in BATTERY.items() if check in (None, name)}

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thetasep.cli import main, parse_complex
 from thetasep.errors import DomainError
@@ -410,6 +412,28 @@ def test_scan_rejects_bad_steps(capsys):
     assert run(capsys, ["scan", "--a", "0.9", "--k", "1"])[0] == 2
 
 
+@pytest.mark.parametrize("steps", ["10000000000000x1", "1x10000000000000", "2001x2000"])
+def test_scan_refuses_more_cells_than_the_node_cap_before_any_array(capsys, monkeypatch, steps):
+    from thetasep import cli
+    monkeypatch.setattr(np, "linspace", None)
+    monkeypatch.setattr(cli, "_scan_cell", None)
+    code, out, err = run(capsys, ["scan", "--a", "0.5", "--k", "1", "--steps", steps])
+    n_mod, n_arg = steps.split("x")
+    assert code == 2 and out == ""
+    assert err == f"error: --steps {n_mod} x {n_arg} cells exceeds {cli.MAX_VERIFY_GRID_NODES}\n"
+
+
+def test_scan_node_cap_admits_its_edge(capsys, monkeypatch):
+    from thetasep import cli
+
+    def reached(*args):
+        raise cli.DomainError("first cell reached")
+
+    monkeypatch.setattr(cli, "_scan_cell", reached)
+    code, _, err = run(capsys, ["scan", "--a", "0.5", "--k", "1", "--steps", "2000x2000"])
+    assert code == 2 and err == "error: first cell reached\n"
+
+
 def test_table_matches_reference_rows(capsys):
     code, out, _ = run(capsys, ["table", "--n", "5,9,30", "--format", "json"])
     assert code == 0
@@ -465,6 +489,115 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["command"] == "table"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_out_path_that_cannot_be_written_is_refused(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "record.json"
+    code, out, err = run(capsys, ["eval", "theta", "--q", "0.3", "--z", "2",
+                                  "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    from thetasep import cli
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        argv = ["table", "--n", "5", "--format", "json"]
+        first = run(capsys, argv)
+        with pytest.raises(SystemExit):  # a refused argv leaves the parser as it was
+            main(["table", "--no-such-flag"])
+        assert run(capsys, ["table", "--n", "3"])[0] == 2
+        assert run(capsys, argv) == first and first[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_lemma_choices_are_the_battery_checks_and_all():
+    from thetasep import cli, lemmas
+    verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+    lemma = next(action for action in verify._actions if action.dest == "lemma")
+    assert lemma.choices == (*lemmas.BATTERY, "all")
+
+
+# ---------------------------------------------------------------------------
+# any argv: an exit code and at most one error line, never a traceback
+# ---------------------------------------------------------------------------
+
+def _flag(name, values):
+    """Absent, or `name` with a value drawn from `values`, a list or a strategy."""
+    values = st.sampled_from(values) if isinstance(values, list) else values
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _size(least, most, refused):
+    """A tiny count, or one the command refuses: no drawn size runs for long."""
+    return st.one_of(st.integers(least, most), st.sampled_from(refused))
+
+
+_Q = ["0.3", "-0.3+0.3i", "0.55@120deg", "-0.6", "0.2i", "1e-300", "-0.999999999", "0", "1.5",
+      "abc", "nan"]
+_TOLERANCES = [1e-10, 1e-3, 0, -1, "nan"]
+_COMMANDS = {
+    "eval": st.tuples(st.sampled_from(["theta", "theta_dagger", "theta_star", "G", "Q", "U", "R",
+                                       "theta_prime"]).map(lambda f: [f]),
+                      _flag("--q", _Q), _flag("--z", ["2", "-1.5+0.5i", "0", "1e300", "x"]),
+                      _flag("--tol", _TOLERANCES), _flag("--max-terms", [2, 3, 40, 0, -1])),
+    "zeros": st.tuples(_flag("--q", _Q), _flag("--kmax", _size(1, 3, [0, -1, 10 ** 13])),
+                       _flag("--residual-tol", _TOLERANCES)),
+    "verify": st.tuples(
+        _flag("--lemma", ["constants", "mu", "AB", "Q", "k5", "k4", "k1", "k2", "all", "k3"]),
+        _flag("--modulus-steps", _size(1, 4, [0, 10_001, 10 ** 13])),
+        _flag("--argument-steps", _size(1, 4, [0, 10_001, 10 ** 13])),
+        _flag("--z-steps", _size(1, 8, [0, 100_001, 10 ** 13])),
+        _flag("--samples", _size(2, 150, [1, -5, 10 ** 13])),
+        _flag("--grid-points", _size(1000, 1100, [999, 10 ** 13]))),
+    "scan": st.tuples(_flag("--a", [0.3, 0.05, 1e-300, 0.6, 0, -1, 0.7, "nan"]),
+                      _flag("--k", [1, 2, 3, 0, -1, 10 ** 6]),
+                      _flag("--steps", ["1x1", "2x1", "1x2", "2x2", "10000000000000x1",
+                                        "1x10000000000000", "0x3", "4by5", "-1x2"]),
+                      _flag("--residual-tol", _TOLERANCES)),
+    "table": st.tuples(_flag("--n", ["5", "5,9", "4", "3", "1000000000", "", "abc", "5,,6"])),
+}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data(),
+       fmt=_flag("--format", ["human", "json", "csv"]), timing=st.booleans(),
+       out=st.sampled_from([None, "file", "directory", "missing directory"]))
+def test_any_argv_ends_in_an_exit_code_and_at_most_one_error_line(tmp_path, capsys, command,
+                                                                   data, fmt, timing, out):
+    parts = data.draw(_COMMANDS[command])
+    argv = [command, *(word for part in parts for word in part), *fmt, *["--timing"][:timing]]
+    target = {None: None, "file": tmp_path / "out.txt", "directory": tmp_path,
+              "missing directory": tmp_path / "missing" / "out.txt"}[out]
+    if target is not None:
+        argv += ["--out", str(target)]
+    if out == "file":
+        target.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the words, with exit 2
+        code = exc.code
+    stdout, err = capsys.readouterr()
+    record = bool(stdout) or (out == "file" and target.exists())
+    errors = sum("error:" in line for line in err.splitlines())
+    assert "Traceback" not in err
+    assert code in (0, 1, 2, 3)
+    if code == 1:  # a verdict: a failed check or a cell that is not separated
+        assert command in ("verify", "scan") and record
+    if code == 3 and command in ("zeros", "scan") and record:
+        assert errors == 0  # a report whose entries name the numerical errors
+    elif code in (2, 3):
+        assert errors == 1 and not record, err
+    else:
+        assert errors == 0 and record
 
 
 # ---------------------------------------------------------------------------

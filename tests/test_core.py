@@ -24,7 +24,7 @@ from thetasep import (
     eval_theta_dz,
     eval_theta_star,
 )
-from thetasep.core import ldexp_complex, theta_on_circle
+from thetasep.core import circle_terms, fold_terms, ldexp_complex
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +584,11 @@ def test_tail_bound_honesty_sampled():
 def test_fft_contour_matches_scalar_eval(q, exponent, n, rescaled, folded):
     q = QParameter(q)
     radius = q.modulus ** -exponent
-    vals, scale, exp2 = theta_on_circle(q, radius, n)
+    # the contour path of zeros._contours: the terms folded mod n, one inverse FFT
+    terms, res = circle_terms(q, radius)
+    coefficients = np.zeros(n, dtype=complex)
+    fold_terms(terms, coefficients)
+    vals, scale, exp2 = np.fft.ifft(coefficients, norm="forward"), res.scale, res.exponent
     centre = eval_theta(q, radius)  # the same terms: its tail is the contour's tail
     assert (exp2 == 600) is rescaled
     assert (centre.terms_used > n) is folded

@@ -313,15 +313,40 @@ def test_gridspec_validation():
 
 
 def test_verify_all_structure():
-    reports = verify_all(
-        k1_grid=GridSpec((0.2078750206, 0.6), 30, (math.pi / 2, math.pi), 30),
-        z_steps=180, samples=400)
-    assert set(reports) == {"constants", "mu", "AB", "Q", "k5", "k4", "k1", "k2"}
+    reports = verify_all(modulus_steps=30, argument_steps=30, z_steps=180, samples=400)
+    assert list(reports) == ["constants", "mu", "AB", "Q", "k5", "k4", "k1", "k2"]
     for name, rep in reports.items():
         if name == "Q":
             assert not rep.passed
         else:
             assert rep.passed, f"{name} failed: {rep.margins}"
+    assert reports["k1"].grid == GridSpec((0.2078750206, 0.6), 30, (math.pi / 2, math.pi), 30)
+    assert reports["Q"].grid == GridSpec((0.02, 0.6), 30, (math.pi / 2, math.pi), 30)
+    # k2 samples its circles at half k1's z-steps, at least 128
+    assert reports["k2"].computed == verify_lemma_k2(grid=reports["k2"].grid,
+                                                     z_steps=128).computed
+
+
+def test_verify_all_runs_one_check_with_the_battery_settings():
+    from thetasep.lemmas import DEFAULT_K1_GRID
+    k1 = verify_all(z_steps=90, samples=300, check="k1")
+    assert list(k1) == ["k1"] and k1["k1"].grid == DEFAULT_K1_GRID
+    assert k1["k1"].margins == verify_lemma_k1(z_steps=90, samples=300).margins
+    assert verify_all(samples=50, check="mu")["mu"].computed["samples"] == 100.0
+    assert verify_all(grid_points=1500, check="AB")["AB"].margins == \
+        verify_AB_monotone(grid_points=1500).margins
+    with pytest.raises(DomainError):
+        verify_all(check="k3")
+
+
+def test_default_grids_are_the_battery_grids():
+    from thetasep.lemmas import DEFAULT_K1_GRID, DEFAULT_K2_GRID, DEFAULT_Q_GRID, grid_steps
+    assert DEFAULT_Q_GRID == GridSpec((0.6 / 2000, 0.6), 2000, (math.pi / 2, math.pi), 2000)
+    assert DEFAULT_K1_GRID == GridSpec((C0, 0.6), 80, (math.pi / 2, math.pi), 80)
+    assert DEFAULT_K2_GRID == GridSpec((0.55, 0.6), 60, (math.pi / 2, 2 * math.pi / 3), 60)
+    assert grid_steps("Q", argument_steps=7) == (2000, 7)
+    assert grid_steps("k2", modulus_steps=5) == (5, 60)
+    assert grid_steps("mu", 5, 5) is None
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +697,8 @@ def test_array_forms_match_scalar_forms():
 
 def test_k2_z_steps_rule_is_the_library_default():
     import inspect
-    from thetasep.lemmas import DEFAULT_K1_Z_STEPS, k2_z_steps
+    from thetasep.lemmas import BATTERY, DEFAULT_K1_Z_STEPS
+    k2_z_steps = BATTERY["k2"].circle
     assert k2_z_steps(DEFAULT_K1_Z_STEPS) == 360
     assert k2_z_steps(180) == 128 and k2_z_steps(1000) == 500
     assert inspect.signature(verify_lemma_k2).parameters["z_steps"].default == 360

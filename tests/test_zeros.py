@@ -30,15 +30,22 @@ from thetasep import zeros
 from thetasep.core import (
     EvalResult,
     SeriesBudget,
-    circle_coefficients,
     circle_terms,
     eval_theta,
     eval_theta_and_dz,
     eval_theta_dz,
     fold_terms,
     ldexp_complex,
-    theta_on_circle,
 )
+
+
+def _folded_terms(q, radius, n, derivative=False):
+    """The terms of theta(q, radius) folded mod n, as a row of the `_contours` block, and
+    their EvalResult: an (n,) row, or (2, n) rows whose second folds z theta'."""
+    terms, res = circle_terms(q, radius)
+    rows = np.zeros((2, n) if derivative else n, dtype=complex)
+    fold_terms(terms, rows)
+    return rows, res
 
 
 def test_annulus_validation():
@@ -71,7 +78,7 @@ def test_winding_zero_on_small_disk_with_scan_oracle():
     angles = np.linspace(0.0, 2 * math.pi, 10_000, endpoint=False)
     low = math.inf
     for r in np.linspace(0.005, 0.5, 100):
-        vals, _, _ = theta_on_circle(q, float(r), len(angles))
+        vals = np.fft.ifft(_folded_terms(q, float(r), len(angles))[0], norm="forward")
         low = min(low, float(np.min(np.abs(vals))))
     assert low > 0.9
     assert winding_number(q, 0.5).count == 0
@@ -120,7 +127,7 @@ def test_winding_bisection_samples_carried_into_array_units():
     # once, while the scalar samples of the bisection fit in a float
     q = QParameter(cmath.rect(0.2, 3.0))
     radius = q.modulus ** -24.1
-    assert theta_on_circle(q, radius, 1)[2] == 600
+    assert circle_terms(q, radius)[1].exponent == 600
     assert eval_theta(q, radius).exponent == 0
     res = winding_number(q, radius, initial_samples=64)
     count, samples, low = _winding_reference(q, radius, 64)
@@ -506,7 +513,8 @@ def test_derivative_row_samples_are_z_theta_prime(q, exponent, rescaled, folded)
     import mpmath
     q = QParameter(q)
     radius, n = q.modulus ** -exponent, 256
-    rows, _, exp2 = circle_coefficients(q, radius, n, derivative=True)
+    rows, res = _folded_terms(q, radius, n, derivative=True)
+    exp2 = res.exponent
     samples = np.fft.ifft(rows, norm="forward")
     centre = eval_theta(q, radius)  # the terms both rows fold
     assert (exp2 == 600) is rescaled
@@ -529,7 +537,7 @@ def test_derivative_row_samples_are_z_theta_prime(q, exponent, rescaled, folded)
         assert abs(samples[1, k] - want) <= bound
 
 
-def test_circle_coefficients_rows_are_the_contour_block_rows():
+def test_folded_circle_terms_are_the_contour_block_rows():
     # plain, rescaled once (terms reach 1e203) and folded (1388 terms mod 256) circles, in one block
     cases = [(cmath.rect(0.4, 2.5), 3.5), (cmath.rect(0.2, 3.0), 24.1), (-0.9995, 1.5)]
     for q, exponent in cases:
@@ -546,7 +554,7 @@ def test_circle_coefficients_rows_are_the_contour_block_rows():
             zeros._contours(q, radii, 256, zeros.DEFAULT_BUDGET, moments=True)
         assert len(block) == len(radii)
         for row, radius in zip(block, radii):
-            rows, _, _ = circle_coefficients(q, radius, 256, derivative=True)
+            rows = _folded_terms(q, radius, 256, derivative=True)[0]
             assert rows.tobytes() == row.tobytes()
 
 
