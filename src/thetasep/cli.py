@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 from .core import DEFAULT_BUDGET, QParameter, SeriesBudget
@@ -53,6 +54,9 @@ MAX_VERIFY_GRID_NODES = 2000 * 2000
 # Largest accepted estimate of the bytes the k1 or k2 scan holds at once (lemmas.scan_bytes):
 # the coefficients it keeps for every grid node, and one modulus row over arg q x arg z.
 MAX_VERIFY_SCAN_BYTES = 256 * 2 ** 20
+# Largest accepted `eval --max-terms`: about a second of series loop, within which theta(q, 1)
+# meets its tail rule (term ratio |q^j| < 1/2) for |q| <= 1 - 7e-7 (693 147 terms at 1 - 1e-6).
+MAX_EVAL_TERMS = 1_000_000
 
 
 @dataclass
@@ -182,6 +186,8 @@ _EVAL_FUNCTIONS = {
 def cmd_eval(args):
     fn, needs_z = _EVAL_FUNCTIONS[args.function]
     q = QParameter(parse_complex(args.q))
+    if args.max_terms > MAX_EVAL_TERMS:
+        raise DomainError(f"--max-terms must be at most {MAX_EVAL_TERMS}, got {args.max_terms}")
     budget = SeriesBudget(args.tol, args.max_terms)
     inputs = {"function": args.function, "q": q.value, "tol": args.tol}
     if needs_z:
@@ -223,8 +229,12 @@ def cmd_zeros(args):
             f"--kmax must be at most {most}, got {args.kmax}: the circle |z| = |q|^-(k+1/2) "
             f"is a finite float up to k = {_last_finite_circle(q.modulus)} at |q| = "
             f"{q.modulus:g}")
-    report = zeros.verify_separation(q, args.kmax, residual_tol=args.residual_tol,
-                                     on_error="record")
+    with warnings.catch_warnings():  # the report carries the warning: one line, no source line
+        warnings.simplefilter("ignore", UserWarning)
+        report = zeros.verify_separation(q, args.kmax, residual_tol=args.residual_tol,
+                                         on_error="record")
+    for message in report.warnings:
+        print(f"warning: {message}", file=sys.stderr)
     per_k = {}
     for k in range(1, args.kmax + 1):
         rec = report.records.get(k)

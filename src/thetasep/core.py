@@ -25,9 +25,11 @@ thread-safe.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from .errors import BudgetExceeded, DomainError, ZeroArgument
 
@@ -155,7 +157,7 @@ class EvalResult:
     exponent: int = 0
 
 
-def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, derivative=False):
+def _series_eval(first, p, q, x, budget, what, ratio_weight=False, derivative=False):
     """Sum t_0 + t_1 + ... with t_0 = first, t_j = t_{j-1} s_j and s_j = p q^{j-1} x.
 
     With `ratio_weight`, s_j also carries a factor (j + 1) / j.  The step
@@ -164,10 +166,8 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
     nonzero, so a bound that underflows to 0.0 is rounded up to the least
     subnormal.  Sums are Kahan-compensated, rescaled before a term would
     pass _RESCALE_AT (see `_rescale`), and returned with the exponent folded
-    back when it fits.  A list `kept` receives the included terms, in units
-    of 2^-exponent, and then nothing is folded.  `what` names the series in
-    the BudgetExceeded message: a string, or a function that returns one
-    only when the message is made.  With `derivative`
+    back when it fits.  `what` names the series in the BudgetExceeded
+    message.  With `derivative`
     (x = z != 0) the pass also sums j t_j / z, each term formed as
     j t_{j-1} p q^{j-1} so that no subnormal t_j is divided by z; its tail
     is below |t_{n-1} p q^{n-1}| (n / (1 - r) + r / (1 - r)^2).  It returns
@@ -192,8 +192,6 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
     modulus = scale = abs(first)
     used, exponent, frozen = 1, 0, None
     tolerance, max_terms = budget.tolerance, budget.max_terms
-    if kept is not None:
-        kept.append(first)
     weighted, weighted_comp, weighted_scale = 0j, 0j, 0.0  # sum_j j t_j / z, with `derivative`
     while True:
         pending = p * x
@@ -211,7 +209,7 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
                     tail = _LEAST_TAIL
                 frozen = frozen or (total, tail, used, scale + tail)
                 if not derivative:
-                    return _shared_exponent([frozen], exponent, kept is None)[0]
+                    return _shared_exponent([frozen], exponent)[0]
                 # |t_{n-1}| r / |z| = |t_{n-1} p|
                 weighted_tail = (modulus * abs(p) * (used + r / (1.0 - r)) / (1.0 - r)
                                  * allowance or _LEAST_TAIL)
@@ -221,7 +219,7 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
                                   weighted_scale + weighted_tail)], exponent)
         if used >= max_terms:
             raise BudgetExceeded(
-                f"{what() if callable(what) else what}: tail not below {budget.tolerance:g} "
+                f"{what}: tail not below {budget.tolerance:g} "
                 f"within {max_terms} terms")
         while bound > _RESCALE_AT:
             factor, exponent, tolerance = _rescale(modulus, r, exponent, budget.tolerance)
@@ -231,8 +229,6 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
             scale *= factor
             modulus *= factor
             bound = modulus * r
-            if kept:
-                kept[:] = [t * factor for t in kept]
             weighted, weighted_comp, weighted_scale = (
                 weighted * factor, weighted_comp * factor, weighted_scale * factor)
         if derivative:
@@ -251,13 +247,11 @@ def _series_eval(first, p, q, x, budget, what, kept=None, ratio_weight=False, de
         t = total + y
         comp = (t - total) - y
         total = t
-        if kept is not None:
-            kept.append(term)
 
 
-def _shared_exponent(parts, exponent, fold=True):
+def _shared_exponent(parts, exponent):
     """EvalResults of (value, tail, terms, scale) parts in one exponent, folded into all or none."""
-    if exponent and fold:
+    if exponent:
         try:
             return [EvalResult(ldexp_complex(v, exponent), math.ldexp(t, exponent), n,
                                math.ldexp(s, exponent)) for v, t, n, s in parts]
@@ -322,55 +316,82 @@ def eval_theta_and_dz(q, z, budget=DEFAULT_BUDGET):
 
 
 def circle_terms(q, centre, budget=DEFAULT_BUDGET):
-    """The terms c_j = q^{j(j+1)/2} centre^j of theta(q, centre) and their EvalResult.
+    """The terms c_j = q^{j(j+1)/2} centre^j of theta(q, centre), and their tail bound and scale.
 
-    On the circle through `centre` (a radius, or any nonzero complex
-    point), theta(q, centre e^{i psi}) = sum_j c_j e^{i j psi}.  The terms
-    are a list in units of 2^-exponent, as are the result's value, tail
-    bound and scale; the exponent is not folded back.  They are those of
-    the scalar kernel: its tail bound, rescaling and term budget.
+    On the circle through `centre`, theta(q, centre e^{i psi}) = sum_j c_j e^{i j psi}.  Terms,
+    tail bound, scale (in units 2^-exponent, not folded back), term budget and OverflowError
+    are `eval_theta(q, centre)`'s; the value is None (no sum is kept).  Each block of terms
+    between two rescales is scaled once at the end, by 2^-600 per later rescale.
     """
-    q = as_q(q)
-    kept = []
+    q = as_q(q).value
     centre = centre if isinstance(centre, complex) else float(centre)
-    res = _series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, centre, budget,
-                       lambda: f"theta on |z| = {abs(centre):g}", kept)
-    return kept, res
+    power, term, terms, marks = (1.0 + 0j) * q, 1.0 + 0j, [1.0 + 0j], []  # t_j = t_{j-1} q^j centre
+    used, modulus, scale, exponent = 1, 1.0, 1.0, 0
+    tolerance, max_terms = budget.tolerance, budget.max_terms
+    while True:
+        pending = power * centre
+        r = abs(pending)
+        bound = modulus * r
+        if r < 0.5 and (tail := bound / (1.0 - r)) <= tolerance:
+            tail *= 1.0 + _ULP * (used + 6) ** 2
+            if tail <= tolerance:
+                if not tail and centre:
+                    tail = _LEAST_TAIL
+                for missed, (start, end) in zip(range(len(marks), 0, -1), pairwise([0, *marks])):
+                    terms[start:end] = [ldexp_complex(t, -_RESCALE_BITS * missed)
+                                        for t in terms[start:end]]
+                return terms, EvalResult(None, tail, used, scale + tail, exponent)
+        if used >= max_terms:
+            raise BudgetExceeded(f"theta on |z| = {abs(centre):g}: tail not below "
+                                 f"{budget.tolerance:g} within {max_terms} terms")
+        while bound > _RESCALE_AT:
+            step, exponent, tolerance = _rescale(modulus, r, exponent, budget.tolerance)
+            term, scale, modulus = term * step, scale * step, modulus * step
+            bound = modulus * r
+            marks.append(used)
+        term *= pending
+        power *= q
+        used += 1
+        modulus = abs(term)
+        scale += modulus
+        terms.append(term)
 
 
-def fold_terms(terms, out, offset=0):
-    """Add the terms c_j, placed at bins offset + j, folded mod n into a zeroed `out`.
+@functools.lru_cache(maxsize=4)
+def _bins(n):
+    """The bin indices 0, ..., n - 1 as complex numbers (read-only: the array is shared)."""
+    import numpy as np
 
-    `out` is an (n,) row, or (2, n) rows.  On |z| = radius,
-    theta(q, radius e^{i psi}) = sum_j c_j e^{i j psi}.  At psi = 2 pi k / n
-    the powers e^{i j psi} repeat with period n in j, so the n samples are
-    sum_m a_m e^{2 pi i m k / n}, an inverse DFT without the 1/n, of the
-    folded terms a_m = sum_{j = m mod n} c_j.  With an offset J (0 <= J < n)
-    term j goes to bin J + j mod n, which multiplies the samples by
-    e^{i J psi}.
+    bins = np.arange(n, dtype=complex)
+    bins.flags.writeable = False
+    return bins
 
-    A (2, n) `out` also takes in its second row the folded j c_j of
-    z theta'(z) = sum_j j c_j e^{i j psi}: for j = m + l n that is
-    m a_m + n sum_l l c_{m + l n}, and the second sum is nonzero only when
-    there are more than n terms.  Only the first min(n, offset + len(terms))
-    entries of that row take m a_m; the others stay zero.  That row weights
-    a term by its unfolded bin, offset + j, which is j only at offset 0.
+
+def fold_terms(circles, n, derivative=False):
+    """The block of the circles' terms folded mod n: one row per (terms, offset J) pair.
+
+    Row i takes circle i's terms c_j at bins J + j mod n (0 <= J < n) by one slice assignment;
+    only a row of more than n - J terms is folded.  At psi = 2 pi k / n the samples of
+    theta(q, r e^{i psi}) = sum_j c_j e^{i j psi} are the inverse DFT, without the 1/n, of the
+    folded a_m = sum_{j = m mod n} c_j; J multiplies them by e^{i J psi}.  With `derivative`
+    (J = 0) the block is (len(circles), 2, n), and each second row folds the j c_j of z theta',
+    m a_m + n sum_l l c_{m + l n} at bin m: wraps first, then one multiply by the bin indices.
     """
     import numpy as np
 
-    n = out.shape[-1]
-    derivative = out.ndim == 2
-    folded = out[0] if derivative else out
-    head = min(n - offset, len(terms))
-    folded[offset:offset + head] = terms[:head]
-    for wrap, start in enumerate(range(head, len(terms), n), 1):
-        chunk = terms[start:start + n]
-        folded[:len(chunk)] += chunk
-        if derivative:
-            out[1, :len(chunk)] += np.multiply(n * wrap, chunk)
+    block = np.zeros((len(circles), 2, n) if derivative else (len(circles), n), dtype=complex)
+    folded = block[:, 0] if derivative else block
+    for row, (terms, offset) in enumerate(circles):
+        head = n - offset
+        folded[row, offset:offset + len(terms)] = terms[:head]
+        for wrap, start in enumerate(range(head, len(terms), n), 1):
+            chunk = terms[start:start + n]
+            folded[row, :len(chunk)] += chunk
+            if derivative:
+                block[row, 1, :len(chunk)] += np.multiply(n * wrap, chunk)
     if derivative:
-        used = offset + head
-        out[1, :used] += np.arange(used) * folded[:used]
+        block[:, 1] += _bins(n) * folded
+    return block
 
 
 def _product_eval(first_dev, ratio, budget, what):

@@ -5,11 +5,11 @@ isolated inside the modulus annulus |q|^{-k+1/2} < |z| < |q|^{-k-1/2} (the
 punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.  Zeros
 inside a circle are counted by the argument principle: the 256 samples of
 theta on each circle are one inverse FFT of the series terms (core's
-`circle_terms`, folded by `fold_terms`), all circles of a call are rows of
-one preallocated block and one 2-D pass, the phase increments between
-neighbours (one arctan2 of the sample ratios) below pi/2 are summed as an
-array, and only the other intervals are bisected, one scalar evaluation per
-new point.
+`circle_terms`), all circles of a call are rows of one block that core's
+`fold_terms` fills in one call and one 2-D pass transforms, the phase
+increments between neighbours (one arctan2 of the sample ratios) below
+pi/2 are summed as an array, and only the other intervals are bisected,
+one scalar evaluation per new point.
 
 `verify_separation` also takes z theta' at the same samples, from a second
 folded row of each circle in the same FFT pass.  The first moment
@@ -299,10 +299,10 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 def _contours(q, radii, initial_samples, budget, moments=False):
     """`winding_numbers`, and with `moments` the first moment s1 and the terms of each circle.
 
-    Each circle's folded terms are written into its row of one zeroed
-    block, in the order of the circles whose series succeed, and the block
+    The terms of the circles whose series succeed, in their order, become
+    the rows of one block by one call of core's `fold_terms`, and the block
     takes one inverse FFT.  With `moments` a row is a (2, N) pair whose
-    second row folds z theta' (core's `fold_terms`), and
+    second row folds z theta', and
     s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
     samples, the sum of the zeros inside |z| = r; theta and z theta' come
     from the same inverse FFT, so the exponent cancels in the ratio.  The
@@ -320,8 +320,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
     results, sums, terms = [None] * len(radii), [None] * len(radii), [None] * len(radii)
-    block = np.zeros((len(radii), 2, n0) if moments else (len(radii), n0), dtype=complex)
-    circles = []  # per row of the block: (index, scale, exponent, centre, shift, head)
+    circles, rows = [], []  # per block row: (index, scale, exponent, centre, J, head); (terms, J)
     for i, radius in enumerate(radii):
         try:
             kept, res, centre, shift, head = _shifted_circle(q, radius, not moments, budget)
@@ -329,11 +328,11 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             results[i] = exc
         else:
             terms[i] = kept, res
-            fold_terms(kept, block[len(circles)], shift % n0)
+            rows.append((kept, shift % n0))
             circles.append((i, res.scale, res.exponent, centre, shift, head))
     if not circles:
         return results, sums, terms
-    samples = np.fft.ifft(block[:len(circles)], axis=-1, norm="forward")
+    samples = np.fft.ifft(fold_terms(rows, n0, moments), axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
     minima = [low / circle[1] for low, circle in zip(np.abs(vals).min(axis=1).tolist(), circles)]
     if 0.0 in minima:
@@ -368,7 +367,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
             results[i] = exc
     if moments:
-        first = ((samples[:, 1] / vals) @ _unit_roots(n0) / n0
+        first = ((samples[:, 1] / vals) @ _unit_roots(n0)
                  * [radii[i] for i, *_ in circles]).tolist()
         for row, (i, *_) in enumerate(circles):
             if isinstance(results[i], WindingResult):
@@ -378,8 +377,8 @@ def _contours(q, radii, initial_samples, budget, moments=False):
 
 @functools.lru_cache(maxsize=4)
 def _unit_roots(n):
-    """z_n / r = e^{2 pi i n / N} at the N samples of a circle (read-only: it is shared)."""
-    roots = np.exp(2j * math.pi / n * np.arange(n))
+    """(z_n / r) / N = e^{2 pi i n / N} / N at the N samples of a circle (read-only: shared)."""
+    roots = np.exp(2j * math.pi / n * np.arange(n)) / n
     roots.flags.writeable = False
     return roots
 

@@ -93,9 +93,38 @@ def test_eval_overflow_exits_3_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("max_terms", ["1000001", "1000000000000"])
+def test_eval_max_terms_above_the_cap_is_refused_before_any_series(capsys, monkeypatch,
+                                                                   max_terms):
+    # at this q the series runs to its term budget: 10^12 terms took more than a minute
+    from thetasep import cli
+    monkeypatch.setattr(cli, "_EVAL_FUNCTIONS", {"theta": (None, True)})
+    code, out, err = run(capsys, ["eval", "theta", "--q", "-0.999999999", "--z", "1",
+                                  "--max-terms", max_terms])
+    assert code == 2 and out == ""
+    assert err == f"error: --max-terms must be at most 1000000, got {max_terms}\n"
+
+
+def test_eval_max_terms_at_the_cap_is_accepted(capsys):
+    code, out, err = run(capsys, ["eval", "theta", "--q", "0.5", "--z", "1",
+                                  "--max-terms", "1000000", "--format", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["terms_used"] < 100
+
+
 # ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
+
+def test_zeros_outside_the_region_warns_in_one_line_and_in_the_record(capsys):
+    # a Python warning would also print its source line (and fail here: UserWarning is an error)
+    code, out, err = run(capsys, ["zeros", "--q", "0.3", "--kmax", "2", "--format", "json"])
+    message = ("q = (0.3+0j) is outside both the left half-disk of radius 0.6 and the disk "
+               "|q| <= 0.2078750206; separation is not guaranteed there")
+    assert code == 0
+    assert err == f"warning: {message}\n"
+    assert json.loads(out)["results"]["warnings"] == [message]
+
 
 def test_zeros_separation_inside_055(capsys):
     code, out, _ = run(capsys, ["zeros", "--q", "0.55i", "--kmax", "6",
@@ -547,7 +576,8 @@ _COMMANDS = {
     "eval": st.tuples(st.sampled_from(["theta", "theta_dagger", "theta_star", "G", "Q", "U", "R",
                                        "theta_prime"]).map(lambda f: [f]),
                       _flag("--q", _Q), _flag("--z", ["2", "-1.5+0.5i", "0", "1e300", "x"]),
-                      _flag("--tol", _TOLERANCES), _flag("--max-terms", [2, 3, 40, 0, -1])),
+                      _flag("--tol", _TOLERANCES),
+                      _flag("--max-terms", [2, 3, 40, 0, -1, 1_000_001, 10 ** 12])),
     "zeros": st.tuples(_flag("--q", _Q), _flag("--kmax", _size(1, 3, [0, -1, 10 ** 13])),
                        _flag("--residual-tol", _TOLERANCES)),
     "verify": st.tuples(

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from thetasep import (
     eval_theta_dz,
     eval_theta_star,
 )
+from thetasep import core
 from thetasep.core import circle_terms, fold_terms, ldexp_complex
 
 
@@ -586,8 +588,7 @@ def test_fft_contour_matches_scalar_eval(q, exponent, n, rescaled, folded):
     radius = q.modulus ** -exponent
     # the contour path of zeros._contours: the terms folded mod n, one inverse FFT
     terms, res = circle_terms(q, radius)
-    coefficients = np.zeros(n, dtype=complex)
-    fold_terms(terms, coefficients)
+    (coefficients,) = fold_terms([(terms, 0)], n)
     vals, scale, exp2 = np.fft.ifft(coefficients, norm="forward"), res.scale, res.exponent
     centre = eval_theta(q, radius)  # the same terms: its tail is the contour's tail
     assert (exp2 == 600) is rescaled
@@ -598,3 +599,68 @@ def test_fft_contour_matches_scalar_eval(q, exponent, n, rescaled, folded):
         value = ldexp_complex(ref.value, ref.exponent - exp2)
         bound = tail + math.ldexp(ref.tail_bound, ref.exponent - exp2) + 1e-13 * scale
         assert abs(vals[k] - value) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulus=st.floats(1e-300, 0.6), arg_q=st.floats(-math.pi, math.pi),
+       log_radius=st.floats(-50.0, 700.0), shifted=st.booleans())
+def test_circle_terms_are_the_terms_of_eval_theta(modulus, arg_q, log_radius, shifted):
+    # real radii up to 1e304, and the complex centres q^J r of zeros._shifted_circle
+    from thetasep import zeros
+    q, centre = QParameter(cmath.rect(modulus, arg_q)), math.exp(log_radius)
+    if shifted and (shift := zeros._head_shift(q, centre)):
+        centre = q.value ** shift * centre
+    try:
+        want = eval_theta(q, centre)
+    except (BudgetExceeded, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            circle_terms(q, centre)
+        return
+    terms, got = circle_terms(q, centre)
+    assert got.terms_used == want.terms_used == len(terms)
+    # eval_theta folds its exponent back where its results fit, by the same ldexp
+    units = got.exponent - want.exponent
+    assert units in (0, got.exponent)
+    assert math.ldexp(got.tail_bound, units) == want.tail_bound
+    assert math.ldexp(got.scale, units) == want.scale
+    # the same terms: eval_theta's compensated sum is within 2u scale of their exact sum, and
+    # fsum of the parts within sqrt(2) u (u = 2^-53; up to 1.8u seen)
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    assert abs(ldexp_complex(total, units) - want.value) <= 2.0 ** -51 * want.scale
+
+
+def _step_by_step_terms(q, centre, count):
+    """The first `count` terms of theta(q, centre), by the rule that multiplies every term kept so
+    far by 2^-600 at each rescale step; the indices of the terms that were subnormal before a step
+    (rounded twice); and the number of terms kept at the last step."""
+    kept, rounded_twice, term, power = [1.0 + 0j], set(), 1.0 + 0j, (1.0 + 0j) * q
+    last = 0
+    while len(kept) < count:
+        pending = power * centre
+        while abs(term) * abs(pending) > 2.0 ** 600:
+            rounded_twice.update(j for j, t in enumerate(kept)
+                                 if any(0.0 < abs(x) < sys.float_info.min for x in (t.real, t.imag)))
+            term *= 2.0 ** -600
+            kept[:] = [t * 2.0 ** -600 for t in kept]
+            last = len(kept)
+        term *= pending
+        power *= q
+        kept.append(term)
+    return kept, rounded_twice, last
+
+
+def test_rescaled_circle_terms_match_the_step_by_step_rule(monkeypatch):
+    # 57 rescales over 354 terms; circle_terms scales each block between two rescales once
+    q, centre = QParameter(-0.59), 0.59 ** -300.5
+    scaled = []
+    ldexp = core.ldexp_complex
+    monkeypatch.setattr(core, "ldexp_complex", lambda v, e: scaled.append(v) or ldexp(v, e))
+    terms, res = circle_terms(q, centre)
+    assert res.exponent == 57 * 600 and len(terms) == 354
+    want, rounded_twice, last = _step_by_step_terms(q.value, centre, len(terms))
+    assert len(scaled) == last == 289  # each term kept at the last rescale is scaled once
+    # One rounding of t 2^-600m against m: they differ only where t 2^-600s is subnormal for an
+    # s < m, and the next step takes that below the least subnormal, so both give 0.  No term
+    # differs, and the terms that the step-by-step rule rounds twice are all 0.
+    assert terms == want
+    assert len(rounded_twice) == 21 and all(terms[j] == 0 for j in rounded_twice)

@@ -40,11 +40,23 @@ from thetasep.core import (
 
 
 def _folded_terms(q, radius, n, derivative=False):
-    """The terms of theta(q, radius) folded mod n, as a row of the `_contours` block, and
-    their EvalResult: an (n,) row, or (2, n) rows whose second folds z theta'."""
+    """The terms of theta(q, radius) folded mod n, one circle at a time, and their EvalResult:
+    an (n,) row, or (2, n) rows whose second folds z theta' = sum_j j c_j e^{i j psi}.
+
+    The reference for core's `fold_terms`, whose block rows must equal these bytewise.
+    """
     terms, res = circle_terms(q, radius)
     rows = np.zeros((2, n) if derivative else n, dtype=complex)
-    fold_terms(terms, rows)
+    folded = rows[0] if derivative else rows
+    head = min(n, len(terms))
+    folded[:head] = terms[:head]
+    for wrap, start in enumerate(range(head, len(terms), n), 1):
+        chunk = terms[start:start + n]
+        folded[:len(chunk)] += chunk
+        if derivative:  # j = m + wrap n adds wrap n c_j to bin m
+            rows[1, :len(chunk)] += np.multiply(n * wrap, chunk)
+    if derivative:
+        rows[1, :head] += np.arange(head) * folded[:head]
     return rows, res
 
 
@@ -543,16 +555,18 @@ def test_folded_circle_terms_are_the_contour_block_rows():
     for q, exponent in cases:
         q = QParameter(q)
         radii = [q.modulus ** -exponent, q.modulus ** -(exponent + 1), q.modulus ** -0.5]
-        block = []
+        blocks = []
         fold = zeros.fold_terms
 
-        def spy(terms, out, offset=0):
-            fold(terms, out, offset)
-            block.append(out.copy())  # the block row, as the inverse FFT reads it
+        def spy(circles, n, derivative=False):
+            block = fold(circles, n, derivative)
+            blocks.append(block.copy())  # as the inverse FFT reads it
+            return block
 
         with mock.patch.object(zeros, "fold_terms", spy):
             zeros._contours(q, radii, 256, zeros.DEFAULT_BUDGET, moments=True)
-        assert len(block) == len(radii)
+        (block,) = blocks
+        assert block.shape == (len(radii), 2, 256)
         for row, radius in zip(block, radii):
             rows = _folded_terms(q, radius, 256, derivative=True)[0]
             assert rows.tobytes() == row.tobytes()
@@ -592,9 +606,10 @@ def test_moment_estimate_off_by_1e_6_is_polished_by_newton(monkeypatch):
     exact = verify_separation(q, 8)
     kernel = zeros.fold_terms
 
-    def fold(terms, out, offset=0):
-        kernel(terms, out, offset)
-        out[1] *= 1 + 1e-6  # every moment, so every estimate, 1e-6 relative off
+    def fold(circles, n, derivative=False):
+        block = kernel(circles, n, derivative)
+        block[:, 1] *= 1 + 1e-6  # every moment, so every estimate, 1e-6 relative off
+        return block
 
     monkeypatch.setattr(zeros, "fold_terms", fold)
     rep = verify_separation(q, 8)
@@ -788,17 +803,18 @@ def test_count_only_contours_fold_no_derivative_row(monkeypatch):
     shapes = []
     fold = zeros.fold_terms
 
-    def spy(terms, out, offset=0):
-        shapes.append(out.shape)
-        fold(terms, out, offset)
+    def spy(circles, n, derivative=False):
+        block = fold(circles, n, derivative)
+        shapes.append(block.shape)
+        return block
 
     monkeypatch.setattr(zeros, "fold_terms", spy)
     q = QParameter(-0.3 + 0.3j)
     count_zeros_in_annulus(q, Annulus.for_index(3))
     winding_numbers(q, [q.modulus ** -1.5, q.modulus ** -2.5, q.modulus ** -3.5])
-    assert shapes == [(256,)] * 5
+    assert shapes == [(2, 256), (3, 256)]
     verify_separation(q, 3)
-    assert shapes[5:] == [(2, 256)] * 3
+    assert shapes[2:] == [(3, 2, 256)]
 
 
 def test_circle_budget_message_names_the_radius():
@@ -956,9 +972,7 @@ def test_a_count_needs_its_minimum_above_the_head():
 def test_fold_terms_offset_multiplies_the_samples_by_the_bin_turn():
     terms = [complex(j + 1, -j) for j in range(40)]
     n, shift = 16, 5
-    plain, moved = np.zeros(n, complex), np.zeros(n, complex)
-    fold_terms(terms, plain)
-    fold_terms(terms, moved, shift)
+    plain, moved = fold_terms([(terms, 0), (terms, shift)], n)
     turn = np.exp(2j * math.pi * shift * np.arange(n) / n)
     assert np.allclose(np.fft.ifft(moved, norm="forward"),
                        turn * np.fft.ifft(plain, norm="forward"), rtol=1e-13, atol=1e-12)
