@@ -222,8 +222,8 @@ def cmd_zeros(args):
     from . import zeros
 
     q = QParameter(parse_complex(args.q))
-    # No |q| <= 0.6 has a finite circle past k = 1388; the overflow notes of the indices a
-    # given q loses to the float range before that (1e-100 from k = 3) stay in the report.
+    # No |q| <= 0.6 has a finite circle past k = 1388; the one overflow note of a q that loses
+    # its circles to the float range before that (1e-100 from k = 3) stays in the report.
     if args.kmax > (most := _last_finite_circle(max(q.modulus, 0.6))):
         raise DomainError(
             f"--kmax must be at most {most}, got {args.kmax}: the circle |z| = |q|^-(k+1/2) "

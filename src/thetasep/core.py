@@ -161,7 +161,7 @@ def _series_eval(first, p, q, x, budget, what, ratio_weight=False, derivative=Fa
     """Sum t_0 + t_1 + ... with t_0 = first, t_j = t_{j-1} s_j and s_j = p q^{j-1} x.
 
     With `ratio_weight`, s_j also carries a factor (j + 1) / j.  The step
-    moduli must be nonincreasing, so once r = |s_n| < 1/2 the dropped tail
+    moduli must be nonincreasing, so once r = |s_n| < 1 the dropped tail
     is below |t_{n-1}| r / (1 - r).  With x != 0 the dropped terms are
     nonzero, so a bound that underflows to 0.0 is rounded up to the least
     subnormal.  Sums are Kahan-compensated, rescaled before a term would
@@ -185,7 +185,10 @@ def _series_eval(first, p, q, x, budget, what, ratio_weight=False, derivative=Fa
     because every rounding of p q^{j-1} is carried into all later terms.
     Both bounds are therefore multiplied by 1 + 2^-52 (n + 6)^2 before they
     are tested, which covers (1 + 2.25 u)^((n + 6)^2 / 2) and the product
-    itself while the moduli are normal floats.
+    itself while the moduli are normal floats.  That counts r's rounding, eta <=
+    2.25 u (n + 3), once: 1 / (1 - r) magnifies it by x = r / (1 - r) <= 1 at r <=
+    1/2 (the theta' bound by 3x).  Past 1/2 the factor is 1 + 2^-52 (n + 6)^2 x, used
+    only below 2: then eta x < 0.1, and its extra is ten times 3 eta x (1 + eta x).
     """
     total = term = first
     comp = 0j
@@ -199,12 +202,12 @@ def _series_eval(first, p, q, x, budget, what, ratio_weight=False, derivative=Fa
             pending *= (used + 1) / used
         r = abs(pending)
         bound = modulus * r
-        if r < 0.5:
+        if r < 1.0:
             tail = bound / (1.0 - r)
             if tail <= tolerance:  # the allowance only raises it: test the raw bound first
-                allowance = 1.0 + _ULP * (used + 6) ** 2  # rounding of |t_{n-1}| and r, see above
+                allowance = 1.0 + _ULP * (used + 6) ** 2 * max(1.0, r / (1.0 - r))  # see above
                 tail *= allowance
-            if tail <= tolerance:
+            if tail <= tolerance and allowance < 2.0:
                 if not tail and x:
                     tail = _LEAST_TAIL
                 frozen = frozen or (total, tail, used, scale + tail)
@@ -332,9 +335,9 @@ def circle_terms(q, centre, budget=DEFAULT_BUDGET):
         pending = power * centre
         r = abs(pending)
         bound = modulus * r
-        if r < 0.5 and (tail := bound / (1.0 - r)) <= tolerance:
-            tail *= 1.0 + _ULP * (used + 6) ** 2
-            if tail <= tolerance:
+        if r < 1.0 and (tail := bound / (1.0 - r)) <= tolerance:
+            tail *= (allowance := 1.0 + _ULP * (used + 6) ** 2 * max(1.0, r / (1.0 - r)))
+            if tail <= tolerance and allowance < 2.0:
                 if not tail and centre:
                     tail = _LEAST_TAIL
                 for missed, (start, end) in zip(range(len(marks), 0, -1), pairwise([0, *marks])):

@@ -15,10 +15,11 @@ products of the coefficients c_j(q) |z|^j of every (|q|, arg q) node, built
 once, with the powers e^{i j psi_k}; k1 sums to the proven tail of theta_dagger
 and reports its bound.  Both scans (`_scan_min`) return the exhaustive scan's
 minimum and location: a complex64 pass over every S-th arg z, the proven slope
-bound sum_j j |c_j| and a rounding allowance rule out most rows, and only the
-others are evaluated over every arg z in complex128, stacked in blocks whose
-rows round as in their own modulus row's product.  The sampled checks use the
-array forms of `mu`, `A_j`, `B_j` and `phi_*`.
+bound sum_j j |c_j| and a rounding allowance rule out most windows of S arg z,
+the rest are evaluated in float64, and only rows that can hold the minimum
+over every arg z in complex128, in blocks whose rows round as their own
+modulus row's product.  The sampled checks use the array forms of `mu`,
+`A_j`, `B_j` and `phi_*`.
 
 `BATTERY` defines the battery once, for `verify_all` and `thetasep verify`:
 each check's grid, default steps and settings rules.
@@ -589,7 +590,7 @@ DEFAULT_K1_GRID = _battery_grid("k1")
 
 class _Scan(NamedTuple):
     """A grid scan: at (rho_r, omega_i) its values over arg z are combine(sums, r), where
-    sums[s] = C[r, i, :n] @ basis[p[:n]] for the s-th (C, p) and n = terms[r, s]."""
+    sums[s] = C[r, i, :n] @ basis[p[:n]] for the s-th (C, p), n = terms[r, s]: C[r, i, n:] = 0."""
 
     sums: list          # (C, p): C[r, i, j] = c_j(q_ri) |z_r|^{p_j}, (n_rho, n_omega, K); powers p
     terms: np.ndarray   # (n_rho, len(sums)): the terms each modulus row sums of each sum
@@ -597,30 +598,36 @@ class _Scan(NamedTuple):
     slope: np.ndarray   # L_psi per modulus row: |d value / d psi| <= slope on each of its circles
     scale: np.ndarray   # M per modulus row: the moduli of the terms of one value, weighted, summed
 
+    @property
+    def rounding(self):  # (K + 8)(M + L) per modulus row: delta of `_scan_min` is 2^-50 this
+        return (self.terms.max(axis=1) + 8) * (self.scale + self.slope)
 
-def _coefficients(rhos, z_moduli, powers, q_exponents, omegas):
-    """(C, moduli): C[r, i, j] = moduli[r, j] e^{i e_j omega_i}, moduli[r, j] = rho_r^e_j z_r^p_j.
+
+def _coefficients(rhos, z_moduli, powers, q_exponents, omegas, counts=math.inf):
+    """(C, moduli): C[r, i, j] = moduli[r, j] e^{i e_j omega_i}, moduli[r, j] = rho_r^e_j z_r^p_j,
+    or exact 0 from j = counts[r] on.
 
     z_moduli are scalar powers such as rho ** -0.5, which numpy's array power rounds otherwise.
     """
     e, p = np.asarray(q_exponents, dtype=float), np.asarray(powers, dtype=float)
     moduli = rhos[:, None] ** e * np.asarray(z_moduli)[:, None] ** p
+    moduli *= np.arange(p.size) < np.asarray(counts)[..., None]
     return moduli[:, None, :] * np.exp(1j * np.outer(omegas, e)), moduli
 
 
-# Most complex multiply-adds of one gemm in `_blocks`: OpenBLAS runs a larger product on two
-# threads, and their hand-offs stalled for milliseconds at a time on a busy two-core host.
+# Most complex multiply-adds of one gemm: OpenBLAS runs a larger product on two threads, and
+# their hand-offs stalled for milliseconds at a time on a busy two-core host.
 _GEMM_MADDS = 2 ** 16
 
 
 def _blocks(scan, basis, rows, cap):
     """(rows, values) of `rows`, ascending flat (rho, omega) indices, over the basis columns.
 
-    A block holds rows of one term count, in the precision of the basis, and at most
-    cap values or one gemm; it is one batched product of gemms of `width` >= 2 rows
-    (numpy hands a one-row product to gemv, which may round differently), padded with
-    copies of the group's last row.  BLAS computes each row of a product from that row
-    and the basis alone, so a row's values are those of C[r] @ basis[p] in full.
+    A block holds rows of one term count and at most cap values or one gemm; it is one
+    batched product of gemms of `width` >= 2 rows (numpy hands a one-row product to gemv,
+    which may round differently), padded with copies of the group's last row.  BLAS
+    computes each row of a product from that row and the basis alone, so a row's values
+    are those of C[r] @ basis[p] in full.
     """
     n_omega, columns = scan.sums[0][0].shape[1], basis.shape[1]
     present = np.bincount(rows // n_omega, minlength=len(scan.terms)) > 0
@@ -631,9 +638,47 @@ def _blocks(scan, basis, rows, cap):
         same = same[np.minimum(np.arange(gemms * width), same.size - 1)]
         span = width * max(1, cap // (width * columns))
         for at in (same[i:i + span] for i in range(0, same.size, span)):
-            sums = [c.reshape(-1, c.shape[2])[at, :n].astype(basis.dtype, copy=False)
-                    .reshape(-1, width, n) @ basis[p[:n]] for (c, p), n in zip(scan.sums, key)]
+            sums = [c.reshape(-1, c.shape[2])[at, :n].reshape(-1, width, n) @ basis[p[:n]]
+                    for (c, p), n in zip(scan.sums, key)]
             yield at, scan.combine([s.reshape(at.size, columns) for s in sums], at // n_omega)
+
+
+def _products(scan, blocks, bases, rows):
+    """scan.combine of block @ base per sum, rows[i] the flat (rho, omega) index of row i, in
+    batched gemms of at most _GEMM_MADDS multiply-adds and one gemm for the rows left over."""
+    sums = []
+    for block, base in zip(blocks, bases):
+        width, (k, columns) = max(1, _GEMM_MADDS // base.size), base.shape
+        whole = rows.size - rows.size % width
+        out = np.empty((rows.size, columns), base.dtype)
+        np.matmul(block[:whole].reshape(-1, width, k), base,
+                  out=out[:whole].reshape(-1, width, columns))
+        np.matmul(block[whole:], base, out=out[whole:])
+        sums.append(out)
+    return scan.combine(sums, rows // scan.sums[0][0].shape[1])
+
+
+def _single(scan, basis, cap):
+    """(rows, values) of all flat (rho, omega) rows at the basis columns in complex64, from the
+    last down: contiguous rows of the coefficients, cast block by block, of max(cap, 2^15)
+    values a block."""
+    flat = [c.reshape(-1, c.shape[2]) for c, _ in scan.sums]
+    bases = [basis[p].astype(np.complex64) for _, p in scan.sums]
+    n, span = flat[0].shape[0], max(1, max(cap, _GEMM_MADDS // 2) // basis.shape[1])
+    for a in range((n - 1) // span * span, -1, -span):
+        at = np.arange(a, min(a + span, n))
+        yield at, _products(scan, [c[a:a + span].astype(np.complex64) for c in flat], bases, at)
+
+
+def _windows(scan, basis, half, spacing, rows, starts):
+    """(values, eps): values[w, half + t] = sum_p (c_p e^{i p psi_s}) e^{i p t dpsi} in float64,
+    flat (rho, omega) row rows[w] at node s + t mod z_steps, s = starts[w], |t| <= half; eps[w]
+    = 2 delta of its modulus row bounds its distance to the exhaustive values."""
+    offsets = np.arange(-half, half + 1) * spacing
+    blocks = [c.reshape(-1, c.shape[2])[rows] * basis[np.ix_(p, starts)].T for c, p in scan.sums]
+    values = _products(scan, blocks, [np.exp(1j * np.outer(p, offsets)) for _, p in scan.sums],
+                       rows)
+    return values, 2.0 ** -49 * scan.rounding[rows // scan.sums[0][0].shape[1]]
 
 
 # The stride keeps the Lipschitz pad L_psi floor(S/2) dpsi of `_scan_min` at most this.
@@ -647,34 +692,35 @@ def _scan_min(grid, z_steps, scan):
     """Minimum over the grid of the values of `scan`, and its (rho, omega, psi).
 
     The scan samples; it does not certify.  It returns the minimum and location
-    of the exhaustive scan (the first in (rho, omega, psi) order), but evaluates
-    over all psi only the (rho, omega) rows a proven slope bound cannot rule out:
-
-    1. Every row is evaluated in complex64 on the coarse subset psis[::S]; ub is
-       the least of their minima.
-    2. A row is refined, in complex128, only if its coarse minimum, less the pad
-       L floor(S/2) dpsi and the allowance 2 (delta32 + delta), is <= ub: every
-       node lies within floor(S/2) steps of a coarse one (psi wraps around), and
-       along a circle the value moves by at most L = scan.slope per radian.
-
-    Both passes go through `_blocks` of n_omega z_steps / 4 values at most (a whole
-    row's product held 2 MB more), and refine to the values the exhaustive scan has.
-    The stride S = 2 floor(_PAD / (L dpsi)) + 1, with the grid's largest L, keeps
-    the pad at most _PAD.
+    of the exhaustive scan (the first in (rho, omega, psi) order) in four stages:
+    1. `_single`: every row in complex64 at psis[::S], from the largest |q| (where
+       the battery's margins are least) down; ub is the least value so far.
+    2. A window is a coarse node c S and the nodes within floor(S/2) of it (psi
+       wraps).  In a row whose coarse minimum less A = L floor(S/2) dpsi + 2 (delta32
+       + delta) is <= ub, a window is live if its coarse value less A is <= ub.
+    3. `_windows`: live windows in float64, within eps of the exhaustive values;
+       upper is the least window value plus eps.
+    4. `_blocks`: in complex128 over all psi, the rows whose least window value
+       less eps is <= upper (one row of each default scan).
+    S = 2 floor(_PAD / (L dpsi)) + 1, L = scan.slope the grid's largest bound on
+    |d value / d psi|.  With cap = n_omega z_steps / 4 the coarse blocks hold at
+    most max(cap, 2^15) single values, the windows and `_blocks` cap values.
 
     Rounding.  With u = 2^-53 a computed value differs from the exact value of the
     row's stored coefficients at its node by less than u((2K + 10) M + 2 pi L), for
-    K terms per sum and M = scan.scale: each basis entry e^{i p psi} carries
-    u(2 pi p + 2) from the rounded p psi and exp, the K products and sums of a
-    complex dot product at most 2(K + 2) u M, and the modulus and k2's weight and
-    differences a few u M (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., sections 3.1 and 3.6).  delta = 2^-50 (K + 8)(M + L) covers that and
-    the rounding of the nodes, of L and of the test; with u = 2^-24, which also
-    covers rounding coefficients and basis to complex64, delta32 = 2^-21 (K + 8)(M
-    + L) bounds a coarse value's error.  A skipped row's value at any node is then
-    at least its coarse minimum - L floor(S/2) dpsi - delta32 - delta > ub + delta32
-    + delta, at least the refined value at ub's node: it holds no point at or
-    below the computed minimum.
+    K terms per sum and M = scan.scale: u(2 pi p + 2) from each rounded p psi and
+    exp, 2(K + 2) u M from a complex dot product (exact zero terms add none), a few
+    u M from the modulus and k2's weight and differences (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.6).  delta = 2^-50 (K + 8)
+    (M + L) covers that and the rounding of the nodes, of L and of the test, and
+    delta32 = 2^-21 (K + 8)(M + L) a coarse value's (u = 2^-24, casts included).  A window
+    node c S dpsi + t dpsi is within 4 pi u of the linspace node, and two rounded
+    exponentials and their product add u(2 pi p + 4.25) to term p: a window value
+    is within u(38 L + (2K + 17) M) < delta of the exact value, so eps = 2 delta.
+    A node of a window that is not live then lies above ub's node, every node of
+    least value is in a live window, upper is at least that value, and `_blocks`,
+    whose rows round as their own modulus row's product, gives the exhaustive
+    minimum, location and tie order.
     """
     psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
     rhos, omegas = grid.moduli(), grid.arguments()
@@ -683,16 +729,24 @@ def _scan_min(grid, z_steps, scan):
     half = z_steps // 2  # S = 2 half + 1; a coarse sample at psi = 0 alone reaches this far
     if slope * spacing * half > _PAD:
         half = math.floor(_PAD / (slope * spacing))
-    minima, cap = np.empty(rhos.size * omegas.size), omegas.size * z_steps // 4
-    for block, vals in _blocks(scan, basis[:, ::2 * half + 1].astype(np.complex64),
-                               np.arange(minima.size), cap):
-        minima[block] = np.min(vals, axis=1)
-    minima = minima.reshape(rhos.size, omegas.size)
-    ub = float(np.min(minima))
-    allowance = scan.slope * half * spacing + (2.0 ** -49 + 2.0 ** -20) * (
-        scan.terms.max(axis=1) + 8) * (scan.scale + scan.slope)  # 2 (delta + delta32)
-    live, best = np.flatnonzero(minima - allowance[:, None] <= ub), (math.inf, 0, 0)
-    for block, vals in _blocks(scan, basis, live, cap):
+    stride, n, cap = 2 * half + 1, rhos.size * omegas.size, omegas.size * z_steps // 4
+    allowance = scan.slope * half * spacing + (2.0 ** -49 + 2.0 ** -20) * scan.rounding
+    lows, upper, ub, chunk = np.full(n, math.inf), math.inf, math.inf, max(1, cap // stride)
+    rows = starts = np.empty(0, np.intp)  # live windows not yet evaluated
+    for at, coarse in _single(scan, basis[:, ::stride], cap):
+        minima = np.min(coarse, axis=1)
+        ub = min(ub, float(np.min(minima)))
+        live = np.flatnonzero(minima - allowance[at // omegas.size] <= ub)  # the row rule
+        i, c = np.nonzero(coarse[live] - allowance[at[live] // omegas.size, None] <= ub)
+        rows, starts = np.append(rows, at[live[i]]), np.append(starts, c * stride)
+        while rows.size >= chunk or (at[0] == 0 and rows.size):  # row 0 ends the pass
+            values, eps = _windows(scan, basis, half, spacing, rows[:chunk], starts[:chunk])
+            least = np.min(values, axis=1)
+            np.minimum.at(lows, rows[:chunk], least - eps)
+            upper = min(upper, float(np.min(least + eps)))
+            rows, starts = rows[chunk:], starts[chunk:]
+    best = (math.inf, 0, 0)
+    for block, vals in _blocks(scan, basis, np.flatnonzero(lows <= upper), cap):
         i, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
         best = min(best, (float(vals[i, k]), int(block[i]), int(k)))
     value, row, k = best
@@ -725,8 +779,7 @@ def _theta_dagger_scan(grid):
     counts, tails = zip(*map(_theta_dagger_terms, rhos))
     j = np.arange(max(counts))
     coefficients, moduli = _coefficients(grid.moduli(), [rho ** -0.5 for rho in rhos], j,
-                                         j * (j - 1) / 2, grid.arguments())
-    moduli = moduli * (j < np.array(counts)[:, None])  # the terms each row sums
+                                         j * (j - 1) / 2, grid.arguments(), counts)
     return _Scan([(coefficients, j)], np.array(counts)[:, None], lambda sums, r: np.abs(sums[0]),
                  slope=moduli @ j, scale=np.sum(moduli, axis=1)), max(tails)
 
@@ -737,7 +790,7 @@ def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
     arg(q) in [pi/2, pi] suffices by conjugation symmetry.  The series is summed
     to the term count of the proven geometric tail (`_theta_dagger_scan`), whose
     largest bound is reported as `tail_bound`, and `_scan_min` refines only the
-    rows its slope bound cannot rule out.  The minimum must be strictly positive;
+    windows its slope bound cannot rule out.  The minimum must be strictly positive;
     its value and location are reported so resolution slack can be judged, and
     `sample_pad` = L pi / z_steps, with the largest slope bound L of the grid,
     is the most the value can dip between two neighbouring samples of a circle.
@@ -751,9 +804,10 @@ def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
 
 
 # Bytes `_scan_min` holds, above the ru_maxrss growth measured on 600 x 300 grids and on long
-# circles (in parentheses): per (|q|, arg q) node, 16 a term of coefficients and 96 of indices
-# (k1 254, k2 168); per arg q x arg z value, 24 for k1 and 48 for k2 (14, 20: a block holds a
-# quarter of them); and 16 a term and arg z for the powers e^{i p psi}.
+# circles, with every row live in brackets: per (|q|, arg q) node, 16 a term of coefficients
+# and 96 of indices and window bounds (k1 257 [271], k2 153 [174]); per arg q x arg z value,
+# 24 for k1 and 48 for k2 ([14, 25]: a block holds a quarter of them); and 16 a term and
+# arg z for the powers e^{i p psi}.
 _NODE_BYTES, _VALUE_BYTES = 96, {"k1": 24, "k2": 48}
 
 
@@ -832,7 +886,7 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=BATTERY["k2"].circle(DEFAULT_K
     0.0002925...; the margin min(|xi B| - |A*| - bound) is reported as
     observed, not certified.  B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4
     + q^10 xi^5 + q^15 xi^6 + q^21 xi^7 are exact (`_dominance_scan`), so only
-    A** is bounded, and `_scan_min` refines only the rows its slope bound
+    A** is bounded, and `_scan_min` refines only the windows its slope bound
     cannot rule out.  `sample_pad` is k1's, for this scan's slope and circle.
     """
     a0 = _a0()

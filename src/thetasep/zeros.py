@@ -622,7 +622,9 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
     lie inside that circle, and by Newton from -q^-k instead at |q| <=
     MOMENT_SEED_MIN_MODULUS; any other annulus runs `locate_zero`.  With
     on_error="record", per-k contour/convergence failures are noted in the
-    report instead of raised.  A tolerance outside (0, inf) raises DomainError.
+    report instead of raised; the first k whose circle |q|^-(k+1/2) leaves the
+    float range ends the work with one note for k..k_max.  A tolerance outside
+    (0, inf) raises DomainError.
     """
     q = as_q(q)
     if k_max < 1:
@@ -642,14 +644,15 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
     for k in range(1, k_max + 1):
         try:
             radii[k] = q.modulus ** -(k + 0.5)
-        except OverflowError as exc:  # the radius itself leaves the float range
-            circles[k] = exc
+        except OverflowError:  # and so does every later radius: one note for k..k_max
+            circles[k] = OverflowError(f"the radius leaves the float range for k = {k}..{k_max}")
+            break
     results, sums, terms = _contours(q, list(radii.values()), INITIAL_SAMPLES, budget,
                                      moments=True)
     circles.update(zip(radii, results))
     moments.update(zip(radii, sums))
     terms = dict(zip(radii, terms))
-    for k in range(1, k_max + 1):
+    for k in sorted(circles):
         result = circles[k]
         if isinstance(result, Exception):
             if on_error == "raise":
@@ -660,7 +663,7 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
         else:
             windings[k] = result.count
 
-    for k in range(1, k_max + 1):
+    for k in radii:
         below, above = windings[k - 1], windings[k]
         report.counts[k] = None if (below is None or above is None) else above - below
         try:

@@ -96,13 +96,23 @@ def test_eval_overflow_exits_3_without_traceback(capsys, argv):
 @pytest.mark.parametrize("max_terms", ["1000001", "1000000000000"])
 def test_eval_max_terms_above_the_cap_is_refused_before_any_series(capsys, monkeypatch,
                                                                    max_terms):
-    # at this q the series runs to its term budget: 10^12 terms took more than a minute
+    # a budget of 10^12 terms would let a series that never meets its tolerance run for days
     from thetasep import cli
     monkeypatch.setattr(cli, "_EVAL_FUNCTIONS", {"theta": (None, True)})
     code, out, err = run(capsys, ["eval", "theta", "--q", "-0.999999999", "--z", "1",
                                   "--max-terms", max_terms])
     assert code == 2 and out == ""
     assert err == f"error: --max-terms must be at most 1000000, got {max_terms}\n"
+
+
+def test_eval_near_the_unit_circle_ends_within_the_default_budget(capsys):
+    # the tail rule takes any term ratio below 1: 8057 terms, not the 693 147 after which the
+    # ratio |q|^n falls below 1/2
+    code, out, err = run(capsys, ["eval", "theta", "--q", "-0.999999", "--z", "1",
+                                  "--format", "json"])
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["terms_used"] == 8057 and results["tail_bound"] <= 1e-12
 
 
 def test_eval_max_terms_at_the_cap_is_accepted(capsys):
@@ -156,10 +166,15 @@ def test_zeros_small_q_all_annuli(capsys):
 
 @pytest.mark.parametrize("q", ["1e-100", "1e-160"])
 def test_zeros_seed_beyond_the_float_range_exits_3_per_k(capsys, q):
+    # the first k whose circle leaves the float range carries one error for k..kmax
+    past = {"1e-100": 3, "1e-160": 2}[q]
     code, out, err = run(capsys, ["zeros", "--q", q, "--kmax", "4", "--format", "json"])
     assert code == 3 and err == ""
-    entry = json.loads(out)["results"]["k"]["4"]
-    assert "the Newton seed -q^-4 leaves the float range" in entry["error"]
+    entries = json.loads(out)["results"]["k"]
+    assert entries[str(past)] == {"count": None, "error": f"contour |z| = |q|^-{past + 0.5}: the "
+                                                          "radius leaves the float range for "
+                                                          f"k = {past}..4"}
+    assert all(entries[str(k)] == {"count": None} for k in range(past + 1, 5))
 
 
 @pytest.mark.parametrize("q, kmax, most, last", [("-0.3", "100000000", 1388, 589),

@@ -151,6 +151,38 @@ def test_series_term_beyond_float_range_raises_overflow():
         eval_G(0.5, 1e-310)             # the first term 1/z is
 
 
+def test_series_near_the_unit_circle_stops_where_its_tail_bound_meets_the_tolerance():
+    # any step modulus r < 1 bounds the tail; at |q| = 1 - 1e-6 the term ratio is still 0.992
+    # when |q|^(n(n+1)/2) r / (1 - r) meets 1e-12, and the allowance grows with r / (1 - r)
+    import mpmath
+    value, derivative = eval_theta_and_dz(-0.999999, 1.0)
+    assert value.terms_used == 8057 and derivative.terms_used <= 10_000
+    assert circle_terms(-0.999999, 1.0)[1] == dataclasses.replace(value, value=None)
+    with mpmath.workdps(30):
+        q, tail, weighted = mpmath.mpf(-0.999999), mpmath.mpf(0), mpmath.mpf(0)
+        j = value.terms_used
+        term = q ** (j * (j + 1) // 2)
+        while abs(term) > 1e-40:  # the dropped terms, and j t_j of the dropped theta' terms
+            tail += term
+            weighted += j * term if j >= derivative.terms_used + 1 else 0
+            j += 1
+            term *= q ** j
+        assert 0 < abs(tail) <= value.tail_bound <= 1e-12
+        assert abs(weighted) <= derivative.tail_bound <= 1e-12
+
+
+@pytest.mark.parametrize("evaluate, message", [
+    (lambda: eval_theta(-0.9999999, 1.0), "theta: tail not below 1e-12 within 10000 terms"),
+    (lambda: circle_terms(-0.9999999, 1.0), "theta on |z| = 1: tail not below 1e-12 within "
+                                            "10000 terms"),
+])
+def test_series_near_the_unit_circle_past_the_budget_names_it(evaluate, message):
+    # |q| = 1 - 1e-7 needs about 23 500 terms: the budget, not the tail rule, ends the sum
+    with pytest.raises(BudgetExceeded) as caught:
+        evaluate()
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("z", [1e40, 1e-40, -1e30 + 1e30j])
 def test_theta_star_series_combines_exponents(z):
     star = eval_theta_star(0.1, z)

@@ -550,44 +550,59 @@ def test_an_unsound_slope_bound_misses_the_minimum():
 
 
 def test_pruned_scans_at_the_defaults_refine_few_rows(monkeypatch):
-    # on the default grids (strides 11 and 3) a small share of (rho, omega) rows is refined:
-    # 405 and 583 with the complex128 coarse pass, a few more with the complex64 allowance
+    # on the default grids (strides 11 and 3) every row is in the coarse pass, the live
+    # windows cover 0.23 % and 0.50 % of the nodes, and the exact stage takes one row a scan
     from thetasep import lemmas
-    blocks, evaluated = lemmas._blocks, []
+    stages = {"_single": [], "_windows": [], "_blocks": []}
+    single, windows, blocks = lemmas._single, lemmas._windows, lemmas._blocks
 
-    def recording(scan, basis, rows, cap):
-        for at, values in blocks(scan, basis, rows, cap):
-            evaluated.append((basis.dtype, basis.shape[1], at, values.shape))
-            yield at, values
+    def spy(name, stage):
+        def record(scan, basis, *args):
+            for at, values in stage(scan, basis, *args):
+                stages[name].append((basis.dtype, basis.shape[1], at, values))
+                yield at, values
+        return record
 
-    monkeypatch.setattr(lemmas, "_blocks", recording)
-    for check, z_steps, rows, refined in ((verify_lemma_k1_direct, 720, 6400, 405),
-                                          (verify_lemma_k2, 360, 3600, 583)):
-        evaluated.clear()
+    def record_windows(scan, basis, half, spacing, rows, starts):
+        values, eps = windows(scan, basis, half, spacing, rows, starts)
+        stages["_windows"].append((basis.dtype, 2 * half + 1, rows, values))
+        return values, eps
+
+    monkeypatch.setattr(lemmas, "_single", spy("_single", single))
+    monkeypatch.setattr(lemmas, "_blocks", spy("_blocks", blocks))
+    monkeypatch.setattr(lemmas, "_windows", record_windows)
+    for check, z_steps, stride, rows in ((verify_lemma_k1_direct, 720, 11, 6400),
+                                         (verify_lemma_k2, 360, 3, 3600)):
+        for calls in stages.values():
+            calls.clear()
         check()
-        coarse = [at for dtype, columns, at, _ in evaluated if columns < z_steps]
-        fine = [at for dtype, columns, at, _ in evaluated if columns == z_steps]
-        assert all(dtype == (np.complex64 if columns < z_steps else np.complex128)
-                   and shape == (at.size, columns) for dtype, columns, at, shape in evaluated)
-        # every row in the coarse pass; blocks ascend, and a repeat pads a group's last row
-        assert np.array_equal(np.unique(np.concatenate(coarse)), np.arange(rows))
-        for at in coarse + fine:
-            distinct = np.unique(at).size
-            assert np.all(np.diff(at[:distinct]) > 0) and np.all(at[distinct:] == at[-1])
-        live = np.unique(np.concatenate(fine)).size
-        assert live < rows / 4 and abs(live - refined) <= 0.01 * refined
+        # every row once in the coarse pass, at every S-th arg z, in complex64 (float32 values)
+        assert all(columns == -(-z_steps // stride) and values.dtype == np.float32
+                   and values.shape == (at.size, columns)
+                   for _, columns, at, values in stages["_single"])
+        coarse = np.concatenate([at for _, _, at, _ in stages["_single"]])
+        assert np.array_equal(np.sort(coarse), np.arange(rows))
+        # windows of S nodes in float64, on fewer than 5 % of the nodes
+        assert all(dtype == np.complex128 and width == stride and values.dtype == np.float64
+                   and values.shape == (at.size, stride)
+                   for dtype, width, at, values in stages["_windows"])
+        nodes = sum(at.size * stride for _, _, at, _ in stages["_windows"])
+        assert 0 < nodes < 0.05 * rows * z_steps
+        # whole rows in complex128 for at most two rows
+        assert all(dtype == np.complex128 and columns == z_steps
+                   for dtype, columns, _, _ in stages["_blocks"])
+        assert 1 <= np.unique(np.concatenate([at for _, _, at, _ in stages["_blocks"]])).size <= 2
 
 
 def _coarse_error_and_allowance(check, grid, z_steps):
     """Per modulus row: the largest |complex64 value - float64 value| over every node, as
-    `_blocks` evaluates the coarse pass, and delta32 + delta = (2^-21 + 2^-50)(K + 8)(M + L)."""
+    `_single` evaluates the coarse pass, and delta32 + delta = (2^-21 + 2^-50)(K + 8)(M + L)."""
     from thetasep import lemmas
     scan = _scan(check, grid)
     basis = _basis(scan, np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False))
     n_omega = grid.argument_steps
     single = np.empty((grid.modulus_steps * n_omega, z_steps))
-    for at, values in lemmas._blocks(scan, basis.astype(np.complex64),
-                                     np.arange(single.shape[0]), n_omega * z_steps):
+    for at, values in lemmas._single(scan, basis, n_omega * z_steps // 4):
         single[at] = values
     error = np.array([np.max(np.abs(single[r * n_omega:(r + 1) * n_omega]
                                     - _row_values(scan, r, basis)))
@@ -619,6 +634,62 @@ def test_single_precision_values_lie_within_their_allowance(check, ends, modulus
                     (math.pi / 2, math.pi if check == "k1" else 2 * math.pi / 3), argument_steps)
     error, allowance = _coarse_error_and_allowance(check, grid, z_steps)
     assert np.all(error <= allowance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(check=st.sampled_from(["k1", "k2"]),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       modulus_steps=st.integers(2, 8), argument_steps=st.integers(2, 8),
+       z_steps=st.integers(1, 300), data=st.data())
+def test_window_values_lie_within_their_bound(check, ends, modulus_steps, argument_steps,
+                                              z_steps, data):
+    # the premise of the exact-row rule: each value of each window, any width, any start,
+    # wrapping past 2 pi, is within eps of the exhaustive float64 value at its node
+    from thetasep import lemmas
+    lo, hi = (C0, 0.6) if check == "k1" else (0.55, 0.6)
+    a, b = sorted(ends)
+    grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), modulus_steps,
+                    (math.pi / 2, math.pi if check == "k1" else 2 * math.pi / 3), argument_steps)
+    scan = _scan(check, grid)
+    basis = _basis(scan, np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False))
+    half = data.draw(st.integers(0, min(z_steps // 2, 20)))
+    n = modulus_steps * argument_steps
+    rows, starts = np.repeat(np.arange(n), z_steps), np.tile(np.arange(z_steps), n)
+    values, eps = lemmas._windows(scan, basis, half, 2.0 * math.pi / z_steps, rows, starts)
+    exhaustive = np.concatenate([_row_values(scan, r, basis) for r in range(modulus_steps)])
+    nodes = (starts[:, None] + np.arange(-half, half + 1)) % z_steps
+    assert np.all(np.abs(values - exhaustive[rows[:, None], nodes]) <= eps[:, None])
+
+
+@pytest.mark.parametrize("mutation", ["no eps", "one node narrower"])
+def test_scan_min_misses_the_minimum_without_eps_or_full_windows(monkeypatch, mutation):
+    # with eps = 0, rows whose values tie up to rounding (the argument range is symmetric,
+    # and conjugate rows differ by a few ulps) lose their minimum to window rounding; with
+    # each window one node short, a node that holds a row's minimum may lie in no window
+    from thetasep import lemmas
+    windows = lemmas._windows
+
+    def mutated(*args):
+        values, eps = windows(*args)
+        if mutation == "no eps":
+            return values, 0.0 * eps
+        return (values[:, :-1] if values.shape[1] > 1 else values), eps
+
+    rng, missed = np.random.default_rng(7), 0
+    monkeypatch.setattr(lemmas, "_PAD", 1.0)  # short windows: a dropped node is often a minimum
+    for draw in range(100):
+        check = ("k1", "k2")[draw % 2]
+        lo, hi, top = (C0, 0.6, math.pi) if check == "k1" else (0.55, 0.6, 2 * math.pi / 3)
+        a, b = np.sort(rng.random(2))
+        grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), int(rng.integers(2, 8)),
+                        (math.pi / 2 - top, top - math.pi / 2), int(rng.integers(2, 8)))
+        z_steps, scan = int(rng.integers(20, 97)), _scan(check, grid)
+        exhaustive = _exhaustive_min(grid, z_steps, scan)
+        assert lemmas._scan_min(grid, z_steps, scan) == exhaustive
+        with monkeypatch.context() as patch:
+            patch.setattr(lemmas, "_windows", mutated)
+            missed += lemmas._scan_min(grid, z_steps, scan) != exhaustive
+    assert missed > 0
 
 
 def test_default_scans_keep_their_minima_bit_for_bit():

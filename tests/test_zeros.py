@@ -296,11 +296,27 @@ def test_a_seed_beyond_the_float_range_is_an_overflow(q, ks):
     for k in ks:
         with pytest.raises(OverflowError, match="seed"):
             locate_zero(q, k)
+    # the circle |q|^-(k+1/2) leaves the float range first: one note from that index on
     rep = verify_separation(q, 4, on_error="record")
-    for k in ks:
-        assert rep.records[k] is None and "leaves the float range" in rep.notes[k]
+    past = min(ks) - 1 if q == 1e-100 else min(ks)
+    assert list(rep.notes) == [past]
+    assert rep.notes[past].endswith(f": the radius leaves the float range for k = {past}..4")
+    assert all(rep.records.get(k) is None for k in range(past, 5))
     with pytest.raises(OverflowError):
         verify_separation(q, 4)
+
+
+@pytest.mark.parametrize("k_max", [4, 10 ** 8])
+def test_separation_stops_at_the_first_circle_past_the_float_range(k_max):
+    # |1e-100|^-(k+1/2) overflows from k = 3: the report and the work end there, whatever k_max
+    rep = verify_separation(1e-100, k_max, on_error="record")
+    assert rep.counts == {1: 1, 2: 1} and set(rep.records) == {1, 2}
+    assert rep.notes == {3: f"contour |z| = |q|^-3.5: the radius leaves the float range "
+                            f"for k = 3..{k_max}"}
+    assert not rep.strongly_separated
+    with pytest.raises(OverflowError) as caught:
+        verify_separation(1e-100, k_max)
+    assert caught.value.k == 3
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
