@@ -14,8 +14,9 @@ certify.  The k1 and k2 circle scans sum a series sum_j c_j(q) z^j as matrix
 products of the coefficients c_j(q) |z|^j of every (|q|, arg q) node, built
 once, with the powers e^{i j psi_k}; k1 sums to the proven tail of theta_dagger
 and reports its bound.  Both scans (`_scan_min`) return the exhaustive scan's
-minimum and location: a complex64 pass over every S-th arg z, the proven slope
-bound sum_j j |c_j| and a rounding allowance rule out most windows of S arg z,
+minimum and location: complex64 passes at every S-th arg z, over a coarse
+(|q|, arg q) sub-grid and then the nodes it leaves, with proven slope bounds in
+|q|, arg q and arg z and a rounding allowance, rule out most windows of S arg z,
 the rest are evaluated in float64, and only rows that can hold the minimum
 over every arg z in complex128, in blocks whose rows round as their own
 modulus row's product.  The sampled checks use the array forms of `mu`,
@@ -27,6 +28,7 @@ each check's grid, default steps and settings rules.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -195,7 +197,8 @@ def A_j(rho, j):
     The moduli of the triple are rho^{3j-5/2} > rho^{3j-3/2} > rho^{3j-1/2};
     the weakest bound mu_1 must absorb the largest modulus, so the product
     pairs mu_1, mu_2, mu_3 with descending moduli.  This pairing is what the
-    tabulated chi_j values realize.  An array rho gives an array.
+    tabulated chi_j values realize.  An array rho gives an array, and a column
+    of j with it one row a j.
     """
     return _chord_triple(rho, j, 1, 2, 3)
 
@@ -209,7 +212,7 @@ def _chord_triple(rho, j, a, b, c):
     lo, hi = _span(rho)
     if not (0.0 < lo and hi <= 0.6):
         raise DomainError(f"rho must lie in (0, 0.6], got {rho!r}")
-    if j < 1:
+    if _span(j)[0] < 1:
         raise DomainError(f"j must be >= 1, got {j!r}")
     return mu(a, rho ** (3 * j - 2.5)) * mu(b, rho ** (3 * j - 1.5)) * mu(c, rho ** (3 * j - 0.5))
 
@@ -393,15 +396,13 @@ def verify_AB_monotone(j_max=6, grid_points=2000):
     if grid_points < 1000:
         raise DomainError("grid_points must be >= 1000")
     ulp_tie = 5e-16
-    rhos = np.linspace(0.6 / grid_points, 0.6, grid_points)
-    computed = {}
-    margins = {}
-    for j in range(1, j_max + 1):
-        a, b = A_j(rhos, j), B_j(rhos, j)
-        margins[f"A_{j}_decreasing"] = float(np.min(a[:-1] - a[1:])) + ulp_tie
-        margins[f"B_{j}_decreasing"] = float(np.min(b[:-1] - b[1:])) + ulp_tie
-        computed[f"A_{j}(0.6)"] = A_j(0.6, j)
-        computed[f"B_{j}(0.6)"] = B_j(0.6, j)
+    rhos = np.linspace(0.6 / grid_points, 0.6, grid_points)  # ends at 0.6 exactly
+    # a row a j, j = 1 apart: numpy takes rho ** 0.5 as a square root, not a power
+    ab = [np.vstack([f(rhos, 1), f(rhos, np.arange(2, j_max + 1)[:, None])]) for f in (A_j, B_j)]
+    drops = [np.min(x[:, :-1] - x[:, 1:], axis=1) + ulp_tie for x in ab]
+    pairs = [(j, name, i) for j in range(1, j_max + 1) for i, name in enumerate("AB")]
+    computed = {f"{name}_{j}(0.6)": float(ab[i][j - 1, -1]) for j, name, i in pairs}
+    margins = {f"{name}_{j}_decreasing": float(drops[i][j - 1]) for j, name, i in pairs}
     return VerificationReport.build("AB", computed, margins)
 
 
@@ -597,6 +598,9 @@ class _Scan(NamedTuple):
     combine: object     # (sums over stacked rows, the modulus row of each) -> real values
     slope: np.ndarray   # L_psi per modulus row: |d value / d psi| <= slope on each of its circles
     scale: np.ndarray   # M per modulus row: the moduli of the terms of one value, weighted, summed
+    omega_slope: np.ndarray  # L_omega per modulus row: |d value / d omega| <= omega_slope
+    rho_slope: np.ndarray    # (n_rho, 2): L_rho <= rho_slope[a, 0] + rho_slope[b, 1] on [a, b]
+    tail: float = 0.0   # the largest series tail a modulus row drops
 
     @property
     def rounding(self):  # (K + 8)(M + L) per modulus row: delta of `_scan_min` is 2^-50 this
@@ -613,6 +617,15 @@ def _coefficients(rhos, z_moduli, powers, q_exponents, omegas, counts=math.inf):
     moduli = rhos[:, None] ** e * np.asarray(z_moduli)[:, None] ** p
     moduli *= np.arange(p.size) < np.asarray(counts)[..., None]
     return moduli[:, None, :] * np.exp(1j * np.outer(omegas, e)), moduli
+
+
+def _rho_slope(rhos, moduli, exponents):
+    """(falling, rising) per modulus row: the terms |s_j| m_j / rho of the majorant of
+    |d value / d rho| for moduli m_j = rho^s_j, summed apart as each, a power of rho, falls
+    (s_j < 1) or rises: on [rho_a, rho_b] the majorant is at most falling[a] + rising[b]."""
+    s = np.asarray(exponents, dtype=float)
+    terms = moduli * np.abs(s) / rhos[:, None]
+    return np.stack([terms[:, s < 1].sum(axis=1), terms[:, s >= 1].sum(axis=1)], axis=1)
 
 
 # Most complex multiply-adds of one gemm: OpenBLAS runs a larger product on two threads, and
@@ -658,16 +671,17 @@ def _products(scan, blocks, bases, rows):
     return scan.combine(sums, rows // scan.sums[0][0].shape[1])
 
 
-def _single(scan, basis, cap):
-    """(rows, values) of all flat (rho, omega) rows at the basis columns in complex64, from the
-    last down: contiguous rows of the coefficients, cast block by block, of max(cap, 2^15)
-    values a block."""
+def _single(scan, basis, cap, rows):
+    """(rows, values) of the flat (rho, omega) rows `rows`, in their order, at the basis
+    columns in complex64, max(cap, 2^15) values a block: each block's coefficients are cast
+    once, up to the largest term count of its rows (a row's own terms end in exact zeros)."""
     flat = [c.reshape(-1, c.shape[2]) for c, _ in scan.sums]
     bases = [basis[p].astype(np.complex64) for _, p in scan.sums]
-    n, span = flat[0].shape[0], max(1, max(cap, _GEMM_MADDS // 2) // basis.shape[1])
-    for a in range((n - 1) // span * span, -1, -span):
-        at = np.arange(a, min(a + span, n))
-        yield at, _products(scan, [c[a:a + span].astype(np.complex64) for c in flat], bases, at)
+    n_omega, span = scan.sums[0][0].shape[1], max(1, max(cap, _GEMM_MADDS // 2) // basis.shape[1])
+    for at in (rows[a:a + span] for a in range(0, rows.size, span)):
+        key = np.max(scan.terms[at // n_omega], axis=0)
+        yield at, _products(scan, [c[at, :n].astype(np.complex64) for c, n in zip(flat, key)],
+                            [b[:n] for b, n in zip(bases, key)], at)
 
 
 def _windows(scan, basis, half, spacing, rows, starts):
@@ -681,11 +695,22 @@ def _windows(scan, basis, half, spacing, rows, starts):
     return values, 2.0 ** -49 * scan.rounding[rows // scan.sums[0][0].shape[1]]
 
 
-# The stride keeps the Lipschitz pad L_psi floor(S/2) dpsi of `_scan_min` at most this.
+# The strides keep each Lipschitz pad of `_scan_min` at most this: L_psi floor(S/2) dpsi over
+# arg z, and L_rho h_rho drho + L_omega h_omega domega over (|q|, arg q), half of it each.
 # Both scans have values of order one (|theta_dagger| with t_0 = 1, and a margin of about
-# 0.1 beside term sums of about 10), so a pad this size still parts most rows from the
-# minimum while one coarse sample stands for S fine ones.
+# 0.1 beside term sums of about 10), so a pad this size still parts most nodes from the
+# minimum while one coarse sample stands for many fine ones.
 _PAD = 0.25
+
+
+def _reach(n, step):
+    """The nodes h <= n // 2 on each side of a sample that it stands for: h step <= _PAD."""
+    return n // 2 if step * (n // 2) <= _PAD else math.floor(_PAD / step)
+
+
+def _centres(n, h):
+    """The centre of each of n nodes: the node h + k (2h + 1), or the last node, within h."""
+    return np.minimum(np.arange(n) // (2 * h + 1) * (2 * h + 1) + h, n - 1)
 
 
 def _scan_min(grid, z_steps, scan):
@@ -693,65 +718,110 @@ def _scan_min(grid, z_steps, scan):
 
     The scan samples; it does not certify.  It returns the minimum and location
     of the exhaustive scan (the first in (rho, omega, psi) order) in four stages:
-    1. `_single`: every row in complex64 at psis[::S], from the largest |q| (where
-       the battery's margins are least) down; ub is the least value so far.
-    2. A window is a coarse node c S and the nodes within floor(S/2) of it (psi
-       wraps).  In a row whose coarse minimum less A = L floor(S/2) dpsi + 2 (delta32
-       + delta) is <= ub, a window is live if its coarse value less A is <= ub.
+    1. `_single` on the centres (`_centres`: each node is within h_rho modulus and
+       h_omega argument steps of one) in complex64 at psis[::S]; ub is their least
+       value.  A node is live if its centre's least value less A_c + L_rho |rho -
+       rho_c| + L_omega |omega - omega_c| is <= ub.
+    2. `_single` on the other live nodes, from the largest |q| down; ub is the least
+       value so far.  A window is a coarse node c S and the nodes within floor(S/2)
+       of it (psi wraps).  In a live row (node) whose coarse minimum less A is <= ub,
+       a window is live if its coarse value less A is <= ub.
     3. `_windows`: live windows in float64, within eps of the exhaustive values;
        upper is the least window value plus eps.
     4. `_blocks`: in complex128 over all psi, the rows whose least window value
        less eps is <= upper (one row of each default scan).
-    S = 2 floor(_PAD / (L dpsi)) + 1, L = scan.slope the grid's largest bound on
-    |d value / d psi|.  With cap = n_omega z_steps / 4 the coarse blocks hold at
-    most max(cap, 2^15) single values, the windows and `_blocks` cap values.
+    S = 2 floor(_PAD / (L dpsi)) + 1 and h = floor(_PAD / (2 L' d)) for the grid's
+    largest L = scan.slope (|d value / d psi| <= L), L' = L_rho or L_omega and its
+    step d.  A = L floor(S/2) dpsi + R with the row's L (A_c: the centre's), and R
+    = 2 (delta32 + delta) for the grid's largest (K + 8)(M + L) plus twice scan.tail.
+    L_omega is scan.omega_slope of the node's modulus row; L_rho is scan.rho_slope's
+    falling part at the lower end of [rho, rho_c] plus its rising part at the upper.
+    With cap = n_omega z_steps / 4 the coarse blocks hold at most max(cap, 2^15)
+    single values, the windows and `_blocks` cap values.
 
     Rounding.  With u = 2^-53 a computed value differs from the exact value of the
     row's stored coefficients at its node by less than u((2K + 10) M + 2 pi L), for
     K terms per sum and M = scan.scale: u(2 pi p + 2) from each rounded p psi and
     exp, 2(K + 2) u M from a complex dot product (exact zero terms add none), a few
     u M from the modulus and k2's weight and differences (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.6).  delta = 2^-50 (K + 8)
-    (M + L) covers that and the rounding of the nodes, of L and of the test, and
-    delta32 = 2^-21 (K + 8)(M + L) a coarse value's (u = 2^-24, casts included).  A window
-    node c S dpsi + t dpsi is within 4 pi u of the linspace node, and two rounded
-    exponentials and their product add u(2 pi p + 4.25) to term p: a window value
-    is within u(38 L + (2K + 17) M) < delta of the exact value, so eps = 2 delta.
-    A node of a window that is not live then lies above ub's node, every node of
-    least value is in a live window, upper is at least that value, and `_blocks`,
-    whose rows round as their own modulus row's product, gives the exhaustive
-    minimum, location and tie order.
+    Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.6).  The stored coefficients
+    are within u(7 M + pi L_omega) of the exact ones at the node's rho and omega, and
+    L_omega <= K L (e_j <= K p_j in both scans).  delta = 2^-50 (K + 8)(M + L) covers
+    both, so a value is within delta of E, the exact sum of its row's terms at its node,
+    and the rounding of the nodes, slopes, pads and tests; delta32 = 2^-21 (K + 8)(M + L)
+    covers a coarse value's (u = 2^-24, casts included).  A window node c S dpsi + t dpsi
+    is within 4 pi u of the linspace node, and two rounded exponentials and their
+    product add u(2 pi p + 4.25) to term p: a window value is within u(38 L + (2K + 17) M)
+    < delta of the exact value, so eps = 2 delta.
+
+    Pruning.  From a node, E moves by at most L_omega |omega - omega_c| to its centre's
+    column, L_rho |rho - rho_c| on to the centre (each term |s_j| rho^(s_j - 1) of the
+    majorant is a power of rho, largest at an end; the row at the larger |q| holds every
+    term of both, the other every term that falls) and L floor(S/2) dpsi to a coarse
+    psi, with distances taken between the nodes themselves; rows of different term
+    counts differ by their dropped tails besides.  So a node that is not live, or in a
+    window that is not live, lies above ub's node, whose value is at most ub + delta32
+    + delta: every node of least value is in a live window, upper is at least that
+    value, and `_blocks`, whose rows round as their own modulus row's product, gives
+    the exhaustive minimum, location and tie order.
     """
     psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
     rhos, omegas = grid.moduli(), grid.arguments()
     basis = np.exp(1j * np.outer(np.arange(max(int(p[-1]) for _, p in scan.sums) + 1), psis))
-    spacing, slope = 2.0 * math.pi / z_steps, float(np.max(scan.slope))
-    half = z_steps // 2  # S = 2 half + 1; a coarse sample at psi = 0 alone reaches this far
-    if slope * spacing * half > _PAD:
-        half = math.floor(_PAD / (slope * spacing))
-    stride, n, cap = 2 * half + 1, rhos.size * omegas.size, omegas.size * z_steps // 4
-    allowance = scan.slope * half * spacing + (2.0 ** -49 + 2.0 ** -20) * scan.rounding
-    lows, upper, ub, chunk = np.full(n, math.inf), math.inf, math.inf, max(1, cap // stride)
+    spacing, n_omega = 2.0 * math.pi / z_steps, omegas.size
+    half = _reach(z_steps, float(np.max(scan.slope)) * spacing)
+    stride, cap = 2 * half + 1, n_omega * z_steps // 4
+    coarse_basis = basis[:, ::stride]
+    allowance = (scan.slope * half * spacing + 2.0 * scan.tail
+                 + (2.0 ** -49 + 2.0 ** -20) * float(np.max(scan.rounding)))
+    # 1. the centres, and the nodes they leave live
+    cr, ci = (_centres(x.size, _reach(x.size, 2.0 * float(np.max(slope)) * (x[-1] - x[0])
+                                      / (x.size - 1)))
+              for x, slope in ((rhos, np.sum(scan.rho_slope, axis=1)), (omegas, scan.omega_slope)))
+    (r_c, at_r), (i_c, at_i) = (np.unique(x, return_inverse=True) for x in (cr, ci))
+    sub = scan._replace(sums=[(c[np.ix_(r_c, i_c)], p) for c, p in scan.sums],
+                        terms=scan.terms[r_c], combine=lambda sums, r: scan.combine(sums, r_c[r]))
+    centres = (r_c[:, None] * n_omega + i_c).ravel()
+    coarse = np.concatenate([values for _, values in
+                             _single(sub, coarse_basis, cap, np.arange(centres.size))])
+    least = np.min(coarse, axis=1)
+    ub, r = float(np.min(least)), np.arange(rhos.size)
+    pad = allowance[cr] + np.abs(rhos - rhos[cr]) * (scan.rho_slope[np.minimum(r, cr), 0]
+                                                     + scan.rho_slope[np.maximum(r, cr), 1])
+    bound = least.reshape(r_c.size, i_c.size)[np.ix_(at_r, at_i)] - pad[:, None]
+    bound -= np.outer(scan.omega_slope, np.abs(omegas - omegas[ci]))
+    live = bound.ravel() <= ub
+    live_centres, live[centres] = live[centres], False  # a centre's values are at hand
+    # 2, 3. the live nodes' coarse values, and their live windows in float64
+    lows, upper, chunk = np.full(live.size, math.inf), math.inf, max(1, cap // stride)
+
+    def refine(rows, starts):  # each row's least window value less eps into lows
+        values, eps = _windows(scan, basis, half, spacing, rows, starts)
+        low = np.min(values, axis=1)
+        np.minimum.at(lows, rows, low - eps)
+        return float(np.min(low + eps))
+
     rows = starts = np.empty(0, np.intp)  # live windows not yet evaluated
-    for at, coarse in _single(scan, basis[:, ::stride], cap):
-        minima = np.min(coarse, axis=1)
-        ub = min(ub, float(np.min(minima)))
-        live = np.flatnonzero(minima - allowance[at // omegas.size] <= ub)  # the row rule
-        i, c = np.nonzero(coarse[live] - allowance[at[live] // omegas.size, None] <= ub)
-        rows, starts = np.append(rows, at[live[i]]), np.append(starts, c * stride)
-        while rows.size >= chunk or (at[0] == 0 and rows.size):  # row 0 ends the pass
-            values, eps = _windows(scan, basis, half, spacing, rows[:chunk], starts[:chunk])
-            least = np.min(values, axis=1)
-            np.minimum.at(lows, rows[:chunk], least - eps)
-            upper = min(upper, float(np.min(least + eps)))
+    passes = itertools.chain([(centres[live_centres], coarse[live_centres])],
+                             _single(scan, coarse_basis, cap, np.flatnonzero(live)[::-1]))
+    for at, values in passes:
+        minima = np.min(values, axis=1)
+        ub = min(ub, float(np.min(minima, initial=math.inf)))
+        ok = np.flatnonzero(minima - allowance[at // n_omega] <= ub)  # the row rule
+        i, c = np.nonzero(values[ok] - allowance[at[ok] // n_omega, None] <= ub)
+        rows, starts = np.append(rows, at[ok[i]]), np.append(starts, c * stride)
+        while rows.size >= chunk:
+            upper = min(upper, refine(rows[:chunk], starts[:chunk]))
             rows, starts = rows[chunk:], starts[chunk:]
+    if rows.size:
+        upper = min(upper, refine(rows, starts))
+    # 4. the rows that can hold the minimum, over every psi in complex128
     best = (math.inf, 0, 0)
     for block, vals in _blocks(scan, basis, np.flatnonzero(lows <= upper), cap):
         i, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
         best = min(best, (float(vals[i, k]), int(block[i]), int(k)))
     value, row, k = best
-    return value, (float(rhos[row // omegas.size]), float(omegas[row % omegas.size]),
-                   float(psis[k]))
+    return value, (float(rhos[row // n_omega]), float(omegas[row % n_omega]), float(psis[k]))
 
 
 def _theta_dagger_terms(rho, tolerance=1e-16):
@@ -769,11 +839,12 @@ def _theta_dagger_terms(rho, tolerance=1e-16):
 
 
 def _theta_dagger_scan(grid):
-    """(scan, tail): the k1 scan of |theta_dagger| on |z| = rho^{-1/2} over `grid`.
+    """The k1 scan of |theta_dagger| on |z| = rho^{-1/2} over `grid`.
 
     Each modulus row sums j < n, n from the proven geometric tail
-    (`_theta_dagger_terms`), and tail is the largest dropped-tail bound.  The
-    slope bound is L_psi = sum_{j<n} j |c_j| over the terms the row sums.
+    (`_theta_dagger_terms`), and the scan's tail is the largest dropped-tail bound.
+    Term j is rho^{j(j-2)/2} e^{i(j(j-1)/2 omega + j psi)}: over the row's terms L_psi =
+    sum j |c_j|, L_omega = sum j(j-1)/2 |c_j| and L_rho = sum |j(j-2)/2| rho^{j(j-2)/2 - 1}.
     """
     rhos = list(map(float, grid.moduli()))
     counts, tails = zip(*map(_theta_dagger_terms, rhos))
@@ -781,7 +852,9 @@ def _theta_dagger_scan(grid):
     coefficients, moduli = _coefficients(grid.moduli(), [rho ** -0.5 for rho in rhos], j,
                                          j * (j - 1) / 2, grid.arguments(), counts)
     return _Scan([(coefficients, j)], np.array(counts)[:, None], lambda sums, r: np.abs(sums[0]),
-                 slope=moduli @ j, scale=np.sum(moduli, axis=1)), max(tails)
+                 slope=moduli @ j, scale=np.sum(moduli, axis=1),
+                 omega_slope=moduli @ (j * (j - 1) / 2),
+                 rho_slope=_rho_slope(grid.moduli(), moduli, j * (j - 2) / 2), tail=max(tails))
 
 
 def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
@@ -790,23 +863,23 @@ def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
     arg(q) in [pi/2, pi] suffices by conjugation symmetry.  The series is summed
     to the term count of the proven geometric tail (`_theta_dagger_scan`), whose
     largest bound is reported as `tail_bound`, and `_scan_min` refines only the
-    windows its slope bound cannot rule out.  The minimum must be strictly positive;
+    windows its slope bounds cannot rule out.  The minimum must be strictly positive;
     its value and location are reported so resolution slack can be judged, and
     `sample_pad` = L pi / z_steps, with the largest slope bound L of the grid,
     is the most the value can dip between two neighbouring samples of a circle.
     """
-    scan, tail = _theta_dagger_scan(grid)
+    scan = _theta_dagger_scan(grid)
     best, at = _scan_min(grid, z_steps, scan)
     computed = {"min_abs": best, "at_modulus": at[0], "at_q_argument": at[1],
-                "at_z_argument": at[2], "z_points": float(z_steps), "tail_bound": tail,
+                "at_z_argument": at[2], "z_points": float(z_steps), "tail_bound": scan.tail,
                 "sample_pad": float(np.max(scan.slope)) * math.pi / z_steps}
     return VerificationReport.build("k1_direct", computed, {"min_abs_positive": best}, grid)
 
 
 # Bytes `_scan_min` holds, above the ru_maxrss growth measured on 600 x 300 grids and on long
 # circles, with every row live in brackets: per (|q|, arg q) node, 16 a term of coefficients
-# and 96 of indices and window bounds (k1 257 [271], k2 153 [174]); per arg q x arg z value,
-# 24 for k1 and 48 for k2 ([14, 25]: a block holds a quarter of them); and 16 a term and
+# and 96 of indices and window bounds (k1 266 [287], k2 181 [205]); per arg q x arg z value,
+# 24 for k1 and 48 for k2 ([12, 44]: a block holds a quarter of them); and 16 a term and
 # arg z for the powers e^{i p psi}.
 _NODE_BYTES, _VALUE_BYTES = 96, {"k1": 24, "k2": 48}
 
@@ -861,19 +934,25 @@ DEFAULT_K2_GRID = _battery_grid("k2")
 def _dominance_scan(grid, tail):
     """The k2 scan of xi |B| - |A*| - tail on |xi| = rho^{-3/2} over `grid`.
 
-    B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6
-    + q^21 xi^7, and the slope bound is L_psi = |xi| sum_p p |b_p| + sum_p p |a_p|.
+    B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6 + q^21 xi^7:
+    with q^e xi^p = rho^(e - 3p/2) e^{i(e omega + p psi)}, the slope bounds are
+    L_psi = |xi| sum p |b| + sum p |a|, L_omega = |xi| sum e |b| + sum e |a| and
+    L_rho = (3/2) rho^{-5/2} sum |b| + |xi| sum |e - 3p/2| |b| / rho + sum |e - 3p/2| |a| / rho.
     """
     xi = np.array([rho ** -1.5 for rho in map(float, grid.moduli())])
     b_powers, a_powers = np.array([0, 1, 2]), np.array([0, 4, 5, 6, 7])
-    b, b_moduli = _coefficients(grid.moduli(), xi, b_powers, [0, 1, 3], grid.arguments())
-    a, a_moduli = _coefficients(grid.moduli(), xi, a_powers, [0, 6, 10, 15, 21],
-                                grid.arguments())
+    b_exponents, a_exponents = np.array([0, 1, 3]), np.array([0, 6, 10, 15, 21])
+    b, b_moduli = _coefficients(grid.moduli(), xi, b_powers, b_exponents, grid.arguments())
+    a, a_moduli = _coefficients(grid.moduli(), xi, a_powers, a_exponents, grid.arguments())
     return _Scan([(b, b_powers), (a, a_powers)], np.tile([3, 5], (xi.size, 1)),
                  lambda sums, r: (xi[r, None].astype(sums[0].real.dtype) * np.abs(sums[0])
                                   - np.abs(sums[1]) - tail),  # in the precision of the sums
                  slope=xi * (b_moduli @ b_powers) + a_moduli @ a_powers,
-                 scale=xi * np.sum(b_moduli, axis=1) + np.sum(a_moduli, axis=1) + tail)
+                 scale=xi * np.sum(b_moduli, axis=1) + np.sum(a_moduli, axis=1) + tail,
+                 omega_slope=xi * (b_moduli @ b_exponents) + a_moduli @ a_exponents,
+                 rho_slope=(_rho_slope(grid.moduli(), xi[:, None] * b_moduli,
+                                       b_exponents - 1.5 * b_powers - 1.5)
+                            + _rho_slope(grid.moduli(), a_moduli, a_exponents - 1.5 * a_powers)))
 
 
 def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=BATTERY["k2"].circle(DEFAULT_K1_Z_STEPS)):
@@ -886,7 +965,7 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=BATTERY["k2"].circle(DEFAULT_K
     0.0002925...; the margin min(|xi B| - |A*| - bound) is reported as
     observed, not certified.  B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4
     + q^10 xi^5 + q^15 xi^6 + q^21 xi^7 are exact (`_dominance_scan`), so only
-    A** is bounded, and `_scan_min` refines only the windows its slope bound
+    A** is bounded, and `_scan_min` refines only the windows its slope bounds
     cannot rule out.  `sample_pad` is k1's, for this scan's slope and circle.
     """
     a0 = _a0()

@@ -467,7 +467,7 @@ def _exhaustive_min(grid, z_steps, scan):
 def _scan(check, grid):
     """The k1 or the k2 scan over `grid`."""
     from thetasep.lemmas import _a_tail_bound, _dominance_scan, _theta_dagger_scan
-    return _theta_dagger_scan(grid)[0] if check == "k1" else _dominance_scan(grid, _a_tail_bound())
+    return _theta_dagger_scan(grid) if check == "k1" else _dominance_scan(grid, _a_tail_bound())
 
 
 @settings(max_examples=80, deadline=None)
@@ -550,8 +550,10 @@ def test_an_unsound_slope_bound_misses_the_minimum():
 
 
 def test_pruned_scans_at_the_defaults_refine_few_rows(monkeypatch):
-    # on the default grids (strides 11 and 3) every row is in the coarse pass, the live
-    # windows cover 0.23 % and 0.50 % of the nodes, and the exact stage takes one row a scan
+    # on the default grids (strides 11 and 3) the centres stand for every node within
+    # (h_rho, h_omega) = (4, 1) and (5, 0) steps, the per-row coarse pass takes 14 % and 22 %
+    # of the nodes, the live windows cover 0.23 % and 0.49 % of them, and the exact stage
+    # takes one row a scan
     from thetasep import lemmas
     stages = {"_single": [], "_windows": [], "_blocks": []}
     single, windows, blocks = lemmas._single, lemmas._windows, lemmas._blocks
@@ -559,39 +561,131 @@ def test_pruned_scans_at_the_defaults_refine_few_rows(monkeypatch):
     def spy(name, stage):
         def record(scan, basis, *args):
             for at, values in stage(scan, basis, *args):
-                stages[name].append((basis.dtype, basis.shape[1], at, values))
+                stages[name].append((scan, basis.dtype, basis.shape[1], at, values))
                 yield at, values
         return record
 
     def record_windows(scan, basis, half, spacing, rows, starts):
         values, eps = windows(scan, basis, half, spacing, rows, starts)
-        stages["_windows"].append((basis.dtype, 2 * half + 1, rows, values))
+        stages["_windows"].append((scan, basis.dtype, 2 * half + 1, rows, values))
         return values, eps
 
     monkeypatch.setattr(lemmas, "_single", spy("_single", single))
     monkeypatch.setattr(lemmas, "_blocks", spy("_blocks", blocks))
     monkeypatch.setattr(lemmas, "_windows", record_windows)
-    for check, z_steps, stride, rows in ((verify_lemma_k1_direct, 720, 11, 6400),
-                                         (verify_lemma_k2, 360, 3, 3600)):
+    for check, z_steps, stride, (n_rho, n_omega), reach, share in (
+            (verify_lemma_k1_direct, 720, 11, (80, 80), (4, 1), 0.2),
+            (verify_lemma_k2, 360, 3, (60, 60), (5, 0), 0.3)):
         for calls in stages.values():
             calls.clear()
         check()
-        # every row once in the coarse pass, at every S-th arg z, in complex64 (float32 values)
+        # every coarse value at every S-th arg z, in complex64 (float32 values)
         assert all(columns == -(-z_steps // stride) and values.dtype == np.float32
                    and values.shape == (at.size, columns)
-                   for _, columns, at, values in stages["_single"])
-        coarse = np.concatenate([at for _, _, at, _ in stages["_single"]])
-        assert np.array_equal(np.sort(coarse), np.arange(rows))
+                   for _, _, columns, at, values in stages["_single"])
+        full = stages["_blocks"][0][0]
+        centres = [entry for entry in stages["_single"] if entry[0] is not full]
+        rest = np.concatenate([at for scan, _, _, at, _ in stages["_single"] if scan is full])
+        # the centres, each once: every node is within (h_rho, h_omega) steps of one
+        picks = [np.unique(lemmas._centres(n, h)) for n, h in zip((n_rho, n_omega), reach)]
+        for n, h in zip((n_rho, n_omega), reach):
+            assert np.max(np.abs(lemmas._centres(n, h) - np.arange(n))) <= h
+        sub = centres[0][0]
+        assert all(scan is sub for scan, *_ in centres)
+        assert np.array_equal(sub.sums[0][0], full.sums[0][0][np.ix_(*picks)])
+        assert np.array_equal(np.sort(np.concatenate([e[3] for e in centres])),
+                              np.arange(picks[0].size * picks[1].size))
+        # the per-row pass: each of a few other nodes once, from the largest |q| down
+        flat = (picks[0][:, None] * n_omega + picks[1]).ravel()
+        assert 0 < rest.size < share * n_rho * n_omega and np.unique(rest).size == rest.size
+        assert np.all(np.diff(rest) < 0) and not np.isin(rest, flat).any()
         # windows of S nodes in float64, on fewer than 5 % of the nodes
         assert all(dtype == np.complex128 and width == stride and values.dtype == np.float64
                    and values.shape == (at.size, stride)
-                   for dtype, width, at, values in stages["_windows"])
-        nodes = sum(at.size * stride for _, _, at, _ in stages["_windows"])
-        assert 0 < nodes < 0.05 * rows * z_steps
+                   for _, dtype, width, at, values in stages["_windows"])
+        nodes = sum(at.size * stride for _, _, _, at, _ in stages["_windows"])
+        assert 0 < nodes < 0.05 * n_rho * n_omega * z_steps
         # whole rows in complex128 for at most two rows
         assert all(dtype == np.complex128 and columns == z_steps
-                   for dtype, columns, _, _ in stages["_blocks"])
-        assert 1 <= np.unique(np.concatenate([at for _, _, at, _ in stages["_blocks"]])).size <= 2
+                   for _, dtype, columns, _, _ in stages["_blocks"])
+        assert 1 <= np.unique(np.concatenate([e[3] for e in stages["_blocks"]])).size <= 2
+
+
+@pytest.mark.parametrize("check", ["k1", "k2"])
+def test_rho_and_omega_slopes_are_the_term_majorants(check):
+    # for term moduli rho^s and phases e omega + p psi (k2: B weighted by |xi| = rho^{-3/2}),
+    # L_omega = sum e rho^s, and L_rho's terms |s| rho^(s - 1) fall with rho for s < 1 and rise
+    # for s >= 1; neighbouring columns and rows differ by at most L_omega domega and by L_rho
+    # drho, rows of different term counts (k1) also by their dropped tails
+    from thetasep.lemmas import _theta_dagger_terms
+    lo, hi, top = (C0, 0.6, math.pi) if check == "k1" else (0.55, 0.6, 2 * math.pi / 3)
+    grid = GridSpec((lo, hi), 40, (math.pi / 2, top), 40)
+    scan = _scan(check, grid)
+    rhos, omegas = grid.moduli(), grid.arguments()
+    for r, rho in enumerate(map(float, rhos)):
+        if check == "k1":
+            terms = [(j * (j - 1) / 2, j * (j - 2) / 2) for j in range(_theta_dagger_terms(rho)[0])]
+        else:
+            terms = ([(e, e - 1.5 * p - 1.5) for p, e in ((0, 0), (1, 1), (2, 3))]
+                     + [(e, e - 1.5 * p) for p, e in ((0, 0), (4, 6), (5, 10), (6, 15), (7, 21))])
+        assert scan.omega_slope[r] == pytest.approx(math.fsum(e * rho ** s for e, s in terms),
+                                                    rel=1e-12)
+        assert scan.rho_slope[r] == pytest.approx(
+            [math.fsum(abs(s) * rho ** (s - 1) for _, s in terms if s < 1),
+             math.fsum(abs(s) * rho ** (s - 1) for _, s in terms if s >= 1)], rel=1e-12)
+    basis = _basis(scan, np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False))
+    values = np.stack([_row_values(scan, r, basis) for r in range(rhos.size)])
+    delta2 = 2.0 ** -49 * scan.rounding  # twice a float64 value's distance to the exact one
+    along_omega = np.max(np.abs(np.diff(values, axis=1)), axis=2)
+    omega_bound = np.outer(scan.omega_slope, np.diff(omegas)) + delta2[:, None]
+    assert np.all(along_omega <= omega_bound) and np.max(along_omega / omega_bound) > 0.3
+    along_rho = np.max(np.abs(np.diff(values, axis=0)), axis=2)
+    rho_bound = ((scan.rho_slope[:-1, 0] + scan.rho_slope[1:, 1]) * np.diff(rhos)
+                 + 2 * scan.tail + np.maximum(delta2[:-1], delta2[1:]))[:, None]
+    assert np.all(along_rho <= rho_bound) and np.max(along_rho / rho_bound) > 0.3
+    assert (check == "k2") == (scan.tail == 0 and np.all(np.diff(scan.terms[:, 0]) == 0))
+
+
+def test_unsound_rho_or_omega_slopes_miss_the_minimum():
+    # with L_rho or L_omega zero one centre stands for half the grid in that direction, and
+    # the nodes beside it are judged by its values alone
+    from thetasep import lemmas
+    rng, missed = np.random.default_rng(5), {"rho_slope": 0, "omega_slope": 0}
+    for draw in range(30):
+        check = ("k1", "k2")[draw % 2]
+        lo, hi = (C0, 0.6) if check == "k1" else (0.55, 0.6)
+        a, b = np.sort(rng.random(2))
+        grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), int(rng.integers(20, 61)),
+                        tuple(np.sort(rng.uniform(-math.pi, math.pi, 2))),
+                        int(rng.integers(20, 61)))
+        z_steps, scan = int(rng.integers(20, 200)), _scan(check, grid)
+        exhaustive = _exhaustive_min(grid, z_steps, scan)
+        assert lemmas._scan_min(grid, z_steps, scan) == exhaustive
+        for name in missed:
+            flat = scan._replace(**{name: np.zeros_like(getattr(scan, name))})
+            missed[name] += lemmas._scan_min(grid, z_steps, flat) != exhaustive
+    assert all(missed.values()), missed
+
+
+@settings(max_examples=40, deadline=None)
+@given(check=st.sampled_from(["k1", "k2"]),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       modulus_steps=st.integers(20, 60), argument_steps=st.integers(20, 60),
+       z_steps=st.integers(1, 97), pad=st.sampled_from([None, 0.05, 1.0, 4.0]))
+def test_pruned_scan_matches_the_exhaustive_scan_on_finer_grids(check, ends, modulus_steps,
+                                                                argument_steps, z_steps, pad):
+    # on these grids a centre stands for one to a few dozen nodes in |q| and in arg q
+    from thetasep import lemmas
+    lo, hi = (C0, 0.6) if check == "k1" else (0.55, 0.6)
+    a, b = sorted(ends)
+    grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), modulus_steps,
+                    (math.pi / 2, math.pi if check == "k1" else 2 * math.pi / 3), argument_steps)
+    scan = _scan(check, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        if pad is not None:
+            patch.setattr(lemmas, "_PAD", pad)
+        pruned = lemmas._scan_min(grid, z_steps, scan)
+    assert pruned == _exhaustive_min(grid, z_steps, scan)
 
 
 def _coarse_error_and_allowance(check, grid, z_steps):
@@ -602,7 +696,8 @@ def _coarse_error_and_allowance(check, grid, z_steps):
     basis = _basis(scan, np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False))
     n_omega = grid.argument_steps
     single = np.empty((grid.modulus_steps * n_omega, z_steps))
-    for at, values in lemmas._single(scan, basis, n_omega * z_steps // 4):
+    for at, values in lemmas._single(scan, basis, n_omega * z_steps // 4,
+                                     np.arange(single.shape[0])[::-1]):
         single[at] = values
     error = np.array([np.max(np.abs(single[r * n_omega:(r + 1) * n_omega]
                                     - _row_values(scan, r, basis)))
@@ -703,7 +798,7 @@ def test_default_scans_keep_their_minima_bit_for_bit():
 def test_sample_pad_is_the_slope_bound_over_half_a_step_in_computed_only():
     from thetasep.lemmas import DEFAULT_K1_GRID, DEFAULT_K2_GRID, _theta_dagger_scan
     k1, k2 = verify_lemma_k1_direct(), verify_lemma_k2()
-    slope = float(np.max(_theta_dagger_scan(DEFAULT_K1_GRID)[0].slope))
+    slope = float(np.max(_theta_dagger_scan(DEFAULT_K1_GRID).slope))
     assert k1.computed["sample_pad"] == slope * math.pi / 720
     assert k2.computed["sample_pad"] == float(np.max(_scan("k2", DEFAULT_K2_GRID).slope)) \
         * math.pi / 360
