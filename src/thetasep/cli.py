@@ -41,8 +41,8 @@ EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
 # Largest accepted `verify` step flags, refused before any grid is built.  Each alone keeps
-# a check's largest arrays (a k1 row's products over arg q x arg z, and the coefficient
-# matrices the k1 scan keeps for every modulus row) to a few hundred MB.
+# a check's largest arrays (a k1 row's products over arg q x arg z, and the bounds the k1
+# scan keeps for every grid node) to a few hundred MB.
 MAX_VERIFY_STEPS = {"modulus_steps": 10_000, "argument_steps": 10_000, "z_steps": 100_000}
 # Accepted ranges of the `verify` sample flags, refused before any array is built: the
 # least each check takes, and at the top a few hundred MB (mu keeps about 200 bytes a
@@ -52,7 +52,7 @@ VERIFY_SAMPLE_RANGES = {"samples": (2, 1_000_000), "grid_points": (1000, 1_000_0
 # default 2000 x 2000, and of the cells of a `scan`.
 MAX_VERIFY_GRID_NODES = 2000 * 2000
 # Largest accepted estimate of the bytes the k1 or k2 scan holds at once (lemmas.scan_bytes):
-# the coefficients it keeps for every grid node, and one modulus row over arg q x arg z.
+# the bounds it keeps for every grid node, and one block of values over arg q x arg z.
 MAX_VERIFY_SCAN_BYTES = 256 * 2 ** 20
 # Largest accepted `eval --max-terms`: about a second of series loop, within which theta(q, 1)
 # meets its tail rule (term ratio |q^j| < 1/2) for |q| <= 1 - 7e-7 (693 147 terms at 1 - 1e-6).

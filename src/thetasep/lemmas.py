@@ -11,16 +11,17 @@ every margin is strictly positive.
 Grid-backed checks record the observed minimum and its location so the
 resolution slack can be judged by the caller; they sample, they do not
 certify.  The k1 and k2 circle scans sum a series sum_j c_j(q) z^j as matrix
-products of the coefficients c_j(q) |z|^j of every (|q|, arg q) node, built
-once, with the powers e^{i j psi_k}; k1 sums to the proven tail of theta_dagger
-and reports its bound.  Both scans (`_scan_min`) return the exhaustive scan's
-minimum and location: complex64 passes at every S-th arg z, over a coarse
-(|q|, arg q) sub-grid and then the nodes it leaves, with proven slope bounds in
-|q|, arg q and arg z and a rounding allowance, rule out most windows of S arg z,
-the rest are evaluated in float64, and only rows that can hold the minimum
-over every arg z in complex128, in blocks whose rows round as their own
-modulus row's product.  The sampled checks use the array forms of `mu`,
-`A_j`, `B_j` and `phi_*`.
+products of the coefficients c_j(q) |z|^j with the powers e^{i j psi_k}.  Each
+scan comes from a term table (`_term_scan`) and keeps per-|q| moduli and per-arg
+q phases; a node's coefficients are formed only when a stage reads them.  k1
+sums to the proven tail of theta_dagger and reports its bound.  Both scans
+(`_scan_min`) return the exhaustive scan's minimum and location: complex64
+passes at every S-th arg z, over a coarse (|q|, arg q) sub-grid and then the
+nodes it leaves, with proven slope bounds in |q|, arg q and arg z and a
+rounding allowance, rule out most windows of S arg z, the rest are evaluated
+in float64, and only rows that can hold the minimum over every arg z in
+complex128, in blocks whose rows round as their own modulus row's product.
+The sampled checks use the array forms of `mu`, `A_j`, `B_j` and `phi_*`.
 
 `BATTERY` defines the battery once, for `verify_all` and `thetasep verify`:
 each check's grid, default steps and settings rules.
@@ -590,10 +591,10 @@ DEFAULT_K1_GRID = _battery_grid("k1")
 
 
 class _Scan(NamedTuple):
-    """A grid scan: at (rho_r, omega_i) its values over arg z are combine(sums, r), where
-    sums[s] = C[r, i, :n] @ basis[p[:n]] for the s-th (C, p), n = terms[r, s]: C[r, i, n:] = 0."""
+    """A grid scan: at (rho_r, omega_i) its values over arg z are combine(sums, r), sum s being
+    `rows` (moduli[r, :n] * phases[i, :n], n = terms[r, s]) @ basis[p[:n]]; moduli[r, n:] = 0."""
 
-    sums: list          # (C, p): C[r, i, j] = c_j(q_ri) |z_r|^{p_j}, (n_rho, n_omega, K); powers p
+    sums: list          # (moduli (n_rho, K), phases (n_omega, K), powers p) per sum
     terms: np.ndarray   # (n_rho, len(sums)): the terms each modulus row sums of each sum
     combine: object     # (sums over stacked rows, the modulus row of each) -> real values
     slope: np.ndarray   # L_psi per modulus row: |d value / d psi| <= slope on each of its circles
@@ -606,10 +607,18 @@ class _Scan(NamedTuple):
     def rounding(self):  # (K + 8)(M + L) per modulus row: delta of `_scan_min` is 2^-50 this
         return (self.terms.max(axis=1) + 8) * (self.scale + self.slope)
 
+    def rows(self, at):
+        """Per sum, the complex128 coefficients of the flat (rho, omega) nodes `at`, up to the most
+        terms their rows sum, each the one product of two doubles moduli[r, j] phases[i, j]."""
+        r, i = np.divmod(at, len(self.sums[0][1]))
+        key = self.terms[r].max(axis=0)
+        return [m[:, :n].take(r, axis=0) * ph[:, :n].take(i, axis=0)
+                for (m, ph, _), n in zip(self.sums, key)]
+
 
 def _coefficients(rhos, z_moduli, powers, q_exponents, omegas, counts=math.inf):
     """(C, moduli): C[r, i, j] = moduli[r, j] e^{i e_j omega_i}, moduli[r, j] = rho_r^e_j z_r^p_j,
-    or exact 0 from j = counts[r] on.
+    or exact 0 from j = counts[r] on: the whole array, of which `_Scan.rows` forms single rows.
 
     z_moduli are scalar powers such as rho ** -0.5, which numpy's array power rounds otherwise.
     """
@@ -619,18 +628,34 @@ def _coefficients(rhos, z_moduli, powers, q_exponents, omegas, counts=math.inf):
     return moduli[:, None, :] * np.exp(1j * np.outer(omegas, e)), moduli
 
 
-def _rho_slope(rhos, moduli, exponents):
-    """(falling, rising) per modulus row: the terms |s_j| m_j / rho of the majorant of
-    |d value / d rho| for moduli m_j = rho^s_j, summed apart as each, a power of rho, falls
-    (s_j < 1) or rises: on [rho_a, rho_b] the majorant is at most falling[a] + rising[b]."""
-    s = np.asarray(exponents, dtype=float)
-    terms = moduli * np.abs(s) / rhos[:, None]
-    return np.stack([terms[:, s < 1].sum(axis=1), terms[:, s >= 1].sum(axis=1)], axis=1)
+def _term_scan(grid, z_exponent, sums, counts, value, tail=0.0):
+    """The _Scan over `grid` of a term table on the circles |z| = rho^z_exponent: sum (e, p, w)
+    has terms q^e_j z^p_j of modulus m_j = rho^e_j |z|^p_j and enters value(sums, |z|) weighted
+    by |z|^w (w = 0, 1); row r sums counts[r, s] terms of sum s; tail bounds the tails dropped.
+    Over a row's W_j = |z|^w m_j = rho^s_j: L_psi = sum p_j W_j, M = sum W_j, L_omega = sum e_j
+    W_j, and L_rho's terms |s_j| W_j / rho are summed apart as each falls (s_j < 1) or rises."""
+    rhos, omegas = grid.moduli(), grid.arguments()
+    z = np.array([rho ** z_exponent for rho in map(float, rhos)])  # as `_coefficients` takes it
+    parts, bounds = [], []
+    for (e, p, w), n in zip(sums, np.transpose(counts)):
+        moduli = rhos[:, None] ** np.asarray(e, float) * z[:, None] ** np.asarray(p, float)
+        moduli *= np.arange(len(p)) < n[:, None]
+        phases = np.exp(1j * np.outer(omegas, e))
+        weight, s = z ** w, np.add(e, z_exponent * np.add(p, w))  # z ** 0, z ** 1 are exact
+        rho_terms = weight[:, None] * moduli * np.abs(s) / rhos[:, None]
+        parts.append((moduli, phases, np.asarray(p)))
+        bounds.append((weight * (moduli @ p), weight * np.sum(moduli, axis=1),
+                       weight * (moduli @ e), np.stack([rho_terms[:, s < 1].sum(axis=1),
+                                                        rho_terms[:, s >= 1].sum(axis=1)], axis=1)))
+    return _Scan(parts, np.asarray(counts), lambda sums, r: value(sums, z[r]),
+                 *map(sum, zip(*bounds)), tail)
 
 
 # Most complex multiply-adds of one gemm: OpenBLAS runs a larger product on two threads, and
 # their hand-offs stalled for milliseconds at a time on a busy two-core host.
 _GEMM_MADDS = 2 ** 16
+# Most (|q|, arg q) rows whose coefficients a stage forms at once (`scan_bytes`).
+_ROWS = 2 ** 15
 
 
 def _blocks(scan, basis, rows, cap):
@@ -642,7 +667,7 @@ def _blocks(scan, basis, rows, cap):
     computes each row of a product from that row and the basis alone, so a row's values
     are those of C[r] @ basis[p] in full.
     """
-    n_omega, columns = scan.sums[0][0].shape[1], basis.shape[1]
+    n_omega, columns = len(scan.sums[0][1]), basis.shape[1]
     present = np.bincount(rows // n_omega, minlength=len(scan.terms)) > 0
     for key in sorted(set(map(tuple, scan.terms[present].tolist()))):
         same = rows[np.all(scan.terms == key, axis=1)[rows // n_omega]]
@@ -651,8 +676,8 @@ def _blocks(scan, basis, rows, cap):
         same = same[np.minimum(np.arange(gemms * width), same.size - 1)]
         span = width * max(1, cap // (width * columns))
         for at in (same[i:i + span] for i in range(0, same.size, span)):
-            sums = [c.reshape(-1, c.shape[2])[at, :n].reshape(-1, width, n) @ basis[p[:n]]
-                    for (c, p), n in zip(scan.sums, key)]
+            sums = [c.reshape(-1, width, n) @ basis[p[:n]]
+                    for c, (*_, p), n in zip(scan.rows(at), scan.sums, key)]
             yield at, scan.combine([s.reshape(at.size, columns) for s in sums], at // n_omega)
 
 
@@ -668,20 +693,18 @@ def _products(scan, blocks, bases, rows):
                   out=out[:whole].reshape(-1, width, columns))
         np.matmul(block[whole:], base, out=out[whole:])
         sums.append(out)
-    return scan.combine(sums, rows // scan.sums[0][0].shape[1])
+    return scan.combine(sums, rows // len(scan.sums[0][1]))
 
 
 def _single(scan, basis, cap, rows):
     """(rows, values) of the flat (rho, omega) rows `rows`, in their order, at the basis
-    columns in complex64, max(cap, 2^15) values a block: each block's coefficients are cast
-    once, up to the largest term count of its rows (a row's own terms end in exact zeros)."""
-    flat = [c.reshape(-1, c.shape[2]) for c, _ in scan.sums]
-    bases = [basis[p].astype(np.complex64) for _, p in scan.sums]
-    n_omega, span = scan.sums[0][0].shape[1], max(1, max(cap, _GEMM_MADDS // 2) // basis.shape[1])
+    columns in complex64, max(cap, 2^15) values and _ROWS rows a block at most, each block's
+    coefficients formed and cast once up to its largest term count (the rest are zeros)."""
+    bases = [basis[p].astype(np.complex64) for *_, p in scan.sums]
+    span = min(_ROWS, max(1, max(cap, _GEMM_MADDS // 2) // basis.shape[1]))
     for at in (rows[a:a + span] for a in range(0, rows.size, span)):
-        key = np.max(scan.terms[at // n_omega], axis=0)
-        yield at, _products(scan, [c[at, :n].astype(np.complex64) for c, n in zip(flat, key)],
-                            [b[:n] for b, n in zip(bases, key)], at)
+        block = [c.astype(np.complex64) for c in scan.rows(at)]
+        yield at, _products(scan, block, [b[:c.shape[1]] for b, c in zip(bases, block)], at)
 
 
 def _windows(scan, basis, half, spacing, rows, starts):
@@ -689,10 +712,11 @@ def _windows(scan, basis, half, spacing, rows, starts):
     flat (rho, omega) row rows[w] at node s + t mod z_steps, s = starts[w], |t| <= half; eps[w]
     = 2 delta of its modulus row bounds its distance to the exhaustive values."""
     offsets = np.arange(-half, half + 1) * spacing
-    blocks = [c.reshape(-1, c.shape[2])[rows] * basis[np.ix_(p, starts)].T for c, p in scan.sums]
-    values = _products(scan, blocks, [np.exp(1j * np.outer(p, offsets)) for _, p in scan.sums],
-                       rows)
-    return values, 2.0 ** -49 * scan.rounding[rows // scan.sums[0][0].shape[1]]
+    blocks = scan.rows(rows)
+    ps = [p[:c.shape[1]] for c, (*_, p) in zip(blocks, scan.sums)]
+    blocks = [np.multiply(c, basis[np.ix_(p, starts)].T, out=c) for c, p in zip(blocks, ps)]
+    values = _products(scan, blocks, [np.exp(1j * np.outer(p, offsets)) for p in ps], rows)
+    return values, 2.0 ** -49 * scan.rounding[rows // len(scan.sums[0][1])]
 
 
 # The strides keep each Lipschitz pad of `_scan_min` at most this: L_psi floor(S/2) dpsi over
@@ -737,14 +761,15 @@ def _scan_min(grid, z_steps, scan):
     L_omega is scan.omega_slope of the node's modulus row; L_rho is scan.rho_slope's
     falling part at the lower end of [rho, rho_c] plus its rising part at the upper.
     With cap = n_omega z_steps / 4 the coarse blocks hold at most max(cap, 2^15)
-    single values, the windows and `_blocks` cap values.
+    single values, the windows and `_blocks` cap values; each stage forms the
+    coefficients of its nodes (`_Scan.rows`), at most _ROWS at once.
 
     Rounding.  With u = 2^-53 a computed value differs from the exact value of the
-    row's stored coefficients at its node by less than u((2K + 10) M + 2 pi L), for
+    row's formed coefficients at its node by less than u((2K + 10) M + 2 pi L), for
     K terms per sum and M = scan.scale: u(2 pi p + 2) from each rounded p psi and
     exp, 2(K + 2) u M from a complex dot product (exact zero terms add none), a few
     u M from the modulus and k2's weight and differences (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.6).  The stored coefficients
+    Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.6).  The formed rows
     are within u(7 M + pi L_omega) of the exact ones at the node's rho and omega, and
     L_omega <= K L (e_j <= K p_j in both scans).  delta = 2^-50 (K + 8)(M + L) covers
     both, so a value is within delta of E, the exact sum of its row's terms at its node,
@@ -767,7 +792,7 @@ def _scan_min(grid, z_steps, scan):
     """
     psis = np.linspace(0.0, 2.0 * math.pi, z_steps, endpoint=False)
     rhos, omegas = grid.moduli(), grid.arguments()
-    basis = np.exp(1j * np.outer(np.arange(max(int(p[-1]) for _, p in scan.sums) + 1), psis))
+    basis = np.exp(1j * np.outer(np.arange(max(int(p[-1]) for *_, p in scan.sums) + 1), psis))
     spacing, n_omega = 2.0 * math.pi / z_steps, omegas.size
     half = _reach(z_steps, float(np.max(scan.slope)) * spacing)
     stride, cap = 2 * half + 1, n_omega * z_steps // 4
@@ -779,11 +804,8 @@ def _scan_min(grid, z_steps, scan):
                                       / (x.size - 1)))
               for x, slope in ((rhos, np.sum(scan.rho_slope, axis=1)), (omegas, scan.omega_slope)))
     (r_c, at_r), (i_c, at_i) = (np.unique(x, return_inverse=True) for x in (cr, ci))
-    sub = scan._replace(sums=[(c[np.ix_(r_c, i_c)], p) for c, p in scan.sums],
-                        terms=scan.terms[r_c], combine=lambda sums, r: scan.combine(sums, r_c[r]))
     centres = (r_c[:, None] * n_omega + i_c).ravel()
-    coarse = np.concatenate([values for _, values in
-                             _single(sub, coarse_basis, cap, np.arange(centres.size))])
+    coarse = np.concatenate([values for _, values in _single(scan, coarse_basis, cap, centres)])
     least = np.min(coarse, axis=1)
     ub, r = float(np.min(least)), np.arange(rhos.size)
     pad = allowance[cr] + np.abs(rhos - rhos[cr]) * (scan.rho_slope[np.minimum(r, cr), 0]
@@ -793,7 +815,7 @@ def _scan_min(grid, z_steps, scan):
     live = bound.ravel() <= ub
     live_centres, live[centres] = live[centres], False  # a centre's values are at hand
     # 2, 3. the live nodes' coarse values, and their live windows in float64
-    lows, upper, chunk = np.full(live.size, math.inf), math.inf, max(1, cap // stride)
+    lows, upper, chunk = np.full(live.size, math.inf), math.inf, min(_ROWS, max(1, cap // stride))
 
     def refine(rows, starts):  # each row's least window value less eps into lows
         values, eps = _windows(scan, basis, half, spacing, rows, starts)
@@ -829,32 +851,29 @@ def _theta_dagger_terms(rho, tolerance=1e-16):
 
     Term moduli t_j = rho^{j(j-2)/2} have ratios rho^{j-1/2}, falling in j, so the tail
     from term n on is at most t_n / (1 - rho^{n-1/2}); n is the least with bound <= tolerance.
+    Each n below x = sqrt(1 + 2 log(tolerance) / log(rho)) has t_n > tolerance rho^{-3/2}, so
+    the rule starts at ceil(x), in one array pass for an array rho (which gives arrays).
     """
-    if not 0.0 < rho < 1.0:
+    if not 0.0 < np.min(rho) <= np.max(rho) < 1.0:
         raise DomainError(f"rho must lie in (0, 1), got {rho!r}")
-    n = 2
-    while (bound := rho ** (n * (n - 2) / 2.0) / (1.0 - rho ** (n - 0.5))) > tolerance:
-        n += 1
-    return n, bound
+    rhos = np.atleast_1d(rho)
+    x = np.sqrt(1.0 + 2.0 * math.log(tolerance) / np.log(rhos)) * (1.0 - 2.0 ** -40)
+    found = []
+    for r, n in zip(rhos.tolist(), np.maximum(2, np.ceil(x)).astype(int).tolist()):
+        while (bound := r ** (n * (n - 2) / 2.0) / (1.0 - r ** (n - 0.5))) > tolerance:
+            n += 1
+        found.append((n, bound))
+    return tuple(map(np.array, zip(*found))) if np.ndim(rho) else found[0]
 
 
 def _theta_dagger_scan(grid):
-    """The k1 scan of |theta_dagger| on |z| = rho^{-1/2} over `grid`.
-
-    Each modulus row sums j < n, n from the proven geometric tail
-    (`_theta_dagger_terms`), and the scan's tail is the largest dropped-tail bound.
-    Term j is rho^{j(j-2)/2} e^{i(j(j-1)/2 omega + j psi)}: over the row's terms L_psi =
-    sum j |c_j|, L_omega = sum j(j-1)/2 |c_j| and L_rho = sum |j(j-2)/2| rho^{j(j-2)/2 - 1}.
-    """
-    rhos = list(map(float, grid.moduli()))
-    counts, tails = zip(*map(_theta_dagger_terms, rhos))
-    j = np.arange(max(counts))
-    coefficients, moduli = _coefficients(grid.moduli(), [rho ** -0.5 for rho in rhos], j,
-                                         j * (j - 1) / 2, grid.arguments(), counts)
-    return _Scan([(coefficients, j)], np.array(counts)[:, None], lambda sums, r: np.abs(sums[0]),
-                 slope=moduli @ j, scale=np.sum(moduli, axis=1),
-                 omega_slope=moduli @ (j * (j - 1) / 2),
-                 rho_slope=_rho_slope(grid.moduli(), moduli, j * (j - 2) / 2), tail=max(tails))
+    """The k1 scan of |theta_dagger| on |z| = rho^{-1/2} over `grid`: term j is q^{j(j-1)/2} z^j,
+    of modulus rho^{j(j-2)/2}.  Each modulus row sums j < n, n from the proven geometric tail
+    (`_theta_dagger_terms`), and the scan's tail is the largest dropped-tail bound."""
+    counts, tails = _theta_dagger_terms(grid.moduli())
+    j = np.arange(np.max(counts))
+    return _term_scan(grid, -0.5, [(j * (j - 1) / 2, j, 0)], counts[:, None],
+                      lambda sums, z: np.abs(sums[0]), tail=float(np.max(tails)))
 
 
 def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
@@ -877,24 +896,23 @@ def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
 
 
 # Bytes `_scan_min` holds, above the ru_maxrss growth measured on 600 x 300 grids and on long
-# circles, with every row live in brackets: per (|q|, arg q) node, 16 a term of coefficients
-# and 96 of indices and window bounds (k1 266 [287], k2 181 [205]); per arg q x arg z value,
-# 24 for k1 and 48 for k2 ([12, 44]: a block holds a quarter of them); and 16 a term and
-# arg z for the powers e^{i p psi}.
+# circles (every node live in brackets): per (|q|, arg q) node, 96 of indices and window
+# bounds (k1 45 [65], k2 55 [83]); per arg q x arg z value, 24 for k1 and 48 for k2 ([14, 46]:
+# a block holds a quarter of them).
 _NODE_BYTES, _VALUE_BYTES = 96, {"k1": 24, "k2": 48}
 
 
 def scan_bytes(check, modulus_steps, argument_steps, z_steps):
-    """An upper estimate of the bytes the "k1" or "k2" scan holds at once, from its grid shape.
-
-    `_scan_min` keeps the complex128 coefficients of every (|q|, arg q) node (k1: up to
-    the 14 terms of its largest modulus 0.6; k2: the 8 of B and A*) while it evaluates a
-    block of at most arg q x arg z values, on the circles of a battery run with z_steps.
-    """
+    """An upper estimate of the bytes the "k1" or "k2" scan holds at once, from its grid shape
+    and the circles of a battery run with z_steps: per node and value (above), and a term (k1:
+    the 14 of its largest modulus 0.6; k2: the 8 of B and A*) 24 a modulus row and 40 an arg q
+    for the moduli and phases as they are built, 16 an arg z for the powers e^{i p psi}, and 40
+    for each of the _ROWS nodes at most whose coefficients a stage forms at once."""
     terms = _theta_dagger_terms(DEFAULT_K1_GRID.modulus_range[1])[0] if check == "k1" else 8
     circle = BATTERY[check].circle(z_steps)
-    return ((16 * terms + _NODE_BYTES) * modulus_steps * argument_steps
-            + (_VALUE_BYTES[check] * argument_steps + 16 * terms) * circle)
+    return (_NODE_BYTES * modulus_steps * argument_steps
+            + _VALUE_BYTES[check] * argument_steps * circle
+            + terms * (24 * modulus_steps + 40 * argument_steps + 16 * circle + 40 * _ROWS))
 
 
 def verify_lemma_k1(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS, samples=2000):
@@ -932,27 +950,15 @@ DEFAULT_K2_GRID = _battery_grid("k2")
 
 
 def _dominance_scan(grid, tail):
-    """The k2 scan of xi |B| - |A*| - tail on |xi| = rho^{-3/2} over `grid`.
-
-    B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6 + q^21 xi^7:
-    with q^e xi^p = rho^(e - 3p/2) e^{i(e omega + p psi)}, the slope bounds are
-    L_psi = |xi| sum p |b| + sum p |a|, L_omega = |xi| sum e |b| + sum e |a| and
-    L_rho = (3/2) rho^{-5/2} sum |b| + |xi| sum |e - 3p/2| |b| / rho + sum |e - 3p/2| |a| / rho.
-    """
-    xi = np.array([rho ** -1.5 for rho in map(float, grid.moduli())])
-    b_powers, a_powers = np.array([0, 1, 2]), np.array([0, 4, 5, 6, 7])
-    b_exponents, a_exponents = np.array([0, 1, 3]), np.array([0, 6, 10, 15, 21])
-    b, b_moduli = _coefficients(grid.moduli(), xi, b_powers, b_exponents, grid.arguments())
-    a, a_moduli = _coefficients(grid.moduli(), xi, a_powers, a_exponents, grid.arguments())
-    return _Scan([(b, b_powers), (a, a_powers)], np.tile([3, 5], (xi.size, 1)),
-                 lambda sums, r: (xi[r, None].astype(sums[0].real.dtype) * np.abs(sums[0])
-                                  - np.abs(sums[1]) - tail),  # in the precision of the sums
-                 slope=xi * (b_moduli @ b_powers) + a_moduli @ a_powers,
-                 scale=xi * np.sum(b_moduli, axis=1) + np.sum(a_moduli, axis=1) + tail,
-                 omega_slope=xi * (b_moduli @ b_exponents) + a_moduli @ a_exponents,
-                 rho_slope=(_rho_slope(grid.moduli(), xi[:, None] * b_moduli,
-                                       b_exponents - 1.5 * b_powers - 1.5)
-                            + _rho_slope(grid.moduli(), a_moduli, a_exponents - 1.5 * a_powers)))
+    """The k2 scan of xi |B| - |A*| - tail on |xi| = rho^{-3/2} over `grid` (`_term_scan`):
+    B = 1 + q xi + q^3 xi^2, weighted by |xi|, and A* = 1 + q^6 xi^4 + q^10 xi^5 + q^15 xi^6
+    + q^21 xi^7; M also holds the tail that each value subtracts."""
+    scan = _term_scan(grid, -1.5, [([0, 1, 3], [0, 1, 2], 1),
+                                   ([0, 6, 10, 15, 21], [0, 4, 5, 6, 7], 0)],
+                      np.tile([3, 5], (grid.modulus_steps, 1)),
+                      lambda sums, xi: (xi[:, None].astype(sums[0].real.dtype) * np.abs(sums[0])
+                                        - np.abs(sums[1]) - tail))  # in the precision of the sums
+    return scan._replace(scale=scan.scale + tail)
 
 
 def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=BATTERY["k2"].circle(DEFAULT_K1_Z_STEPS)):
@@ -963,10 +969,9 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=BATTERY["k2"].circle(DEFAULT_K
     remaining corner arg(q) in [pi/2, 2pi/3], |q| in [0.55, 0.6] is scanned:
     A is split as A* (terms j <= 7) plus a tail A** bounded by
     0.0002925...; the margin min(|xi B| - |A*| - bound) is reported as
-    observed, not certified.  B = 1 + q xi + q^3 xi^2 and A* = 1 + q^6 xi^4
-    + q^10 xi^5 + q^15 xi^6 + q^21 xi^7 are exact (`_dominance_scan`), so only
-    A** is bounded, and `_scan_min` refines only the windows its slope bounds
-    cannot rule out.  `sample_pad` is k1's, for this scan's slope and circle.
+    observed, not certified.  B and A* are exact (`_dominance_scan`), so only A**
+    is bounded, and `_scan_min` refines only the windows its slope bounds cannot
+    rule out.  `sample_pad` is k1's, for this scan's slope and circle.
     """
     a0 = _a0()
     tail = _a_tail_bound()

@@ -681,10 +681,10 @@ def test_verify_scan_byte_cap_admits_its_edge_and_refuses_one_step_more(capsys, 
 
 
 @pytest.mark.parametrize("lemma, argv, accepted", [
-    ("k1", ["--argument-steps", "400", "--z-steps", "20000"], True),   # 220 MB peak RSS
-    ("k1", ["--argument-steps", "800", "--z-steps", "20000"], False),  # 322 MB peak RSS
+    ("k1", ["--argument-steps", "400", "--z-steps", "20000"], True),   # 208 MB est., 78 MB peak
+    ("k1", ["--argument-steps", "800", "--z-steps", "20000"], False),  # 394 MB est., ~120 MB peak
     ("all", ["--argument-steps", "2000", "--z-steps", "100000"], False),
-    ("k1", ["--modulus-steps", "2000", "--argument-steps", "2000"], False),  # kept: 0.8 GB
+    ("k1", ["--modulus-steps", "2000", "--argument-steps", "2000"], False),  # 419 MB est.
     ("k2", ["--modulus-steps", "2000", "--argument-steps", "2000"], False),
     ("k2", ["--modulus-steps", "1000", "--argument-steps", "1000"], True),
 ])
@@ -698,6 +698,30 @@ def test_verify_scan_byte_cap_on_measured_requests(capsys, monkeypatch, lemma, a
         assert code == 0 and err == ""
     else:
         assert code == 2 and out == "" and err.endswith("MB, more than 256 MB\n")
+
+
+def test_scan_bytes_bound_the_measured_memory_of_a_scan():
+    # one k1 scan at 400 x 400 x 90 in a fresh process, after a small one has loaded BLAS:
+    # the growth of its peak resident size stays within the estimate the cap reads.  The
+    # process is started by a small one, as a process's ru_maxrss starts at its parent's.
+    import subprocess
+    import sys
+    from pathlib import Path
+    import thetasep
+    from thetasep import lemmas
+    script = ("import resource\n"
+              "from thetasep import lemmas\n"
+              "lemmas.verify_lemma_k1_direct(lemmas.BATTERY['k1'].grid(12, 12), 97)\n"
+              "grid = lemmas.BATTERY['k1'].grid(400, 400)\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "lemmas.verify_lemma_k1_direct(grid, 90)\n"
+              "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))\n")
+    src = str(Path(thetasep.__file__).resolve().parent.parent)
+    spawn = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]])"
+    proc = subprocess.run([sys.executable, "-c", spawn, script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}, check=True,
+                          timeout=120)
+    assert 0 < int(proc.stdout) <= lemmas.scan_bytes("k1", 400, 400, 90)
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [

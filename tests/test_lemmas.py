@@ -394,6 +394,26 @@ def test_k1_tail_bound_is_proven_geometric_tail():
         _theta_dagger_terms(1.0)
 
 
+def test_k1_term_counts_of_an_array_are_the_scalar_rule():
+    # the array pass starts each search near its end; counts and bounds must still be the
+    # least n from n = 2 up and its bound, bit for bit
+    from thetasep.lemmas import DEFAULT_K1_GRID, _theta_dagger_terms
+
+    def scalar_rule(rho, tolerance=1e-16):
+        n = 2
+        while (bound := rho ** (n * (n - 2) / 2.0) / (1.0 - rho ** (n - 0.5))) > tolerance:
+            n += 1
+        return n, bound
+
+    rhos = np.concatenate([DEFAULT_K1_GRID.moduli(), [C0, 0.6],
+                           np.random.default_rng(16).random(10_000)])
+    counts, bounds = _theta_dagger_terms(rhos)
+    expected = [scalar_rule(rho) for rho in rhos.tolist()]
+    assert counts.tolist() == [n for n, _ in expected]
+    assert bounds.tolist() == [bound for _, bound in expected]
+    assert [_theta_dagger_terms(rho) for rho in rhos[:82].tolist()] == expected[:82]
+
+
 def test_k1_direct_reports_tail_bound_in_computed_only():
     grid = GridSpec((0.2078750206, 0.6), 12, (math.pi / 2, math.pi), 12)
     rep = verify_lemma_k1_direct(grid=grid, z_steps=120)
@@ -440,12 +460,14 @@ def test_grid_scans_at_cli_defaults_keep_value_and_location():
 
 def _basis(scan, psis):
     """The powers e^{i p psi} up to the scan's largest power, one row a power."""
-    return np.exp(1j * np.outer(np.arange(max(int(p[-1]) for _, p in scan.sums) + 1), psis))
+    return np.exp(1j * np.outer(np.arange(max(int(p[-1]) for *_, p in scan.sums) + 1), psis))
 
 
 def _row_values(scan, r, basis):
-    """Modulus row r's values, each sum one float64 product C[r] @ basis[p] of its own terms."""
-    sums = [c[r, :, :n] @ basis[p[:n]] for (c, p), n in zip(scan.sums, scan.terms[r])]
+    """Modulus row r's values, each sum one float64 product C[r] @ basis[p] of its own terms,
+    C[r] = moduli[r] * phases as the whole coefficient array holds it."""
+    sums = [(m[r, :n] * ph[:, :n]) @ basis[p[:n]]
+            for (m, ph, p), n in zip(scan.sums, scan.terms[r])]
     return scan.combine(sums, np.full(sums[0].shape[0], r))
 
 
@@ -489,6 +511,38 @@ def test_pruned_scan_matches_the_exhaustive_scan(check, ends, modulus_steps, arg
             patch.setattr(lemmas, "_PAD", pad)
         pruned = lemmas._scan_min(grid, z_steps, scan)
     assert pruned == _exhaustive_min(grid, z_steps, scan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(check=st.sampled_from(["k1", "k2"]),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       modulus_steps=st.integers(2, 30), argument_steps=st.integers(2, 30), data=st.data())
+def test_rows_formed_on_demand_are_the_whole_coefficient_array_bit_for_bit(
+        check, ends, modulus_steps, argument_steps, data):
+    # the whole array as the scans once built it, one `_coefficients` call per sum, against
+    # the rows `_Scan.rows` forms for any nodes, in any order, up to their most terms
+    from thetasep.lemmas import _coefficients, _theta_dagger_terms
+    lo, hi = (C0, 0.6) if check == "k1" else (0.55, 0.6)
+    a, b = sorted(ends)
+    grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), modulus_steps,
+                    (math.pi / 2, math.pi if check == "k1" else 2 * math.pi / 3), argument_steps)
+    rhos, omegas = grid.moduli(), grid.arguments()
+    if check == "k1":
+        counts = [_theta_dagger_terms(rho)[0] for rho in map(float, rhos)]
+        j = np.arange(max(counts))
+        whole = [_coefficients(rhos, [rho ** -0.5 for rho in map(float, rhos)], j,
+                               j * (j - 1) / 2, omegas, counts)]
+    else:
+        xi = np.array([rho ** -1.5 for rho in map(float, rhos)])
+        whole = [_coefficients(rhos, xi, p, e, omegas)
+                 for p, e in (([0, 1, 2], [0, 1, 3]), ([0, 4, 5, 6, 7], [0, 6, 10, 15, 21]))]
+    scan = _scan(check, grid)
+    at = np.array(data.draw(st.lists(st.integers(0, modulus_steps * argument_steps - 1),
+                                     min_size=1)))
+    key = np.max(scan.terms[at // argument_steps], axis=0)
+    for formed, (c, moduli), (scan_moduli, _, _), n in zip(scan.rows(at), whole, scan.sums, key):
+        assert formed.tobytes() == c.reshape(-1, c.shape[2])[at, :n].tobytes()
+        assert scan_moduli.tobytes() == moduli.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -560,14 +614,15 @@ def test_pruned_scans_at_the_defaults_refine_few_rows(monkeypatch):
 
     def spy(name, stage):
         def record(scan, basis, *args):
+            call = 1 + max((entry[0] for entry in stages[name]), default=0)
             for at, values in stage(scan, basis, *args):
-                stages[name].append((scan, basis.dtype, basis.shape[1], at, values))
+                stages[name].append((call, basis.dtype, basis.shape[1], at, values))
                 yield at, values
         return record
 
     def record_windows(scan, basis, half, spacing, rows, starts):
         values, eps = windows(scan, basis, half, spacing, rows, starts)
-        stages["_windows"].append((scan, basis.dtype, 2 * half + 1, rows, values))
+        stages["_windows"].append((None, basis.dtype, 2 * half + 1, rows, values))
         return values, eps
 
     monkeypatch.setattr(lemmas, "_single", spy("_single", single))
@@ -583,20 +638,16 @@ def test_pruned_scans_at_the_defaults_refine_few_rows(monkeypatch):
         assert all(columns == -(-z_steps // stride) and values.dtype == np.float32
                    and values.shape == (at.size, columns)
                    for _, _, columns, at, values in stages["_single"])
-        full = stages["_blocks"][0][0]
-        centres = [entry for entry in stages["_single"] if entry[0] is not full]
-        rest = np.concatenate([at for scan, _, _, at, _ in stages["_single"] if scan is full])
-        # the centres, each once: every node is within (h_rho, h_omega) steps of one
+        centres = np.concatenate([at for call, _, _, at, _ in stages["_single"] if call == 1])
+        rest = np.concatenate([at for call, _, _, at, _ in stages["_single"] if call > 1])
+        # the first pass takes the centres, each once: every node is within (h_rho, h_omega)
+        # steps of one
         picks = [np.unique(lemmas._centres(n, h)) for n, h in zip((n_rho, n_omega), reach)]
         for n, h in zip((n_rho, n_omega), reach):
             assert np.max(np.abs(lemmas._centres(n, h) - np.arange(n))) <= h
-        sub = centres[0][0]
-        assert all(scan is sub for scan, *_ in centres)
-        assert np.array_equal(sub.sums[0][0], full.sums[0][0][np.ix_(*picks)])
-        assert np.array_equal(np.sort(np.concatenate([e[3] for e in centres])),
-                              np.arange(picks[0].size * picks[1].size))
-        # the per-row pass: each of a few other nodes once, from the largest |q| down
         flat = (picks[0][:, None] * n_omega + picks[1]).ravel()
+        assert np.array_equal(centres, flat)
+        # the per-row pass: each of a few other nodes once, from the largest |q| down
         assert 0 < rest.size < share * n_rho * n_omega and np.unique(rest).size == rest.size
         assert np.all(np.diff(rest) < 0) and not np.isin(rest, flat).any()
         # windows of S nodes in float64, on fewer than 5 % of the nodes
@@ -609,6 +660,29 @@ def test_pruned_scans_at_the_defaults_refine_few_rows(monkeypatch):
         assert all(dtype == np.complex128 and columns == z_steps
                    for _, dtype, columns, _, _ in stages["_blocks"])
         assert 1 <= np.unique(np.concatenate([e[3] for e in stages["_blocks"]])).size <= 2
+
+
+def test_default_scans_form_the_coefficients_of_the_nodes_they_read(monkeypatch):
+    # no stage builds the whole (n_rho, n_omega, K) coefficient array: each forms the rows it
+    # reads (`_Scan.rows`), 1137, 978 and 2 rows in k1 (of 6400 nodes) and 1155, 2108 and 2 in
+    # k2 (of 3600 nodes; a node has a window row for each of its live windows)
+    import sys
+    from thetasep import lemmas
+    formed, rows = {}, lemmas._Scan.rows
+
+    def record(scan, at):
+        formed.setdefault(sys._getframe(1).f_code.co_name, []).append(at.size)
+        return rows(scan, at)
+
+    monkeypatch.setattr(lemmas._Scan, "rows", record)
+    for check, nodes, single, window in ((verify_lemma_k1_direct, 6400, 0.2, 0.2),
+                                         (verify_lemma_k2, 3600, 0.35, 0.6)):
+        formed.clear()
+        check()
+        assert set(formed) == {"_single", "_windows", "_blocks"}
+        assert max(map(max, formed.values())) <= window * nodes
+        assert sum(formed["_single"]) < single * nodes and sum(formed["_windows"]) < window * nodes
+        assert sum(formed["_blocks"]) <= 4
 
 
 @pytest.mark.parametrize("check", ["k1", "k2"])
