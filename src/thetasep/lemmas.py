@@ -895,11 +895,11 @@ def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
     return VerificationReport.build("k1_direct", computed, {"min_abs_positive": best}, grid)
 
 
-# Bytes `_scan_min` holds, above the ru_maxrss growth measured on 600 x 300 grids and on long
-# circles (every node live in brackets): per (|q|, arg q) node, 96 of indices and window
-# bounds (k1 45 [65], k2 55 [83]); per arg q x arg z value, 24 for k1 and 48 for k2 ([14, 46]:
-# a block holds a quarter of them).
-_NODE_BYTES, _VALUE_BYTES = 96, {"k1": 24, "k2": 48}
+# Bytes `_scan_min` holds, above the ru_maxrss growth of 23 scans in fresh processes (600 x 300
+# grids, circles of up to 10^5 samples, up to 2000 x 2000 nodes; estimate / growth >= 1.28):
+# per (|q|, arg q) node 72 (measured 18-34), per arg q x arg z value 10 for k1 and 20 for k2
+# (5.3-7.9 and 9.2-15.6).  Scans forced to keep every node live grew up to 1.47 times this.
+_NODE_BYTES, _VALUE_BYTES = 72, {"k1": 10, "k2": 20}
 
 
 def scan_bytes(check, modulus_steps, argument_steps, z_steps):
@@ -907,12 +907,12 @@ def scan_bytes(check, modulus_steps, argument_steps, z_steps):
     and the circles of a battery run with z_steps: per node and value (above), and a term (k1:
     the 14 of its largest modulus 0.6; k2: the 8 of B and A*) 24 a modulus row and 40 an arg q
     for the moduli and phases as they are built, 16 an arg z for the powers e^{i p psi}, and 40
-    for each of the _ROWS nodes at most whose coefficients a stage forms at once."""
+    for each node whose coefficients a stage forms at once (at most _ROWS)."""
     terms = _theta_dagger_terms(DEFAULT_K1_GRID.modulus_range[1])[0] if check == "k1" else 8
-    circle = BATTERY[check].circle(z_steps)
-    return (_NODE_BYTES * modulus_steps * argument_steps
-            + _VALUE_BYTES[check] * argument_steps * circle
-            + terms * (24 * modulus_steps + 40 * argument_steps + 16 * circle + 40 * _ROWS))
+    circle, nodes = BATTERY[check].circle(z_steps), modulus_steps * argument_steps
+    return (_NODE_BYTES * nodes + _VALUE_BYTES[check] * argument_steps * circle
+            + terms * (24 * modulus_steps + 40 * argument_steps + 16 * circle
+                       + 40 * min(nodes, _ROWS)))
 
 
 def verify_lemma_k1(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS, samples=2000):

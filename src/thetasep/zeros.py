@@ -6,10 +6,9 @@ punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.  Zeros
 inside a circle are counted by the argument principle: the 256 samples of
 theta on each circle are one inverse FFT of the series terms (core's
 `circle_terms`), all circles of a call are rows of one block that core's
-`fold_terms` fills in one call and one 2-D pass transforms, the phase
-increments between neighbours (one arctan2 of the sample ratios) below
-pi/2 are summed as an array, and only the other intervals are bisected,
-one scalar evaluation per new point.
+`fold_terms` fills in one call and one 2-D pass transforms, an arc whose two
+samples clear a proven pad is decided in that pass (`_resolve_phase`: counts
+are proven), and only the other arcs are bisected, one scalar sum a new point.
 
 `verify_separation` also takes z theta' at the same samples, from a second
 folded row of each circle in the same FFT pass.  The first moment
@@ -47,14 +46,12 @@ bound is checked against the kept series' own scale (`_head_bound`), and
 where it fails the point is summed unshifted, as with J = 0.  A circle
 |z| = r sums theta(q, q^J r) and folds its terms at bins J + i, so that its
 samples are e^{i J psi} theta(q, q^J r e^{i psi}): theta's own samples over
-the constant q^{J(J+1)/2} r^J, up to the head.  Phases, the n* guard,
-minima and counts then take the decisions of the unshifted samples, and a
-count also needs the sampled minimum of |theta| / scale above the head over
-the scale: Rouche's condition on the samples (CONTOUR_SAFETY implies it).  A
-Newton iterate evaluates theta(q, q^J z) and its derivative and steps by
-1 / (J / z + q^J theta' / theta); the factor q^{J(J+1)/2} z^J cancels in
-the step and the residual.  The moment circles of `verify_separation` stay
-unshifted: their Horner check needs the terms down to the inner radius.
+the constant q^{J(J+1)/2} r^J, up to the head, which joins the tail in
+every pad of the count.  A Newton iterate evaluates theta(q, q^J z) and
+its derivative and steps by 1 / (J / z + q^J theta' / theta); the factor
+q^{J(J+1)/2} z^J cancels in the step and the residual.  The moment circles
+of `verify_separation` stay unshifted: their Horner check needs the terms
+down to the inner radius.
 
 Residuals are backward-relative: |theta(z)| divided by the sum of the term
 moduli at z.  The raw modulus |theta(z)| has an irreducible rounding floor
@@ -68,6 +65,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -99,13 +97,12 @@ _LOG_MIN_NORMAL = -math.log(sys.float_info.min)  # |q|^J is normal while J ln(1/
 # with an error of about |J log q| u <= 710 u, far below 2^-30 either way.
 _HEAD_ROUNDING = 1.0 + 2.0 ** -30
 
-# Below this scaled modulus the argument principle is considered unreliable.
+# A count also needs every sample's scaled modulus at least this.
 CONTOUR_SAFETY = 1e-6
 
-# Phase resolution machinery.
+# Contour sampling: initial samples per circle, and the most halvings of an arc.
 INITIAL_SAMPLES = 256
 MAX_BISECTION_DEPTH = 12
-WINDING_INTEGRALITY = 1e-3
 
 MAX_NEWTON_ITERATIONS = 50
 # Below this |q| the rounding of a moment estimate, about 2^-52 r_k, passes the inner radius
@@ -262,18 +259,12 @@ def _shifted_circle(q, radius, shifted, budget):
 
 
 def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BUDGET):
-    """Number of zeros of theta(q, .) inside |z| = radius, by phase tracking.
+    """Number of zeros of theta(q, .) inside |z| = radius, proven by `_resolve_phase`'s pads.
 
-    Phase increments between neighbouring samples are computed as one
-    array; those below pi/2 are summed, the others are refined by bisection
-    until each is below pi/2 (depth-capped).  On intervals longer than
-    2pi / (4 (n* + 1)), n* the index of the largest term on the circle, an
-    increment must also lie within pi/2 of that term's own turn, or a coarse
-    grid could read a turn of 2pi + d as d.  The accumulated phase must land
-    within 1e-3 * 2pi of an integer multiple.  Raises ContourTooClose when
-    the scaled modulus drops below the safety floor (a zero hugs the
-    circle), BudgetExceeded when the phase cannot be resolved despite
-    healthy moduli.  The one-circle case of `winding_numbers`.
+    Raises ContourTooClose when the scaled modulus drops below the safety
+    floor or an arc fails its pad at the depth cap with a small modulus (a
+    zero hugs the circle), BudgetExceeded when it fails there with a
+    healthy one.  The one-circle case of `winding_numbers`.
     """
     (result,) = winding_numbers(q, [radius], initial_samples, budget)
     if isinstance(result, Exception):
@@ -285,13 +276,9 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
     """`winding_number` for several circles at once; one entry per radius.
 
     An entry is the circle's WindingResult, or the ContourTooClose,
-    BudgetExceeded or OverflowError that circle raised.  The initial samples
-    of all circles are rows of one inverse FFT, and their increments, phase
-    totals and minimum moduli are computed as 2-D arrays (guard masks only
-    when a circle is guarded); a circle whose series fails takes no row, and
-    the row of a circle with a zero sample is replaced before any division.
-    Only the intervals that are not fine are bisected, circle by circle, one
-    scalar evaluation per new point.
+    BudgetExceeded or OverflowError that circle raised.  The circles are
+    rows of one 2-D pass (`_contours`); a circle whose series fails takes no
+    row, and a row with a zero sample is replaced before any division.
     """
     return _contours(q, radii, initial_samples, budget)[0]
 
@@ -306,13 +293,11 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
     samples, the sum of the zeros inside |z| = r; theta and z theta' come
     from the same inverse FFT, so the exponent cancels in the ratio.  The
-    increments are one arctan2 of the ratio of neighbouring samples; the
-    phase totals sum the fine ones (below pi/2, and for a guarded circle,
-    n* + 1 > N / 4, also within pi/2 of n* times the interval), and the
-    others go onto per-circle stacks for `_resolve_phase`.  Returns the
-    results, the moments and the circles' (terms, EvalResult) from core's
-    `circle_terms`; a moment is None where the circle failed, its terms
-    where its series did.
+    arcs take `_resolve_phase`'s test as one array, with m = n* (the last n
+    with |q|^n r >= 1); those that fail go onto per-circle stacks for it.
+    Returns the results, the moments and the circles' (terms, EvalResult)
+    from core's `circle_terms`; a moment is None where the circle failed,
+    its terms where its series did.
     """
     q = as_q(q)
     for radius in radii:
@@ -320,7 +305,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
     results, sums, terms = [None] * len(radii), [None] * len(radii), [None] * len(radii)
-    circles, rows = [], []  # per block row: (index, scale, exponent, centre, J, head); (terms, J)
+    circles, rows = [], []  # (index, result, centre, J, head, m, M1, allowance); (terms, J)
     for i, radius in enumerate(radii):
         try:
             kept, res, centre, shift, head = _shifted_circle(q, radius, not moments, budget)
@@ -329,43 +314,45 @@ def _contours(q, radii, initial_samples, budget, moments=False):
         else:
             terms[i] = kept, res
             rows.append((kept, shift % n0))
-            circles.append((i, res.scale, res.exponent, centre, shift, head))
+            m = max(0, math.floor(math.log(radius) / -math.log(q.modulus)))
+            bins = map(abs, range(shift - m, shift - m + len(kept)))  # |J + i - m|
+            circles.append((i, res, centre, shift, head * res.scale, m,
+                            sum(map(operator.mul, map(abs, kept), bins)),
+                            res.tail_bound + res.scale * (head + _rounding(len(kept), n0))))
     if not circles:
         return results, sums, terms
     samples = np.fft.ifft(fold_terms(rows, n0, moments), axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
-    minima = [low / circle[1] for low, circle in zip(np.abs(vals).min(axis=1).tolist(), circles)]
+    moduli = np.abs(vals)
+    lows = moduli.min(axis=1).tolist()
+    minima = [low / circle[1].scale for low, circle in zip(lows, circles)]
     if 0.0 in minima:
-        # a circle through an exact zero fails in _resolve_phase; no array divides by its samples
+        # a circle through an exact zero fails its contour floor; no array divides by its samples
         vals[[low == 0.0 for low in minima]] = 1.0
-    log_q = -math.log(q.modulus)
-    n_stars = [max(0, math.floor(math.log(radii[i]) / log_q))  # last |q|^n r >= 1
-               for i, *_ in circles]
-    # the least depth with n0 * 2^depth >= 4 (n* + 1)
-    min_depths = [(-(-4 * (n_star + 1) // n0) - 1).bit_length() for n_star in n_stars]
+    step = 2.0 * math.pi / n0
+    pads = [slope * 0.5 * step + allowance for *_, slope, allowance in circles]
     next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
     ratios = next_vals / vals
+    ratios *= np.exp([-1j * step * m for *_, m, _, _ in circles])[:, None]
     increments = np.arctan2(ratios.imag, ratios.real)  # np.angle without its wrapper
-    fine = np.abs(increments) < math.pi / 2
-    if any(min_depths):
-        guarded = np.array(min_depths) > 0
-        turn = np.array(n_stars, dtype=float)[:, None] * 2.0 * math.pi / n0
-        fine &= (np.abs(increments - turn) < math.pi / 2) | ~guarded[:, None]
-    totals = np.sum(increments, axis=1, where=fine).tolist()
+    if all(map(operator.gt, lows, pads)):  # every sample clears its pad, so every arc passes
+        totals, failing = increments.sum(axis=1).tolist(), []
+    else:
+        fine = np.minimum(moduli, np.roll(moduli, -1, 1)) > np.array(pads)[:, None]
+        totals = np.sum(increments, axis=1, where=fine).tolist()
+        failing = np.argwhere(~fine).tolist()
 
-    step = 2.0 * math.pi / n0
+    width = 1 << MAX_BISECTION_DEPTH  # an initial arc in `_resolve_phase`'s angle units
     stacks = [[] for _ in circles]
-    if not fine.all():
-        for row, j in np.argwhere(~fine).tolist():
-            a1 = (j + 1) * step if j + 1 < n0 else 2.0 * math.pi
-            stacks[row].append((j * step, vals[row, j], a1, next_vals[row, j], 0))
-    for row, (i, scale, exponent, centre, shift, head) in enumerate(circles):
+    for row, j in failing:
+        if minima[row]:  # else the floor refuses the circle
+            stacks[row].append((j * width, vals[row, j], (j + 1) * width, next_vals[row, j]))
+    for row, circle in enumerate(circles):
         try:
-            results[i] = _resolve_phase(q, radii[i], stacks[row], totals[row], minima[row],
-                                        n0, n_stars[row], min_depths[row], scale, exponent, budget,
-                                        centre, shift, head)
+            results[circle[0]] = _resolve_phase(q, radii[circle[0]], stacks[row], totals[row],
+                                                minima[row], n0, circle, budget)
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
-            results[i] = exc
+            results[circle[0]] = exc
     if moments:
         first = ((samples[:, 1] / vals) @ _unit_roots(n0)
                  * [radii[i] for i, *_ in circles]).tolist()
@@ -373,6 +360,11 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             if isinstance(results[i], WindingResult):
                 sums[i] = first[row]
     return results, sums, terms
+
+
+def _rounding(terms, n):
+    """eps / scale for a circle of `terms` kept terms and n samples (see `_resolve_phase`)."""
+    return 2.0 ** -52 * (terms + 6) ** 2 + 2.0 ** -48 * math.log2(n) * math.sqrt(n)
 
 
 @functools.lru_cache(maxsize=4)
@@ -383,59 +375,66 @@ def _unit_roots(n):
     return roots
 
 
-def _resolve_phase(q, radius, stack, total, min_scaled, samples, n_star, min_depth,
-                   scale, exponent, budget, centre, shift, head):
-    """Bisect the intervals on `stack` of one circle and check its accumulated phase.
+def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
+    """Decide the arcs on `stack` of one circle, bisecting those that fail; its WindingResult.
 
-    `total` and `min_scaled` cover the fine intervals and the initial
-    samples.  Intervals are taken last in, first out; one of depth below
-    `min_depth` (the n* guard) must also turn by n* times its width, within
-    pi/2.  Each midpoint is a scalar sample e^{i shift psi}
-    theta(q, centre e^{i psi}), carried into the units 2^exponent of the
-    circle's array.  A count needs min_scaled >= CONTOUR_SAFETY and, with a
-    shift, above `head`, the dropped head over the kept scale (Rouche's
-    condition on the samples).
+    The `circle` (see `_contours`) keeps terms c_i at bins b_i = J + i in units 2^-E, so its
+    samples are those of v(psi) = sum_i c_i e^{i b_i psi}, within tail + head of T(psi) =
+    theta(q, r e^{i psi}) / (q^{J(J+1)/2} r^J 2^E).  A computed sample is within
+    eps = scale (2^-52 (L + 6)^2 + 2^-48 sqrt(N) log2 N) of v for L terms and N samples: a term
+    c_j carries under j^2 + 5j roundings of at most 2.25 u, u = 2^-53, under half the first
+    part, whose rest covers the folds and the roundings of M1 and the test; an inverse FFT is
+    within log2(N) (u + gamma_4 (sqrt 2 + u)) sqrt(N) scale of the exact sums (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1), covered by the second
+    part, as is a scalar sample's sum and factor e^{i J psi}.  So allowance = tail + head +
+    eps bounds |sample - T|, once a scalar sample has raised it to its own.
+
+    With g = e^{-i m psi} v, |g'| <= M1 = sum_i |b_i - m| |c_i| (`slope`).  An arc [a, b] of
+    width w passes when min(|v_a|, |v_b|) > M1 w / 2 + allowance: on its first half
+    e^{-i m psi} T lies within that pad of e^{-i m a} v_a, in a disc that misses 0, and on its
+    second around e^{-i m b} v_b.  So T has no zero on the arc, and from one sample to the next
+    the phase of e^{-i m psi} T moves by under pi / 2 in each disc, in all by the principal
+    angle of (v_b / v_a) e^{-i m w}; around the circle these add up to T's turn less 2 pi m.
+    So m plus `total` over 2 pi is an integer up to the sum's rounding: the zeros inside, by the
+    argument principle.  A failing arc is bisected last in first out, to MAX_BISECTION_DEPTH,
+    one scalar sample e^{i J psi} theta(q, centre e^{i psi}) a midpoint, carried into units
+    2^-E; an angle is an integer i of 2 pi / D, D = N 2^MAX_BISECTION_DEPTH, and e^{i J psi} is
+    formed from the turn (J i mod D) / D.  `total` and `min_scaled` cover the arcs passed in
+    the array and the initial samples; a count also needs min_scaled >= CONTOUR_SAFETY.
     """
-    while True:
-        if min_scaled == 0.0:
-            raise ContourTooClose(f"theta vanishes on the contour |z| = {radius:g}",
-                                  radius=radius, min_modulus=0.0)
-        if not stack:
-            break
-        a0, v0, a1, v1, depth = stack.pop()
-        increment = cmath.phase(v1 / v0)
-        if abs(increment) < math.pi / 2 and (
-                depth >= min_depth or abs(increment - n_star * (a1 - a0)) < math.pi / 2):
-            total += increment
+    _, res, centre, shift, head, m, slope, allowance = circle
+    samples, units = n0, n0 << MAX_BISECTION_DEPTH
+    turn = 2.0 * math.pi / units
+    while stack:
+        i0, v0, i1, v1 = stack.pop()
+        width = (i1 - i0) * turn
+        local = min(abs(v0), abs(v1))
+        if local > slope * 0.5 * width + allowance:
+            total += cmath.phase(v1 / v0 * cmath.exp(-1j * m * width))
             continue
-        local = min(abs(v0), abs(v1)) / scale
-        if depth >= MAX_BISECTION_DEPTH:
+        if i1 - i0 == 1:  # at MAX_BISECTION_DEPTH
+            local /= res.scale
             if local < 1e-3:
                 raise ContourTooClose(
-                    f"unresolved phase jump near angle {0.5 * (a0 + a1):.6f} on "
+                    f"unresolved phase jump near angle {0.5 * (i0 + i1) * turn:.6f} on "
                     f"|z| = {radius:g} (scaled modulus {local:.2e}): probable zero on contour",
                     radius=radius, min_modulus=local)
-            raise BudgetExceeded(
-                f"phase not resolvable on |z| = {radius:g} at bisection depth {depth}")
-        am = 0.5 * (a0 + a1)
-        res = eval_theta(q, centre * cmath.exp(1j * am), budget)
-        vm = ldexp_complex(res.value, res.exponent - exponent)
-        if shift:
-            vm *= cmath.exp(1j * shift * am)
+            raise BudgetExceeded(f"phase not resolvable on |z| = {radius:g} at the depth cap")
+        im = (i0 + i1) // 2
+        point = eval_theta(q, centre * cmath.exp(1j * im * turn), budget)
+        units_shift = point.exponent - res.exponent
+        vm = ldexp_complex(point.value, units_shift) * cmath.exp(1j * turn * (shift * im % units))
+        allowance = max(allowance, head + math.ldexp(
+            point.tail_bound + point.scale * _rounding(point.terms_used, n0), units_shift))
         samples += 1
-        min_scaled = min(min_scaled, abs(vm) / scale)
-        stack.append((a0, v0, am, vm, depth + 1))
-        stack.append((am, vm, a1, v1, depth + 1))
+        min_scaled = min(min_scaled, abs(vm) / res.scale)
+        stack += [(i0, v0, im, vm), (im, vm, i1, v1)]
 
-    w = total / (2.0 * math.pi)
-    if abs(w - round(w)) > WINDING_INTEGRALITY:
-        raise BudgetExceeded(
-            f"accumulated phase {w:.6f} turns on |z| = {radius:g} is not integral")
-    if min_scaled < CONTOUR_SAFETY or min_scaled <= head:
+    if min_scaled < CONTOUR_SAFETY:
         raise ContourTooClose(
             f"min scaled |theta| on |z| = {radius:g} is {min_scaled:.2e} < {CONTOUR_SAFETY:g}",
             radius=radius, min_modulus=min_scaled)
-    return WindingResult(int(round(w)), samples, min_scaled)
+    return WindingResult(m + round(total / (2.0 * math.pi)), samples, min_scaled)
 
 
 def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):

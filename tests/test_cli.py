@@ -204,6 +204,18 @@ def test_zeros_kmax_at_the_bound_is_accepted(capsys, monkeypatch):
         0.6 ** -(1389.5)
 
 
+def test_zeros_to_k700_counts_every_finite_circle(capsys):
+    # the circle of k = 590 is the first whose radius |q|^-(k+1/2) leaves the float range
+    code, out, err = run(capsys, ["zeros", "--q", "-0.3", "--kmax", "700", "--format", "json"])
+    assert code == 3 and err == ""
+    ks = json.loads(out)["results"]["k"]
+    assert all(ks[str(k)]["count"] == 1 and ks[str(k)]["annulus_ok"] for k in range(1, 590))
+    assert all(ks[str(k)]["count"] is None for k in range(590, 701))
+    notes = [k for k in range(1, 701) if "error" in ks[str(k)]]
+    assert notes == [590]
+    assert ks["590"]["error"].endswith("the radius leaves the float range for k = 590..700")
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["zeros", "--q", "-0.3", "--kmax", "3"],
@@ -681,10 +693,10 @@ def test_verify_scan_byte_cap_admits_its_edge_and_refuses_one_step_more(capsys, 
 
 
 @pytest.mark.parametrize("lemma, argv, accepted", [
-    ("k1", ["--argument-steps", "400", "--z-steps", "20000"], True),   # 208 MB est., 78 MB peak
-    ("k1", ["--argument-steps", "800", "--z-steps", "20000"], False),  # 394 MB est., ~120 MB peak
+    ("k1", ["--argument-steps", "400", "--z-steps", "20000"], True),  # 100 MB est., 49 MB growth
+    ("k1", ["--argument-steps", "800", "--z-steps", "20000"], True),  # 179 MB est., 92 MB growth
     ("all", ["--argument-steps", "2000", "--z-steps", "100000"], False),
-    ("k1", ["--modulus-steps", "2000", "--argument-steps", "2000"], False),  # 419 MB est.
+    ("k1", ["--modulus-steps", "2000", "--argument-steps", "2000"], False),  # 308 MB est.
     ("k2", ["--modulus-steps", "2000", "--argument-steps", "2000"], False),
     ("k2", ["--modulus-steps", "1000", "--argument-steps", "1000"], True),
 ])

@@ -126,58 +126,80 @@ def test_winding_contour_through_zero_raises():
 
 
 def test_winding_mixed_array_and_bisection_path():
-    # with 16 samples, 16 intervals jump by pi/2 or more and are bisected once each
+    # with 16 samples every arc of |z| = |q|^-6.5 passes the pad test in the array; on
+    # |q|^-6.8, nearer the seventh zero, the two arcs beside the least sample fail it and
+    # take two bisection samples each
     q = QParameter(0.55j)
     coarse = winding_number(q, 0.55 ** -6.5, initial_samples=16)
-    assert (coarse.count, coarse.samples_used) == (6, 32)
+    assert (coarse.count, coarse.samples_used) == (6, 16)
+    mixed = winding_number(q, 0.55 ** -6.8, initial_samples=16)
+    assert (mixed.count, mixed.samples_used) == (6, 20)
+    assert (mixed.count, mixed.samples_used) == _winding_reference(q, 0.55 ** -6.8, 16)[:2]
     fine = winding_number(q, 0.55 ** -6.5, initial_samples=256)
     assert (fine.count, fine.samples_used) == (6, 256)
 
 
 def test_winding_bisection_samples_carried_into_array_units():
-    # on |z| = |q|^-24.1 the terms reach 1e203: the contour array is rescaled
-    # once, while the scalar samples of the bisection fit in a float
+    # on the unshifted circle |z| = |q|^-24.02 the terms reach 1e203: the contour array is
+    # rescaled once, while the scalar samples of the bisection fit in a float
     q = QParameter(cmath.rect(0.2, 3.0))
-    radius = q.modulus ** -24.1
+    radius = q.modulus ** -24.02
     assert circle_terms(q, radius)[1].exponent == 600
     assert eval_theta(q, radius).exponent == 0
-    res = winding_number(q, radius, initial_samples=64)
+    with _unshifted():
+        res = winding_number(q, radius, initial_samples=64)
     count, samples, low = _winding_reference(q, radius, 64)
-    assert (res.count, res.samples_used) == (count, samples) == (24, 128)
+    assert (res.count, res.samples_used) == (count, samples) == (24, 66)
     # the smallest sampled modulus is a bisection sample, so it is only right
     # when the scalar samples are carried into the array's units
+    terms, circle = circle_terms(q, radius)
+    initial = np.abs(np.fft.ifft(fold_terms([(terms, 0)], 64), norm="forward")).min()
+    assert res.min_modulus_on_contour < initial / circle.scale
     assert res.min_modulus_on_contour == pytest.approx(low, rel=1e-9)
 
 
 def _winding_reference(q, radius, n0):
-    """Per-sample phase tracking with scalar evaluations and a LIFO bisection stack.
+    """The pad rule of `zeros._resolve_phase` with scalar samples only and a LIFO bisection stack.
 
-    Returns the count, the samples used and the smallest sampled |theta| / scale.
+    Every sample is eval_theta(q, radius e^{i psi}), unshifted, in the units of the circle's
+    terms c_j.  With m = n*, M1 = sum_j |j - m| |c_j| and eps as in `zeros._rounding`, an arc
+    of width w passes when both its samples exceed M1 w / 2 + tail + eps, and its phase then
+    turns by m w plus the principal angle of (v_b / v_a) e^{-i m w}; an arc that fails is
+    bisected.  Returns the count, the samples used and the smallest sampled |theta| / scale.
     """
+    terms, circle = circle_terms(q, radius)
+    m = max(0, math.floor(math.log(radius) / -math.log(q.modulus)))
+    slope = math.fsum(abs(c) * abs(j - m) for j, c in enumerate(terms))
+    allowance = circle.tail_bound + circle.scale * (
+        2.0 ** -52 * (len(terms) + 6) ** 2 + 2.0 ** -48 * math.log2(n0) * math.sqrt(n0))
+
+    def sample(angle):
+        res = eval_theta(q, radius * cmath.exp(1j * angle))
+        return ldexp_complex(res.value, res.exponent - circle.exponent)
+
     angles = [2.0 * math.pi * i / n0 for i in range(n0)] + [2.0 * math.pi]
-    vals = [eval_theta(q, radius * cmath.exp(1j * a)).value for a in angles[:-1]]
+    vals = [sample(a) for a in angles[:-1]]
     low = min(abs(v) for v in vals)
     vals.append(vals[0])
     stack = [(angles[i], vals[i], angles[i + 1], vals[i + 1]) for i in range(n0)]
     total, samples = 0.0, n0
     while stack:
         a0, v0, a1, v1 = stack.pop()
-        increment = cmath.phase(v1 / v0)
-        if abs(increment) < math.pi / 2:
-            total += increment
+        if min(abs(v0), abs(v1)) > slope * (a1 - a0) / 2 + allowance:
+            total += cmath.phase(v1 / v0 * cmath.exp(-1j * m * (a1 - a0)))
             continue
         am = 0.5 * (a0 + a1)
-        vm = eval_theta(q, radius * cmath.exp(1j * am)).value
+        vm = sample(am)
         samples += 1
         low = min(low, abs(vm))
         stack += [(a0, v0, am, vm), (am, vm, a1, v1)]
-    return round(total / (2.0 * math.pi)), samples, low / eval_theta(q, radius).scale
+    return m + round(total / (2.0 * math.pi)), samples, low / circle.scale
 
 
 @pytest.mark.parametrize("q, exponent, n0", [
     (0.55j, 6.5, 16), (0.55j, 3.5, 16), (-0.4, 2.5, 16),
     (cmath.rect(0.3, 2.0), 4.5, 32), (cmath.rect(0.5, 2.5), 5.5, 256),
-    # guarded circles, 4 (n* + 1) > N: n* = 70 at the default 256 samples, n* = 9 at 16
+    # circles of a large centre m = n*, 4 (n* + 1) > N: n* = 70 at 256 samples, n* = 9 at 16
     (-0.3, 70.5, 256), (cmath.rect(0.5, 2.5), 9.5, 16),
 ])
 def test_winding_matches_scalar_reference_loop(q, exponent, n0):
@@ -190,13 +212,13 @@ def test_winding_matches_scalar_reference_loop(q, exponent, n0):
 
 
 def test_one_call_mixes_fine_rows_with_a_bisected_row():
-    # the middle circle passes 1e-4 outside the first zero: a few of its intervals turn by pi/2
-    # or more and are bisected, the other rows are all fine; every row must read as if alone
+    # the middle circle passes 1e-4 outside the first zero: the arcs near it fail the pad
+    # test and are bisected, the other rows pass whole; every row must read as if alone
     q = QParameter(-0.3)
     near = abs(locate_zero(q, 1).location) * (1 + 1e-4)
     radii = [q.modulus ** -1.5, near, q.modulus ** -2.5]
     batch = winding_numbers(q, radii)
-    assert [res.samples_used for res in batch] == [256, 258, 256]
+    assert [res.samples_used for res in batch] == [256, 272, 256]
     for res, radius in zip(batch, radii):
         assert res == winding_number(q, radius)
         count, samples, low = _winding_reference(q, radius, 256)
@@ -472,10 +494,52 @@ def test_trace_ray_validation():
 
 @pytest.mark.parametrize("n0", [16, 32, 48, 256])
 def test_winding_coarse_grid_does_not_alias_a_full_turn(n0):
-    # 23 zeros inside; without the guard 16 or 32 initial samples read 19: single
-    # intervals turn by 2pi + d there, and the largest term (n* = 23) by more than pi/2
+    # 23 zeros inside; a phase tracked without centring reads 19 from 16 or 32 initial
+    # samples: single arcs turn by 2pi + d there.  Centred at m = n* = 23 every arc passes.
     res = winding_number(QParameter(-0.2), 1.7401891665718316e16, initial_samples=n0)
-    assert res.count == 23
+    assert (res.count, res.samples_used) == (23, n0)
+
+
+@pytest.mark.parametrize("n0, samples", [(16, 27), (32, 41), (256, 258)])
+def test_a_coarse_grid_near_a_zero_counts_by_the_slope_pad(n0, samples):
+    # |z| = |q|^-2.0615 passes 1.1 % inside the second zero; with 16 samples the centred
+    # increments alone read 2, and only the M1 w / 2 part of the pad sends the arcs near
+    # that zero to bisection
+    q = QParameter.from_polar(0.5533, 2.8586)
+    res = winding_number(q, 0.5533 ** -2.0615, initial_samples=n0)
+    assert (res.count, res.samples_used) == (1, samples)
+
+
+@pytest.mark.parametrize("modulus, argument, exponent, tolerance, count", [
+    (0.0865, 2.314, 0.979, 20.0, 1), (0.458, 1.858, 3.0047, 17.0, 3),
+    (0.2945, 4.65, 2.0127, 24.0, 2),
+])
+def test_a_tail_above_the_samples_refuses_the_count(modulus, argument, exponent, tolerance,
+                                                    count):
+    # a loose series tolerance drops a tail that passes theta's modulus near a zero: the
+    # samples of the kept terms alone read one zero fewer, and the pad, which holds the
+    # tail, refuses the circle instead
+    q = QParameter.from_polar(modulus, argument)
+    radius = modulus ** -exponent
+    assert winding_number(q, radius).count == count
+    with pytest.raises(BudgetExceeded, match="phase not resolvable"):
+        winding_number(q, radius, budget=SeriesBudget(tolerance=tolerance))
+
+
+def test_large_k_circles_take_no_scalar_sample(monkeypatch):
+    # every arc of these circles passes the pad test in the array: no arc is bisected
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return eval_theta(*args)
+
+    monkeypatch.setattr(zeros, "eval_theta", spy)
+    rep = verify_separation(QParameter(-0.3), 120)
+    assert rep.strongly_separated and set(rep.counts.values()) == {1}
+    res = winding_number(QParameter(-0.3), 0.3 ** -70.5)
+    assert (res.count, res.samples_used) == (70, 256)
+    assert calls == []
 
 
 def test_winding_numbers_match_one_circle_at_a_time():
@@ -978,11 +1042,18 @@ def test_moment_circles_stay_unshifted():
         assert verify_separation(q, 12).strongly_separated
 
 
-def test_a_count_needs_its_minimum_above_the_head():
-    # Rouche on the samples: a circle whose minimum is at or below the dropped head is refused
-    with pytest.raises(ContourTooClose):
-        zeros._resolve_phase(QParameter(0.3), 1.0, [], 0.0, 1e-3, 16, 0, 0, 1.0, 0,
-                             zeros.DEFAULT_BUDGET, 1.0, shift=1, head=1e-3)
+def test_a_count_needs_its_minimum_above_the_head(monkeypatch):
+    # the dropped head is part of every pad: where its bound passed the least sample, the arcs
+    # beside that sample would fail at every depth, and the circle is refused
+    q = QParameter(-0.3 + 0.1j)
+    radius = q.modulus ** -20.5
+    kept, res, centre, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
+    assert shift and head
+    least = winding_number(q, radius).min_modulus_on_contour
+    monkeypatch.setattr(zeros, "_shifted_circle",
+                        lambda *args: (kept, res, centre, shift, 2.0 * least))
+    with pytest.raises(BudgetExceeded, match="phase not resolvable"):
+        winding_number(q, radius)
 
 
 def test_fold_terms_offset_multiplies_the_samples_by_the_bin_turn():
