@@ -68,6 +68,7 @@ import math
 import operator
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +183,11 @@ class SeparationReport:
     strongly_separated: bool = False
     warnings: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)           # k -> error message
+
+
+# A counting circle of `_contours`: its place among the radii, core's EvalResult of its kept
+# terms, the centre they sum at, J, head (in units 2^-E), m, M1 and allowance (`_resolve_phase`).
+_Circle = namedtuple("_Circle", "index res centre shift head m slope allowance")
 
 
 def _head_shift(q, modulus):
@@ -305,7 +311,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
     results, sums, terms = [None] * len(radii), [None] * len(radii), [None] * len(radii)
-    circles, rows = [], []  # (index, result, centre, J, head, m, M1, allowance); (terms, J)
+    circles, rows = [], []  # _Circle; (terms, J)
     for i, radius in enumerate(radii):
         try:
             kept, res, centre, shift, head = _shifted_circle(q, radius, not moments, budget)
@@ -316,49 +322,47 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             rows.append((kept, shift % n0))
             m = max(0, math.floor(math.log(radius) / -math.log(q.modulus)))
             bins = map(abs, range(shift - m, shift - m + len(kept)))  # |J + i - m|
-            circles.append((i, res, centre, shift, head * res.scale, m,
-                            sum(map(operator.mul, map(abs, kept), bins)),
-                            res.tail_bound + res.scale * (head + _rounding(len(kept), n0))))
+            circles.append(_Circle(i, res, centre, shift, head * res.scale, m,
+                                   sum(map(operator.mul, map(abs, kept), bins)),
+                                   res.tail_bound + res.scale * (head + _rounding(len(kept), n0))))
     if not circles:
         return results, sums, terms
     samples = np.fft.ifft(fold_terms(rows, n0, moments), axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
     moduli = np.abs(vals)
     lows = moduli.min(axis=1).tolist()
-    minima = [low / circle[1].scale for low, circle in zip(lows, circles)]
+    minima = [low / circle.res.scale for low, circle in zip(lows, circles)]
     if 0.0 in minima:
         # a circle through an exact zero fails its contour floor; no array divides by its samples
         vals[[low == 0.0 for low in minima]] = 1.0
     step = 2.0 * math.pi / n0
-    pads = [slope * 0.5 * step + allowance for *_, slope, allowance in circles]
+    pads = [c.slope * 0.5 * step + c.allowance for c in circles]
     next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
     ratios = next_vals / vals
-    ratios *= np.exp([-1j * step * m for *_, m, _, _ in circles])[:, None]
+    ratios *= np.exp([-1j * step * c.m for c in circles])[:, None]
     increments = np.arctan2(ratios.imag, ratios.real)  # np.angle without its wrapper
-    if all(map(operator.gt, lows, pads)):  # every sample clears its pad, so every arc passes
-        totals, failing = increments.sum(axis=1).tolist(), []
-    else:
-        fine = np.minimum(moduli, np.roll(moduli, -1, 1)) > np.array(pads)[:, None]
-        totals = np.sum(increments, axis=1, where=fine).tolist()
-        failing = np.argwhere(~fine).tolist()
-
+    totals = increments.sum(axis=1).tolist()
     width = 1 << MAX_BISECTION_DEPTH  # an initial arc in `_resolve_phase`'s angle units
     stacks = [[] for _ in circles]
-    for row, j in failing:
-        if minima[row]:  # else the floor refuses the circle
-            stacks[row].append((j * width, vals[row, j], (j + 1) * width, next_vals[row, j]))
+    for row in [row for row, (low, pad) in enumerate(zip(lows, pads)) if low <= pad]:
+        # an arc fails where a sample at either end is within the pad: its increment is taken back
+        inside = np.flatnonzero(moduli[row] <= pads[row]).tolist()
+        for j in sorted({(j + end) % n0 for j in inside for end in (-1, 0)}):
+            totals[row] -= increments[row, j]
+            if minima[row]:  # else the floor refuses the circle
+                stacks[row].append((j * width, vals[row, j], (j + 1) * width, next_vals[row, j]))
     for row, circle in enumerate(circles):
         try:
-            results[circle[0]] = _resolve_phase(q, radii[circle[0]], stacks[row], totals[row],
-                                                minima[row], n0, circle, budget)
+            results[circle.index] = _resolve_phase(q, radii[circle.index], stacks[row], totals[row],
+                                                   minima[row], n0, circle, budget)
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
-            results[circle[0]] = exc
+            results[circle.index] = exc
     if moments:
         first = ((samples[:, 1] / vals) @ _unit_roots(n0)
-                 * [radii[i] for i, *_ in circles]).tolist()
-        for row, (i, *_) in enumerate(circles):
-            if isinstance(results[i], WindingResult):
-                sums[i] = first[row]
+                 * [radii[c.index] for c in circles]).tolist()
+        for row, circle in enumerate(circles):
+            if isinstance(results[circle.index], WindingResult):
+                sums[circle.index] = first[row]
     return results, sums, terms
 
 
@@ -381,13 +385,18 @@ def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
     The `circle` (see `_contours`) keeps terms c_i at bins b_i = J + i in units 2^-E, so its
     samples are those of v(psi) = sum_i c_i e^{i b_i psi}, within tail + head of T(psi) =
     theta(q, r e^{i psi}) / (q^{J(J+1)/2} r^J 2^E).  A computed sample is within
-    eps = scale (2^-52 (L + 6)^2 + 2^-48 sqrt(N) log2 N) of v for L terms and N samples: a term
-    c_j carries under j^2 + 5j roundings of at most 2.25 u, u = 2^-53, under half the first
-    part, whose rest covers the folds and the roundings of M1 and the test; an inverse FFT is
-    within log2(N) (u + gamma_4 (sqrt 2 + u)) sqrt(N) scale of the exact sums (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1), covered by the second
-    part, as is a scalar sample's sum and factor e^{i J psi}.  So allowance = tail + head +
-    eps bounds |sample - T|, once a scalar sample has raised it to its own.
+    eps = scale (2^-52 (L + 6)^2 + 2^-48 sqrt(N) log2 N) of v for L terms and N samples.  In
+    core's `circle_terms` c_j is c_{j-1} (q^j centre), q^j a running product, so c_j carries
+    at most (j^2 + 3j) / 2 complex products, each of relative error 2.25 u or less, u = 2^-53:
+    with j < L, under 1.14 (L^2 + L) u |c_j|, in all under 0.57 of the first part.  Its rest,
+    0.43 (L + 6)^2 2^-52 scale, covers the folds (under (L / N + 1) u scale), the shortfall of
+    the computed M1 times w / 2 < 0.2 (under (L + 1) u M1 <= (L^2 + L) u scale) and the
+    roundings of the pad and the test (a few u scale).  An inverse FFT is within
+    log2(N) (u + gamma_4 (sqrt 2 + u)) sqrt(N) scale of the exact sums (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 24.1), covered by the second part, as is a
+    scalar sample's sum, whose terms are formed the same way, and factor e^{i J psi}.  So
+    allowance = tail + head + eps bounds |sample - T|, once a scalar sample has raised it to
+    its own.
 
     With g = e^{-i m psi} v, |g'| <= M1 = sum_i |b_i - m| |c_i| (`slope`).  An arc [a, b] of
     width w passes when min(|v_a|, |v_b|) > M1 w / 2 + allowance: on its first half
@@ -402,15 +411,15 @@ def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
     formed from the turn (J i mod D) / D.  `total` and `min_scaled` cover the arcs passed in
     the array and the initial samples; a count also needs min_scaled >= CONTOUR_SAFETY.
     """
-    _, res, centre, shift, head, m, slope, allowance = circle
+    res, allowance = circle.res, circle.allowance
     samples, units = n0, n0 << MAX_BISECTION_DEPTH
     turn = 2.0 * math.pi / units
     while stack:
         i0, v0, i1, v1 = stack.pop()
         width = (i1 - i0) * turn
         local = min(abs(v0), abs(v1))
-        if local > slope * 0.5 * width + allowance:
-            total += cmath.phase(v1 / v0 * cmath.exp(-1j * m * width))
+        if local > circle.slope * 0.5 * width + allowance:
+            total += cmath.phase(v1 / v0 * cmath.exp(-1j * circle.m * width))
             continue
         if i1 - i0 == 1:  # at MAX_BISECTION_DEPTH
             local /= res.scale
@@ -421,10 +430,11 @@ def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
                     radius=radius, min_modulus=local)
             raise BudgetExceeded(f"phase not resolvable on |z| = {radius:g} at the depth cap")
         im = (i0 + i1) // 2
-        point = eval_theta(q, centre * cmath.exp(1j * im * turn), budget)
+        point = eval_theta(q, circle.centre * cmath.exp(1j * im * turn), budget)
         units_shift = point.exponent - res.exponent
-        vm = ldexp_complex(point.value, units_shift) * cmath.exp(1j * turn * (shift * im % units))
-        allowance = max(allowance, head + math.ldexp(
+        vm = ldexp_complex(point.value, units_shift) * cmath.exp(
+            1j * turn * (circle.shift * im % units))
+        allowance = max(allowance, circle.head + math.ldexp(
             point.tail_bound + point.scale * _rounding(point.terms_used, n0), units_shift))
         samples += 1
         min_scaled = min(min_scaled, abs(vm) / res.scale)
@@ -434,7 +444,7 @@ def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
         raise ContourTooClose(
             f"min scaled |theta| on |z| = {radius:g} is {min_scaled:.2e} < {CONTOUR_SAFETY:g}",
             radius=radius, min_modulus=min_scaled)
-    return WindingResult(m + round(total / (2.0 * math.pi)), samples, min_scaled)
+    return WindingResult(circle.m + round(total / (2.0 * math.pi)), samples, min_scaled)
 
 
 def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):

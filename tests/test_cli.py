@@ -712,28 +712,50 @@ def test_verify_scan_byte_cap_on_measured_requests(capsys, monkeypatch, lemma, a
         assert code == 2 and out == "" and err.endswith("MB, more than 256 MB\n")
 
 
-def test_scan_bytes_bound_the_measured_memory_of_a_scan():
-    # one k1 scan at 400 x 400 x 90 in a fresh process, after a small one has loaded BLAS:
-    # the growth of its peak resident size stays within the estimate the cap reads.  The
-    # process is started by a small one, as a process's ru_maxrss starts at its parent's.
+def _scan_growth(check, n_mod, n_arg, z_steps, tail=None):
+    """ru_maxrss growth of one k1 or k2 scan in a fresh process, after a small scan has loaded
+    BLAS; with `tail` the scan's tail is raised to it, so that pruning keeps every node live.
+    The process is started by a small one, as a process's ru_maxrss starts at its parent's."""
     import subprocess
     import sys
     from pathlib import Path
     import thetasep
-    from thetasep import lemmas
     script = ("import resource\n"
               "from thetasep import lemmas\n"
-              "lemmas.verify_lemma_k1_direct(lemmas.BATTERY['k1'].grid(12, 12), 97)\n"
-              "grid = lemmas.BATTERY['k1'].grid(400, 400)\n"
+              f"check, tail, battery = {check!r}, {tail!r}, lemmas.BATTERY[{check!r}]\n"
+              "run = lemmas.verify_lemma_k1_direct if check == 'k1' else lemmas.verify_lemma_k2\n"
+              "if tail is not None:\n"
+              "    scan_min = lemmas._scan_min\n"
+              "    lemmas._scan_min = lambda g, z, scan: scan_min(g, z, scan._replace(tail=tail))\n"
+              "run(battery.grid(12, 12), 97)\n"
+              f"grid = battery.grid({n_mod}, {n_arg})\n"
               "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-              "lemmas.verify_lemma_k1_direct(grid, 90)\n"
+              f"run(grid, battery.circle({z_steps}))\n"
               "print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before))\n")
     src = str(Path(thetasep.__file__).resolve().parent.parent)
     spawn = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]])"
     proc = subprocess.run([sys.executable, "-c", spawn, script], capture_output=True, text=True,
                           env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}, check=True,
                           timeout=120)
-    assert 0 < int(proc.stdout) <= lemmas.scan_bytes("k1", 400, 400, 90)
+    return int(proc.stdout)
+
+
+def test_scan_bytes_bound_the_measured_memory_of_a_scan():
+    # one k1 scan at 400 x 400 x 90: the growth of its peak resident size stays within the
+    # estimate the cap reads
+    from thetasep import lemmas
+    assert 0 < _scan_growth("k1", 400, 400, 90) <= lemmas.scan_bytes("k1", 400, 400, 90)
+
+
+@pytest.mark.parametrize("shape, tail", [((1850, 1850, 20), None), ((80, 800, 5000), 1e6)])
+def test_scan_bytes_bound_a_scan_at_the_cap_edge_and_one_with_every_node_live(shape, tail):
+    # few z-steps on the largest grid the cap admits, where the per-node bytes dominate; and a
+    # scan whose pruning is switched off, where every window of stage 2 is live
+    from thetasep import cli, lemmas
+    estimate = lemmas.scan_bytes("k1", *shape)
+    if tail is None:
+        assert estimate <= cli.MAX_VERIFY_SCAN_BYTES < lemmas.scan_bytes("k1", 1860, 1860, 20)
+    assert 0 < _scan_growth("k1", *shape, tail=tail) <= estimate
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
