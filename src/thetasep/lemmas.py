@@ -761,7 +761,7 @@ def _scan_min(grid, z_steps, scan):
     L_omega is scan.omega_slope of the node's modulus row; L_rho is scan.rho_slope's
     falling part at the lower end of [rho, rho_c] plus its rising part at the upper.
     With cap = n_omega z_steps / 4 the coarse blocks hold at most max(cap, 2^15)
-    single values, the windows and `_blocks` cap values, and stage 2 collects a
+    single values, the windows and `_blocks` cap values, and stage 2 takes a
     block's live windows min(_ROWS, cap // S) at a time; each stage forms the
     coefficients of its nodes (`_Scan.rows`), at most _ROWS at once.
 
@@ -831,10 +831,10 @@ def _scan_min(grid, z_steps, scan):
         minima = np.min(values, axis=1)
         ub = min(ub, float(np.min(minima, initial=math.inf)))
         ok = np.flatnonzero(minima - allowance[at // n_omega] <= ub)  # the row rule
-        step = max(1, chunk // values.shape[1])  # rows whose windows fill one chunk at most
-        for part in (ok[a:a + step] for a in range(0, ok.size, step)):
-            i, c = np.nonzero(values[part] - allowance[at[part] // n_omega, None] <= ub)
-            rows, starts = np.append(rows, at[part[i]]), np.append(starts, c * stride)
+        windows = np.flatnonzero(values[ok] - allowance[at[ok] // n_omega, None] <= ub)
+        for part in (windows[a:a + chunk] for a in range(0, windows.size, chunk)):
+            i, c = np.divmod(part, values.shape[1])
+            rows, starts = np.append(rows, at[ok[i]]), np.append(starts, c * stride)
             while rows.size >= chunk:
                 upper = min(upper, refine(rows[:chunk], starts[:chunk]))
                 rows, starts = rows[chunk:], starts[chunk:]
@@ -900,10 +900,10 @@ def verify_lemma_k1_direct(grid=DEFAULT_K1_GRID, z_steps=DEFAULT_K1_Z_STEPS):
 
 # Bytes `_scan_min` holds, above the ru_maxrss growth of 48 scans in fresh processes (600 x 300
 # grids, circles of up to 10^5 samples, up to 2000 x 2000 nodes, 1850 x 1850 at 20 z-steps;
-# 21 with the scan's tail raised so that every node stays live; estimate / growth >= 1.27):
-# per (|q|, arg q) node 72 (measured 18-34), per arg q x arg z value 10 for k1 and 20 for k2
-# (5.3-7.9 and 9.2-15.6 in pruned scans).
-_NODE_BYTES, _VALUE_BYTES = 72, {"k1": 10, "k2": 20}
+# 21 with the scan's tail raised so that every node stays live; estimate / growth >= 1.15):
+# per (|q|, arg q) node 72 (measured 18-34), per arg q x arg z value 12 for k1 and 20 for k2
+# (5.3-7.9 and 9.2-15.6 in pruned scans, up to 9.1 and 17.0 with every node live).
+_NODE_BYTES, _VALUE_BYTES = 72, {"k1": 12, "k2": 20}
 
 
 def scan_bytes(check, modulus_steps, argument_steps, z_steps):
