@@ -40,7 +40,7 @@ _LAZY = {
     ),
     "zeros": (
         "Annulus", "SeparationReport", "WindingResult", "ZeroRecord", "count_zeros_in_annulus",
-        "locate_zero", "trace_zero_ray", "verify_separation", "winding_number", "winding_numbers",
+        "locate_zero", "verify_separation", "winding_number", "winding_numbers",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

@@ -8,7 +8,8 @@ theta on each circle are one inverse FFT of the series terms (core's
 `circle_terms`), all circles of a call are rows of one block that core's
 `fold_terms` fills in one call and one 2-D pass transforms, an arc whose two
 samples clear a proven pad is decided in that pass (`_resolve_phase`: counts
-are proven), and only the other arcs are bisected, one scalar sum a new point.
+are proven), and only the other arcs are bisected, one Horner pass over the
+circle's kept terms a new point.
 
 `verify_separation` also takes z theta' at the same samples, from a second
 folded row of each circle in the same FFT pass.  The first moment
@@ -26,11 +27,12 @@ annulus, and a bare `locate_zero`, runs Newton from the asymptotic position
 -q^{-k}.
 
 Near the k-th zero the term moduli grow like |q|^{-k^2/2}, past the float
-range for k >= 25 at |q| = 0.1.  The series kernel behind the contour terms
-and Newton therefore carries a binary exponent: values and scales are stored
-times 2^-exponent.  Each Newton iterate takes theta and theta' from one pass
-over the terms (core's `eval_theta_and_dz`), in one exponent, so the step
-f / f', like the phases and the scaled modulus |theta| / scale, ignores it.
+range for k >= 25 at |q| = 0.1.  Core's `circle_terms` therefore carries a
+binary exponent: a circle's terms, tail and scale are stored times 2^-E.
+Every value of theta at a point (a bisection midpoint, a moment estimate,
+a Newton iterate) is one Horner pass (`_horner`) over the kept terms of a
+circle, in that circle's units, so the phases, the Newton step f / f' and
+the scaled modulus |theta| / scale ignore E.
 
 Counting circles and Newton points also skip the terms far below the
 largest one, by the shift identity (from theta(q, z) = 1 + q z theta(q, q z)
@@ -47,8 +49,9 @@ where it fails the point is summed unshifted, as with J = 0.  A circle
 |z| = r sums theta(q, q^J r) and folds its terms at bins J + i, so that its
 samples are e^{i J psi} theta(q, q^J r e^{i psi}): theta's own samples over
 the constant q^{J(J+1)/2} r^J, up to the head, which joins the tail in
-every pad of the count.  A Newton iterate evaluates theta(q, q^J z) and
-its derivative and steps by 1 / (J / z + q^J theta' / theta); the factor
+every pad of the count.  A Newton iterate z takes the kept terms c_i of the
+circle |z| and one Horner pass at w = z / |z|: theta(q, q^J z) = sum_i c_i w^i
+and its slope J theta / z + sum_i i c_i w^{i-1} / |z|; the factor
 q^{J(J+1)/2} z^J cancels in the step and the residual.  The moment circles
 of `verify_separation` stay unshifted: their Horner check needs the terms
 down to the inner radius.
@@ -76,14 +79,12 @@ import numpy as np
 from .core import (
     C0,
     DEFAULT_BUDGET,
-    QParameter,
     as_q,
     circle_terms,
-    eval_theta,
-    eval_theta_and_dz,
-    eval_theta_dz,  # noqa: F401  (kept importable: bench/tracer.py wraps zeros.eval_theta_dz)
+    eval_theta,  # noqa: F401  (kept importable: bench/tracer.py wraps zeros.eval_theta
+    eval_theta_dz,  # noqa: F401  and zeros.eval_theta_dz)
     fold_terms,
-    ldexp_complex,
+    require_finite,
 )
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
 
@@ -111,6 +112,17 @@ MAX_NEWTON_ITERATIONS = 50
 MOMENT_SEED_MIN_MODULUS = 2.0 ** -48
 
 
+def _positive_index(value, name):
+    """`value` as an int >= 1; DomainError for anything else, a float with an integer value too."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = 0
+    if index < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return index
+
+
 @dataclass(frozen=True)
 class Annulus:
     """The region |q|^{-inner} < |z| < |q|^{-outer} for a fixed q.
@@ -133,8 +145,7 @@ class Annulus:
     @classmethod
     def for_index(cls, k):
         """Separation annulus of the k-th zero (punctured disk when k = 1)."""
-        if k < 1:
-            raise DomainError(f"k must be a positive integer, got {k!r}")
+        k = _positive_index(k, "k")
         if k == 1:
             return cls(0.0, 1.5, degenerate=True)
         return cls(k - 0.5, k + 0.5)
@@ -185,9 +196,9 @@ class SeparationReport:
     notes: dict = field(default_factory=dict)           # k -> error message
 
 
-# A counting circle of `_contours`: its place among the radii, core's EvalResult of its kept
-# terms, the centre they sum at, J, head (in units 2^-E), m, M1 and allowance (`_resolve_phase`).
-_Circle = namedtuple("_Circle", "index res centre shift head m slope allowance")
+# A counting circle of `_contours`: its place among the radii, its kept terms and their EvalResult
+# (core's `circle_terms`), J, m, M1 and allowance (`_resolve_phase`).
+_Circle = namedtuple("_Circle", "index terms res shift m slope allowance")
 
 
 def _head_shift(q, modulus):
@@ -239,15 +250,17 @@ def _head_bound(q, x, res):
 
 
 def _shifted_circle(q, radius, shifted, budget):
-    """(terms, result, centre, J, head): the kept terms of the circle |z| = radius.
+    """(terms, result, J, head): the kept terms of the circle |z| = radius, the one source of theta.
 
     With `shifted` and J = `_head_shift` >= 1, the terms are those of
     theta(q, x) at the centre x = q^J radius, and head is their scaled
     dropped head (`_head_bound`, as a share of the kept scale); folded at
     bins J + i they give e^{i J psi} theta(q, x e^{i psi}), the samples of
-    theta(q, z) / (q^{J(J+1)/2} z^J) e^{i J psi} up to the head.  Where J is
-    0, the head check fails or the shifted sum raises, it is the unshifted
-    circle: the terms of theta(q, radius), centre radius, J = 0 and head 0.
+    theta(q, z) / (q^{J(J+1)/2} z^J) e^{i J psi} up to the head, and a
+    Horner pass over them at w = e^{i psi} gives any other point of the
+    circle (a bisection midpoint, a Newton iterate).  Where J is 0, the
+    head check fails or the shifted sum raises, it is the unshifted circle:
+    the terms of theta(q, radius), J = 0 and head 0.
     """
     shift = _head_shift(q, radius) if shifted else 0
     if shift:
@@ -259,9 +272,9 @@ def _shifted_circle(q, radius, shifted, budget):
         else:
             head = _head_bound(q, centre, res)
             if head is not None:
-                return kept, res, centre, shift, head / res.scale
+                return kept, res, shift, head / res.scale
     kept, res = circle_terms(q, radius, budget)
-    return kept, res, radius, 0, 0.0
+    return kept, res, 0, 0.0
 
 
 def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BUDGET):
@@ -314,7 +327,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     circles, rows = [], []  # _Circle; (terms, J)
     for i, radius in enumerate(radii):
         try:
-            kept, res, centre, shift, head = _shifted_circle(q, radius, not moments, budget)
+            kept, res, shift, head = _shifted_circle(q, radius, not moments, budget)
         except (BudgetExceeded, OverflowError) as exc:
             results[i] = exc
         else:
@@ -322,7 +335,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             rows.append((kept, shift % n0))
             m = max(0, math.floor(math.log(radius) / -math.log(q.modulus)))
             bins = map(abs, range(shift - m, shift - m + len(kept)))  # |J + i - m|
-            circles.append(_Circle(i, res, centre, shift, head * res.scale, m,
+            circles.append(_Circle(i, kept, res, shift, m,
                                    sum(map(operator.mul, map(abs, kept), bins)),
                                    res.tail_bound + res.scale * (head + _rounding(len(kept), n0))))
     if not circles:
@@ -353,8 +366,8 @@ def _contours(q, radii, initial_samples, budget, moments=False):
                 stacks[row].append((j * width, vals[row, j], (j + 1) * width, next_vals[row, j]))
     for row, circle in enumerate(circles):
         try:
-            results[circle.index] = _resolve_phase(q, radii[circle.index], stacks[row], totals[row],
-                                                   minima[row], n0, circle, budget)
+            results[circle.index] = _resolve_phase(radii[circle.index], stacks[row], totals[row],
+                                                   minima[row], n0, circle)
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
             results[circle.index] = exc
     if moments:
@@ -379,7 +392,7 @@ def _unit_roots(n):
     return roots
 
 
-def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
+def _resolve_phase(radius, stack, total, min_scaled, n0, circle):
     """Decide the arcs on `stack` of one circle, bisecting those that fail; its WindingResult.
 
     The `circle` (see `_contours`) keeps terms c_i at bins b_i = J + i in units 2^-E, so its
@@ -393,10 +406,17 @@ def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
     the computed M1 times w / 2 < 0.2 (under (L + 1) u M1 <= (L^2 + L) u scale) and the
     roundings of the pad and the test (a few u scale).  An inverse FFT is within
     log2(N) (u + gamma_4 (sqrt 2 + u)) sqrt(N) scale of the exact sums (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 24.1), covered by the second part, as is a
-    scalar sample's sum, whose terms are formed the same way, and factor e^{i J psi}.  So
-    allowance = tail + head + eps bounds |sample - T|, once a scalar sample has raised it to
-    its own.
+    Stability of Numerical Algorithms, 2nd ed., 24.1), covered by the second part.  A
+    midpoint takes neither folds nor the FFT: it is e^{i J psi} h, with h one Horner pass
+    (`_horner`) over the c_i at the computed w = e^{i psi}.  Each angle is an exact integer
+    times the rounded 2 pi / D, so within 3u 2 pi < 19u, and cmath.exp adds under 2u: w is
+    within 21u of e^{i psi}, which moves sum_i c_i w^i by under 21 L u scale (1 + 21 L u).
+    Horner's rounding is under gamma_4L (1 + 2u)^L scale, and the turn e^{i J psi} and its
+    product under 24u scale.  For L u < 2^-20 that is under (12.6 L + 12.1) 2^-52 scale, and
+    eps less the term roundings, M1 and the pad leaves at least (0.33 L^2 + 5.06 L + 12.48 +
+    256) 2^-52 scale, the 256 from the second part at N >= 16; the difference, a quadratic in
+    L of discriminant 7.54^2 - 4 0.33 256.4 < 0, is positive at every L.  So
+    allowance = tail + head + eps bounds |sample - T| at every sample, initial or midpoint.
 
     With g = e^{-i m psi} v, |g'| <= M1 = sum_i |b_i - m| |c_i| (`slope`).  An arc [a, b] of
     width w passes when min(|v_a|, |v_b|) > M1 w / 2 + allowance: on its first half
@@ -406,23 +426,23 @@ def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
     angle of (v_b / v_a) e^{-i m w}; around the circle these add up to T's turn less 2 pi m.
     So m plus `total` over 2 pi is an integer up to the sum's rounding: the zeros inside, by the
     argument principle.  A failing arc is bisected last in first out, to MAX_BISECTION_DEPTH,
-    one scalar sample e^{i J psi} theta(q, centre e^{i psi}) a midpoint, carried into units
-    2^-E; an angle is an integer i of 2 pi / D, D = N 2^MAX_BISECTION_DEPTH, and e^{i J psi} is
-    formed from the turn (J i mod D) / D.  `total` and `min_scaled` cover the arcs passed in
-    the array and the initial samples; a count also needs min_scaled >= CONTOUR_SAFETY.
+    one Horner pass a midpoint, in the circle's own units; an angle is an integer i of
+    2 pi / D, D = N 2^MAX_BISECTION_DEPTH, and e^{i J psi} is formed from the turn
+    (J i mod D) / D.  `total` and `min_scaled` cover the arcs passed in the array and the
+    initial samples; a count also needs min_scaled >= CONTOUR_SAFETY.
     """
-    res, allowance = circle.res, circle.allowance
+    scale = circle.res.scale
     samples, units = n0, n0 << MAX_BISECTION_DEPTH
     turn = 2.0 * math.pi / units
     while stack:
         i0, v0, i1, v1 = stack.pop()
         width = (i1 - i0) * turn
         local = min(abs(v0), abs(v1))
-        if local > circle.slope * 0.5 * width + allowance:
+        if local > circle.slope * 0.5 * width + circle.allowance:
             total += cmath.phase(v1 / v0 * cmath.exp(-1j * circle.m * width))
             continue
         if i1 - i0 == 1:  # at MAX_BISECTION_DEPTH
-            local /= res.scale
+            local /= scale
             if local < 1e-3:
                 raise ContourTooClose(
                     f"unresolved phase jump near angle {0.5 * (i0 + i1) * turn:.6f} on "
@@ -430,14 +450,10 @@ def _resolve_phase(q, radius, stack, total, min_scaled, n0, circle, budget):
                     radius=radius, min_modulus=local)
             raise BudgetExceeded(f"phase not resolvable on |z| = {radius:g} at the depth cap")
         im = (i0 + i1) // 2
-        point = eval_theta(q, circle.centre * cmath.exp(1j * im * turn), budget)
-        units_shift = point.exponent - res.exponent
-        vm = ldexp_complex(point.value, units_shift) * cmath.exp(
+        vm = _horner(circle.terms, cmath.exp(1j * im * turn))[0] * cmath.exp(
             1j * turn * (circle.shift * im % units))
-        allowance = max(allowance, circle.head + math.ldexp(
-            point.tail_bound + point.scale * _rounding(point.terms_used, n0), units_shift))
         samples += 1
-        min_scaled = min(min_scaled, abs(vm) / res.scale)
+        min_scaled = min(min_scaled, abs(vm) / scale)
         stack += [(i0, v0, im, vm), (im, vm, i1, v1)]
 
     if min_scaled < CONTOUR_SAFETY:
@@ -470,52 +486,49 @@ def _raw_abs(modulus, exponent, log2_factor=0.0):
         return math.inf
 
 
-def _shifted_point(q, z, budget):
-    """(theta, slope, log2 |c_J|) at z: theta(z) = c_J 2^E theta.value, theta'(z) = c_J 2^E slope.
+def _moduli(value, slope, res, radius, log2_factor=0.0):
+    """Raw (|theta|, |theta'|) at z = radius w from a Horner pass at w; inf beyond the float range.
 
-    With J = `_head_shift` >= 1, x = q^J z and c_J = q^{J(J+1)/2} z^J,
-    theta(z) = c_J theta(q, x) up to the head, so theta is
-    `eval_theta_and_dz(q, x)`'s first result and slope = J theta(q, x) / z
-    + q^J theta'(q, x), in its units 2^-E; the head must pass `_head_bound`.
-    Otherwise (as `_shifted_circle`) J = 0: theta and theta' at z itself,
-    and log2 |c_0| = 0.
+    They are 2^(E + log2_factor) times |value| and |slope| / radius.  |slope| / radius can
+    underflow where |theta'| does not: divide by the mantissa of the radius and move its
+    binary exponent into E.
     """
-    modulus = abs(z)
-    shift = _head_shift(q, modulus) if 0.0 < modulus < math.inf else 0
-    if shift:
-        power = q.value ** shift
-        x = power * z
-        try:
-            f, fp = eval_theta_and_dz(q, x, budget)
-        except (BudgetExceeded, OverflowError):
-            pass
-        else:
-            if _head_bound(q, x, f) is not None:
-                log2_factor = shift * ((shift + 1) / 2 * math.log2(q.modulus) + math.log2(modulus))
-                return f, shift * f.value / z + power * fp.value, log2_factor
-    f, fp = eval_theta_and_dz(q, z, budget)
-    return f, fp.value, 0.0
+    mantissa, binary = math.frexp(radius)
+    return (_raw_abs(abs(value), res.exponent, log2_factor),
+            _raw_abs(abs(slope) / mantissa, res.exponent - binary, log2_factor))
 
 
 def _newton(q, seed, residual_tol, max_iterations, budget):
     """Newton iteration for theta(q, .) = 0; returns (record fields, converged).
 
-    Each iterate takes theta and theta' through the shift (`_shifted_point`):
-    the common factor c_J cancels in the step theta / theta' and in the
-    scaled residual; the raw moduli are rebuilt from log2 |c_J|.
-    Converged: scaled residual below residual_tol within max_iterations steps,
-    or after a step below rounding.
+    Each iterate z takes the kept terms c_i of the circle |z| (`_shifted_circle`,
+    shifted as a counting circle), so theta(z) = c_J 2^E sum_i c_i w^i up to
+    the head, with w = z / |z| and c_J = q^{J(J+1)/2} z^J.  One Horner pass
+    (`_horner`) at w gives that sum, S = sum_i i c_i w^{i-1} and the scale;
+    theta'(z) = c_J 2^E (J value / w + S) / |z|.  The factor c_J 2^E cancels
+    in the step and in the scaled residual |value| / (scale + tail), as in
+    `_checked_estimate`; the raw moduli are rebuilt from log2 |c_J|.  At z = 0
+    the terms are those of |z| = 1, at w = 0.  Converged: scaled residual
+    below residual_tol within max_iterations steps, or after a step below
+    rounding; an iterate that would leave the float range ends it unconverged.
+    A seed with a part that is not finite raises DomainError.
     """
-    z = complex(seed)
+    z = require_finite(seed, "seed")
     iterations, tiny = 0, False
     while True:
-        f, slope, log2_factor = _shifted_point(q, z, budget)
-        scaled = abs(f.value) / f.scale
+        radius = abs(z) or 1.0
+        terms, res, shift, _ = _shifted_circle(q, radius, True, budget)
+        w = z / radius
+        value, slope, scale = _horner(terms, w)
+        if shift:
+            slope += shift * value / w
+        scaled = abs(value) / (scale + res.tail_bound)
         converged = scaled < residual_tol and (tiny or iterations < max_iterations)
-        if converged or tiny or iterations == max_iterations or slope == 0:
-            return (z, scaled, _raw_abs(abs(f.value), f.exponent, log2_factor),
-                    _raw_abs(abs(slope), f.exponent, log2_factor), iterations, converged)
-        step = f.value / slope
+        step = radius * (value / slope) if slope else math.inf
+        if converged or tiny or iterations == max_iterations or not cmath.isfinite(z - step):
+            log2_factor = shift * ((shift + 1) / 2 * math.log2(q.modulus) + math.log2(radius))
+            return (z, scaled, *_moduli(value, slope, res, radius, log2_factor), iterations,
+                    converged)
         z -= step
         iterations += 1
         tiny = abs(step) <= 4.0 * 2.2e-16 * abs(z)
@@ -532,12 +545,12 @@ def locate_zero(q, k, residual_tol=1e-10, max_iterations=MAX_NEWTON_ITERATIONS,
     """Locate the k-th zero by Newton refinement from `seed`, by default the asymptotic -q^{-k}.
 
     Raises NoConvergence if the tolerance is not met, OverflowError if the
-    default seed leaves the float range, and DomainError for a tolerance
-    outside (0, inf).
+    default seed leaves the float range, and DomainError for a k that is not
+    a positive integer, a seed that is not finite or a tolerance outside
+    (0, inf).
     """
     q = as_q(q)
-    if k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
+    k = _positive_index(k, "k")
     check_residual_tol(residual_tol)
     if seed is None:
         try:
@@ -610,13 +623,10 @@ def _checked_estimate(k, z, circle, radii, residual_tol):
     residual = abs(value) / (scale + res.tail_bound)
     if not residual < residual_tol:
         return None
-    # |slope| / r_k can underflow where |theta'| = 2^E |slope| / r_k does not: divide by the
-    # mantissa of r_k and move its binary exponent into E
-    mantissa, binary = math.frexp(outer)
+    theta_abs, derivative_abs = _moduli(value, slope, res, outer)
     return ZeroRecord(k=k, location=z, residual=residual, annulus_ok=inner < modulus,
                       newton_iterations=0, converged=True,
-                      theta_abs=_raw_abs(abs(value), res.exponent),
-                      derivative_abs=_raw_abs(abs(slope) / mantissa, res.exponent - binary))
+                      theta_abs=theta_abs, derivative_abs=derivative_abs)
 
 
 def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_error="raise"):
@@ -636,8 +646,7 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
     (0, inf) raises DomainError.
     """
     q = as_q(q)
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max!r}")
+    k_max = _positive_index(k_max, "k_max")
     check_residual_tol(residual_tol)
     if on_error not in ("raise", "record"):
         raise DomainError(f"on_error must be 'raise' or 'record', got {on_error!r}")
@@ -705,32 +714,3 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
         and report.records[k].converged
         for k in range(1, k_max + 1))
     return report
-
-
-def trace_zero_ray(arg_q, k, r_start, r_end, steps, residual_tol=1e-10,
-                   budget=DEFAULT_BUDGET):
-    """Follow the k-th zero as |q| sweeps [r_start, r_end] along a fixed ray.
-
-    Each step seeds Newton from the previous zero (the first from -q^{-k});
-    NoConvergence is re-raised with the failing |q| attached.
-    """
-    if not math.pi / 2 - 1e-12 <= arg_q <= 3 * math.pi / 2 + 1e-12:
-        raise DomainError(f"arg_q must lie in [pi/2, 3pi/2], got {arg_q!r}")
-    if not 0.0 < r_start <= r_end <= 0.6:
-        raise DomainError(f"need 0 < r_start <= r_end <= 0.6, got ({r_start}, {r_end})")
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps!r}")
-    radii = [r_start] if (steps == 1 or r_start == r_end) else \
-        list(np.linspace(r_start, r_end, steps))
-    records = []
-    seed = None
-    for r in radii:
-        q = QParameter.from_polar(r, arg_q)
-        try:
-            rec = locate_zero(q, k, residual_tol=residual_tol, budget=budget, seed=seed)
-        except NoConvergence as exc:
-            exc.radius = r
-            raise
-        records.append(rec)
-        seed = rec.location
-    return records

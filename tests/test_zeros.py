@@ -21,12 +21,11 @@ from thetasep import (
     ZeroRecord,
     count_zeros_in_annulus,
     locate_zero,
-    trace_zero_ray,
     verify_separation,
     winding_number,
     winding_numbers,
 )
-from thetasep import zeros
+from thetasep import core, zeros
 from thetasep.core import (
     EvalResult,
     SeriesBudget,
@@ -141,7 +140,7 @@ def test_winding_mixed_array_and_bisection_path():
 
 def test_winding_bisection_samples_carried_into_array_units():
     # on the unshifted circle |z| = |q|^-24.02 the terms reach 1e203: the contour array is
-    # rescaled once, while the scalar samples of the bisection fit in a float
+    # rescaled once, while the reference's scalar samples fit in a float
     q = QParameter(cmath.rect(0.2, 3.0))
     radius = q.modulus ** -24.02
     assert circle_terms(q, radius)[1].exponent == 600
@@ -150,8 +149,8 @@ def test_winding_bisection_samples_carried_into_array_units():
         res = winding_number(q, radius, initial_samples=64)
     count, samples, low = _winding_reference(q, radius, 64)
     assert (res.count, res.samples_used) == (count, samples) == (24, 66)
-    # the smallest sampled modulus is a bisection sample, so it is only right
-    # when the scalar samples are carried into the array's units
+    # the smallest sampled modulus is a bisection midpoint, a Horner pass over the rescaled
+    # terms: it matches the reference only if both are in the array's units
     terms, circle = circle_terms(q, radius)
     initial = np.abs(np.fft.ifft(fold_terms([(terms, 0)], 64), norm="forward")).min()
     assert res.min_modulus_on_contour < initial / circle.scale
@@ -354,6 +353,85 @@ def test_locate_rejects_bad_k():
         locate_zero(0.3, 0)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(Annulus.for_index, id="for_index"),
+    pytest.param(lambda k: locate_zero(-0.3, k), id="locate_zero"),
+    pytest.param(lambda k: verify_separation(-0.3, k, on_error="record"), id="verify_separation"),
+])
+def test_an_index_that_is_not_an_integer_is_a_domain_error(call):
+    for k in (2.5, 1.5, 2.0, "2", None):
+        with pytest.raises(DomainError, match="must be a positive integer"):
+            call(k)
+
+
+def test_an_integer_like_k_is_taken_as_an_int():
+    assert Annulus.for_index(np.int64(3)) == Annulus.for_index(3)
+    rec = locate_zero(-0.3, np.int64(3))
+    assert type(rec.k) is int and rec == locate_zero(-0.3, 3)
+    assert type(verify_separation(-0.3, np.int64(2)).k_max) is int
+
+
+@pytest.mark.parametrize("seed", [complex(math.nan, 1.0), complex(2.0, math.inf), -math.inf])
+def test_a_seed_that_is_not_finite_is_a_domain_error(seed):
+    with pytest.raises(DomainError, match="seed"):
+        locate_zero(-0.3, 2, seed=seed)
+
+
+@pytest.mark.parametrize("slope", [0j, 1e-320 + 0j])
+def test_newton_stops_where_its_step_leaves_the_float_range(monkeypatch, slope):
+    # a zero slope, or one so small that the step overflows, ends Newton unconverged
+    monkeypatch.setattr(zeros, "_horner", lambda terms, w: (1.0 + 0j, slope, 1.0))
+    with pytest.raises(NoConvergence) as caught:
+        locate_zero(-0.3, 2)
+    assert caught.value.iterations == 0
+
+
+def _newton_point(q, z):
+    """The scaled residual, raw |theta| and raw |theta'| of one Newton pass at z (no step)."""
+    return zeros._newton(q, z, 1e-10, 0, zeros.DEFAULT_BUDGET)[1:4]
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_newton_values_match_the_series_pass(k):
+    # a point 1e-3 off the k-th zero: Newton's Horner pass over the terms of the circle |z|
+    # against eval_theta_and_dz at z.  Each sum is within its tail (the shifted one also its
+    # head), the rounding of its terms, 2^-52 (n + 6)^2 of its scale, and Horner's gamma_4L
+    # (`zeros._horner`); theta' = c_J (J h / w + S) / |z| weighs those of the circle by at
+    # most J + L + 2 over |z|.
+    q = QParameter(cmath.rect(0.5, 2.5))
+    z = -q.value ** -k * (1.0 + cmath.rect(1e-3, k))
+    residual, theta_abs, derivative_abs = _newton_point(q, z)
+    terms, res, shift, head = zeros._shifted_circle(q, abs(z), True, zeros.DEFAULT_BUDGET)
+    assert shift == max(0, k - 10)
+    f, fp = eval_theta_and_dz(q, z)
+    big_l, u = len(terms), 2.0 ** -53
+    eps_n = (res.tail_bound / res.scale + head + 4 * big_l * u / (1 - 4 * big_l * u)
+             + 2.0 ** -52 * (big_l + 6) ** 2)
+    eps_s = f.tail_bound / f.scale + 2.0 ** -52 * (f.terms_used + 6) ** 2
+    eps_d = fp.tail_bound / fp.scale + 2.0 ** -52 * (fp.terms_used + 8) ** 2
+    # the raw scales of the two passes, in log2: |c_J| 2^E sum_i |c_i| and 2^E' sum_j |t_j|
+    log2_c = shift * ((shift + 1) / 2 * math.log2(q.modulus) + math.log2(abs(z)))
+    scale_n = math.log2(res.scale) + res.exponent + log2_c
+    scale_s = math.log2(f.scale) + f.exponent
+    ratio = 2.0 ** (scale_n - scale_s)
+    assert abs(ratio - 1.0) <= eps_n + eps_s
+    theta_s = abs(f.value) / f.scale
+    assert abs(theta_abs / 2.0 ** scale_s - theta_s) <= eps_s + eps_n * ratio
+    assert abs(residual - theta_s) <= (eps_s + eps_n) * (1.0 + theta_s) * 1.01
+    derivative_scale = math.log2(fp.scale) + fp.exponent
+    assert abs(derivative_abs - abs(fp.value) * 2.0 ** fp.exponent) <= (
+        eps_d * 2.0 ** derivative_scale
+        + (shift + big_l + 2) * eps_n * 2.0 ** scale_n / abs(z))
+
+
+def test_newton_from_a_zero_seed():
+    # at z = 0 Newton reads the terms of the circle |z| = 1 at w = 0: theta 1 and theta' q
+    q = QParameter(-0.3)
+    assert _newton_point(q, 0j)[1:] == pytest.approx((1.0, 0.3), rel=1e-15)
+    rec = locate_zero(q, 1, seed=0)
+    assert rec.converged and rec.location == pytest.approx(locate_zero(q, 1).location, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # separation reports
 # ---------------------------------------------------------------------------
@@ -450,8 +528,9 @@ def test_deep_zero_located_in_annulus(q, k):
 
 
 def test_newton_step_uses_exponent_difference():
-    # near the k = 28 zero at q = 0.1, theta and theta' are rescaled a different
-    # number of times, so the step f / f' must be multiplied by 2^(e_f - e_f')
+    # near the k = 28 zero at q = 0.1 the separate series of theta and theta' end in
+    # different exponents; Newton takes both from one Horner pass over the kept terms of
+    # one circle, in that circle's exponent, so its step f / f' needs no difference of them
     q = QParameter(0.1)
     target = locate_zero(q, 28).location
     seed = target * (1 + 1e-6)
@@ -462,34 +541,21 @@ def test_newton_step_uses_exponent_difference():
 
 
 # ---------------------------------------------------------------------------
-# ray continuation
+# zeros along a ray of q
 # ---------------------------------------------------------------------------
 
-def test_trace_ray_negative_axis_first_zero():
-    records = trace_zero_ray(math.pi, 1, 0.05, 0.55, 50)
-    assert len(records) == 50
-    assert all(r.annulus_ok for r in records)
-
-
-def test_trace_ray_fifth_zero_up_to_06():
-    records = trace_zero_ray(math.pi / 2, 5, 0.05, 0.6, 50)
-    assert all(r.annulus_ok for r in records)
-
-
-def test_trace_ray_degenerate_matches_locate():
-    single = trace_zero_ray(math.pi, 2, 0.3, 0.3, 1)
-    direct = locate_zero(QParameter(-0.3), 2)
-    assert len(single) == 1
-    assert abs(single[0].location - direct.location) < 1e-9 * abs(direct.location)
-
-
-def test_trace_ray_validation():
-    with pytest.raises(DomainError):
-        trace_zero_ray(0.1, 1, 0.05, 0.5, 10)       # ray outside the left half-plane
-    with pytest.raises(DomainError):
-        trace_zero_ray(math.pi, 1, 0.5, 0.05, 10)   # reversed radii
-    with pytest.raises(DomainError):
-        trace_zero_ray(math.pi, 1, 0.05, 0.7, 10)   # beyond 0.6
+@pytest.mark.parametrize("k, arg_q, r_end", [
+    pytest.param(1, math.pi, 0.55, id="k1-negative-axis"),
+    pytest.param(5, math.pi / 2, 0.6, id="k5-imaginary-axis"),
+])
+def test_locate_zero_along_a_ray(k, arg_q, r_end):
+    # the k-th zero at 50 moduli of one ray, each from the default seed -q^-k
+    missed = []
+    for modulus in np.linspace(0.05, r_end, 50):
+        rec = locate_zero(QParameter.from_polar(modulus, arg_q), k)
+        if not (rec.converged and rec.annulus_ok):
+            missed.append(modulus)
+    assert missed == []
 
 
 @pytest.mark.parametrize("n0", [16, 32, 48, 256])
@@ -528,18 +594,20 @@ def test_a_tail_above_the_samples_refuses_the_count(modulus, argument, exponent,
 
 def test_large_k_circles_take_no_scalar_sample(monkeypatch):
     # every arc of these circles passes the pad test in the array: no arc is bisected
-    calls = []
+    samples = []
+    contours = zeros._contours
 
-    def spy(*args):
-        calls.append(args)
-        return eval_theta(*args)
+    def spy(*args, **kwargs):
+        results, sums, terms = contours(*args, **kwargs)
+        samples.extend(res.samples_used for res in results)
+        return results, sums, terms
 
-    monkeypatch.setattr(zeros, "eval_theta", spy)
+    monkeypatch.setattr(zeros, "_contours", spy)
     rep = verify_separation(QParameter(-0.3), 120)
     assert rep.strongly_separated and set(rep.counts.values()) == {1}
     res = winding_number(QParameter(-0.3), 0.3 ** -70.5)
     assert (res.count, res.samples_used) == (70, 256)
-    assert calls == []
+    assert samples == [256] * 121
 
 
 def test_winding_numbers_match_one_circle_at_a_time():
@@ -806,12 +874,13 @@ def test_horner_sums_against_mpmath(q, exponent, z_over_r):
 
 def test_checked_estimates_make_no_series_pass(monkeypatch):
     calls = []
+    newton = zeros._newton
 
-    def spy(q, z, budget):
-        calls.append(z)
-        return eval_theta_and_dz(q, z, budget)
+    def spy(q, seed, *args):
+        calls.append(seed)
+        return newton(q, seed, *args)
 
-    monkeypatch.setattr(zeros, "eval_theta_and_dz", spy)
+    monkeypatch.setattr(zeros, "_newton", spy)
     rep = verify_separation(QParameter(-0.3 + 0.3j), 8)
     assert rep.strongly_separated
     assert all(rep.records[k].newton_iterations == 0 for k in range(1, 9))
@@ -1009,9 +1078,10 @@ def test_head_shift_is_the_largest_shift_the_head_bound_proves(modulus, log_radi
 def test_a_deep_circle_sums_far_fewer_terms_through_the_shift():
     q = QParameter(-0.3 + 0.1j)
     radius = q.modulus ** -20.5
-    kept, res, centre, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
-    assert shift == 12 and centre == q.value ** 12 * radius
+    kept, res, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
+    assert shift == 12 and kept[1] == pytest.approx(q.value ** 13 * radius, rel=1e-14)
     assert 0.0 < head <= zeros.HEAD_FRACTION
+    centre = q.value ** 12 * radius
     assert len(kept) < len(circle_terms(q, radius)[0]) // 2
     # the shifted samples are theta's own, divided by c_J, up to the head and rounding
     psi = 2.0 * math.pi * 37 / 256
@@ -1027,13 +1097,51 @@ def test_a_deep_circle_sums_far_fewer_terms_through_the_shift():
 def test_a_shift_past_the_bound_falls_back_to_the_unshifted_circle():
     q = QParameter(-0.3 + 0.1j)
     radius = q.modulus ** -20.5
+    zero = locate_zero(q, 20)
     with mock.patch.object(zeros, "_head_shift", lambda q, modulus: 19):
-        kept, res, centre, shift, head = zeros._shifted_circle(q, radius, True,
-                                                               zeros.DEFAULT_BUDGET)
-        assert (centre, shift, head) == (radius, 0, 0.0)
+        kept, res, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
+        assert (shift, head) == (0, 0.0) and kept == circle_terms(q, radius)[0]
         assert winding_number(q, radius).count == 20
-        f, slope, log2_factor = zeros._shifted_point(q, -q.value ** -20, zeros.DEFAULT_BUDGET)
-        assert log2_factor == 0.0
+        # Newton's points take the same fallback: the unshifted terms, log2 |c_0| = 0
+        rec = locate_zero(q, 20)
+    assert rec.location == pytest.approx(zero.location, rel=1e-14)
+    assert rec.derivative_abs == pytest.approx(zero.derivative_abs, rel=1e-9)
+
+
+def test_a_shifted_circle_near_a_zero_counts_as_its_unshifted_twin():
+    # 1e-5 outside the 20th zero the arcs beside it are bisected; every midpoint of the
+    # shifted circle (J = 10) carries the turn e^{i J psi} of the FFT samples
+    q = QParameter(cmath.rect(0.45, 3.0))
+    radius = abs(locate_zero(q, 20).location) * (1 + 1e-5)
+    assert zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)[2] == 10
+    shifted = winding_number(q, radius)
+    with _unshifted():
+        plain = winding_number(q, radius)
+    assert shifted.count == plain.count == 20
+    assert shifted.samples_used == plain.samples_used == 285
+    assert shifted.min_modulus_on_contour == pytest.approx(plain.min_modulus_on_contour,
+                                                           rel=1e-9)
+
+
+def test_zeros_sums_no_series_of_its_own(monkeypatch):
+    # counts, midpoints, moment checks and Newton read theta only from circles' kept terms
+    q = QParameter(-0.3)
+    near = abs(locate_zero(q, 1).location) * (1 + 1e-4)
+    calls = []
+    kernel = core._series_eval
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_series_eval", spy)
+    batch = winding_numbers(q, [q.modulus ** -1.5, near, q.modulus ** -2.5])
+    assert [res.samples_used for res in batch] == [256, 272, 256]
+    assert locate_zero(q, 3).newton_iterations > 0
+    assert verify_separation(q, 12).strongly_separated
+    assert calls == []
+    eval_theta(q, 2.0)  # the spy sees core's own series
+    assert len(calls) == 1
 
 
 def test_moment_circles_stay_unshifted():
@@ -1047,11 +1155,10 @@ def test_a_count_needs_its_minimum_above_the_head(monkeypatch):
     # beside that sample would fail at every depth, and the circle is refused
     q = QParameter(-0.3 + 0.1j)
     radius = q.modulus ** -20.5
-    kept, res, centre, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
+    kept, res, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
     assert shift and head
     least = winding_number(q, radius).min_modulus_on_contour
-    monkeypatch.setattr(zeros, "_shifted_circle",
-                        lambda *args: (kept, res, centre, shift, 2.0 * least))
+    monkeypatch.setattr(zeros, "_shifted_circle", lambda *args: (kept, res, shift, 2.0 * least))
     with pytest.raises(BudgetExceeded, match="phase not resolvable"):
         winding_number(q, radius)
 
