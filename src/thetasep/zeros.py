@@ -56,6 +56,14 @@ q^{J(J+1)/2} z^J cancels in the step and the residual.  The moment circles
 of `verify_separation` stay unshifted: their Horner check needs the terms
 down to the inner radius.
 
+An annulus |q|^d r < |z| < r with d a positive integer (d = 1 for the k-th
+annulus) whose outer circle takes a shift J >= d is counted from that one
+circle: at the shift J - d the inner circle's centre q^{J-d} |q|^d r is
+q^J r (|q| / q)^d, so its kept terms, tail and head bound are the outer
+circle's turned by d arg q.  The outer circle's pads then prove the inner
+count too, J - d plus the same winding, and the annulus holds d zeros
+(`count_zeros_in_annulus`).  Any other annulus sums both circles.
+
 Residuals are backward-relative: |theta(z)| divided by the sum of the term
 moduli at z.  The raw modulus |theta(z)| has an irreducible rounding floor
 of about `scale * eps` (the series reaches 1e15 at desk-scale inputs), so
@@ -151,14 +159,22 @@ class Annulus:
         return cls(k - 0.5, k + 0.5)
 
     def inner_radius(self, q):
-        return 0.0 if self.degenerate else as_q(q).modulus ** -self.inner_exponent
+        return 0.0 if self.degenerate else _radius(q, self.inner_exponent)
 
     def outer_radius(self, q):
-        return as_q(q).modulus ** -self.outer_exponent
+        return _radius(q, self.outer_exponent)
 
     def contains(self, q, z):
         m = abs(z)
         return self.inner_radius(q) < m < self.outer_radius(q)
+
+
+def _radius(q, exponent):
+    """|q|^-exponent; OverflowError naming the radius where it leaves the float range."""
+    try:
+        return as_q(q).modulus ** -exponent
+    except OverflowError:
+        raise OverflowError(f"the radius |q|^-{exponent} leaves the float range") from None
 
 
 @dataclass(frozen=True)
@@ -314,32 +330,33 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     from the same inverse FFT, so the exponent cancels in the ratio.  The
     arcs take `_resolve_phase`'s test as one array, with m = n* (the last n
     with |q|^n r >= 1); those that fail go onto per-circle stacks for it.
-    Returns the results, the moments and the circles' (terms, EvalResult)
-    from core's `circle_terms`; a moment is None where the circle failed,
-    its terms where its series did.
+    Returns the results, the moments and each radius's `_Circle`: its kept
+    terms and their EvalResult (core's `circle_terms`) and the shift J it
+    took; a moment is None where the circle failed, its `_Circle` where its
+    series did.
     """
     q = as_q(q)
     for radius in radii:
         if not (radius > 0 and math.isfinite(radius)):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
-    results, sums, terms = [None] * len(radii), [None] * len(radii), [None] * len(radii)
-    circles, rows = [], []  # _Circle; (terms, J)
+    results, sums, taken = [None] * len(radii), [None] * len(radii), [None] * len(radii)
+    circles, rows = [], []  # the _Circle and (terms, J) of each row
     for i, radius in enumerate(radii):
         try:
             kept, res, shift, head = _shifted_circle(q, radius, not moments, budget)
         except (BudgetExceeded, OverflowError) as exc:
             results[i] = exc
         else:
-            terms[i] = kept, res
             rows.append((kept, shift % n0))
             m = max(0, math.floor(math.log(radius) / -math.log(q.modulus)))
             bins = map(abs, range(shift - m, shift - m + len(kept)))  # |J + i - m|
             circles.append(_Circle(i, kept, res, shift, m,
                                    sum(map(operator.mul, map(abs, kept), bins)),
                                    res.tail_bound + res.scale * (head + _rounding(len(kept), n0))))
+            taken[i] = circles[-1]
     if not circles:
-        return results, sums, terms
+        return results, sums, taken
     samples = np.fft.ifft(fold_terms(rows, n0, moments), axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
     moduli = np.abs(vals)
@@ -376,7 +393,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
         for row, circle in enumerate(circles):
             if isinstance(results[circle.index], WindingResult):
                 sums[circle.index] = first[row]
-    return results, sums, terms
+    return results, sums, taken
 
 
 def _rounding(terms, n):
@@ -464,11 +481,63 @@ def _resolve_phase(radius, stack, total, min_scaled, n0, circle):
 
 
 def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
-    """Zeros (with multiplicity) strictly between the two boundary circles."""
+    """Zeros (with multiplicity) strictly between the two boundary circles.
+
+    Where d = outer_exponent - inner_exponent is exactly a positive integer
+    and the outer circle |z| = r takes a shift J >= d (`_head_shift`, decided
+    before any sum), only that circle is summed and counted, and the count is
+    d.  Its centre is x = q^J r.  The inner circle rho = |q|^d r at the shift
+    J - d has the centre q^{J-d} rho = x (|q| / q)^d = x e^{-i d w}, w = arg q,
+    so on it theta(q, z) = head' + q^{(J-d)(J-d+1)/2} z^{J-d} theta(q, x e^{i (psi - d w)}):
+    the same kept terms c_i turned by e^{-i i d w}, the same tail, and a head
+    whose bound in units of its first kept term depends on |x| alone, as the
+    outer head's does (0 at J = d).  In `_resolve_phase`'s units the inner
+    T_in(psi) is therefore within tail + head of e^{-i d psi} e^{i J d w} v(psi - d w),
+    v the outer circle's kept polynomial.  The outer circle's pads prove, arc
+    by arc, that any function within tail + head of v at every angle has no
+    zero on the circle and winds count_out times; so T_in has no zero on its
+    circle and winds count_out - d times, and the annulus holds
+    (J + W) - (J - d + W) = d zeros, W the zeros of theta(q, .) inside |x|.
+
+    The inner radius is the computed |q|^-inner_exponent = rho (1 + delta):
+    both radii are one pow each, within an ulp, so |delta| < 2^-50.  On
+    |z| = rho (1 + t), |t| <= |delta|, the kept terms are c_i (1 + t)^i, which
+    moves their sum by at most |t| sum_i i |c_i| (1 + |t|)^L < 4.04 (L - 1) 2^-52
+    scale for L kept terms.  At every sample, initial or midpoint, the pads
+    leave at least (0.33 L^2 - 7.54 L + 202) 2^-52 scale of eps unused (the
+    FFT uses under a quarter of eps's second part; see `_resolve_phase`), and
+    0.33 L^2 - 11.58 L + 206 has no real root.  The tail's geometric bound
+    grows by the factor (1 + t)^L (1 - r) / (1 - r (1 + t)) at its last
+    ratio r, under 1 + (4.04 L + 4.4 x) 2^-52 with x = r / (1 - r); core's
+    allowance 1 + 2^-52 (L + 6)^2 max(1, x) exceeds the roundings it covers
+    (core's `_series_eval`) by at least 2^-52 (0.43 L^2 + 8 L + 20) max(1, x),
+    which is more.  The head bound grows by under 1 / (1 - 2 |t|), inside
+    _HEAD_ROUNDING.  So theta has no zero between rho and the inner radius,
+    and both circles hold count_out - d zeros.
+
+    Where the outer shifted sum falls back to the unshifted circle (its head
+    bound fails or its sum raises), the inner circle is counted as well, and
+    any other annulus counts both circles as one `_contours` block.  The
+    outer circle's failure is raised first either way; an inner circle that
+    only its own samples would refuse (one under the contour floor at its
+    angles) raises nothing on the one-circle path, as its count is proven by
+    the outer circle's pads.
+    """
     q = as_q(q)
     radii = [annulus.outer_radius(q)]
     if not annulus.degenerate:
         radii.append(annulus.inner_radius(q))
+        inner, outer = float(annulus.inner_exponent), float(annulus.outer_exponent)
+        gap = outer - inner
+        # d must be the exact difference of the exponents the radii were raised to
+        if gap.is_integer() and not math.fsum((outer, -inner, -gap)) and (
+                _head_shift(q, radii[0]) >= gap):
+            (result,), _, (circle,) = _contours(q, radii[:1], INITIAL_SAMPLES, budget)
+            if isinstance(result, Exception):
+                raise result
+            if circle.shift >= gap:
+                return int(gap)
+            return result.count - winding_number(q, radii[1], budget=budget).count
     counts = []
     for result in winding_numbers(q, radii, budget=budget):
         if isinstance(result, Exception):
@@ -665,11 +734,11 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
         except OverflowError:  # and so does every later radius: one note for k..k_max
             circles[k] = OverflowError(f"the radius leaves the float range for k = {k}..{k_max}")
             break
-    results, sums, terms = _contours(q, list(radii.values()), INITIAL_SAMPLES, budget,
+    results, sums, taken = _contours(q, list(radii.values()), INITIAL_SAMPLES, budget,
                                      moments=True)
     circles.update(zip(radii, results))
     moments.update(zip(radii, sums))
-    terms = dict(zip(radii, terms))
+    terms = {k: (circle.terms, circle.res) for k, circle in zip(radii, taken) if circle}
     for k in sorted(circles):
         result = circles[k]
         if isinstance(result, Exception):

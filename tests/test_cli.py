@@ -463,6 +463,14 @@ def test_scan_small_grid(capsys):
     assert payload["results"]["all_separated"] is True
 
 
+def test_scan_cells_past_the_float_range_name_the_radius(capsys):
+    code, out, _ = run(capsys, ["scan", "--a", "0.6", "--k", "3000", "--steps", "2x2",
+                                "--format", "json"])
+    assert code == 3
+    rows = json.loads(out)["results"]["rows"]
+    assert [row["error"] for row in rows] == ["the radius |q|^-3000.5 leaves the float range"] * 4
+
+
 def test_scan_rejects_bad_steps(capsys):
     assert run(capsys, ["scan", "--a", "0.3", "--k", "1", "--steps", "4by5"])[0] == 2
     assert run(capsys, ["scan", "--a", "0.9", "--k", "1"])[0] == 2
@@ -802,3 +810,21 @@ def test_import_thetasep_loads_neither_numpy_nor_the_heavy_modules_until_asked()
     assert proc.stdout.split() == ["[]", "[]"]
     with pytest.raises(AttributeError):
         thetasep.no_such_name
+
+
+def test_python_m_thetasep_runs_the_cli_from_a_checkout():
+    import subprocess
+    import sys
+    from pathlib import Path
+    import thetasep
+    src = str(Path(thetasep.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "thetasep", "eval", "theta", "--q", "0.5",
+                           "--z", "0", "--format", "json"], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}, check=False,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["value"] == {"re": 1.0, "im": 0.0}
+    proc = subprocess.run([sys.executable, "-m", "thetasep", "scan", "--a", "0.9", "--k", "1"],
+                          capture_output=True, text=True, env={"PYTHONPATH": src},
+                          check=False, timeout=120)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: region radius")

@@ -1170,3 +1170,100 @@ def test_fold_terms_offset_multiplies_the_samples_by_the_bin_turn():
     turn = np.exp(2j * math.pi * shift * np.arange(n) / n)
     assert np.allclose(np.fft.ifft(moved, norm="forward"),
                        turn * np.fft.ifft(plain, norm="forward"), rtol=1e-13, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# a shifted annulus counts from its outer circle: the inner one is it turned by arg q
+# ---------------------------------------------------------------------------
+
+def _count_outcome(count):
+    try:
+        return count()
+    except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _two_circle_count(q, annulus):
+    outer, inner = winding_numbers(q, [annulus.outer_radius(q), annulus.inner_radius(q)])
+    for result in (outer, inner):
+        if isinstance(result, Exception):
+            raise result
+    return outer.count - inner.count
+
+
+def test_one_circle_counts_equal_the_two_circle_winding_difference():
+    # seeded cells, |q| in (0.01, 0.95), k <= 60, gaps 1-3: every cell whose outer shift J is
+    # the gap d (the inner circle then unshifted) and the first 90 others
+    rng = np.random.default_rng(19)
+    cells, edges = [], []
+    for _ in range(600):
+        q = QParameter.from_polar(0.01 + 0.94 * rng.random(), 2.0 * math.pi * rng.random())
+        k, gap = int(rng.integers(2, 61)), int(rng.integers(1, 4))
+        annulus = Annulus(k - 0.5, k - 0.5 + gap)
+        shift = zeros._head_shift(q, annulus.outer_radius(q))
+        (edges if shift == gap else cells).append((q, annulus, shift))
+    assert {a.outer_exponent - a.inner_exponent for _, a, _ in edges} == {1, 2, 3}
+    cells = edges + cells[:90]
+    one_circle = sum(shift >= a.outer_exponent - a.inner_exponent for _, a, shift in cells)
+    assert one_circle >= len(edges) + 60 and len(cells) - one_circle >= 10  # both paths
+    for q, annulus, _ in cells:
+        assert (_count_outcome(lambda: count_zeros_in_annulus(q, annulus))
+                == _count_outcome(lambda: _two_circle_count(q, annulus))), (q, annulus)
+
+
+def test_a_shifted_count_sums_one_circle(monkeypatch):
+    calls, shapes = [], []
+    terms, fold = zeros.circle_terms, zeros.fold_terms
+
+    def terms_spy(q, centre, budget=zeros.DEFAULT_BUDGET):
+        calls.append(centre)
+        return terms(q, centre, budget)
+
+    def fold_spy(circles, n, derivative=False):
+        block = fold(circles, n, derivative)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(zeros, "circle_terms", terms_spy)
+    monkeypatch.setattr(zeros, "fold_terms", fold_spy)
+    q = QParameter(cmath.rect(0.33, 2.4))  # a `deep` cell: J = 17 on the outer circle
+    assert zeros._head_shift(q, Annulus.for_index(25).outer_radius(q)) == 17
+    assert count_zeros_in_annulus(q, Annulus.for_index(25)) == 1
+    assert len(calls) == 1 and shapes == [(1, 256)]
+    # a gap that is no integer counts both circles as one block
+    assert count_zeros_in_annulus(q, Annulus(24.3, 25.5)) == 1
+    assert len(calls) == 3 and shapes[1:] == [(2, 256)]
+
+
+def test_a_shifted_count_whose_head_bound_fails_counts_the_inner_circle_too(monkeypatch):
+    q = QParameter(cmath.rect(0.33, 2.4))
+    annulus = Annulus(20.5, 23.5)
+    shapes = []
+    fold = zeros.fold_terms
+
+    def fold_spy(circles, n, derivative=False):
+        block = fold(circles, n, derivative)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(zeros, "fold_terms", fold_spy)
+    monkeypatch.setattr(zeros, "_head_bound", lambda *args: None)
+    assert count_zeros_in_annulus(q, annulus) == 3
+    assert shapes == [(1, 256), (1, 256)]  # the outer circle alone, then the inner, unshifted
+    assert _two_circle_count(q, annulus) == 3
+
+
+def test_unshifted_annuli_keep_their_two_circle_counts():
+    # J = 0 on both outer circles at q = -0.68, where a zero has crossed |q|^-5/2 (ROADMAP 7):
+    # a count that took the gap for granted would read 1 and 1
+    q = QParameter(-0.68)
+    for k, count in ((2, 0), (3, 2)):
+        assert zeros._head_shift(q, Annulus.for_index(k).outer_radius(q)) == 0
+        assert count_zeros_in_annulus(q, Annulus.for_index(k)) == count
+
+
+def test_a_radius_past_the_float_range_names_itself():
+    with pytest.raises(OverflowError, match=r"^the radius \|q\|\^-1400\.5 leaves the float range$"):
+        count_zeros_in_annulus(0.6j, Annulus.for_index(1400))
+    with pytest.raises(OverflowError, match=r"^the radius \|q\|\^-2999\.5 leaves the float range$"):
+        Annulus(2999.5, 3000.5).inner_radius(0.6)
