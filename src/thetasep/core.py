@@ -1,25 +1,26 @@
 """Evaluation of the partial theta series and its triple-product factorization.
 
 The central object is theta(q, z) = sum_{j>=0} q^{j(j+1)/2} z^j, entire in z
-for 0 < |q| < 1.  Alongside it this module evaluates
+for 0 < |q| < 1.  One kernel, `circle_terms`, forms its terms at a centre
+with the one tail rule, rounding allowance, rescale and term budget, and
+every series value is the math.fsum of the kept terms at one centre:
 
-* theta_dagger(q, z) = sum_{j>=0} q^{j(j-1)/2} z^j      (= theta(q, z/q)),
-* G(q, z)            = sum_{j>=1} q^{j(j-1)/2} z^{-j},
+* theta and its z-derivative, alone or both from one pass (centre z),
+* theta_dagger(q, z) = sum_{j>=0} q^{j(j-1)/2} z^j = theta(q, z/q),
+* G(q, z) = sum_{j>=1} q^{j(j-1)/2} z^{-j} = theta(q, 1/z) / z,
 * the two-sided series theta_star = theta + G, and its product form
   theta_star = Q * U * R with
       Q = prod_{j>=1} (1 - q^j),
       U = prod_{j>=1} (1 + z q^j),
-      R = prod_{j>=1} (1 + q^{j-1} / z),
-* the z-derivative of theta, alone or with theta from the same pass over
-  its terms (for Newton refinement of zeros).
+      R = prod_{j>=1} (1 + q^{j-1} / z).
 
-Every evaluation returns an `EvalResult` whose `tail_bound` is a proven
-majorant of the dropped tail: for the series, term-modulus ratios are
-eventually geometric, and for the products the dropped log-factors are
-bounded by a geometric sum.  Series sums carry a binary exponent, so term
-moduli far beyond the float range (theta near its k-th zero grows like
-|q|^{-k^2/2}) are summed without overflow.  All functions are pure and
-thread-safe.
+`zeros` reads theta on its circles from the same terms.  Every evaluation
+returns an `EvalResult` whose `tail_bound` is a proven majorant of the
+dropped tail: for the series, term-modulus ratios are eventually geometric,
+and for the products the dropped log-factors are bounded by a geometric sum.
+Series sums carry a binary exponent, so term moduli far beyond the float
+range (theta near its k-th zero grows like |q|^{-k^2/2}) are summed without
+overflow.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from itertools import pairwise
@@ -37,30 +39,15 @@ from .errors import BudgetExceeded, DomainError, ZeroArgument
 # already established; quoted as an input, not recomputed.
 C0 = 0.2078750206
 
-# Before a term whose modulus would pass _RESCALE_AT is added, a series sum is
-# multiplied by 2^-_RESCALE_BITS and the bits move into its exponent.
+# Before a term whose modulus would pass _RESCALE_AT is added, the running term
+# and scale of a series are multiplied by 2^-_RESCALE_BITS and the bits move into
+# its exponent.
 _RESCALE_BITS = 600
 _RESCALE_AT = 2.0 ** _RESCALE_BITS
 # A positive tail bound is never returned below the least subnormal.
 _LEAST_TAIL = math.ulp(0.0)
 _ULP = 2.0 ** -52
-
-
-def _rescale(modulus, ratio, exponent, tolerance):
-    """One rescale step of a series sum whose next term, modulus * ratio, would pass _RESCALE_AT.
-
-    Returns the factor by which to multiply the sum, its last term, its
-    compensation and its scale; the new exponent; and the tail tolerance in
-    units of 2^exponent, floored at the smallest normal float (a scaled
-    tail below it loses precision; the returned tail_bound stays honest).
-    Raises OverflowError when the term or the ratio itself leaves the float
-    range, as no rescaling then keeps the next term finite.
-    """
-    if modulus == math.inf or ratio == math.inf:
-        raise OverflowError("a term of the series leaves the float range")
-    exponent += _RESCALE_BITS
-    return 2.0 ** -_RESCALE_BITS, exponent, max(math.ldexp(tolerance, -exponent),
-                                                 sys.float_info.min)
+_REAL, _IMAG = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 def ldexp_complex(value, exponent):
@@ -145,9 +132,9 @@ class EvalResult:
     should be measured relative to `scale`.
 
     `value`, `tail_bound` and `scale` are stored times 2^-exponent.  The
-    exponent is 0 whenever they fit in a float, and a positive multiple of
-    600 only for a series result beyond the float range; ratios such as
-    |value| / scale and the phase of value do not depend on it.
+    exponent is 0 whenever they fit in a float (for eval_theta_dz, whenever
+    theta's do), and positive only for a series result beyond the float range;
+    ratios such as |value| / scale and the phase of value do not depend on it.
     """
 
     value: complex
@@ -157,179 +144,137 @@ class EvalResult:
     exponent: int = 0
 
 
-def _series_eval(first, p, q, x, budget, what, ratio_weight=False, derivative=False):
-    """Sum t_0 + t_1 + ... with t_0 = first, t_j = t_{j-1} s_j and s_j = p q^{j-1} x.
+def _sums(exponent, *parts):
+    """EvalResults of (terms, tail, scale) parts in units 2^-exponent, folded back into all or none.
 
-    With `ratio_weight`, s_j also carries a factor (j + 1) / j.  The step
-    moduli must be nonincreasing, so once r = |s_n| < 1 the dropped tail
-    is below |t_{n-1}| r / (1 - r).  With x != 0 the dropped terms are
-    nonzero, so a bound that underflows to 0.0 is rounded up to the least
-    subnormal.  Sums are Kahan-compensated, rescaled before a term would
-    pass _RESCALE_AT (see `_rescale`), and returned with the exponent folded
-    back when it fits.  `what` names the series in the BudgetExceeded
-    message.  With `derivative`
-    (x = z != 0) the pass also sums j t_j / z, each term formed as
-    j t_{j-1} p q^{j-1} so that no subnormal t_j is divided by z; its tail
-    is below |t_{n-1} p q^{n-1}| (n / (1 - r) + r / (1 - r)^2).  It returns
-    two results with one exponent: the sum as it stops alone, and
-    sum_j j t_j / z once that tail is below tolerance too.
-
-    Both tail bounds allow for rounding, u = 2^-53.  The computed |t_{n-1}|
-    is a product of n - 1 computed steps, and step s_j carries the j - 1
-    products of p q^{j-1}, its product with x, with `ratio_weight` a
-    rounded real factor and its product, and the product with t_{j-1}.  So
-    at most (n^2 + 7n + 8)/2 roundings reach the tail bound with those of
-    r and of the bound's three operations, and at most n + 6 more reach the
-    theta' bound through |p q^{n-1}|; each is a relative 2.25 u or less (a
-    complex product is within sqrt(5) u).  The count is quadratic in n
-    because every rounding of p q^{j-1} is carried into all later terms.
-    Both bounds are therefore multiplied by 1 + 2^-52 (n + 6)^2 before they
-    are tested, which covers (1 + 2.25 u)^((n + 6)^2 / 2) and the product
-    itself while the moduli are normal floats.  That counts r's rounding, eta <=
-    2.25 u (n + 3), once: 1 / (1 - r) magnifies it by x = r / (1 - r) <= 1 at r <=
-    1/2 (the theta' bound by 3x).  Past 1/2 the factor is 1 + 2^-52 (n + 6)^2 x, used
-    only below 2: then eta x < 0.1, and its extra is ten times 3 eta x (1 + eta x).
+    Each value is the exact sum of its terms rounded once (math.fsum of the real and of the
+    imaginary parts); a nonzero tail never folds back to 0.
     """
-    total = term = first
-    comp = 0j
-    modulus = scale = abs(first)
-    used, exponent, frozen = 1, 0, None
-    tolerance, max_terms = budget.tolerance, budget.max_terms
-    weighted, weighted_comp, weighted_scale = 0j, 0j, 0.0  # sum_j j t_j / z, with `derivative`
-    while True:
-        pending = p * x
-        if ratio_weight:
-            pending *= (used + 1) / used
-        r = abs(pending)
-        bound = modulus * r
-        if r < 1.0:
-            tail = bound / (1.0 - r)
-            if tail <= tolerance:  # the allowance only raises it: test the raw bound first
-                allowance = 1.0 + _ULP * (used + 6) ** 2 * max(1.0, r / (1.0 - r))  # see above
-                tail *= allowance
-            if tail <= tolerance and allowance < 2.0:
-                if not tail and x:
-                    tail = _LEAST_TAIL
-                frozen = frozen or (total, tail, used, scale + tail)
-                if not derivative:
-                    return _shared_exponent([frozen], exponent)[0]
-                # |t_{n-1}| r / |z| = |t_{n-1} p|
-                weighted_tail = (modulus * abs(p) * (used + r / (1.0 - r)) / (1.0 - r)
-                                 * allowance or _LEAST_TAIL)
-                if weighted_tail <= tolerance:
-                    return _shared_exponent(
-                        [frozen, (weighted, weighted_tail, used - 1,
-                                  weighted_scale + weighted_tail)], exponent)
-        if used >= max_terms:
-            raise BudgetExceeded(
-                f"{what}: tail not below {budget.tolerance:g} "
-                f"within {max_terms} terms")
-        while bound > _RESCALE_AT:
-            factor, exponent, tolerance = _rescale(modulus, r, exponent, budget.tolerance)
-            term *= factor
-            total *= factor
-            comp *= factor
-            scale *= factor
-            modulus *= factor
-            bound = modulus * r
-            weighted, weighted_comp, weighted_scale = (
-                weighted * factor, weighted_comp * factor, weighted_scale * factor)
-        if derivative:
-            slope = used * (term * p)  # j t_j / z for j = used
-            weighted_scale += abs(slope)
-            y = slope - weighted_comp
-            t = weighted + y
-            weighted_comp = (t - weighted) - y
-            weighted = t
-        term *= pending
-        p *= q
-        used += 1
-        modulus = abs(term)
-        scale += modulus
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-
-
-def _shared_exponent(parts, exponent):
-    """EvalResults of (value, tail, terms, scale) parts in one exponent, folded into all or none."""
-    if exponent:
-        try:
-            return [EvalResult(ldexp_complex(v, exponent), math.ldexp(t, exponent), n,
-                               math.ldexp(s, exponent)) for v, t, n, s in parts]
-        except OverflowError:
-            pass
-    return [EvalResult(v, t, n, s, exponent) for v, t, n, s in parts]
+    sums = [(complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms))),
+             tail, len(terms), scale) for terms, tail, scale in parts]
+    try:
+        return [EvalResult(ldexp_complex(v, exponent), math.ldexp(t, exponent) or t and _LEAST_TAIL,
+                           n, math.ldexp(s, exponent)) for v, t, n, s in sums]
+    except OverflowError:
+        return [EvalResult(v, t, n, s, exponent) for v, t, n, s in sums]
 
 
 def eval_theta(q, z, budget=DEFAULT_BUDGET):
-    """sum_{j>=0} q^{j(j+1)/2} z^j with a certified geometric tail bound."""
-    q = as_q(q)
-    z = require_finite(z, "z")
-    # t_j / t_{j-1} = q^j z
-    return _series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, z, budget, "theta")
+    """sum_{j>=0} q^{j(j+1)/2} z^j with a certified geometric tail bound.
+
+    The kept terms of `circle_terms` at the centre z, summed by `_sums`: within
+    tail_bound + 2^-52 (n + 6)^2 scale of the series, n = terms_used (see `circle_terms`).
+    """
+    terms, res = circle_terms(as_q(q), require_finite(z, "z"), budget, "theta")
+    return _sums(res.exponent, (terms, res.tail_bound, res.scale))[0]
 
 
 def eval_theta_dagger(q, z, budget=DEFAULT_BUDGET):
-    """sum_{j>=0} q^{j(j-1)/2} z^j = 1 + z + q z^2 + q^3 z^3 + ...
+    """sum_{j>=0} q^{j(j-1)/2} z^j = 1 + z + q z^2 + q^3 z^3 + ..., as theta(q, z / q).
 
-    Evaluated by its own series rather than as theta(q, z/q), which avoids
-    cancellation near |z| = |q|^{-1/2}.
+    The rounding delta of z / q scales term j by (1 + delta)^j.  Near |z| = |q|^{-1/2}, where
+    the largest term is t_1 = z, the error beyond the tail measured 3.0 u scale at most
+    against mpmath (1.3 u for a separate series of theta_dagger; `tests/test_core.py`).
     """
     q = as_q(q)
-    z = require_finite(z, "z")
-    # t_j / t_{j-1} = q^{j-1} z
-    return _series_eval(1.0 + 0j, 1.0 + 0j, q.value, z, budget, "theta_dagger")
+    terms, res = circle_terms(q, require_finite(z, "z") / q.value, budget, "theta_dagger")
+    return _sums(res.exponent, (terms, res.tail_bound, res.scale))[0]
 
 
 def eval_G(q, z, budget=DEFAULT_BUDGET):
-    """sum_{j>=1} q^{j(j-1)/2} z^{-j}; the principal part of the two-sided series.
+    """sum_{j>=1} q^{j(j-1)/2} z^{-j} = theta(q, 1 / z) / z, the principal part of theta_star.
 
-    Term-modulus ratio is |q|^m / |z|, eventually geometric for any z != 0.
+    theta(q, w), w = 1 / z, is summed to tolerance |z|, so that G = w theta(q, w) has its tail
+    below the tolerance, unless tolerance |z| is raised to the least normal float, as a
+    rescaled tolerance is (`circle_terms`).  w's binary exponent joins the result's.
     """
     q = as_q(q)
     z = require_finite(z, "z")
     if z == 0:
         raise ZeroArgument("G(q, z) requires z != 0")
-    # g_{m+1} / g_m = q^m (1 / z)
-    return _series_eval(1.0 / z, (1.0 + 0j) * q.value, q.value, 1.0 / z, budget, "G")
+    w = 1.0 / z
+    tolerance = min(max(budget.tolerance * abs(z), sys.float_info.min), sys.float_info.max)
+    try:
+        terms, res = circle_terms(q, w, SeriesBudget(tolerance, budget.max_terms))
+    except BudgetExceeded:  # name G's tolerance, not theta's
+        raise BudgetExceeded(f"G: tail not below {budget.tolerance:g} "
+                             f"within {budget.max_terms} terms") from None
+    unit, shift = math.frexp(abs(w))  # |w| = unit 2^shift
+    w = ldexp_complex(w, -shift)
+    tail = res.tail_bound * unit or res.tail_bound
+    return _sums(res.exponent + shift, ([t * w for t in terms], tail, res.scale * unit))[0]
 
 
 def eval_theta_dz(q, z, budget=DEFAULT_BUDGET):
-    """d/dz of the partial theta series: sum_{j>=1} j q^{j(j+1)/2} z^{j-1}."""
-    q = as_q(q)
-    z = require_finite(z, "z")
-    # d_j / d_{j-1} = (j / (j-1)) q^j z
-    return _series_eval(complex(q.value), q.value * q.value, q.value, z, budget, "theta_dz",
-                        ratio_weight=True)
+    """d/dz of the partial theta series: sum_{j>=1} j q^{j(j+1)/2} z^{j-1}.
+
+    The theta' half of `eval_theta_and_dz`, in theta's exponent.
+    """
+    return _theta_and_dz(q, z, budget, "theta_dz")[1]
 
 
 def eval_theta_and_dz(q, z, budget=DEFAULT_BUDGET):
     """(eval_theta(q, z), theta'(q, z) = sum_j j t_j / z) from one pass over the terms t_j.
 
-    Both share one exponent; theta' has its own tail bound and may need more terms.
+    `circle_terms` runs on until theta' has its own tail below the tolerance too; theta is
+    summed from its own first n terms, as in `eval_theta`, and both share one exponent.
+    Term j t_j / z is formed as j t_{j-1} q^j, so that no subnormal t_j is divided by z.
     """
+    return _theta_and_dz(q, z, budget, "theta")
+
+
+def _theta_and_dz(q, z, budget, what):
+    """`eval_theta_and_dz`, with `what` naming the series in the BudgetExceeded message."""
     q = as_q(q)
-    z = require_finite(z, "z")
-    if z == 0:
-        return EvalResult(1.0 + 0j, 0.0, 1, 1.0), EvalResult(q.value, 0.0, 1, q.modulus)
-    return tuple(_series_eval(1.0 + 0j, (1.0 + 0j) * q.value, q.value, z, budget, "theta",
-                              derivative=True))
+    terms, res, slope_tail = circle_terms(q, require_finite(z, "z"), budget, what, derivative=True)
+    power, slopes = 1.0 + 0j, []
+    for j, term in enumerate(terms[:-1], 1):
+        power *= q.value
+        slopes.append(j * (term * power))
+    return tuple(_sums(res.exponent, (terms[:res.terms_used], res.tail_bound, res.scale),
+                       (slopes, slope_tail, sum(map(abs, slopes)) + slope_tail)))
 
 
-def circle_terms(q, centre, budget=DEFAULT_BUDGET):
+def circle_terms(q, centre, budget=DEFAULT_BUDGET, what=None, derivative=False):
     """The terms c_j = q^{j(j+1)/2} centre^j of theta(q, centre), and their tail bound and scale.
 
-    On the circle through `centre`, theta(q, centre e^{i psi}) = sum_j c_j e^{i j psi}.  Terms,
-    tail bound, scale (in units 2^-exponent, not folded back), term budget and OverflowError
-    are `eval_theta(q, centre)`'s; the value is None (no sum is kept).  Each block of terms
-    between two rescales is scaled once at the end, by 2^-600 per later rescale.
+    The one series kernel; on the circle through `centre` theta(q, centre e^{i psi}) is
+    sum_j c_j e^{i j psi}.  The EvalResult has value None (no sum is kept); it and the terms
+    are in units 2^-exponent, not folded back, and its scale is the kept moduli plus the tail.
+    `what` names the series in the BudgetExceeded message ("theta on |z| = |centre|").
+
+    Term c_j is c_{j-1} s_j with the step s_j = q^j centre, q^j a running product.  The step
+    moduli are nonincreasing, so once r = |s_n| < 1 the dropped tail is below
+    |c_{n-1}| r / (1 - r).  With centre != 0 the dropped terms are nonzero, so a bound that
+    underflows to 0.0 is rounded up to the least subnormal.  Before a term would pass
+    _RESCALE_AT the running term and scale are multiplied by 2^-600, and the tolerance in
+    units 2^-exponent is floored at the least normal float (a scaled tail below it loses
+    precision; the tail bound stays honest); each block of terms between two rescales is
+    scaled once at the end, by 2^-600 per later rescale.  A term or ratio beyond the float
+    range, which no rescale keeps finite, raises OverflowError.  With `derivative` the pass
+    runs on until theta' = sum_j j c_j / centre has its tail, |c_{n-1} q^n| (n / (1 - r) +
+    r / (1 - r)^2), below the tolerance too, and returns it; the kept terms may then
+    outnumber theta's n.
+
+    Both tail bounds allow for rounding, u = 2^-53.  The computed |c_{n-1}| is a product of
+    n - 1 computed steps, and step s_j carries the j - 1 products of q^j, its product with
+    the centre and the product with c_{j-1}.  So (n^2 + 3n + 8)/2 roundings reach the tail
+    bound with those of r and of the bound's three operations, and 2n more where the centre
+    is formed by a division of relative error under 4.5 u (`eval_theta_dagger`, `eval_G`):
+    (n^2 + 7n + 8)/2 at most.  At most n + 6 more reach the theta' bound through |q^n|.  Each
+    is a relative 2.25 u or less (a complex product is within sqrt(5) u), and every rounding
+    of q^j is carried into all later terms.  Both bounds are therefore multiplied by
+    1 + 2^-52 (n + 6)^2 before they are tested, which covers (1 + 2.25 u)^((n + 6)^2 / 2) and
+    the product itself while the moduli are normal floats (and G's product with |1 / z|).
+    That counts r's rounding, eta <= 2.25 u (n + 3), once: 1 / (1 - r) magnifies it by
+    x = r / (1 - r) <= 1 at r <= 1/2 (the theta' bound by 3x).  Past 1/2 the factor is
+    1 + 2^-52 (n + 6)^2 x, used only below 2: then eta x < 0.1, and its extra is ten times
+    3 eta x (1 + eta x).
     """
     q = as_q(q).value
     centre = centre if isinstance(centre, complex) else float(centre)
     power, term, terms, marks = (1.0 + 0j) * q, 1.0 + 0j, [1.0 + 0j], []  # t_j = t_{j-1} q^j centre
-    used, modulus, scale, exponent = 1, 1.0, 1.0, 0
+    used, modulus, scale, exponent, res = 1, 1.0, 1.0, 0, None
     tolerance, max_terms = budget.tolerance, budget.max_terms
     while True:
         pending = power * centre
@@ -340,15 +285,22 @@ def circle_terms(q, centre, budget=DEFAULT_BUDGET):
             if tail <= tolerance and allowance < 2.0:
                 if not tail and centre:
                     tail = _LEAST_TAIL
-                for missed, (start, end) in zip(range(len(marks), 0, -1), pairwise([0, *marks])):
-                    terms[start:end] = [ldexp_complex(t, -_RESCALE_BITS * missed)
-                                        for t in terms[start:end]]
-                return terms, EvalResult(None, tail, used, scale + tail, exponent)
+                res = res or EvalResult(None, tail, used, scale + tail, exponent)
+                if not derivative:
+                    break
+                slope_tail = (modulus * abs(power) * (used + r / (1.0 - r)) / (1.0 - r)
+                              * allowance or (_LEAST_TAIL if centre else 0.0))
+                if slope_tail <= tolerance:
+                    break
         if used >= max_terms:
-            raise BudgetExceeded(f"theta on |z| = {abs(centre):g}: tail not below "
+            raise BudgetExceeded(f"{what or f'theta on |z| = {abs(centre):g}'}: tail not below "
                                  f"{budget.tolerance:g} within {max_terms} terms")
         while bound > _RESCALE_AT:
-            step, exponent, tolerance = _rescale(modulus, r, exponent, budget.tolerance)
+            if modulus == math.inf or r == math.inf:  # no rescale keeps the next term finite
+                raise OverflowError("a term of the series leaves the float range")
+            exponent += _RESCALE_BITS
+            tolerance = max(math.ldexp(budget.tolerance, -exponent), sys.float_info.min)
+            step = 2.0 ** -_RESCALE_BITS
             term, scale, modulus = term * step, scale * step, modulus * step
             bound = modulus * r
             marks.append(used)
@@ -358,6 +310,9 @@ def circle_terms(q, centre, budget=DEFAULT_BUDGET):
         modulus = abs(term)
         scale += modulus
         terms.append(term)
+    for missed, (start, end) in zip(range(len(marks), 0, -1), pairwise([0, *marks])):
+        terms[start:end] = [ldexp_complex(t, -_RESCALE_BITS * missed) for t in terms[start:end]]
+    return (terms, res, slope_tail) if derivative else (terms, res)
 
 
 @functools.lru_cache(maxsize=4)

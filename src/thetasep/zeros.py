@@ -22,9 +22,10 @@ outer circle r_k already summed for its FFT, kept in its units 2^-E: one
 Horner pass in w = z / r_k gives theta(z), theta'(z) and the scale
 sum_j |c_j| |w|^j, within a rounding bound gamma_4J times that scale.  No
 series is summed again at z, and Newton polishes the estimate only when it
-misses the residual tolerance (or lies on or outside r_k).  Any other
-annulus, and a bare `locate_zero`, runs Newton from the asymptotic position
+misses the residual tolerance.  An estimate outside its annulus, any other
+annulus, and a bare `locate_zero` run Newton from the asymptotic position
 -q^{-k}.
+
 
 Near the k-th zero the term moduli grow like |q|^{-k^2/2}, past the float
 range for k >= 25 at |q| = 0.1.  Core's `circle_terms` therefore carries a
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import heapq
 import math
 import operator
 import sys
@@ -329,7 +331,7 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     samples, the sum of the zeros inside |z| = r; theta and z theta' come
     from the same inverse FFT, so the exponent cancels in the ratio.  The
     arcs take `_resolve_phase`'s test as one array, with m = n* (the last n
-    with |q|^n r >= 1); those that fail go onto per-circle stacks for it.
+    with |q|^n r >= 1); those that fail go onto per-circle heaps for it.
     Returns the results, the moments and each radius's `_Circle`: its kept
     terms and their EvalResult (core's `circle_terms`) and the shift J it
     took; a moment is None where the circle failed, its `_Circle` where its
@@ -373,17 +375,18 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     increments = np.arctan2(ratios.imag, ratios.real)  # np.angle without its wrapper
     totals = increments.sum(axis=1).tolist()
     width = 1 << MAX_BISECTION_DEPTH  # an initial arc in `_resolve_phase`'s angle units
-    stacks = [[] for _ in circles]
+    arcs = [[] for _ in circles]
     for row in [row for row, (low, pad) in enumerate(zip(lows, pads)) if low <= pad]:
         # an arc fails where a sample at either end is within the pad: its increment is taken back
         inside = np.flatnonzero(moduli[row] <= pads[row]).tolist()
         for j in sorted({(j + end) % n0 for j in inside for end in (-1, 0)}):
             totals[row] -= increments[row, j]
             if minima[row]:  # else the floor refuses the circle
-                stacks[row].append((j * width, vals[row, j], (j + 1) * width, next_vals[row, j]))
+                ends = vals[row, j], next_vals[row, j]
+                arcs[row].append((min(map(abs, ends)), j * width, (j + 1) * width, *ends))
     for row, circle in enumerate(circles):
         try:
-            results[circle.index] = _resolve_phase(radii[circle.index], stacks[row], totals[row],
+            results[circle.index] = _resolve_phase(radii[circle.index], arcs[row], totals[row],
                                                    minima[row], n0, circle)
         except (ContourTooClose, BudgetExceeded, OverflowError) as exc:
             results[circle.index] = exc
@@ -409,8 +412,8 @@ def _unit_roots(n):
     return roots
 
 
-def _resolve_phase(radius, stack, total, min_scaled, n0, circle):
-    """Decide the arcs on `stack` of one circle, bisecting those that fail; its WindingResult.
+def _resolve_phase(radius, arcs, total, min_scaled, n0, circle):
+    """Decide the `arcs` of one circle that failed the array test, by bisection; its WindingResult.
 
     The `circle` (see `_contours`) keeps terms c_i at bins b_i = J + i in units 2^-E, so its
     samples are those of v(psi) = sum_i c_i e^{i b_i psi}, within tail + head of T(psi) =
@@ -442,8 +445,10 @@ def _resolve_phase(radius, stack, total, min_scaled, n0, circle):
     the phase of e^{-i m psi} T moves by under pi / 2 in each disc, in all by the principal
     angle of (v_b / v_a) e^{-i m w}; around the circle these add up to T's turn less 2 pi m.
     So m plus `total` over 2 pi is an integer up to the sum's rounding: the zeros inside, by the
-    argument principle.  A failing arc is bisected last in first out, to MAX_BISECTION_DEPTH,
-    one Horner pass a midpoint, in the circle's own units; an angle is an integer i of
+    argument principle.  Of the failing `arcs`, (min(|v_a|, |v_b|), a, b, v_a, v_b), the one
+    with the least sample is bisected first (a heap), to MAX_BISECTION_DEPTH, so a circle the
+    pads cannot decide raises within a few passes; a decided one takes all its arcs either way.
+    A midpoint is one Horner pass, in the circle's own units; an angle is an integer i of
     2 pi / D, D = N 2^MAX_BISECTION_DEPTH, and e^{i J psi} is formed from the turn
     (J i mod D) / D.  `total` and `min_scaled` cover the arcs passed in the array and the
     initial samples; a count also needs min_scaled >= CONTOUR_SAFETY.
@@ -451,10 +456,10 @@ def _resolve_phase(radius, stack, total, min_scaled, n0, circle):
     scale = circle.res.scale
     samples, units = n0, n0 << MAX_BISECTION_DEPTH
     turn = 2.0 * math.pi / units
-    while stack:
-        i0, v0, i1, v1 = stack.pop()
+    heapq.heapify(arcs)
+    while arcs:
+        local, i0, i1, v0, v1 = heapq.heappop(arcs)
         width = (i1 - i0) * turn
-        local = min(abs(v0), abs(v1))
         if local > circle.slope * 0.5 * width + circle.allowance:
             total += cmath.phase(v1 / v0 * cmath.exp(-1j * circle.m * width))
             continue
@@ -471,7 +476,8 @@ def _resolve_phase(radius, stack, total, min_scaled, n0, circle):
             1j * turn * (circle.shift * im % units))
         samples += 1
         min_scaled = min(min_scaled, abs(vm) / scale)
-        stack += [(i0, v0, im, vm), (im, vm, i1, v1)]
+        heapq.heappush(arcs, (min(abs(v0), abs(vm)), i0, im, v0, vm))
+        heapq.heappush(arcs, (min(abs(vm), abs(v1)), im, i1, vm, v1))
 
     if min_scaled < CONTOUR_SAFETY:
         raise ContourTooClose(
@@ -510,7 +516,7 @@ def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
     grows by the factor (1 + t)^L (1 - r) / (1 - r (1 + t)) at its last
     ratio r, under 1 + (4.04 L + 4.4 x) 2^-52 with x = r / (1 - r); core's
     allowance 1 + 2^-52 (L + 6)^2 max(1, x) exceeds the roundings it covers
-    (core's `_series_eval`) by at least 2^-52 (0.43 L^2 + 8 L + 20) max(1, x),
+    (core's `circle_terms`) by at least 2^-52 (0.43 L^2 + 8 L + 20) max(1, x),
     which is more.  The head bound grows by under 1 / (1 - 2 |t|), inside
     _HEAD_ROUNDING.  So theta has no zero between rho and the inner radius,
     and both circles hold count_out - d zeros.
@@ -704,11 +710,11 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
     Declares strong separation iff every annulus holds exactly one zero and
     every located zero satisfies its modulus condition.  The zero of an
     annulus that holds one is the difference of the first moments of its
-    boundary circles.  It is checked by one Horner pass over the terms its
-    outer circle summed for the contour (`_checked_estimate`), and polished
-    by Newton from the estimate only if it misses `residual_tol` or does not
-    lie inside that circle, and by Newton from -q^-k instead at |q| <=
-    MOMENT_SEED_MIN_MODULUS; any other annulus runs `locate_zero`.  With
+    boundary circles.  If it lies inside the annulus, it is checked by one
+    Horner pass over the terms its outer circle summed for the contour
+    (`_checked_estimate`), and polished by Newton from the estimate only if
+    it misses `residual_tol` (by Newton from -q^-k at |q| <=
+    MOMENT_SEED_MIN_MODULUS); any other annulus runs `locate_zero`.  With
     on_error="record", per-k contour/convergence failures are noted in the
     report instead of raised; the first k whose circle |q|^-(k+1/2) leaves the
     float range ends the work with one note for k..k_max.  A tolerance outside
@@ -753,20 +759,17 @@ def verify_separation(q, k_max, residual_tol=1e-10, budget=DEFAULT_BUDGET, on_er
     for k in radii:
         below, above = windings[k - 1], windings[k]
         report.counts[k] = None if (below is None or above is None) else above - below
+        annulus = (radii.get(k - 1, 0.0), radii[k])  # |q|^{-(k -+ 1/2)}, 0 for k = 1
+        # with count 1 both circles were counted, so both have a moment
+        estimate = moments[k] - moments[k - 1] if report.counts[k] == 1 else math.nan
+        if not q.value.imag:  # the lone zero of an annulus is then its own conjugate
+            estimate = complex(estimate.real)
         try:
-            if report.counts[k] == 1:  # both circles counted, so both have a moment
-                estimate = moments[k] - moments[k - 1]
-                if not q.value.imag:  # the lone zero of an annulus is then its own conjugate
-                    estimate = complex(estimate.real)
-                annulus = (radii.get(k - 1, 0.0), radii[k])  # |q|^{-(k -+ 1/2)}, 0 for k = 1
-                report.records[k] = (
-                    _checked_estimate(k, estimate, terms[k], annulus, residual_tol)
-                    or (_zero_record(q, k, estimate, annulus, residual_tol,
-                                     MAX_NEWTON_ITERATIONS, budget)
-                        if q.modulus > MOMENT_SEED_MIN_MODULUS
-                        else locate_zero(q, k, residual_tol=residual_tol, budget=budget)))
-            else:
-                report.records[k] = locate_zero(q, k, residual_tol=residual_tol, budget=budget)
+            report.records[k] = annulus[0] < abs(estimate) < annulus[1] and (
+                _checked_estimate(k, estimate, terms[k], annulus, residual_tol)
+                or q.modulus > MOMENT_SEED_MIN_MODULUS and _zero_record(
+                    q, k, estimate, annulus, residual_tol, MAX_NEWTON_ITERATIONS, budget)
+            ) or locate_zero(q, k, residual_tol=residual_tol, budget=budget)
         except (NoConvergence, ContourTooClose, BudgetExceeded, OverflowError) as exc:
             if on_error == "raise":
                 exc.k = k

@@ -828,3 +828,28 @@ def test_python_m_thetasep_runs_the_cli_from_a_checkout():
                           capture_output=True, text=True, env={"PYTHONPATH": src},
                           check=False, timeout=120)
     assert proc.returncode == 2 and proc.stderr.startswith("error: region radius")
+
+
+def _readme_cli_lines():
+    """The commands of README's `## CLI` block, each as an argv without the program name."""
+    import shlex
+    from pathlib import Path
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("thetasep ")]
+
+
+def test_readme_cli_lines_run(tmp_path, capsys, monkeypatch):
+    # every example of README's CLI block: exit 0, except `verify --lemma all` (1, from Q's
+    # documented false floor); JSON output parses, and nothing prints a traceback
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) == 9
+    for argv in lines:
+        code, out, err = run(capsys, argv)
+        assert code == (1 if argv[:3] == ["verify", "--lemma", "all"] else 0), (argv, err)
+        if "--out" in argv:
+            out = (tmp_path / argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+        assert out and "Traceback" not in out + err, argv
+        if "json" in argv:
+            assert json.loads(out)["command"] == argv[0]

@@ -145,8 +145,9 @@ def test_theta_exponent_carries_terms_beyond_float_range(q, z, terms):
 
 
 def test_series_term_beyond_float_range_raises_overflow():
-    with pytest.raises(OverflowError):
-        eval_theta_dz(0.99, 1.7e308)    # the ratio 2 q^2 z is itself beyond the float range
+    # theta' is summed from theta's terms, whose ratio q z stays finite: the budget ends it
+    with pytest.raises(BudgetExceeded, match="theta_dz: tail not below"):
+        eval_theta_dz(0.99, 1.7e308)
     with pytest.raises(OverflowError):
         eval_G(0.5, 1e-310)             # the first term 1/z is
 
@@ -414,11 +415,11 @@ def test_theta_and_dz_weighted_tail_bounds_the_dropped_terms(q, z):
 def test_theta_and_dz_share_one_exponent():
     q = QParameter(0.1)
     # near the k = 28 zero the terms reach 1e392: neither result fits in a float, and
-    # the separate evaluations carry different exponents
+    # eval_theta_dz, the theta' half of the pass, carries theta's exponent
     seed = -(0.1 ** -28) * (1 + 1e-6)
     f, fp = _check_pass(q, seed)
     assert f.exponent == fp.exponent > 0
-    assert eval_theta_dz(q, seed).exponent not in (0, f.exponent)
+    assert eval_theta_dz(q, seed).exponent == f.exponent
     # at |z| = 10^25.5 theta' alone would fit (scale about 1e288) but theta does not
     f, fp = _check_pass(q, -(10 ** 25.5))
     assert f.exponent == fp.exponent == 600
@@ -543,6 +544,103 @@ def test_g_steps_by_inverse_of_z(q, z, before):
     # the G steps are q^m * (1 / z); values summed with q^m / z are recorded in `before`
     res = eval_G(q, z)
     assert abs(res.value - before) <= 4 * 2.0 ** -52 * res.scale
+
+
+# ---------------------------------------------------------------------------
+# every public series evaluator against mpmath
+# ---------------------------------------------------------------------------
+
+def _mp_series(kind, q, z):
+    """The series `kind` at (q, z) summed in mpmath until its terms fall 45 digits below the sum."""
+    import mpmath
+    q, z = mpmath.mpc(q), mpmath.mpc(z)
+    term = {  # the j-th term
+        "theta": lambda j: q ** (j * (j + 1) // 2) * z ** j,
+        "theta_dagger": lambda j: q ** (j * (j - 1) // 2) * z ** j,
+        "G": lambda j: q ** (j * (j + 1) // 2) * z ** (-j - 1),
+        "theta_dz": lambda j: (j + 1) * q ** ((j + 1) * (j + 2) // 2) * z ** j,
+    }[kind]
+    total, j, small = mpmath.mpc(0), 0, 0
+    while small < 8:  # past the largest term, eight in a row below 1e-45 of the sum
+        t = term(j)
+        total += t
+        small = small + 1 if abs(t) <= abs(total) * mpmath.mpf(10) ** -45 else 0
+        j += 1
+    return total
+
+
+def _check_against_mpmath(res, exact, n):
+    """|value - exact| within the tail plus the stated rounding 2^-52 (n + 6)^2 scale.
+
+    Returns the error beyond the tail in units of the scale.
+    """
+    import mpmath
+    unit = mpmath.mpf(2) ** res.exponent
+    rounding = abs(mpmath.mpc(res.value) * unit - exact) / unit - mpmath.mpf(res.tail_bound)
+    assert rounding <= 2.0 ** -52 * (n + 6) ** 2 * res.scale, (float(rounding / res.scale), n)
+    return float(rounding / res.scale)
+
+
+# |q| in [0.05, 0.9], |z| = |q|^-s with s in [-6, 12], at random arguments; then
+# theta_dagger's largest-term circle |z| = |q|^-1/2 (G at |z| <= 1e-3: the subnormal test)
+
+
+_MP_POINTS = [(cmath.rect(m, a), cmath.rect(m ** -s, b)) for m, a, s, b in
+              np.random.default_rng(2021).uniform((0.05, -math.pi, -6.0, -math.pi),
+                                                  (0.9, math.pi, 12.0, math.pi), (24, 4))]
+_HALF_POWER = [(cmath.rect(m, a), cmath.rect(m ** -0.5, b)) for m, a, b in
+               np.random.default_rng(2022).uniform((0.05, -math.pi, -math.pi),
+                                                   (0.9, math.pi, math.pi), (16, 3))]
+
+
+@pytest.mark.parametrize("q, z", _MP_POINTS + _HALF_POWER)
+def test_every_series_evaluator_matches_mpmath(q, z):
+    import mpmath
+    with mpmath.workdps(40):
+        exact = {kind: _mp_series(kind, q, z) for kind in ("theta", "theta_dagger", "G",
+                                                           "theta_dz")}
+        for kind, evaluate in (("theta", eval_theta), ("theta_dagger", eval_theta_dagger),
+                               ("G", eval_G)):
+            res = evaluate(q, z)
+            _check_against_mpmath(res, exact[kind], res.terms_used)
+            assert res.exponent or res.tail_bound <= SeriesBudget().tolerance  # in G's units too
+        f, fp = eval_theta_and_dz(q, z)
+        _check_against_mpmath(f, exact["theta"], f.terms_used)
+        _check_against_mpmath(fp, exact["theta_dz"], fp.terms_used + 1)  # of theta's terms
+        assert _same_bits(fp, eval_theta_dz(q, z))
+        star = eval_theta_star(q, z)
+        _check_against_mpmath(star, exact["theta"] + exact["G"], star.terms_used)
+
+
+def test_theta_dagger_on_its_largest_term_circle_rounds_within_4u_of_the_scale():
+    # on |z| = |q|^-1/2 the largest term of theta_dagger is t_1 = z; formed as q (z / q) it
+    # carries the rounding of z / q.  With a tail far below the rounding, the error beyond the
+    # tail stays under 4u of the scale (u = 2^-53; up to 3.0u seen on 300 seeded points, where
+    # the separate series of theta_dagger read 1.3u and theta 1.8u)
+    import mpmath
+    budget = SeriesBudget(1e-200)
+    with mpmath.workdps(40):
+        for q, z in _HALF_POWER:
+            res = eval_theta_dagger(q, z, budget)
+            exact = _mp_series("theta_dagger", q, z)
+            assert _check_against_mpmath(res, exact, res.terms_used) <= 2.0 ** -51
+
+
+@pytest.mark.parametrize("q, z, budget", [
+    (0.3, cmath.rect(1e-300, 0.4), SeriesBudget()),          # tolerance |z| about 1e-312
+    (cmath.rect(0.5, 2.0), 1e-3j, SeriesBudget(1e-307)),    # 1e-310
+    (-0.05, cmath.rect(1e-3, -1.0), SeriesBudget(1e-306)),   # 1e-309
+])
+def test_g_where_its_scaled_tolerance_is_subnormal(q, z, budget):
+    # theta(q, 1 / z) is summed to tolerance |z| raised to the least normal float: its tail stays
+    # a proven bound, and G's value is within it plus the stated rounding
+    import mpmath
+    assert budget.tolerance * abs(z) < sys.float_info.min
+    res = eval_G(q, z, budget)
+    with mpmath.workdps(40):
+        _check_against_mpmath(res, _mp_series("G", q, z), res.terms_used)
+    if not res.exponent:  # not rescaled: the raised tolerance bounds G's tail
+        assert 0 < res.tail_bound <= sys.float_info.min / abs(z) * (1 + 2.0 ** -40)
 
 
 # ---------------------------------------------------------------------------

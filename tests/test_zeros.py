@@ -528,13 +528,13 @@ def test_deep_zero_located_in_annulus(q, k):
 
 
 def test_newton_step_uses_exponent_difference():
-    # near the k = 28 zero at q = 0.1 the separate series of theta and theta' end in
-    # different exponents; Newton takes both from one Horner pass over the kept terms of
-    # one circle, in that circle's exponent, so its step f / f' needs no difference of them
+    # near the k = 28 zero at q = 0.1 theta and theta' leave the float range, and
+    # eval_theta_dz carries theta's exponent; Newton takes both from one Horner pass over the
+    # kept terms of one circle, in that circle's exponent, so its step f / f' needs no exponent
     q = QParameter(0.1)
     target = locate_zero(q, 28).location
     seed = target * (1 + 1e-6)
-    assert eval_theta(q, seed).exponent != eval_theta_dz(q, seed).exponent
+    assert eval_theta(q, seed).exponent == eval_theta_dz(q, seed).exponent > 0
     rec = locate_zero(q, 28, seed=seed)
     assert rec.newton_iterations >= 1
     assert abs(rec.location - target) <= 1e-9 * abs(target)
@@ -574,6 +574,21 @@ def test_a_coarse_grid_near_a_zero_counts_by_the_slope_pad(n0, samples):
     q = QParameter.from_polar(0.5533, 2.8586)
     res = winding_number(q, 0.5533 ** -2.0615, initial_samples=n0)
     assert (res.count, res.samples_used) == (1, samples)
+
+
+def test_a_circle_the_pads_cannot_decide_bisects_its_least_sample_first(monkeypatch):
+    # outside the proven region the outer circle of Annulus(42.5, 43.5) passes near a zero
+    # where no pad is met; bisecting the arc with the least sample first reaches the depth cap
+    # there within a few passes (in last-in-first-out order it took 27 400)
+    passes = []
+    horner = zeros._horner
+    monkeypatch.setattr(zeros, "_horner", lambda *args: passes.append(1) or horner(*args))
+    q = QParameter(0.8796 + 0.1285j)
+    annulus = Annulus(42.5, 43.5)
+    assert annulus.outer_radius(q) == pytest.approx(167.54, abs=0.01)
+    with pytest.raises(ContourTooClose, match=r"on \|z\| = 167\.54"):
+        count_zeros_in_annulus(q, annulus)
+    assert 0 < len(passes) <= 100
 
 
 @pytest.mark.parametrize("modulus, argument, exponent, tolerance, count", [
@@ -813,7 +828,7 @@ def _residual_error_bound(q, k, z):
 
     Horner's rounding, gamma_4J of the scale for J terms, and the rounding of
     the terms of both passes, 2^-52 (n + 6)^2 for n terms each (see core's
-    `_series_eval`), plus both dropped tails; in units of the series scale.
+    `circle_terms`), plus both dropped tails; in units of the series scale.
     """
     u = 2.0 ** -53
     terms, circle = circle_terms(q, q.modulus ** -(k + 0.5))
@@ -942,10 +957,44 @@ def test_estimate_pushed_outside_its_circle_takes_newton(monkeypatch):
     monkeypatch.setattr(zeros, "_contours", pushed)
     monkeypatch.setattr(zeros, "_zero_record", spy)
     rep = verify_separation(q, 4)
-    assert [k for k, _ in seeds] == [4] and abs(seeds[0][1]) > radius
+    # an estimate outside its annulus seeds nothing: Newton starts from -q^-4
+    assert seeds == [(4, -q.value ** -4)]
     assert [rep.records[k] for k in range(1, 4)] == [exact.records[k] for k in range(1, 4)]
     assert rep.records[4].newton_iterations > 0 and rep.records[4].residual < 1e-10
     assert abs(rep.records[4].location - zero) <= 1e-9 * abs(zero)
+
+
+def test_estimate_pushed_inside_its_inner_circle_takes_the_asymptotic_seed(monkeypatch):
+    # an estimate inside the outer circle but not the annulus seeds nothing either
+    q = QParameter(-0.3 + 0.3j)
+    exact = verify_separation(q, 4)
+    zero, inner = exact.records[4].location, q.modulus ** -3.5
+    contours, record = zeros._contours, zeros._zero_record
+    seeds = []
+
+    def pushed(*args, **kwargs):
+        results, sums, terms = contours(*args, **kwargs)
+        sums[3] += zero / abs(zero) * inner * (1 - 1e-3) - zero  # k = 4 only: it is k_max
+        return results, sums, terms
+
+    monkeypatch.setattr(zeros, "_contours", pushed)
+    monkeypatch.setattr(zeros, "_zero_record",
+                        lambda q, k, seed, *args: seeds.append((k, seed)) or record(q, k, seed, *args))
+    rep = verify_separation(q, 4)
+    assert seeds == [(4, -q.value ** -4)]
+    assert rep.records[4].annulus_ok and abs(rep.records[4].location - zero) <= 1e-9 * abs(zero)
+
+
+def test_estimate_outside_its_annulus_takes_the_asymptotic_seed():
+
+    # the k = 2 zero, -2.782, lies 0.5 % inside its outer circle (|z| = 2.796): the 256-sample
+    # moment estimate, -3.867, lies outside it, and Newton from it found the k = 3 zero
+    with pytest.warns(UserWarning, match="separation is not guaranteed"):
+        rep = verify_separation(-0.66282, 5)
+    assert rep.counts == {k: 1 for k in range(1, 6)}
+    assert rep.records[2].location == pytest.approx(-2.78199, abs=1e-5)
+    assert all(rep.records[k].annulus_ok for k in range(1, 6))
+    assert rep.strongly_separated
 
 
 def test_count_only_contours_fold_no_derivative_row(monkeypatch):
@@ -1128,20 +1177,23 @@ def test_zeros_sums_no_series_of_its_own(monkeypatch):
     q = QParameter(-0.3)
     near = abs(locate_zero(q, 1).location) * (1 + 1e-4)
     calls = []
-    kernel = core._series_eval
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return kernel(*args, **kwargs)
+    def spying(name, evaluate):
+        return lambda *args, **kwargs: calls.append(name) or evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(core, "_series_eval", spy)
+    for name in ("eval_theta", "eval_theta_dagger", "eval_G", "eval_theta_dz",
+                 "eval_theta_and_dz", "eval_theta_star"):
+        for module in (core, zeros):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spying(name, getattr(module, name)))
     batch = winding_numbers(q, [q.modulus ** -1.5, near, q.modulus ** -2.5])
     assert [res.samples_used for res in batch] == [256, 272, 256]
     assert locate_zero(q, 3).newton_iterations > 0
     assert verify_separation(q, 12).strongly_separated
     assert calls == []
-    eval_theta(q, 2.0)  # the spy sees core's own series
-    assert len(calls) == 1
+    zeros.eval_theta(q, 2.0)  # the spies see the evaluators in both namespaces
+    core.eval_theta_dz(q, 2.0)
+    assert calls == ["eval_theta", "eval_theta_dz"]
 
 
 def test_moment_circles_stay_unshifted():
