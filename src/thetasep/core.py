@@ -6,7 +6,7 @@ with the one tail rule, rounding allowance, rescale and term budget, and
 every series value is the math.fsum of the kept terms at one centre:
 
 * theta and its z-derivative, alone or both from one pass (centre z),
-* theta_dagger(q, z) = sum_{j>=0} q^{j(j-1)/2} z^j = theta(q, z/q),
+* theta_dagger(q, z) = sum_{j>=0} q^{j(j-1)/2} z^j = 1 + z theta(q, z),
 * G(q, z) = sum_{j>=1} q^{j(j-1)/2} z^{-j} = theta(q, 1/z) / z,
 * the two-sided series theta_star = theta + G, and its product form
   theta_star = Q * U * R with
@@ -170,39 +170,48 @@ def eval_theta(q, z, budget=DEFAULT_BUDGET):
 
 
 def eval_theta_dagger(q, z, budget=DEFAULT_BUDGET):
-    """sum_{j>=0} q^{j(j-1)/2} z^j = 1 + z + q z^2 + q^3 z^3 + ..., as theta(q, z / q).
+    """sum_{j>=0} q^{j(j-1)/2} z^j = 1 + z + q z^2 + q^3 z^3 + ..., as 1 + z theta(q, z).
 
-    The rounding delta of z / q scales term j by (1 + delta)^j.  Near |z| = |q|^{-1/2}, where
-    the largest term is t_1 = z, the error beyond the tail measured 3.0 u scale at most
-    against mpmath (1.3 u for a separate series of theta_dagger; `tests/test_core.py`).
+    No division forms the centre, so a z whose z / q leaves the float range still has its
+    result; theta(q, z) is summed to tolerance / |z| (`_theta_times`), and the 1 is one more
+    term in the result's units.
     """
-    q = as_q(q)
-    terms, res = circle_terms(q, require_finite(z, "z") / q.value, budget, "theta_dagger")
-    return _sums(res.exponent, (terms, res.tail_bound, res.scale))[0]
+    z = require_finite(z, "z")
+    tolerance = budget.tolerance / abs(z) if z else math.inf
+    exponent, (terms, tail, scale) = _theta_times(as_q(q), z, tolerance, budget, "theta_dagger")
+    one = math.ldexp(1.0, -exponent)
+    return _sums(exponent, ([complex(one), *terms], tail, scale + one))[0]
 
 
 def eval_G(q, z, budget=DEFAULT_BUDGET):
     """sum_{j>=1} q^{j(j-1)/2} z^{-j} = theta(q, 1 / z) / z, the principal part of theta_star.
 
-    theta(q, w), w = 1 / z, is summed to tolerance |z|, so that G = w theta(q, w) has its tail
-    below the tolerance, unless tolerance |z| is raised to the least normal float, as a
-    rescaled tolerance is (`circle_terms`).  w's binary exponent joins the result's.
+    theta(q, w), w = 1 / z, is summed to tolerance |z| (`_theta_times`).
     """
-    q = as_q(q)
     z = require_finite(z, "z")
     if z == 0:
         raise ZeroArgument("G(q, z) requires z != 0")
-    w = 1.0 / z
-    tolerance = min(max(budget.tolerance * abs(z), sys.float_info.min), sys.float_info.max)
+    return _sums(*_theta_times(as_q(q), 1.0 / z, budget.tolerance * abs(z), budget, "G"))[0]
+
+
+def _theta_times(q, w, tolerance, budget, what):
+    """(exponent, (terms, tail, scale)) of w theta(q, w) in units 2^-exponent, for `_sums`.
+
+    theta is summed to `tolerance`, the caller's over |w|, raised to the least normal float as a
+    rescaled tolerance is (`circle_terms`); only then can the tail pass the caller's tolerance.
+    w's binary exponent joins theta's, raised to the least normal's (so that 2^-exponent stays
+    finite), and what is left of w multiplies each term.
+    """
+    tolerance = min(max(tolerance, sys.float_info.min), sys.float_info.max)
     try:
         terms, res = circle_terms(q, w, SeriesBudget(tolerance, budget.max_terms))
-    except BudgetExceeded:  # name G's tolerance, not theta's
-        raise BudgetExceeded(f"G: tail not below {budget.tolerance:g} "
+    except BudgetExceeded:  # name the caller's series and tolerance, not theta's
+        raise BudgetExceeded(f"{what}: tail not below {budget.tolerance:g} "
                              f"within {budget.max_terms} terms") from None
-    unit, shift = math.frexp(abs(w))  # |w| = unit 2^shift
-    w = ldexp_complex(w, -shift)
+    shift = max(math.frexp(abs(w))[1], sys.float_info.min_exp)  # |w| = unit 2^shift
+    unit, w = math.ldexp(abs(w), -shift), ldexp_complex(w, -shift)
     tail = res.tail_bound * unit or res.tail_bound
-    return _sums(res.exponent + shift, ([t * w for t in terms], tail, res.scale * unit))[0]
+    return res.exponent + shift, ([t * w for t in terms], tail, res.scale * unit)
 
 
 def eval_theta_dz(q, z, budget=DEFAULT_BUDGET):
@@ -260,16 +269,16 @@ def circle_terms(q, centre, budget=DEFAULT_BUDGET, what=None, derivative=False):
     n - 1 computed steps, and step s_j carries the j - 1 products of q^j, its product with
     the centre and the product with c_{j-1}.  So (n^2 + 3n + 8)/2 roundings reach the tail
     bound with those of r and of the bound's three operations, and 2n more where the centre
-    is formed by a division of relative error under 4.5 u (`eval_theta_dagger`, `eval_G`):
-    (n^2 + 7n + 8)/2 at most.  At most n + 6 more reach the theta' bound through |q^n|.  Each
-    is a relative 2.25 u or less (a complex product is within sqrt(5) u), and every rounding
-    of q^j is carried into all later terms.  Both bounds are therefore multiplied by
+    is formed by a division of relative error under 4.5 u (`eval_G`): (n^2 + 7n + 8)/2 at
+    most.  At most n + 6 more reach the theta' bound through |q^n|.  Each is a relative
+    2.25 u or less (a complex product is within sqrt(5) u), and every rounding of q^j is
+    carried into all later terms.  Both bounds are therefore multiplied by
     1 + 2^-52 (n + 6)^2 before they are tested, which covers (1 + 2.25 u)^((n + 6)^2 / 2) and
-    the product itself while the moduli are normal floats (and G's product with |1 / z|).
-    That counts r's rounding, eta <= 2.25 u (n + 3), once: 1 / (1 - r) magnifies it by
-    x = r / (1 - r) <= 1 at r <= 1/2 (the theta' bound by 3x).  Past 1/2 the factor is
-    1 + 2^-52 (n + 6)^2 x, used only below 2: then eta x < 0.1, and its extra is ten times
-    3 eta x (1 + eta x).
+    the product itself while the moduli are normal floats (and `_theta_times`' product with
+    the mantissa of |w|).  That counts r's rounding, eta <= 2.25 u (n + 3), once:
+    1 / (1 - r) magnifies it by x = r / (1 - r) <= 1 at r <= 1/2 (the theta' bound by 3x).
+    Past 1/2 the factor is 1 + 2^-52 (n + 6)^2 x, used only below 2: then eta x < 0.1, and
+    its extra is ten times 3 eta x (1 + eta x).
     """
     q = as_q(q).value
     centre = centre if isinstance(centre, complex) else float(centre)

@@ -8,6 +8,14 @@ scans, and the case analysis that excludes zeros from the circles
 are the computed slack of every asserted inequality; a report passes iff
 every margin is strictly positive.
 
+The series and product constants are values of theta(q, z) = sum_{j>=0} q^{j(j+1)/2} z^j and
+U(q, z) = prod_{j>=1} (1 + z q^j), from core's evaluators with a certified tail
+(`core.eval_theta`, `core.eval_U`) under one budget: phi_flat(r) = theta(r, r^{1/2}), the
+g-bounds 0.6^h theta(0.6, 0.6^h) (h = 9/2, 7/2), a0 = 1 + theta(0.6, 0.6^{3/2}), the A** tail
+0.6^16 theta(0.6, 0.6^{11/2}), gamma = U(0.6, -0.6^11), xi = U(0.6, -0.6^{7/2}),
+chi5 = U(0.6, -0.6^{23/2}) and eta = |U(0.6, -0.6^{-9/2})|.  phi_flat's array form sums the
+terms of theta_dagger on |z| = r^{-1/2} from j = 2 to its proven count (`_theta_dagger_terms`).
+
 Grid-backed checks record the observed minimum and its location so the
 resolution slack can be judged by the caller; they sample, they do not
 certify.  The k1 and k2 circle scans sum a series sum_j c_j(q) z^j as matrix
@@ -37,8 +45,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import C0
-from .errors import BudgetExceeded, DomainError
+from .core import C0, SeriesBudget, eval_theta, eval_U
+from .errors import DomainError
 
 # Two numbers are accepted as the same constant when they share at least the
 # first 9 significant digits; references are printed to 10-11 digits, so a
@@ -144,37 +152,23 @@ class ReferenceConstant:
     recompute: object = field(default=None, repr=False, compare=False)  # () -> float
 
 
-def _infinite_product(factor, start, floor_deviation=1e-17, limit=200_000):
-    """prod_{j>=start} factor(j); factor deviations must decay to 0."""
-    p, j = 1.0, start
-    while True:
-        f = factor(j)
-        p *= f
-        if abs(f - 1.0) < floor_deviation and j > start + 4:
-            return p
-        j += 1
-        if j - start > limit:
-            raise BudgetExceeded("infinite product did not settle")
+# Every series and product constant is a value of theta or U, summed to this budget: its
+# certified tail is below 1e-18 (`core.eval_theta`, `core.eval_U`), far under an ulp.
+_CONSTANT_BUDGET = SeriesBudget(tolerance=1e-18)
+
+
+def _theta(q, z):
+    """theta(q, z) = sum_{j>=0} q^{j(j+1)/2} z^j for real 0 < q, z < 1 (`core.eval_theta`)."""
+    return eval_theta(q, z, _CONSTANT_BUDGET).value.real
+
+
+def _U(z):
+    """U(0.6, z) = prod_{j>=1} (1 + z 0.6^j) for real z (`core.eval_U`)."""
+    return eval_U(0.6, z, _CONSTANT_BUDGET).value.real
 
 
 def _span(x):  # (min, max) of a float or an array
     return (np.min(x), np.max(x)) if isinstance(x, np.ndarray) else (x, x)
-
-
-def _power_sum(base, exponent, start, floor_term=1e-18, limit=10_000):
-    """sum_{j>=start} base**exponent(j) for superexponentially growing exponents.
-
-    An array base is summed until the terms of every entry are below floor_term.
-    """
-    s, j = 0.0, start
-    while True:
-        t = base ** exponent(j)
-        s = s + t
-        if _span(t)[1] < floor_term:
-            return s
-        j += 1
-        if j - start > limit:
-            raise BudgetExceeded("power sum did not settle")
 
 
 def mu(j, m):
@@ -219,11 +213,20 @@ def _chord_triple(rho, j, a, b, c):
 
 
 def phi_flat(r):
-    """sum_{j>=2} r^{j(j-2)/2}, r a float or an array: bound on the tail from the z^2 term on."""
+    """sum_{j>=2} r^{j(j-2)/2} = theta(r, r^{1/2}), r a float or an array: bound on the tail from
+    the z^2 term on.
+
+    It is theta_dagger on |z| = r^{-1/2} less its first two terms, so an array sums, in order,
+    the terms 2 <= j < n of that series, n from its proven tail (`_theta_dagger_terms`) at the
+    largest r, to 1e-18: the rest are below half an ulp of the sum (>= 1) at every entry.
+    """
     lo, hi = _span(r)
     if not (0.0 < lo and hi < 1.0):
         raise DomainError(f"r must lie in (0, 1), got {r!r}")
-    return _power_sum(r, lambda j: j * (j - 2) / 2.0, 2)
+    if not isinstance(r, np.ndarray):
+        return _theta(r, math.sqrt(r))
+    j = np.arange(2, _theta_dagger_terms(hi, _CONSTANT_BUDGET.tolerance)[0])[:, None]
+    return np.sum(r ** (j * (j - 2) / 2.0), axis=0)  # row by row: each entry's terms in j order
 
 
 def phi_star(r):
@@ -234,37 +237,36 @@ def phi_star(r):
     return (np.sqrt if isinstance(r, np.ndarray) else math.sqrt)(1.0 + 1.0 / r)
 
 
-def _gamma():
-    return _infinite_product(lambda j: 1.0 - 0.6 ** j, 12)
+def _gamma():  # prod_{j>=12} (1 - 0.6^j) = U(0.6, -0.6^11)
+    return _U(-0.6 ** 11)
 
 
-def _eta():
-    return _infinite_product(lambda j: abs(0.6 ** (j - 4.5) - 1.0), 1)
+def _eta():  # prod_{j>=1} |0.6^{j-9/2} - 1| = |U(0.6, -0.6^{-9/2})|
+    return abs(_U(-0.6 ** -4.5))
 
 
-def _xi():
-    return _infinite_product(lambda j: 1.0 - 0.6 ** (j + 4.5), 0)
+def _xi():  # prod_{j>=0} (1 - 0.6^{j+9/2}) = U(0.6, -0.6^{7/2})
+    return _U(-0.6 ** 3.5)
 
 
-def _chi5():
-    return _infinite_product(lambda k: 1.0 - 0.6 ** (k - 3.5), 16)
+def _chi5():  # prod_{k>=16} (1 - 0.6^{k-7/2}) = U(0.6, -0.6^{23/2})
+    return _U(-0.6 ** 11.5)
 
 
 def _chi0():
     return mu(3, 0.6 ** -2.5) * mu(2, 0.6 ** -1.5) * mu(1, 0.6 ** -0.5)
 
 
-def _g_bound(half_exponent):
-    # sum_{j>=1} 0.6^{j(j-1)/2 + half_exponent * j}
-    return _power_sum(0.6, lambda j: j * (j - 1) / 2.0 + half_exponent * j, 1)
+def _g_bound(h):  # sum_{j>=1} 0.6^{j(j-1)/2 + h j} = 0.6^h theta(0.6, 0.6^h)
+    return 0.6 ** h * _theta(0.6, 0.6 ** h)
 
 
-def _a0():
-    return 1.0 + _power_sum(0.6, lambda j: j * (j - 1) / 2.0 - 1.5 * j, 4)
+def _a0():  # 1 + sum_{j>=4} 0.6^{j(j-1)/2 - 3j/2} = 1 + theta(0.6, 0.6^{3/2})
+    return 1.0 + _theta(0.6, 0.6 ** 1.5)
 
 
-def _a_tail_bound():
-    return _power_sum(0.6, lambda j: j * (j - 1) / 2.0 - 1.5 * j, 8)
+def _a_tail_bound():  # sum_{j>=8} 0.6^{j(j-1)/2 - 3j/2} = 0.6^16 theta(0.6, 0.6^{11/2})
+    return 0.6 ** 16 * _theta(0.6, 0.6 ** 5.5)
 
 
 def _qur_floor_k4():
@@ -515,7 +517,11 @@ def verify_lemma_k4():
 # Circle exclusion for k = 1 (|z| = |q|^{-3/2}), via the shifted series
 # ---------------------------------------------------------------------------
 
-def verify_lemma_k1_cases(samples=2000, t_samples=4096):
+# Samples of T(phi) on case 4C's arc.
+_T_SAMPLES = 4096
+
+
+def verify_lemma_k1_cases(samples=2000):
     """Recompute every numeric landmark of the sector case analysis.
 
     Each case bounds |1 + z + q z^2| (or a sub-sum) from below on
@@ -549,7 +555,7 @@ def verify_lemma_k1_cases(samples=2000, t_samples=4096):
     b4a = 0.6 ** -0.5 * math.sin(5 * math.pi / 6)
     b4b = 0.6 ** -0.5 * math.sin(11 * math.pi / 12) + math.sin(13 * math.pi / 6)
     shift = 0.6 ** -0.5 * math.cos(11 * math.pi / 12) + 1.0
-    phis = np.linspace(5 * math.pi / 2, 17 * math.pi / 6, t_samples)
+    phis = np.linspace(5 * math.pi / 2, 17 * math.pi / 6, _T_SAMPLES)
     t_vals = np.sqrt(np.sin(phis) ** 2 + (shift + np.cos(phis)) ** 2)
     b4d = -(shift + math.cos(8 * math.pi / 3))
 
@@ -616,18 +622,6 @@ class _Scan(NamedTuple):
                 for (m, ph, _), n in zip(self.sums, key)]
 
 
-def _coefficients(rhos, z_moduli, powers, q_exponents, omegas, counts=math.inf):
-    """(C, moduli): C[r, i, j] = moduli[r, j] e^{i e_j omega_i}, moduli[r, j] = rho_r^e_j z_r^p_j,
-    or exact 0 from j = counts[r] on: the whole array, of which `_Scan.rows` forms single rows.
-
-    z_moduli are scalar powers such as rho ** -0.5, which numpy's array power rounds otherwise.
-    """
-    e, p = np.asarray(q_exponents, dtype=float), np.asarray(powers, dtype=float)
-    moduli = rhos[:, None] ** e * np.asarray(z_moduli)[:, None] ** p
-    moduli *= np.arange(p.size) < np.asarray(counts)[..., None]
-    return moduli[:, None, :] * np.exp(1j * np.outer(omegas, e)), moduli
-
-
 def _term_scan(grid, z_exponent, sums, counts, value, tail=0.0):
     """The _Scan over `grid` of a term table on the circles |z| = rho^z_exponent: sum (e, p, w)
     has terms q^e_j z^p_j of modulus m_j = rho^e_j |z|^p_j and enters value(sums, |z|) weighted
@@ -635,7 +629,8 @@ def _term_scan(grid, z_exponent, sums, counts, value, tail=0.0):
     Over a row's W_j = |z|^w m_j = rho^s_j: L_psi = sum p_j W_j, M = sum W_j, L_omega = sum e_j
     W_j, and L_rho's terms |s_j| W_j / rho are summed apart as each falls (s_j < 1) or rises."""
     rhos, omegas = grid.moduli(), grid.arguments()
-    z = np.array([rho ** z_exponent for rho in map(float, rhos)])  # as `_coefficients` takes it
+    # scalar powers: numpy's array power rounds rho ** -0.5 otherwise
+    z = np.array([rho ** z_exponent for rho in map(float, rhos)])
     parts, bounds = [], []
     for (e, p, w), n in zip(sums, np.transpose(counts)):
         moduli = rhos[:, None] ** np.asarray(e, float) * z[:, None] ** np.asarray(p, float)

@@ -521,13 +521,12 @@ def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
     _HEAD_ROUNDING.  So theta has no zero between rho and the inner radius,
     and both circles hold count_out - d zeros.
 
-    Where the outer shifted sum falls back to the unshifted circle (its head
-    bound fails or its sum raises), the inner circle is counted as well, and
-    any other annulus counts both circles as one `_contours` block.  The
-    outer circle's failure is raised first either way; an inner circle that
-    only its own samples would refuse (one under the contour floor at its
-    angles) raises nothing on the one-circle path, as its count is proven by
-    the outer circle's pads.
+    Any other annulus, and one whose outer shifted sum falls back to the
+    unshifted circle (its head bound fails or its sum raises), counts both
+    circles as one `_contours` block.  The outer circle's failure is raised
+    first either way; an inner circle that only its own samples would refuse
+    (one under the contour floor at its angles) raises nothing on the
+    one-circle path, as its count is proven by the outer circle's pads.
     """
     q = as_q(q)
     radii = [annulus.outer_radius(q)]
@@ -543,7 +542,6 @@ def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
                 raise result
             if circle.shift >= gap:
                 return int(gap)
-            return result.count - winding_number(q, radii[1], budget=budget).count
     counts = []
     for result in winding_numbers(q, radii, budget=budget):
         if isinstance(result, Exception):

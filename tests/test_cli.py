@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from thetasep.cli import main, parse_complex
 from thetasep.errors import DomainError
 from thetasep.lemmas import verify_all, verify_lemma_k1_cases
+from whole_array import coefficients
 
 
 def run(capsys, argv):
@@ -365,12 +366,12 @@ def _exhaustive_grid_minimum(grid, z_steps, max_power, values):
 
 
 def test_verify_small_grids_give_the_exhaustive_minima(capsys):
-    from thetasep.lemmas import C0, GridSpec, _a_tail_bound, _coefficients, _theta_dagger_terms
+    from thetasep.lemmas import C0, GridSpec, _a_tail_bound, _theta_dagger_terms
     small = ["--z-steps", "7", "--modulus-steps", "5", "--argument-steps", "3", "--format", "json"]
 
     def _circle_sum(rho, omegas, z_modulus, powers, q_exponents, basis):
         # one modulus row's coefficients, built on their own, times the powers e^{i p psi}
-        rows = _coefficients(np.array([rho]), [z_modulus], powers, q_exponents, omegas)[0]
+        rows = coefficients(np.array([rho]), [z_modulus], powers, q_exponents, omegas)[0]
         return rows[0] @ basis[powers]
 
     def theta_dagger(rho, omegas, basis):

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from thetasep import (
     verify_lemma_k5,
 )
 from thetasep.lemmas import C0
+from whole_array import coefficients
 
 RTOL_9_DIGITS = 5e-9
 
@@ -216,6 +219,73 @@ def test_phi_values():
         phi_star(0.0)
 
 
+def _mp_sum(r, exponent, start):
+    """sum_{j>=start} r^exponent(j) in mpmath, r the double, until a term is below 1e-45."""
+    import mpmath
+    r, total, j = mpmath.mpf(r), mpmath.mpf(0), start
+    while (term := r ** exponent(mpmath.mpf(j))) > mpmath.mpf(10) ** -45 or j < start + 3:
+        total, j = total + term, j + 1
+    return total
+
+
+def _mp_product(factor, start):
+    """prod_{j>=start} factor(j) in mpmath, until a factor is within 1e-45 of 1."""
+    import mpmath
+    total, j = mpmath.mpf(1), start
+    while abs((f := factor(mpmath.mpf(j))) - 1) > mpmath.mpf(10) ** -45 or j < start + 3:
+        total, j = total * f, j + 1
+    return total
+
+
+def _constant_cases():
+    """(name, the lemma's value, the defining sum or product in mpmath, its allowance): the
+    core evaluator's tail bound plus 2^-52 (n + 6)^2 scale for n terms (a product's scale
+    taken as its |value|), times the constant's power of 0.6."""
+    import mpmath
+    from thetasep import eval_theta, eval_U
+    from thetasep.lemmas import (_CONSTANT_BUDGET, _a0, _a_tail_bound, _chi5, _eta, _g_bound,
+                                 _gamma, _xi)
+    r = mpmath.mpf(0.6)
+
+    def theta(q, z, factor=1.0):
+        res = eval_theta(q, z, _CONSTANT_BUDGET)
+        return factor * (res.tail_bound + 2.0 ** -52 * (res.terms_used + 6) ** 2 * res.scale)
+
+    def product(z):
+        res = eval_U(0.6, z, _CONSTANT_BUDGET)
+        return res.tail_bound + 2.0 ** -52 * (res.terms_used + 6) ** 2 * abs(res.value)
+
+    return [
+        ("gamma", _gamma(), _mp_product(lambda j: 1 - r ** j, 12), product(-0.6 ** 11)),
+        ("eta", _eta(), abs(_mp_product(lambda j: 1 - r ** (j - 4.5), 1)), product(-0.6 ** -4.5)),
+        ("xi", _xi(), _mp_product(lambda j: 1 - r ** (j + 4.5), 0), product(-0.6 ** 3.5)),
+        ("chi5", _chi5(), _mp_product(lambda k: 1 - r ** (k - 3.5), 16), product(-0.6 ** 11.5)),
+        ("g_bound_k5", _g_bound(4.5), _mp_sum(0.6, lambda j: j * (j - 1) / 2 + 4.5 * j, 1),
+         theta(0.6, 0.6 ** 4.5, 0.6 ** 4.5)),
+        ("g_bound_k4", _g_bound(3.5), _mp_sum(0.6, lambda j: j * (j - 1) / 2 + 3.5 * j, 1),
+         theta(0.6, 0.6 ** 3.5, 0.6 ** 3.5)),
+        ("a0", _a0(), 1 + _mp_sum(0.6, lambda j: j * (j - 1) / 2 - 1.5 * j, 4),
+         theta(0.6, 0.6 ** 1.5)),
+        ("a_tail_bound", _a_tail_bound(), _mp_sum(0.6, lambda j: j * (j - 1) / 2 - 1.5 * j, 8),
+         theta(0.6, 0.6 ** 5.5, 0.6 ** 16)),
+        ("phi_flat(0.6)", phi_flat(0.6), _mp_sum(0.6, lambda j: j * (j - 2) / 2, 2),
+         theta(0.6, math.sqrt(0.6))),
+        ("phi_flat(0.3)", phi_flat(0.3), _mp_sum(0.3, lambda j: j * (j - 2) / 2, 2),
+         theta(0.3, math.sqrt(0.3))),
+    ]
+
+
+def test_constants_are_values_of_theta_and_U_within_their_bounds():
+    # each series constant is theta(q, z) times a power of 0.6, each product one is U(0.6, z):
+    # within the evaluator's tail bound and rounding allowance of the 40-digit definition
+    import mpmath
+    with mpmath.workdps(40):
+        for name, value, exact, allowance in _constant_cases():
+            gap = abs(mpmath.mpf(value) - exact)
+            assert 0.0 < allowance < 1e-11 * abs(value), name
+            assert gap <= allowance, (name, float(gap), allowance)
+
+
 def test_lemma_k1_cases():
     rep = verify_lemma_k1_cases()
     assert rep.passed
@@ -327,6 +397,20 @@ def test_verify_all_structure():
                                                      z_steps=128).computed
 
 
+def test_default_battery_margins_match_the_benchmark_reference():
+    # the benchmark's battery check in tier 1: only Q fails, and every margin lies within 1e-9
+    # of bench/battery_reference.json (the rule of bench/workloads.py's margins_match)
+    reference = json.loads((Path(__file__).parents[1] / "bench" / "battery_reference.json")
+                           .read_text(encoding="utf-8"))
+    reports = verify_all()
+    assert [name for name, rep in reports.items() if not rep.passed] == ["Q"]
+    assert reports.keys() == reference.keys()
+    for name, margins in reference.items():
+        assert reports[name].margins.keys() == margins.keys(), name
+        for key, want in margins.items():
+            assert abs(reports[name].margins[key] - want) <= 1e-9, (name, key)
+
+
 def test_verify_all_runs_one_check_with_the_battery_settings():
     from thetasep.lemmas import DEFAULT_K1_GRID
     k1 = verify_all(z_steps=90, samples=300, check="k1")
@@ -354,9 +438,8 @@ def test_default_grids_are_the_battery_grids():
 # ---------------------------------------------------------------------------
 
 def _row(rho, omegas, psis, z_modulus, powers, q_exponents):
-    from thetasep.lemmas import _coefficients
     basis = np.exp(1j * np.outer(np.arange(max(powers) + 1), psis))
-    rows = _coefficients(np.array([rho]), [z_modulus], powers, q_exponents, np.asarray(omegas))[0]
+    rows = coefficients(np.array([rho]), [z_modulus], powers, q_exponents, np.asarray(omegas))[0]
     return rows[0] @ basis[powers]
 
 
@@ -519,9 +602,9 @@ def test_pruned_scan_matches_the_exhaustive_scan(check, ends, modulus_steps, arg
        modulus_steps=st.integers(2, 30), argument_steps=st.integers(2, 30), data=st.data())
 def test_rows_formed_on_demand_are_the_whole_coefficient_array_bit_for_bit(
         check, ends, modulus_steps, argument_steps, data):
-    # the whole array as the scans once built it, one `_coefficients` call per sum, against
+    # the whole array as the scans once built it, one `coefficients` call per sum, against
     # the rows `_Scan.rows` forms for any nodes, in any order, up to their most terms
-    from thetasep.lemmas import _coefficients, _theta_dagger_terms
+    from thetasep.lemmas import _theta_dagger_terms
     lo, hi = (C0, 0.6) if check == "k1" else (0.55, 0.6)
     a, b = sorted(ends)
     grid = GridSpec((lo + a * (hi - lo), lo + b * (hi - lo)), modulus_steps,
@@ -530,11 +613,11 @@ def test_rows_formed_on_demand_are_the_whole_coefficient_array_bit_for_bit(
     if check == "k1":
         counts = [_theta_dagger_terms(rho)[0] for rho in map(float, rhos)]
         j = np.arange(max(counts))
-        whole = [_coefficients(rhos, [rho ** -0.5 for rho in map(float, rhos)], j,
+        whole = [coefficients(rhos, [rho ** -0.5 for rho in map(float, rhos)], j,
                                j * (j - 1) / 2, omegas, counts)]
     else:
         xi = np.array([rho ** -1.5 for rho in map(float, rhos)])
-        whole = [_coefficients(rhos, xi, p, e, omegas)
+        whole = [coefficients(rhos, xi, p, e, omegas)
                  for p, e in (([0, 1, 2], [0, 1, 3]), ([0, 4, 5, 6, 7], [0, 6, 10, 15, 21]))]
     scan = _scan(check, grid)
     at = np.array(data.draw(st.lists(st.integers(0, modulus_steps * argument_steps - 1),

@@ -1301,7 +1301,7 @@ def test_a_shifted_count_whose_head_bound_fails_counts_the_inner_circle_too(monk
     monkeypatch.setattr(zeros, "fold_terms", fold_spy)
     monkeypatch.setattr(zeros, "_head_bound", lambda *args: None)
     assert count_zeros_in_annulus(q, annulus) == 3
-    assert shapes == [(1, 256), (1, 256)]  # the outer circle alone, then the inner, unshifted
+    assert shapes == [(1, 256), (2, 256)]  # the outer circle alone, then both as one block
     assert _two_circle_count(q, annulus) == 3
 
 
