@@ -367,7 +367,9 @@ def _product_eval(first_dev, ratio, budget, what):
     After the factor with deviation modulus m, the dropped factors satisfy
     sum |d_i| <= m |ratio| / (1 - |ratio|) =: S and the value error is below
     |partial| * (e^S - 1).  Stops once the current deviation is under
-    tolerance/10 and that bound is under tolerance.
+    tolerance/10 and that bound is under tolerance.  A partial product that leaves the float
+    range (as an infinite deviation makes it) raises OverflowError at once: no later factor
+    brings it back.
     """
     prod = 1.0 + 0j
     dev = complex(first_dev)
@@ -376,6 +378,8 @@ def _product_eval(first_dev, ratio, budget, what):
     scale = 0.0
     while True:
         prod *= 1.0 + dev
+        if not cmath.isfinite(prod):
+            raise OverflowError(f"{what}: a factor of the product leaves the float range")
         used += 1
         m = abs(dev)
         scale += m

@@ -16,6 +16,11 @@ g-bounds 0.6^h theta(0.6, 0.6^h) (h = 9/2, 7/2), a0 = 1 + theta(0.6, 0.6^{3/2}),
 chi5 = U(0.6, -0.6^{23/2}) and eta = |U(0.6, -0.6^{-9/2})|.  phi_flat's array form sums the
 terms of theta_dagger on |z| = r^{-1/2} from j = 2 to its proven count (`_theta_dagger_terms`).
 
+Each named constant is one entry of `REFERENCE_CONSTANTS`, the only place its formula is
+written.  The checks, and the entries built on others (the floors 1.2/gamma, 1.2 eta xi and
+k4's chord product), read it through `recompute_constant`, which computes each value once
+per process.
+
 Grid-backed checks record the observed minimum and its location so the
 resolution slack can be judged by the caller; they sample, they do not
 certify.  The k1 and k2 circle scans sum a series sum_j c_j(q) z^j as matrix
@@ -37,6 +42,7 @@ each check's grid, default steps and settings rules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -147,7 +153,6 @@ def _battery_grid(check, modulus_steps=None, argument_steps=None):
 class ReferenceConstant:
     name: str
     value: float
-    digits: int
     definition: str
     recompute: object = field(default=None, repr=False, compare=False)  # () -> float
 
@@ -237,102 +242,84 @@ def phi_star(r):
     return (np.sqrt if isinstance(r, np.ndarray) else math.sqrt)(1.0 + 1.0 / r)
 
 
-def _gamma():  # prod_{j>=12} (1 - 0.6^j) = U(0.6, -0.6^11)
-    return _U(-0.6 ** 11)
+def _chi_star():  # chi2 chi3 chi4 chi5: the factor k4's floor squares, also in k4's report
+    return math.prod(recompute_constant(f"chi{j}") for j in (2, 3, 4, 5))
 
 
-def _eta():  # prod_{j>=1} |0.6^{j-9/2} - 1| = |U(0.6, -0.6^{-9/2})|
-    return abs(_U(-0.6 ** -4.5))
-
-
-def _xi():  # prod_{j>=0} (1 - 0.6^{j+9/2}) = U(0.6, -0.6^{7/2})
-    return _U(-0.6 ** 3.5)
-
-
-def _chi5():  # prod_{k>=16} (1 - 0.6^{k-7/2}) = U(0.6, -0.6^{23/2})
-    return _U(-0.6 ** 11.5)
-
-
-def _chi0():
-    return mu(3, 0.6 ** -2.5) * mu(2, 0.6 ** -1.5) * mu(1, 0.6 ** -0.5)
-
-
-def _g_bound(h):  # sum_{j>=1} 0.6^{j(j-1)/2 + h j} = 0.6^h theta(0.6, 0.6^h)
-    return 0.6 ** h * _theta(0.6, 0.6 ** h)
-
-
-def _a0():  # 1 + sum_{j>=4} 0.6^{j(j-1)/2 - 3j/2} = 1 + theta(0.6, 0.6^{3/2})
-    return 1.0 + _theta(0.6, 0.6 ** 1.5)
-
-
-def _a_tail_bound():  # sum_{j>=8} 0.6^{j(j-1)/2 - 3j/2} = 0.6^16 theta(0.6, 0.6^{11/2})
-    return 0.6 ** 16 * _theta(0.6, 0.6 ** 5.5)
-
-
-def _qur_floor_k4():
-    chi_star = A_j(0.6, 2) * A_j(0.6, 3) * A_j(0.6, 4) * _chi5()
-    return 1.2 * _chi0() * A_j(0.6, 1) * chi_star ** 2
-
-
+# Each entry is the one definition of its constant: the checks, and the entries built on
+# others, read values through `recompute_constant`, which computes each once per process.
 REFERENCE_CONSTANTS = {c.name: c for c in (
     ReferenceConstant(  # quoted input, not derivable from the material in scope
-        "c0", 0.2078750206, 10,
+        "c0", 0.2078750206,
         "radius below which strong modulus-separation of the zeros is already known", lambda: C0),
-    ReferenceConstant("alpha0", 0.2756644477, 10, "sqrt(3) / (2 pi)",
+    ReferenceConstant("alpha0", 0.2756644477, "sqrt(3) / (2 pi)",
                       lambda: math.sqrt(3.0) / (2.0 * math.pi)),
-    ReferenceConstant("exp_inv_alpha0", 37.62236657, 10,
+    ReferenceConstant("exp_inv_alpha0", 37.62236657,
                       "e^{1/alpha0}, common limit of the annulus radii m_n and M_n",
                       lambda: math.exp(2.0 * math.pi / math.sqrt(3.0))),
-    ReferenceConstant("gamma", 0.9945691384, 10, "prod_{j>=12} (1 - 0.6^j)", _gamma),
-    ReferenceConstant("Q0_floor", 1.206552620, 10,
+    ReferenceConstant("gamma", 0.9945691384, "prod_{j>=12} (1 - 0.6^j) = U(0.6, -0.6^11)",
+                      lambda: _U(-0.6 ** 11)),
+    ReferenceConstant("Q0_floor", 1.206552620,
                       "1.2 / gamma, required boundary floor for prod_{j<=11} (1 - q^j)",
-                      lambda: 1.2 / _gamma()),
-    ReferenceConstant("eta", 0.2411047426, 10, "prod_{j>=1} |0.6^{j-9/2} - 1|", _eta),
-    ReferenceConstant("xi", 0.7715882456, 10, "prod_{j>=0} (1 - 0.6^{j+9/2})", _xi),
-    ReferenceConstant("qur_floor_k5", 0.2232403024, 10,
+                      lambda: 1.2 / recompute_constant("gamma")),
+    ReferenceConstant("eta", 0.2411047426,
+                      "prod_{j>=1} |0.6^{j-9/2} - 1| = |U(0.6, -0.6^{-9/2})|",
+                      lambda: abs(_U(-0.6 ** -4.5))),
+    ReferenceConstant("xi", 0.7715882456, "prod_{j>=0} (1 - 0.6^{j+9/2}) = U(0.6, -0.6^{7/2})",
+                      lambda: _U(-0.6 ** 3.5)),
+    ReferenceConstant("qur_floor_k5", 0.2232403024,
                       "1.2 * eta * xi: product floor on |z| = |q|^{-k+1/2}, k >= 5",
-                      lambda: 1.2 * _eta() * _xi()),
-    ReferenceConstant("g_bound_k5", 0.1066576686, 10, "sum_{j>=1} 0.6^{j(j-1)/2 + 9j/2}",
-                      lambda: _g_bound(4.5)),
-    ReferenceConstant("g_bound_k4", 0.1851580824, 10, "sum_{j>=1} 0.6^{j(j-1)/2 + 7j/2}",
-                      lambda: _g_bound(3.5)),
-    ReferenceConstant("chi0", 1.742379963, 10,
-                      "mu3(0.6^{-5/2}) mu2(0.6^{-3/2}) mu1(0.6^{-1/2})", _chi0),
-    ReferenceConstant("chi1", 0.1749135662, 10, "A_1(0.6)", lambda: A_j(0.6, 1)),
-    ReferenceConstant("chi2", 0.7772399345, 10, "A_2(0.6)", lambda: A_j(0.6, 2)),
-    ReferenceConstant("chi3", 0.9492771959, 10, "A_3(0.6)", lambda: A_j(0.6, 3)),
-    ReferenceConstant("chi4", 0.9889171980, 10, "A_4(0.6)", lambda: A_j(0.6, 4)),
-    ReferenceConstant("chi5", 0.9957913379, 10, "prod_{k>=16} (1 - 0.6^{k-7/2})", _chi5),
-    ReferenceConstant("qur_floor_k4", 0.1930636291, 10,
+                      lambda: 1.2 * recompute_constant("eta") * recompute_constant("xi")),
+    ReferenceConstant("g_bound_k5", 0.1066576686,
+                      "sum_{j>=1} 0.6^{j(j-1)/2 + 9j/2} = 0.6^{9/2} theta(0.6, 0.6^{9/2})",
+                      lambda: 0.6 ** 4.5 * _theta(0.6, 0.6 ** 4.5)),
+    ReferenceConstant("g_bound_k4", 0.1851580824,
+                      "sum_{j>=1} 0.6^{j(j-1)/2 + 7j/2} = 0.6^{7/2} theta(0.6, 0.6^{7/2})",
+                      lambda: 0.6 ** 3.5 * _theta(0.6, 0.6 ** 3.5)),
+    ReferenceConstant("chi0", 1.742379963, "mu3(0.6^{-5/2}) mu2(0.6^{-3/2}) mu1(0.6^{-1/2})",
+                      lambda: mu(3, 0.6 ** -2.5) * mu(2, 0.6 ** -1.5) * mu(1, 0.6 ** -0.5)),
+    ReferenceConstant("chi1", 0.1749135662, "A_1(0.6)", lambda: A_j(0.6, 1)),
+    ReferenceConstant("chi2", 0.7772399345, "A_2(0.6)", lambda: A_j(0.6, 2)),
+    ReferenceConstant("chi3", 0.9492771959, "A_3(0.6)", lambda: A_j(0.6, 3)),
+    ReferenceConstant("chi4", 0.9889171980, "A_4(0.6)", lambda: A_j(0.6, 4)),
+    ReferenceConstant("chi5", 0.9957913379,
+                      "prod_{k>=16} (1 - 0.6^{k-7/2}) = U(0.6, -0.6^{23/2})",
+                      lambda: _U(-0.6 ** 11.5)),
+    ReferenceConstant("qur_floor_k4", 0.1930636291,
                       "1.2 chi0 chi1 (chi2 chi3 chi4 chi5)^2: product floor on |z| = |q|^{-7/2}",
-                      _qur_floor_k4),
-    ReferenceConstant("phi_star_06", 1.632993162, 10, "sqrt(1 + 1/0.6)", lambda: phi_star(0.6)),
-    ReferenceConstant("phi_flat_06", 1.618354488, 10, "sum_{j>=2} 0.6^{j(j-2)/2}",
+                      lambda: (1.2 * recompute_constant("chi0") * recompute_constant("chi1")
+                               * _chi_star() ** 2)),
+    ReferenceConstant("phi_star_06", 1.632993162, "sqrt(1 + 1/0.6)", lambda: phi_star(0.6)),
+    ReferenceConstant("phi_flat_06", 1.618354488, "sum_{j>=2} 0.6^{j(j-2)/2}",
                       lambda: phi_flat(0.6)),
-    ReferenceConstant("phi_flat_03_minus_1", 0.1725370862, 10, "sum_{j>=3} 0.3^{j(j-2)/2}",
+    ReferenceConstant("phi_flat_03_minus_1", 0.1725370862, "sum_{j>=3} 0.3^{j(j-2)/2}",
                       lambda: phi_flat(0.3) - 1.0),
-    ReferenceConstant("a0", 2.330487021, 10, "1 + sum_{j>=4} 0.6^{j(j-1)/2 - 3j/2}", _a0),
-    ReferenceConstant("xiB_floor_wide_arg", 2.405626123, 10,
+    ReferenceConstant("a0", 2.330487021,
+                      "1 + sum_{j>=4} 0.6^{j(j-1)/2 - 3j/2} = 1 + theta(0.6, 0.6^{3/2})",
+                      lambda: 1.0 + _theta(0.6, 0.6 ** 1.5)),
+    ReferenceConstant("xiB_floor_wide_arg", 2.405626123,
                       "0.6^{-3/2} sqrt(3/(4*0.6)): |xi B| floor for arg(q) in [2pi/3, pi]",
                       lambda: 0.6 ** -1.5 * math.sqrt(3.0 / (4.0 * 0.6))),
-    ReferenceConstant("xiB_floor_small_q", 2.337543079, 10,
+    ReferenceConstant("xiB_floor_small_q", 2.337543079,
                       "0.55^{-2}/sqrt(2): |xi B| floor for |q| <= 0.55",
                       lambda: 0.55 ** -2 / SQRT2),
-    ReferenceConstant("a_tail_bound", 0.0002925303367, 10,
-                      "sum_{j>=8} 0.6^{j(j-1)/2 - 3j/2}", _a_tail_bound),
+    ReferenceConstant("a_tail_bound", 0.0002925303367,
+                      "sum_{j>=8} 0.6^{j(j-1)/2 - 3j/2} = 0.6^16 theta(0.6, 0.6^{11/2})",
+                      lambda: 0.6 ** 16 * _theta(0.6, 0.6 ** 5.5)),
     ReferenceConstant(
-        "tau_pinch_modulus", 0.3431457506, 10,
+        "tau_pinch_modulus", 0.3431457506,
         "modulus where (2|q|)^{-1/2} - 2^{-1/2} = 1/2 (weakest point of the 3A bound)",
         lambda: 0.5 / (0.5 + 2.0 ** -0.5) ** 2),
-    ReferenceConstant("case4d_drop", 0.7470048804, 10,
+    ReferenceConstant("case4d_drop", 0.7470048804,
                       "-(0.6^{-1/2} cos(11pi/12) + 1 + cos(8pi/3))",
                       lambda: -(0.6 ** -0.5 * math.cos(11 * math.pi / 12)
                                 + 1.0 + math.cos(8 * math.pi / 3))),
 )}
 
 
+@functools.cache
 def recompute_constant(name):
-    """Recompute a registry constant from its defining formula."""
+    """Recompute a registry constant from its defining formula, once per process."""
     if name not in REFERENCE_CONSTANTS:
         raise DomainError(f"unknown constant {name!r}")
     return REFERENCE_CONSTANTS[name].recompute()
@@ -356,7 +343,7 @@ def verify_constants():
 # mu ordering / monotonicity / exchange properties
 # ---------------------------------------------------------------------------
 
-def mu_properties_check(samples=2000, seed=20260811):
+def mu_properties_check(samples=2000):
     """Sampled checks of the chord-bound family.
 
     Verifies, on random moduli: the strict ordering mu_4 > mu_3 > mu_2 > mu_1
@@ -367,7 +354,7 @@ def mu_properties_check(samples=2000, seed=20260811):
     if samples < 100:
         raise DomainError("samples must be >= 100")
     # per sample m, lo - 1, hi - lo, m2, m1, mapped as rng.uniform(low, high) maps a draw
-    u = np.random.default_rng(seed).random((samples, 5))
+    u = np.random.default_rng(20260811).random((samples, 5))
     m = 1e-4 + (8.0 - 1e-4) * u[:, 0]
     lo = 1.0 + 4.0 * u[:, 1]
     hi = lo + (1e-6 + (2.0 - 1e-6) * u[:, 2])
@@ -386,24 +373,22 @@ def mu_properties_check(samples=2000, seed=20260811):
     return VerificationReport.build("mu", computed, margins)
 
 
-def verify_AB_monotone(j_max=6, grid_points=2000):
-    """Sampled strict decrease of A_j and B_j on (0, 0.6].
+def verify_AB_monotone(grid_points=2000):
+    """Sampled strict decrease of A_j and B_j on (0, 0.6], j = 1..6.
 
     For larger j both functions saturate to 1.0 in double precision as
     rho -> 0 (the deviations fall below one ulp), so exact float ties
     between adjacent grid points get one ulp of slack; any representable
     increase still fails the check.
     """
-    if j_max < 4:
-        raise DomainError("j_max must be >= 4")
     if grid_points < 1000:
         raise DomainError("grid_points must be >= 1000")
     ulp_tie = 5e-16
     rhos = np.linspace(0.6 / grid_points, 0.6, grid_points)  # ends at 0.6 exactly
     # a row a j, j = 1 apart: numpy takes rho ** 0.5 as a square root, not a power
-    ab = [np.vstack([f(rhos, 1), f(rhos, np.arange(2, j_max + 1)[:, None])]) for f in (A_j, B_j)]
+    ab = [np.vstack([f(rhos, 1), f(rhos, np.arange(2, 7)[:, None])]) for f in (A_j, B_j)]
     drops = [np.min(x[:, :-1] - x[:, 1:], axis=1) + ulp_tie for x in ab]
-    pairs = [(j, name, i) for j in range(1, j_max + 1) for i, name in enumerate("AB")]
+    pairs = [(j, name, i) for j in range(1, 7) for i, name in enumerate("AB")]
     computed = {f"{name}_{j}(0.6)": float(ab[i][j - 1, -1]) for j, name, i in pairs}
     margins = {f"{name}_{j}_decreasing": float(drops[i][j - 1]) for j, name, i in pairs}
     return VerificationReport.build("AB", computed, margins)
@@ -413,12 +398,12 @@ def verify_AB_monotone(j_max=6, grid_points=2000):
 # Product floor on the boundary of the left half-disk
 # ---------------------------------------------------------------------------
 
-def _partial_q_product(qs, degree=11):
-    """prod_{j=1}^{degree} (1 - q^j) over an array of q values."""
+def _partial_q_product(qs):
+    """prod_{j=1}^{11} (1 - q^j) over an array of q values."""
     qs = np.asarray(qs, dtype=complex)
     p = np.ones(qs.shape, dtype=complex)
     power = np.ones(qs.shape, dtype=complex)
-    for _ in range(degree):
+    for _ in range(11):
         power = power * qs
         p = p * (1.0 - power)
     return p
@@ -439,8 +424,7 @@ def verify_lemma_Q(grid=DEFAULT_Q_GRID):
     1.13255 at q = -0.6, confirmed independently by the pentagonal-number
     series).  The report carries the observed minima and negative margins.
     """
-    gamma = _gamma()
-    floor = 1.2 / gamma
+    gamma, floor = recompute_constant("gamma"), recompute_constant("Q0_floor")
     segment_q = 1j * grid.moduli()
     seg_abs = np.abs(_partial_q_product(segment_q))
     arc_q = 0.6 * np.exp(1j * grid.arguments())
@@ -473,10 +457,8 @@ def verify_lemma_Q(grid=DEFAULT_Q_GRID):
 
 def verify_lemma_k5():
     """Product floor 1.2*eta*xi versus the principal-part bound on |z| = |q|^{-k+1/2}, k >= 5."""
-    eta = _eta()
-    xi = _xi()
-    floor = 1.2 * eta * xi
-    g_bound = _g_bound(4.5)
+    eta, xi, floor, g_bound = map(recompute_constant,
+                                  ("eta", "xi", "qur_floor_k5", "g_bound_k5"))
     computed = {"eta": eta, "xi": xi, "qur_floor": floor, "g_bound": g_bound}
     margins = {
         "eta_digits": agreement_margin(eta, REFERENCE_CONSTANTS["eta"].value),
@@ -490,26 +472,19 @@ def verify_lemma_k5():
 
 def verify_lemma_k4():
     """Chord-product floor 1.2 chi0 chi1 chi_*^2 versus the tail bound on |z| = |q|^{-7/2}."""
-    chi0 = _chi0()
-    chis = {j: A_j(0.6, j) for j in (1, 2, 3, 4)}
-    bs = {j: B_j(0.6, j) for j in (1, 2, 3, 4)}
-    chi5 = _chi5()
-    chi_star = chis[2] * chis[3] * chis[4] * chi5
-    floor = 1.2 * chi0 * chis[1] * chi_star ** 2
-    g_bound = _g_bound(3.5)
-    computed = {"chi0": chi0, "chi5": chi5, "chi_star": chi_star,
+    chis = {j: recompute_constant(f"chi{j}") for j in range(6)}
+    floor, g_bound = recompute_constant("qur_floor_k4"), recompute_constant("g_bound_k4")
+    computed = {"chi0": chis[0], "chi5": chis[5], "chi_star": _chi_star(),
                 "qur_floor": floor, "g_bound": g_bound}
     computed.update({f"chi{j}": chis[j] for j in (1, 2, 3, 4)})
     margins = {
         "product_exceeds_tail": floor - g_bound,
         "floor_digits": agreement_margin(floor, REFERENCE_CONSTANTS["qur_floor_k4"].value),
         "g_bound_digits": agreement_margin(g_bound, REFERENCE_CONSTANTS["g_bound_k4"].value),
-        "A_below_B": min(bs[j] - chis[j] for j in (1, 2, 3, 4)),
+        "A_below_B": min(B_j(0.6, j) - chis[j] for j in (1, 2, 3, 4)),
     }
-    for j in range(6):
-        name = f"chi{j}"
-        margins[f"{name}_digits"] = agreement_margin(computed[name],
-                                                     REFERENCE_CONSTANTS[name].value)
+    margins.update({f"chi{j}_digits": agreement_margin(chi, REFERENCE_CONSTANTS[f"chi{j}"].value)
+                    for j, chi in chis.items()})
     return VerificationReport.build("k4", computed, margins)
 
 
@@ -531,10 +506,9 @@ def verify_lemma_k1_cases(samples=2000):
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples!r}")
     c0 = C0
-    pf06 = phi_flat(0.6)
-    ps06 = phi_star(0.6)
+    pf06, ps06, pf03m1, pinch_closed, b4d = map(recompute_constant, (
+        "phi_flat_06", "phi_star_06", "phi_flat_03_minus_1", "tau_pinch_modulus", "case4d_drop"))
     tail_cap = pf06 - 1.0
-    pf03m1 = phi_flat(0.3) - 1.0
 
     rgrid = np.linspace(c0, 0.6, samples)
     ps_vals = phi_star(rgrid)
@@ -544,7 +518,6 @@ def verify_lemma_k1_cases(samples=2000):
     tau = (2.0 * rgrid) ** -0.5 - 2.0 ** -0.5
     bound_3a = np.sqrt((1.0 - 2.0 * tau) ** 2 / 2.0 + 0.5)
     i_min = int(np.argmin(bound_3a))
-    pinch_closed = 0.5 / (0.5 + 2.0 ** -0.5) ** 2
     spacing = float(rgrid[1] - rgrid[0])
 
     imag_branch_3a = (2.0 * 0.6) ** -0.5
@@ -557,7 +530,6 @@ def verify_lemma_k1_cases(samples=2000):
     shift = 0.6 ** -0.5 * math.cos(11 * math.pi / 12) + 1.0
     phis = np.linspace(5 * math.pi / 2, 17 * math.pi / 6, _T_SAMPLES)
     t_vals = np.sqrt(np.sin(phis) ** 2 + (shift + np.cos(phis)) ** 2)
-    b4d = -(shift + math.cos(8 * math.pi / 3))
 
     computed = {
         "phi_star_06": ps06, "phi_flat_06": pf06, "phi_flat_03_minus_1": pf03m1,
@@ -972,9 +944,8 @@ def verify_lemma_k2(grid=DEFAULT_K2_GRID, z_steps=BATTERY["k2"].circle(DEFAULT_K
     is bounded, and `_scan_min` refines only the windows its slope bounds cannot
     rule out.  `sample_pad` is k1's, for this scan's slope and circle.
     """
-    a0 = _a0()
-    tail = _a_tail_bound()
-    wide, small = (recompute_constant(n) for n in ("xiB_floor_wide_arg", "xiB_floor_small_q"))
+    a0, tail, wide, small = map(recompute_constant, (
+        "a0", "a_tail_bound", "xiB_floor_wide_arg", "xiB_floor_small_q"))
 
     scan = _dominance_scan(grid, tail)
     worst, worst_at = _scan_min(grid, z_steps, scan)

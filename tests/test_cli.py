@@ -94,6 +94,15 @@ def test_eval_overflow_exits_3_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_eval_R_at_a_subnormal_z_names_the_overflow_not_the_tail(capsys):
+    code, out, err = run(capsys, ["eval", "R", "--q", "0.5", "--z", "1e-310",
+                                  "--max-terms", "1000000"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: overflow") and "R: a factor of the product" in err
+    assert "product tail" not in err
+
+
 @pytest.mark.parametrize("max_terms", ["1000001", "1000000000000"])
 def test_eval_max_terms_above_the_cap_is_refused_before_any_series(capsys, monkeypatch,
                                                                    max_terms):
@@ -366,7 +375,7 @@ def _exhaustive_grid_minimum(grid, z_steps, max_power, values):
 
 
 def test_verify_small_grids_give_the_exhaustive_minima(capsys):
-    from thetasep.lemmas import C0, GridSpec, _a_tail_bound, _theta_dagger_terms
+    from thetasep.lemmas import C0, GridSpec, _theta_dagger_terms, recompute_constant
     small = ["--z-steps", "7", "--modulus-steps", "5", "--argument-steps", "3", "--format", "json"]
 
     def _circle_sum(rho, omegas, z_modulus, powers, q_exponents, basis):
@@ -387,7 +396,7 @@ def test_verify_small_grids_give_the_exhaustive_minima(capsys):
             computed["direct.at_q_argument"], computed["direct.at_z_argument"]) \
         == _exhaustive_grid_minimum(grid, 7, n_max - 1, theta_dagger)
 
-    tail = _a_tail_bound()
+    tail = recompute_constant("a_tail_bound")
 
     def dominance(rho, omegas, basis):
         xi = rho ** -1.5

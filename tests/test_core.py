@@ -317,6 +317,15 @@ def test_r_rejects_zero_argument():
         eval_R(0.5, 0.0)
 
 
+@pytest.mark.parametrize("z", [1e-310, 5e-324])
+def test_r_at_a_subnormal_z_overflows_instead_of_running_its_budget(z):
+    # 1 / z is inf, so the first partial product is not finite and no factor can settle it
+    with pytest.raises(OverflowError, match="R: a factor of the product leaves the float range"):
+        eval_R(0.5, z, SeriesBudget(max_terms=1_000_000))
+    with pytest.raises(OverflowError, match="R: a factor of the product"):
+        eval_theta_star(0.5, z, method="product")
+
+
 def test_factors_compose_to_theta_star():
     q, z = 0.4j, 2.0 - 1.0j
     prod = eval_Q(q).value * eval_U(q, z).value * eval_R(q, z).value

@@ -72,6 +72,43 @@ def test_verify_constants_report():
     assert min(rep.margins.values()) > 0
 
 
+def test_one_battery_run_evaluates_each_series_and_product_constant_once(monkeypatch):
+    # 4 distinct U values (gamma, eta, xi, chi5) and 6 theta ones (both g-bounds, a0, the A**
+    # tail, phi_flat at 0.6 and 0.3); a second run reads them all from the cache
+    from collections import Counter
+
+    from thetasep import lemmas
+    calls = Counter()
+    for name in ("eval_U", "eval_theta"):
+        def counted(*args, _fn=getattr(lemmas, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lemmas, name, counted)
+    recompute_constant.cache_clear()
+    verify_all()
+    assert calls == {"eval_U": 4, "eval_theta": 6}
+    verify_all()
+    assert calls == {"eval_U": 4, "eval_theta": 6}
+
+
+def test_derived_constants_are_their_checks_values_bit_for_bit():
+    # each registry entry is the one definition: the check reports it, and it keeps the
+    # order of operations of the formula the check used to write out
+    chi = [recompute_constant(f"chi{j}") for j in range(6)]
+    eta, xi, gamma = (recompute_constant(n) for n in ("eta", "xi", "gamma"))
+    cases = verify_lemma_k1_cases().computed
+    for name, reported, formula in [
+        ("qur_floor_k4", verify_lemma_k4().computed["qur_floor"],
+         1.2 * chi[0] * chi[1] * (chi[2] * chi[3] * chi[4] * chi[5]) ** 2),
+        ("qur_floor_k5", verify_lemma_k5().computed["qur_floor"], 1.2 * eta * xi),
+        ("Q0_floor", verify_lemma_Q().computed["Q0_floor"], 1.2 / gamma),
+        ("tau_pinch_modulus", cases["pinch_modulus"], 0.5 / (0.5 + 2.0 ** -0.5) ** 2),
+        ("case4d_drop", cases["case4D"],
+         -(0.6 ** -0.5 * math.cos(11 * math.pi / 12) + 1.0 + math.cos(8 * math.pi / 3))),
+    ]:
+        assert recompute_constant(name) == reported == formula, name
+
+
 # ---------------------------------------------------------------------------
 # chord bounds
 # ---------------------------------------------------------------------------
@@ -145,11 +182,9 @@ def test_AB_domain_checks():
 
 
 def test_verify_AB_monotone():
-    rep = verify_AB_monotone(j_max=6, grid_points=2000)
+    rep = verify_AB_monotone(grid_points=2000)
     assert rep.passed
     assert rep.computed["A_1(0.6)"] == pytest.approx(A_j(0.6, 1), abs=1e-15)
-    with pytest.raises(DomainError):
-        verify_AB_monotone(j_max=3)
     with pytest.raises(DomainError):
         verify_AB_monotone(grid_points=10)
 
@@ -243,8 +278,7 @@ def _constant_cases():
     taken as its |value|), times the constant's power of 0.6."""
     import mpmath
     from thetasep import eval_theta, eval_U
-    from thetasep.lemmas import (_CONSTANT_BUDGET, _a0, _a_tail_bound, _chi5, _eta, _g_bound,
-                                 _gamma, _xi)
+    from thetasep.lemmas import _CONSTANT_BUDGET
     r = mpmath.mpf(0.6)
 
     def theta(q, z, factor=1.0):
@@ -255,18 +289,19 @@ def _constant_cases():
         res = eval_U(0.6, z, _CONSTANT_BUDGET)
         return res.tail_bound + 2.0 ** -52 * (res.terms_used + 6) ** 2 * abs(res.value)
 
+    c = recompute_constant
     return [
-        ("gamma", _gamma(), _mp_product(lambda j: 1 - r ** j, 12), product(-0.6 ** 11)),
-        ("eta", _eta(), abs(_mp_product(lambda j: 1 - r ** (j - 4.5), 1)), product(-0.6 ** -4.5)),
-        ("xi", _xi(), _mp_product(lambda j: 1 - r ** (j + 4.5), 0), product(-0.6 ** 3.5)),
-        ("chi5", _chi5(), _mp_product(lambda k: 1 - r ** (k - 3.5), 16), product(-0.6 ** 11.5)),
-        ("g_bound_k5", _g_bound(4.5), _mp_sum(0.6, lambda j: j * (j - 1) / 2 + 4.5 * j, 1),
+        ("gamma", c("gamma"), _mp_product(lambda j: 1 - r ** j, 12), product(-0.6 ** 11)),
+        ("eta", c("eta"), abs(_mp_product(lambda j: 1 - r ** (j - 4.5), 1)), product(-0.6 ** -4.5)),
+        ("xi", c("xi"), _mp_product(lambda j: 1 - r ** (j + 4.5), 0), product(-0.6 ** 3.5)),
+        ("chi5", c("chi5"), _mp_product(lambda k: 1 - r ** (k - 3.5), 16), product(-0.6 ** 11.5)),
+        ("g_bound_k5", c("g_bound_k5"), _mp_sum(0.6, lambda j: j * (j - 1) / 2 + 4.5 * j, 1),
          theta(0.6, 0.6 ** 4.5, 0.6 ** 4.5)),
-        ("g_bound_k4", _g_bound(3.5), _mp_sum(0.6, lambda j: j * (j - 1) / 2 + 3.5 * j, 1),
+        ("g_bound_k4", c("g_bound_k4"), _mp_sum(0.6, lambda j: j * (j - 1) / 2 + 3.5 * j, 1),
          theta(0.6, 0.6 ** 3.5, 0.6 ** 3.5)),
-        ("a0", _a0(), 1 + _mp_sum(0.6, lambda j: j * (j - 1) / 2 - 1.5 * j, 4),
+        ("a0", c("a0"), 1 + _mp_sum(0.6, lambda j: j * (j - 1) / 2 - 1.5 * j, 4),
          theta(0.6, 0.6 ** 1.5)),
-        ("a_tail_bound", _a_tail_bound(), _mp_sum(0.6, lambda j: j * (j - 1) / 2 - 1.5 * j, 8),
+        ("a_tail_bound", c("a_tail_bound"), _mp_sum(0.6, lambda j: j * (j - 1) / 2 - 1.5 * j, 8),
          theta(0.6, 0.6 ** 5.5, 0.6 ** 16)),
         ("phi_flat(0.6)", phi_flat(0.6), _mp_sum(0.6, lambda j: j * (j - 2) / 2, 2),
          theta(0.6, math.sqrt(0.6))),
@@ -571,8 +606,9 @@ def _exhaustive_min(grid, z_steps, scan):
 
 def _scan(check, grid):
     """The k1 or the k2 scan over `grid`."""
-    from thetasep.lemmas import _a_tail_bound, _dominance_scan, _theta_dagger_scan
-    return _theta_dagger_scan(grid) if check == "k1" else _dominance_scan(grid, _a_tail_bound())
+    from thetasep.lemmas import _dominance_scan, _theta_dagger_scan
+    return (_theta_dagger_scan(grid) if check == "k1"
+            else _dominance_scan(grid, recompute_constant("a_tail_bound")))
 
 
 @settings(max_examples=80, deadline=None)
