@@ -244,7 +244,7 @@ def _theta_and_dz(q, z, budget, what):
                        (slopes, slope_tail, sum(map(abs, slopes)) + slope_tail)))
 
 
-def circle_terms(q, centre, budget=DEFAULT_BUDGET, what=None, derivative=False):
+def circle_terms(q, centre, budget=DEFAULT_BUDGET, what=None, derivative=False, pivot=None):
     """The terms c_j = q^{j(j+1)/2} centre^j of theta(q, centre), and their tail bound and scale.
 
     The one series kernel; on the circle through `centre` theta(q, centre e^{i psi}) is
@@ -263,7 +263,11 @@ def circle_terms(q, centre, budget=DEFAULT_BUDGET, what=None, derivative=False):
     range, which no rescale keeps finite, raises OverflowError.  With `derivative` the pass
     runs on until theta' = sum_j j c_j / centre has its tail, |c_{n-1} q^n| (n / (1 - r) +
     r / (1 - r)^2), below the tolerance too, and returns it; the kept terms may then
-    outnumber theta's n.
+    outnumber theta's n.  With `pivot` = i0 instead the pass also returns M1 = sum_i
+    |i - i0| |c_i| over the kept terms (`zeros`' slope bound of a counting circle), formed
+    from each |c_i| as the scale is: from |0 - i0| |c_0|, one product and one sum a term, and
+    times 2^-600 at each rescale.  Those are the products and sums, in index order, of the sum
+    over the returned terms, so M1 is that sum to the bit wherever no kept term is subnormal.
 
     Both tail bounds allow for rounding, u = 2^-53.  The computed |c_{n-1}| is a product of
     n - 1 computed steps, and step s_j carries the j - 1 products of q^j, its product with
@@ -284,6 +288,7 @@ def circle_terms(q, centre, budget=DEFAULT_BUDGET, what=None, derivative=False):
     centre = centre if isinstance(centre, complex) else float(centre)
     power, term, terms, marks = (1.0 + 0j) * q, 1.0 + 0j, [1.0 + 0j], []  # t_j = t_{j-1} q^j centre
     used, modulus, scale, exponent, res = 1, 1.0, 1.0, 0, None
+    slope = 0.0 if pivot is None else abs(pivot) * 1.0  # M1 from |0 - pivot| |c_0|
     tolerance, max_terms = budget.tolerance, budget.max_terms
     while True:
         pending = power * centre
@@ -310,18 +315,22 @@ def circle_terms(q, centre, budget=DEFAULT_BUDGET, what=None, derivative=False):
             exponent += _RESCALE_BITS
             tolerance = max(math.ldexp(budget.tolerance, -exponent), sys.float_info.min)
             step = 2.0 ** -_RESCALE_BITS
-            term, scale, modulus = term * step, scale * step, modulus * step
+            term, scale, modulus, slope = term * step, scale * step, modulus * step, slope * step
             bound = modulus * r
             marks.append(used)
         term *= pending
         power *= q
-        used += 1
         modulus = abs(term)
         scale += modulus
+        if pivot is not None:  # the new term is c_used
+            slope += abs(used - pivot) * modulus
+        used += 1
         terms.append(term)
     for missed, (start, end) in zip(range(len(marks), 0, -1), pairwise([0, *marks])):
         terms[start:end] = [ldexp_complex(t, -_RESCALE_BITS * missed) for t in terms[start:end]]
-    return (terms, res, slope_tail) if derivative else (terms, res)
+    if derivative:
+        return terms, res, slope_tail
+    return (terms, res) if pivot is None else (terms, res, slope)
 
 
 @functools.lru_cache(maxsize=4)
@@ -367,9 +376,10 @@ def _product_eval(first_dev, ratio, budget, what):
     After the factor with deviation modulus m, the dropped factors satisfy
     sum |d_i| <= m |ratio| / (1 - |ratio|) =: S and the value error is below
     |partial| * (e^S - 1).  Stops once the current deviation is under
-    tolerance/10 and that bound is under tolerance.  A partial product that leaves the float
-    range (as an infinite deviation makes it) raises OverflowError at once: no later factor
-    brings it back.
+    tolerance/10 and that bound is under tolerance; while e^S - 1 leaves the float range the
+    bound is infinite, and the next factor is taken.  A partial product that leaves the float
+    range (as an infinite deviation makes it), or that a nonzero factor rounds to 0, raises
+    OverflowError at once: no later factor brings it back, and only a zero factor makes 0 exact.
     """
     prod = 1.0 + 0j
     dev = complex(first_dev)
@@ -377,8 +387,8 @@ def _product_eval(first_dev, ratio, budget, what):
     used = 0
     scale = 0.0
     while True:
-        prod *= 1.0 + dev
-        if not cmath.isfinite(prod):
+        prod *= (factor := 1.0 + dev)
+        if not cmath.isfinite(prod) or not prod and factor:
             raise OverflowError(f"{what}: a factor of the product leaves the float range")
         used += 1
         m = abs(dev)
@@ -387,7 +397,10 @@ def _product_eval(first_dev, ratio, budget, what):
             # an exact zero factor annihilates the full product
             return EvalResult(prod, 0.0, used, scale)
         tail_sum = m * rho / (1.0 - rho)
-        bound = abs(prod) * math.expm1(tail_sum)
+        try:
+            bound = abs(prod) * math.expm1(tail_sum)
+        except OverflowError:
+            bound = math.inf
         if m < budget.tolerance / 10.0 and bound <= budget.tolerance:
             return EvalResult(prod, bound, used, scale + tail_sum)
         if used >= budget.max_terms:

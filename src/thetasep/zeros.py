@@ -267,7 +267,7 @@ def _head_bound(q, x, res):
     return head if head <= HEAD_FRACTION * res.scale else None
 
 
-def _shifted_circle(q, radius, shifted, budget):
+def _shifted_circle(q, radius, shifted, budget, m=None):
     """(terms, result, J, head): the kept terms of the circle |z| = radius, the one source of theta.
 
     With `shifted` and J = `_head_shift` >= 1, the terms are those of
@@ -278,21 +278,23 @@ def _shifted_circle(q, radius, shifted, budget):
     Horner pass over them at w = e^{i psi} gives any other point of the
     circle (a bisection midpoint, a Newton iterate).  Where J is 0, the
     head check fails or the shifted sum raises, it is the unshifted circle:
-    the terms of theta(q, radius), J = 0 and head 0.
+    the terms of theta(q, radius), J = 0 and head 0.  With `m` (a counting
+    circle's, see `_contours`) a fifth entry is M1 = sum_i |J + i - m| |c_i|,
+    which core's `circle_terms` forms with pivot m - J as it forms the terms.
     """
     shift = _head_shift(q, radius) if shifted else 0
     if shift:
-        centre = q.value ** shift * radius
+        centre, pivot = q.value ** shift * radius, None if m is None else m - shift
         try:
-            kept, res = circle_terms(q, centre, budget)
+            kept, res, *slope = circle_terms(q, centre, budget, pivot=pivot)
         except (BudgetExceeded, OverflowError):
             pass
         else:
             head = _head_bound(q, centre, res)
             if head is not None:
-                return kept, res, shift, head / res.scale
-    kept, res = circle_terms(q, radius, budget)
-    return kept, res, 0, 0.0
+                return kept, res, shift, head / res.scale, *slope
+    kept, res, *slope = circle_terms(q, radius, budget, pivot=m)
+    return kept, res, 0, 0.0, *slope
 
 
 def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BUDGET):
@@ -332,6 +334,9 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     from the same inverse FFT, so the exponent cancels in the ratio.  The
     arcs take `_resolve_phase`'s test as one array, with m = n* (the last n
     with |q|^n r >= 1); those that fail go onto per-circle heaps for it.
+    Each circle's M1 comes from its series pass (core's `circle_terms` with
+    pivot m - J), not from a second pass over its terms; -ln|q| and the
+    FFT's share of eps are formed once a call.
     Returns the results, the moments and each radius's `_Circle`: its kept
     terms and their EvalResult (core's `circle_terms`) and the shift J it
     took; a moment is None where the circle failed, its `_Circle` where its
@@ -344,18 +349,18 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     n0 = max(int(initial_samples), 16)
     results, sums, taken = [None] * len(radii), [None] * len(radii), [None] * len(radii)
     circles, rows = [], []  # the _Circle and (terms, J) of each row
+    # -ln|q|, and the inverse FFT's share of eps / scale for n0 samples (see `_resolve_phase`)
+    a, fft = -math.log(q.modulus), 2.0 ** -48 * math.log2(n0) * math.sqrt(n0)
     for i, radius in enumerate(radii):
+        m = max(0, math.floor(math.log(radius) / a))
         try:
-            kept, res, shift, head = _shifted_circle(q, radius, not moments, budget)
+            kept, res, shift, head, slope = _shifted_circle(q, radius, not moments, budget, m)
         except (BudgetExceeded, OverflowError) as exc:
             results[i] = exc
         else:
             rows.append((kept, shift % n0))
-            m = max(0, math.floor(math.log(radius) / -math.log(q.modulus)))
-            bins = map(abs, range(shift - m, shift - m + len(kept)))  # |J + i - m|
-            circles.append(_Circle(i, kept, res, shift, m,
-                                   sum(map(operator.mul, map(abs, kept), bins)),
-                                   res.tail_bound + res.scale * (head + _rounding(len(kept), n0))))
+            circles.append(_Circle(i, kept, res, shift, m, slope, res.tail_bound + res.scale * (
+                head + (2.0 ** -52 * (len(kept) + 6) ** 2 + fft))))
             taken[i] = circles[-1]
     if not circles:
         return results, sums, taken
@@ -399,11 +404,6 @@ def _contours(q, radii, initial_samples, budget, moments=False):
     return results, sums, taken
 
 
-def _rounding(terms, n):
-    """eps / scale for a circle of `terms` kept terms and n samples (see `_resolve_phase`)."""
-    return 2.0 ** -52 * (terms + 6) ** 2 + 2.0 ** -48 * math.log2(n) * math.sqrt(n)
-
-
 @functools.lru_cache(maxsize=4)
 def _unit_roots(n):
     """(z_n / r) / N = e^{2 pi i n / N} / N at the N samples of a circle (read-only: shared)."""
@@ -437,6 +437,11 @@ def _resolve_phase(radius, arcs, total, min_scaled, n0, circle):
     256) 2^-52 scale, the 256 from the second part at N >= 16; the difference, a quadratic in
     L of discriminant 7.54^2 - 4 0.33 256.4 < 0, is positive at every L.  So
     allowance = tail + head + eps bounds |sample - T| at every sample, initial or midpoint.
+
+    M1 is formed in core's `circle_terms` loop from each running |c_i|, rescaled with the scale
+    (pivot m - J): the products and sums, in order, of the sum over the kept c_i, so the share
+    above holds as it did for that sum.  A kept term that is subnormal enters M1 with its
+    modulus before that rounding, within 2^-1074 |b_i - m| of it, far inside the same share.
 
     With g = e^{-i m psi} v, |g'| <= M1 = sum_i |b_i - m| |c_i| (`slope`).  An arc [a, b] of
     width w passes when min(|v_a|, |v_b|) > M1 w / 2 + allowance: on its first half

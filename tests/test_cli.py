@@ -94,6 +94,13 @@ def test_eval_overflow_exits_3_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_eval_U_whose_first_tail_bounds_overflow_prints_its_value(capsys):
+    # U(0.5, 1e6) = 7.08649534951e57; e^S - 1 of its first factors' tail sum S is no float
+    code, out, err = run(capsys, ["eval", "U", "--q", "0.5", "--z", "1e6"])
+    assert (code, err) == (0, "")
+    assert "results.value       7.08649534951e+57+0i" in out
+
+
 def test_eval_R_at_a_subnormal_z_names_the_overflow_not_the_tail(capsys):
     code, out, err = run(capsys, ["eval", "R", "--q", "0.5", "--z", "1e-310",
                                   "--max-terms", "1000000"])

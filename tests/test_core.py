@@ -326,6 +326,35 @@ def test_r_at_a_subnormal_z_overflows_instead_of_running_its_budget(z):
         eval_theta_star(0.5, z, method="product")
 
 
+def _mp_factor_product(q, z, first):
+    """prod_j (1 + d_j), d_1 = first(q, z), d_{j+1} = d_j q, in mpmath until |d_j| < 1e-45."""
+    import mpmath
+    q, z = mpmath.mpc(q), mpmath.mpc(z)
+    total, dev = mpmath.mpf(1), first(q, z)
+    while abs(dev) > mpmath.mpf(10) ** -45:
+        total, dev = total * (1 + dev), dev * q
+    return total
+
+
+@pytest.mark.parametrize("evaluate, q, z, first", [
+    (eval_U, 0.5, 1e6, lambda q, z: z * q),
+    (eval_U, cmath.rect(0.9, 2.0), 3e4j, lambda q, z: z * q),
+    (eval_R, 0.5, 1e-6, lambda q, z: 1 / z),
+    (eval_R, cmath.rect(0.3, -2.5), 1e-9 - 2e-9j, lambda q, z: 1 / z),
+])
+def test_a_product_whose_first_bounds_overflow_runs_on_to_its_value(evaluate, q, z, first):
+    # e^S - 1 for the tail sum S after the first factors leaves the float range; that bound is
+    # infinite, and the factors run on until it is small: the value lies within the tail bound
+    # and 2^-52 (n + 6)^2 |value| (the constants' allowance) of the 40-digit product
+    import mpmath
+    res = evaluate(q, z)
+    with mpmath.workdps(40):
+        exact = _mp_factor_product(q, z, first)
+        gap = abs(mpmath.mpc(res.value) - exact)
+    assert math.isfinite(abs(res.value)) and abs(res.value) > 1e40
+    assert gap <= res.tail_bound + 2.0 ** -52 * (res.terms_used + 6) ** 2 * abs(res.value)
+
+
 def test_factors_compose_to_theta_star():
     q, z = 0.4j, 2.0 - 1.0j
     prod = eval_Q(q).value * eval_U(q, z).value * eval_R(q, z).value

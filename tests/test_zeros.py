@@ -161,7 +161,7 @@ def _winding_reference(q, radius, n0):
     """The pad rule of `zeros._resolve_phase` with scalar samples only and a LIFO bisection stack.
 
     Every sample is eval_theta(q, radius e^{i psi}), unshifted, in the units of the circle's
-    terms c_j.  With m = n*, M1 = sum_j |j - m| |c_j| and eps as in `zeros._rounding`, an arc
+    terms c_j.  With m = n*, M1 = sum_j |j - m| |c_j| and eps as in `zeros._contours`, an arc
     of width w passes when both its samples exceed M1 w / 2 + tail + eps, and its phase then
     turns by m w plus the principal angle of (v_b / v_a) e^{-i m w}; an arc that fails is
     bisected.  Returns the count, the samples used and the smallest sampled |theta| / scale.
@@ -223,6 +223,73 @@ def test_one_call_mixes_fine_rows_with_a_bisected_row():
         count, samples, low = _winding_reference(q, radius, 256)
         assert (res.count, res.samples_used) == (count, samples)
         assert res.min_modulus_on_contour == pytest.approx(low, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the slope bound M1 of a counting circle, formed in the series loop
+# ---------------------------------------------------------------------------
+
+def _slope_reference(circle):
+    """M1 = sum_i |J + i - m| |c_i| over a `_Circle`'s kept terms, summed in index order."""
+    total = 0.0
+    for i, c in enumerate(circle.terms):
+        total += abs(circle.shift + i - circle.m) * abs(c)
+    return total
+
+
+def _circles_with_slopes(q, radii, moments=False):
+    """The `_Circle`s that `_contours` takes on `radii`, each checked against `_slope_reference`:
+    bit for bit, with m = n*, the last n with |q|^n r >= 1."""
+    taken = [c for c in zeros._contours(q, radii, zeros.INITIAL_SAMPLES, zeros.DEFAULT_BUDGET,
+                                        moments)[2] if c is not None]
+    for circle in taken:
+        assert circle.m == max(0, math.floor(math.log(radii[circle.index]) / -math.log(q.modulus)))
+        assert circle.slope == _slope_reference(circle), (q, circle.index)
+    return taken
+
+
+def test_moment_circle_slopes_equal_the_explicit_sum():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        q = QParameter(cmath.rect(0.6 * math.sqrt(rng.random()),
+                                  math.pi / 2 + math.pi * rng.random()))
+        taken = _circles_with_slopes(q, [q.modulus ** -(k + 0.5) for k in range(1, 9)], True)
+        assert len(taken) == 8 and not any(c.shift for c in taken)
+
+
+def test_shifted_counting_circle_slopes_equal_the_explicit_sum():
+    # deep-like cells: the outer circle of the k-th annulus, k 10..40, most of them shifted
+    rng = np.random.default_rng(2024)
+    shifts = []
+    for k in range(10, 41):
+        q = QParameter(cmath.rect(rng.uniform(0.05, 0.5), math.pi / 2 + math.pi * rng.random()))
+        shifts += [c.shift for c in _circles_with_slopes(q, [Annulus.for_index(k).outer_radius(q)])]
+    assert sum(map(bool, shifts)) >= 20
+
+
+def test_large_k_circle_slopes_equal_the_explicit_sum():
+    # every circle of verify_separation(-0.3, 200), 174 of them rescaled by 2^-600 at least once
+    q = QParameter(-0.3)
+    taken = _circles_with_slopes(q, [q.modulus ** -(k + 0.5) for k in range(1, 201)], True)
+    assert len(taken) == 200 and sum(c.res.exponent > 0 for c in taken) == 174
+
+
+def test_only_counting_circles_form_the_slope(monkeypatch):
+    # Newton's circles and the evaluators sum their terms without M1
+    pivots, kernel = [], zeros.circle_terms
+
+    def spy(q, centre, budget=zeros.DEFAULT_BUDGET, pivot=None):
+        pivots.append(pivot)
+        return kernel(q, centre, budget, pivot=pivot)
+
+    monkeypatch.setattr(zeros, "circle_terms", spy)
+    q = QParameter(cmath.rect(0.33, 2.4))
+    locate_zero(q, 25)
+    assert pivots and set(pivots) == {None}
+    pivots.clear()
+    assert winding_number(q, Annulus.for_index(25).outer_radius(q)).count == 25
+    assert pivots and None not in pivots
+    assert len(circle_terms(q, 3.0)) == 2 and len(circle_terms(q, 3.0, pivot=1)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +728,10 @@ def test_winding_numbers_exact_zero_sample_stays_in_its_row(monkeypatch):
     radii = [q.modulus ** -(k + 0.5) for k in range(1, 4)]
     kernel = zeros.circle_terms
 
-    def terms(q, radius, budget):
+    def terms(q, radius, budget, pivot):
         if radius != radii[1]:
-            return kernel(q, radius, budget)
-        return [1.0, -1.0], EvalResult(0j, 0.0, 2, 2.0)
+            return kernel(q, radius, budget, pivot=pivot)
+        return [1.0, -1.0], EvalResult(0j, 0.0, 2, 2.0), abs(pivot) + abs(1 - pivot)
 
     monkeypatch.setattr(zeros, "circle_terms", terms)
     with warnings.catch_warnings():
@@ -1207,10 +1274,12 @@ def test_a_count_needs_its_minimum_above_the_head(monkeypatch):
     # beside that sample would fail at every depth, and the circle is refused
     q = QParameter(-0.3 + 0.1j)
     radius = q.modulus ** -20.5
-    kept, res, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
+    m = math.floor(math.log(radius) / -math.log(q.modulus))
+    kept, res, shift, head, slope = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET, m)
     assert shift and head
     least = winding_number(q, radius).min_modulus_on_contour
-    monkeypatch.setattr(zeros, "_shifted_circle", lambda *args: (kept, res, shift, 2.0 * least))
+    monkeypatch.setattr(zeros, "_shifted_circle",
+                        lambda *args: (kept, res, shift, 2.0 * least, slope))
     with pytest.raises(BudgetExceeded, match="phase not resolvable"):
         winding_number(q, radius)
 
@@ -1267,9 +1336,9 @@ def test_a_shifted_count_sums_one_circle(monkeypatch):
     calls, shapes = [], []
     terms, fold = zeros.circle_terms, zeros.fold_terms
 
-    def terms_spy(q, centre, budget=zeros.DEFAULT_BUDGET):
+    def terms_spy(q, centre, budget=zeros.DEFAULT_BUDGET, pivot=None):
         calls.append(centre)
-        return terms(q, centre, budget)
+        return terms(q, centre, budget, pivot=pivot)
 
     def fold_spy(circles, n, derivative=False):
         block = fold(circles, n, derivative)
