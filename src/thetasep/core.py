@@ -380,6 +380,29 @@ def _product_eval(first_dev, ratio, budget, what):
     bound is infinite, and the next factor is taken.  A partial product that leaves the float
     range (as an infinite deviation makes it), or that a nonzero factor rounds to 0, raises
     OverflowError at once: no later factor brings it back, and only a zero factor makes 0 exact.
+
+    Rounding allowance, u = 2^-53: the returned value of n factors is within
+    2^-52 (n + 6)^2 kappa |value| of the exact partial product prod_{j<=n} (1 + d_j), so within
+    that plus the tail bound of the infinite product, while the moduli are normal floats.
+    kappa = max(1, 2 w / (n^2 + 3n)), w = sum_{j<=n} (j + 1) |d_j| / |1 + d_j|, is the
+    conditioning of the factors: 1 where no factor is near 0 (so for real positive deviations
+    and for Q at |q| <= 0.95), and large only near a zero of the product.  The computed d_1 is
+    within 4.5 u of d_1 (a product z q, or a division 1 / z; -q is exact), and each later one
+    a complex product more, within sqrt(5) u < 2.25 u: so d_j is within
+    theta_j <= 2.25 (j + 1) u (1 + 2^-40) of d_j, relative, for (j + 1) u < 2^-45.  Forming
+    1 + d_j rounds its real part, a relative u of |1 + d_j|, so the factor is within
+    |d_j| / |1 + d_j| 2.25 (j + 1) u (1 + 2^-39) + u of 1 + d_j, relative.  The product takes
+    n - 1 complex products (the first, by 1, is exact), each within 2.25 u.  In all the value
+    is within e^x - 1 of the exact partial product, relative, with x at most u times
+    2.25 w (1 + 2^-39) + 3.25 n <= kappa (1.125 (n^2 + 3n) (1 + 2^-39) + 3.25 n)
+    <= 1.125 kappa (n + 6)^2, and e^x - 1 <= 1.13 kappa u (n + 6)^2 while x <= 2^-10: 0.57 of
+    the allowance.  Its other 0.43 covers the shortfall of
+    the returned tail bound B against |partial| (e^S - 1) for the exact partial product and
+    tail sum S: the roundings of |d_n|, rho, 1 - rho, the quotient, expm1 and the last product
+    make B short by a relative (n + 8 + rho / (1 - rho)) 2.25 u (1 + S) at most, rho = |ratio|
+    (expm1 turns a relative error of S into at most 1 + S times it), and |prod| is short of
+    |partial| by the value's error at most.  That is within the 0.43 while
+    B <= |value| / 4 and B <= 0.25 (n + 6)^2 kappa |value| / ((n + 8 + rho / (1 - rho)) (1 + S)).
     """
     prod = 1.0 + 0j
     dev = complex(first_dev)

@@ -9,7 +9,13 @@ theta on each circle are one inverse FFT of the series terms (core's
 `fold_terms` fills in one call and one 2-D pass transforms, an arc whose two
 samples clear a proven pad is decided in that pass (`_resolve_phase`: counts
 are proven), and only the other arcs are bisected, one Horner pass over the
-circle's kept terms a new point.
+circle's kept terms a new point.  That pass runs in two stages: `_sample`
+sums, folds and transforms the circles and forms each row's least sample
+modulus, its pad and the floor's ratio; `_wind` forms the phase increments and totals,
+bisects and takes the moments.  `winding_numbers` and `verify_separation`
+read winding numbers and take both.  The one-circle annulus count reads
+none (its count is the gap d whatever the winding), so it takes `_wind`
+only where a sample lies within its pad or under the floor.
 
 `verify_separation` also takes z theta' at the same samples, from a second
 folded row of each circle in the same FFT pass.  The first moment
@@ -217,6 +223,10 @@ class SeparationReport:
 # A counting circle of `_contours`: its place among the radii, its kept terms and their EvalResult
 # (core's `circle_terms`), J, m, M1 and allowance (`_resolve_phase`).
 _Circle = namedtuple("_Circle", "index terms res shift m slope allowance")
+# The sampling stage's block (`_sample`): N; per radius the series' exception and its _Circle (each
+# None where it has none); per row the _Circle, the FFT samples, theta's samples and their moduli,
+# the least modulus, it over the scale, and the pad of a full arc.
+_Block = namedtuple("_Block", "n0 results taken circles samples vals moduli lows minima pads")
 
 
 def _head_shift(q, modulus):
@@ -267,10 +277,10 @@ def _head_bound(q, x, res):
     return head if head <= HEAD_FRACTION * res.scale else None
 
 
-def _shifted_circle(q, radius, shifted, budget, m=None):
+def _shifted_circle(q, radius, shift, budget, m=None):
     """(terms, result, J, head): the kept terms of the circle |z| = radius, the one source of theta.
 
-    With `shifted` and J = `_head_shift` >= 1, the terms are those of
+    With `shift` = J >= 1, the caller's `_head_shift`, the terms are those of
     theta(q, x) at the centre x = q^J radius, and head is their scaled
     dropped head (`_head_bound`, as a share of the kept scale); folded at
     bins J + i they give e^{i J psi} theta(q, x e^{i psi}), the samples of
@@ -282,7 +292,6 @@ def _shifted_circle(q, radius, shifted, budget, m=None):
     circle's, see `_contours`) a fifth entry is M1 = sum_i |J + i - m| |c_i|,
     which core's `circle_terms` forms with pivot m - J as it forms the terms.
     """
-    shift = _head_shift(q, radius) if shifted else 0
     if shift:
         centre, pivot = q.value ** shift * radius, None if m is None else m - shift
         try:
@@ -325,36 +334,48 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 def _contours(q, radii, initial_samples, budget, moments=False):
     """`winding_numbers`, and with `moments` the first moment s1 and the terms of each circle.
 
-    The terms of the circles whose series succeed, in their order, become
-    the rows of one block by one call of core's `fold_terms`, and the block
-    takes one inverse FFT.  With `moments` a row is a (2, N) pair whose
-    second row folds z theta', and
+    The sampling stage (`_sample`) then the winding stage (`_wind`) on its block: every
+    caller of `_contours` reads winding numbers, so each row forms its phase totals (only
+    `count_zeros_in_annulus`'s one-circle count, which reads none, takes `_sample` alone).
+    With `moments` a row is a (2, N) pair whose second row folds z theta', and
     s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
     samples, the sum of the zeros inside |z| = r; theta and z theta' come
-    from the same inverse FFT, so the exponent cancels in the ratio.  The
-    arcs take `_resolve_phase`'s test as one array, with m = n* (the last n
-    with |q|^n r >= 1); those that fail go onto per-circle heaps for it.
-    Each circle's M1 comes from its series pass (core's `circle_terms` with
-    pivot m - J), not from a second pass over its terms; -ln|q| and the
-    FFT's share of eps are formed once a call.
+    from the same inverse FFT, so the exponent cancels in the ratio.
     Returns the results, the moments and each radius's `_Circle`: its kept
     terms and their EvalResult (core's `circle_terms`) and the shift J it
     took; a moment is None where the circle failed, its `_Circle` where its
     series did.
+    """
+    return _wind(radii, _sample(q, radii, initial_samples, budget, moments), moments)
+
+
+def _sample(q, radii, initial_samples, budget, moments=False, shifts=None):
+    """The sampling stage of `_contours`: each circle's terms, the FFT samples and their pads.
+
+    Each radius takes J from `shifts` where given (J already decided by the caller), else
+    `_head_shift`'s (0 with `moments`).  The terms of the circles whose series succeed, in
+    their order, become the rows of one block by one call of core's `fold_terms`, and the
+    block takes one inverse FFT.  Each row's pad is `_resolve_phase`'s for a full arc, with
+    m = n* (the last n with |q|^n r >= 1); a row whose least sample modulus is above its pad
+    and whose least scaled modulus is at least CONTOUR_SAFETY passes every arc and the floor
+    with no phase formed.  Each circle's M1 comes from its series pass (core's `circle_terms`
+    with pivot m - J), not from a second pass over its terms; -ln|q| and the FFT's share of
+    eps are formed once a call.  Returns the `_Block`.
     """
     q = as_q(q)
     for radius in radii:
         if not (radius > 0 and math.isfinite(radius)):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
-    results, sums, taken = [None] * len(radii), [None] * len(radii), [None] * len(radii)
+    results, taken = [None] * len(radii), [None] * len(radii)
     circles, rows = [], []  # the _Circle and (terms, J) of each row
     # -ln|q|, and the inverse FFT's share of eps / scale for n0 samples (see `_resolve_phase`)
     a, fft = -math.log(q.modulus), 2.0 ** -48 * math.log2(n0) * math.sqrt(n0)
     for i, radius in enumerate(radii):
         m = max(0, math.floor(math.log(radius) / a))
+        shift = shifts[i] if shifts else 0 if moments else _head_shift(q, radius)
         try:
-            kept, res, shift, head, slope = _shifted_circle(q, radius, not moments, budget, m)
+            kept, res, shift, head, slope = _shifted_circle(q, radius, shift, budget, m)
         except (BudgetExceeded, OverflowError) as exc:
             results[i] = exc
         else:
@@ -363,17 +384,33 @@ def _contours(q, radii, initial_samples, budget, moments=False):
                 head + (2.0 ** -52 * (len(kept) + 6) ** 2 + fft))))
             taken[i] = circles[-1]
     if not circles:
-        return results, sums, taken
+        return _Block(n0, results, taken, circles, None, None, None, [], [], [])
     samples = np.fft.ifft(fold_terms(rows, n0, moments), axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
     moduli = np.abs(vals)
     lows = moduli.min(axis=1).tolist()
-    minima = [low / circle.res.scale for low, circle in zip(lows, circles)]
+    step = 2.0 * math.pi / n0
+    return _Block(n0, results, taken, circles, samples, vals, moduli, lows,
+                  [low / circle.res.scale for low, circle in zip(lows, circles)],
+                  [c.slope * 0.5 * step + c.allowance for c in circles])
+
+
+def _wind(radii, block, moments=False):
+    """The winding stage of `_contours` on `_sample`'s block: phase totals, bisection, moments.
+
+    Every row's phase increments are summed; the arcs with a sample within their pad go onto
+    per-circle heaps for `_resolve_phase`, whose WindingResult or exception becomes the
+    radius's result.  A row with a zero sample is replaced before any division.  Returns the
+    results, the moments and the `_Circle`s, as `_contours`.
+    """
+    n0, results, taken, circles, samples, vals, moduli, lows, minima, pads = block
+    sums = [None] * len(radii)
+    if not circles:
+        return results, sums, taken
     if 0.0 in minima:
         # a circle through an exact zero fails its contour floor; no array divides by its samples
         vals[[low == 0.0 for low in minima]] = 1.0
     step = 2.0 * math.pi / n0
-    pads = [c.slope * 0.5 * step + c.allowance for c in circles]
     next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
     ratios = next_vals / vals
     ratios *= np.exp([-1j * step * c.m for c in circles])[:, None]
@@ -510,6 +547,15 @@ def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
     circle and winds count_out - d times, and the annulus holds
     (J + W) - (J - d + W) = d zeros, W the zeros of theta(q, .) inside |x|.
 
+    That count needs every arc of the outer circle to clear its pad and the
+    floor to hold, not the winding W.  So the outer circle takes `_sample`
+    alone, with the J already decided: where every sample's modulus is above
+    its pad and the least scaled one at least CONTOUR_SAFETY (so no sample is
+    0), every arc passes and no phase is formed.  Only where a sample lies
+    within its pad or under the floor does it take `_wind` on the same
+    samples, for the bisection that proves its arcs or the raise; the count
+    that stage forms reaches no caller.
+
     The inner radius is the computed |q|^-inner_exponent = rho (1 + delta):
     both radii are one pow each, within an ulp, so |delta| < 2^-50.  On
     |z| = rho (1 + t), |t| <= |delta|, the kept terms are c_i (1 + t)^i, which
@@ -541,11 +587,15 @@ def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
         gap = outer - inner
         # d must be the exact difference of the exponents the radii were raised to
         if gap.is_integer() and not math.fsum((outer, -inner, -gap)) and (
-                _head_shift(q, radii[0]) >= gap):
-            (result,), _, (circle,) = _contours(q, radii[:1], INITIAL_SAMPLES, budget)
-            if isinstance(result, Exception):
-                raise result
-            if circle.shift >= gap:
+                (shift := _head_shift(q, radii[0])) >= gap):
+            block = _sample(q, radii[:1], INITIAL_SAMPLES, budget, shifts=[shift])
+            # the count reads no winding: only a sample within its pad or under the floor winds
+            if not (block.circles and block.lows[0] > block.pads[0]
+                    and block.minima[0] >= CONTOUR_SAFETY):
+                (result,), _, _ = _wind(radii[:1], block)
+                if isinstance(result, Exception):
+                    raise result
+            if block.taken[0].shift >= gap:
                 return int(gap)
     counts = []
     for result in winding_numbers(q, radii, budget=budget):
@@ -595,7 +645,7 @@ def _newton(q, seed, residual_tol, max_iterations, budget):
     iterations, tiny = 0, False
     while True:
         radius = abs(z) or 1.0
-        terms, res, shift, _ = _shifted_circle(q, radius, True, budget)
+        terms, res, shift, _ = _shifted_circle(q, radius, _head_shift(q, radius), budget)
         w = z / radius
         value, slope, scale = _horner(terms, w)
         if shift:

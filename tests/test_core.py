@@ -330,8 +330,8 @@ def _mp_factor_product(q, z, first):
     """prod_j (1 + d_j), d_1 = first(q, z), d_{j+1} = d_j q, in mpmath until |d_j| < 1e-45."""
     import mpmath
     q, z = mpmath.mpc(q), mpmath.mpc(z)
-    total, dev = mpmath.mpf(1), first(q, z)
-    while abs(dev) > mpmath.mpf(10) ** -45:
+    total, dev, small = mpmath.mpf(1), first(q, z), mpmath.mpf(10) ** -45
+    while abs(dev) > small:
         total, dev = total * (1 + dev), dev * q
     return total
 
@@ -345,7 +345,8 @@ def _mp_factor_product(q, z, first):
 def test_a_product_whose_first_bounds_overflow_runs_on_to_its_value(evaluate, q, z, first):
     # e^S - 1 for the tail sum S after the first factors leaves the float range; that bound is
     # infinite, and the factors run on until it is small: the value lies within the tail bound
-    # and 2^-52 (n + 6)^2 |value| (the constants' allowance) of the 40-digit product
+    # and 2^-52 (n + 6)^2 |value| (`core._product_eval`'s allowance at kappa 1) of the
+    # 40-digit product
     import mpmath
     res = evaluate(q, z)
     with mpmath.workdps(40):
@@ -353,6 +354,41 @@ def test_a_product_whose_first_bounds_overflow_runs_on_to_its_value(evaluate, q,
         gap = abs(mpmath.mpc(res.value) - exact)
     assert math.isfinite(abs(res.value)) and abs(res.value) > 1e40
     assert gap <= res.tail_bound + 2.0 ** -52 * (res.terms_used + 6) ** 2 * abs(res.value)
+
+
+def _product_allowance(res, first, ratio):
+    """`core._product_eval`'s rounding allowance 2^-52 (n + 6)^2 kappa |value| for n factors:
+    kappa = max(1, 2 w / (n^2 + 3n)), w = sum_{j<=n} (j + 1) |d_j| / |1 + d_j| over the
+    deviations d_j = first ratio^(j-1) (in floats, each term of w to a relative n 2^-52 of it,
+    far inside the allowance's spare share)."""
+    n = res.terms_used
+    devs = complex(first) * complex(ratio) ** np.arange(n)
+    weighted = float(np.sum(np.arange(2, n + 2) * np.abs(devs) / np.abs(1.0 + devs)))
+    return 2.0 ** -52 * (n + 6) ** 2 * max(1.0, 2.0 * weighted / (n * n + 3 * n)) * abs(res.value)
+
+
+def test_products_lie_within_their_tail_and_rounding_allowance():
+    # seeded Q, U and R at |q| in 0.01-0.95, |z| in 1e-6-1e6 against the 40-digit product
+    import mpmath
+    rng = np.random.default_rng(25)
+    checked = 0
+    for _ in range(100):
+        q = cmath.rect(rng.uniform(0.01, 0.95), rng.uniform(-math.pi, math.pi))
+        z = cmath.rect(10.0 ** rng.uniform(-6.0, 6.0), rng.uniform(-math.pi, math.pi))
+        for evaluate, first in ((lambda: eval_Q(q), lambda q, z: -q),
+                                (lambda: eval_U(q, z), lambda q, z: z * q),
+                                (lambda: eval_R(q, z), lambda q, z: 1 / z)):
+            try:
+                res = evaluate()
+            except OverflowError:  # a partial product past the float range
+                continue
+            allowance = _product_allowance(res, first(q, z), q)
+            with mpmath.workdps(40):
+                gap = abs(mpmath.mpc(res.value) - _mp_factor_product(q, z, first))
+            assert res.tail_bound <= abs(res.value) / 4 and 0.0 < allowance
+            assert gap <= res.tail_bound + allowance, (q, z, float(gap), res.tail_bound, allowance)
+            checked += 1
+    assert checked >= 290
 
 
 def test_factors_compose_to_theta_star():

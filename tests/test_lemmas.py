@@ -286,8 +286,13 @@ def _constant_cases():
         return factor * (res.tail_bound + 2.0 ** -52 * (res.terms_used + 6) ** 2 * res.scale)
 
     def product(z):
+        # `core._product_eval`'s allowance, with kappa = max(1, 2 w / (n^2 + 3n)) and
+        # w = sum_{j<=n} (j + 1) |d_j| / |1 + d_j|, d_j = z 0.6^j
         res = eval_U(0.6, z, _CONSTANT_BUDGET)
-        return res.tail_bound + 2.0 ** -52 * (res.terms_used + 6) ** 2 * abs(res.value)
+        n = res.terms_used
+        w = sum((j + 1) * abs(z * 0.6 ** j) / abs(1 + z * 0.6 ** j) for j in range(1, n + 1))
+        kappa = max(1.0, 2.0 * w / (n * n + 3 * n))
+        return res.tail_bound + 2.0 ** -52 * (n + 6) ** 2 * kappa * abs(res.value)
 
     c = recompute_constant
     return [

@@ -468,7 +468,8 @@ def test_newton_values_match_the_series_pass(k):
     q = QParameter(cmath.rect(0.5, 2.5))
     z = -q.value ** -k * (1.0 + cmath.rect(1e-3, k))
     residual, theta_abs, derivative_abs = _newton_point(q, z)
-    terms, res, shift, head = zeros._shifted_circle(q, abs(z), True, zeros.DEFAULT_BUDGET)
+    terms, res, shift, head = zeros._shifted_circle(q, abs(z), zeros._head_shift(q, abs(z)),
+                                                    zeros.DEFAULT_BUDGET)
     assert shift == max(0, k - 10)
     f, fp = eval_theta_and_dz(q, z)
     big_l, u = len(terms), 2.0 ** -53
@@ -1194,7 +1195,8 @@ def test_head_shift_is_the_largest_shift_the_head_bound_proves(modulus, log_radi
 def test_a_deep_circle_sums_far_fewer_terms_through_the_shift():
     q = QParameter(-0.3 + 0.1j)
     radius = q.modulus ** -20.5
-    kept, res, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
+    kept, res, shift, head = zeros._shifted_circle(q, radius, zeros._head_shift(q, radius),
+                                                   zeros.DEFAULT_BUDGET)
     assert shift == 12 and kept[1] == pytest.approx(q.value ** 13 * radius, rel=1e-14)
     assert 0.0 < head <= zeros.HEAD_FRACTION
     centre = q.value ** 12 * radius
@@ -1215,7 +1217,8 @@ def test_a_shift_past_the_bound_falls_back_to_the_unshifted_circle():
     radius = q.modulus ** -20.5
     zero = locate_zero(q, 20)
     with mock.patch.object(zeros, "_head_shift", lambda q, modulus: 19):
-        kept, res, shift, head = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)
+        kept, res, shift, head = zeros._shifted_circle(q, radius, zeros._head_shift(q, radius),
+                                                       zeros.DEFAULT_BUDGET)
         assert (shift, head) == (0, 0.0) and kept == circle_terms(q, radius)[0]
         assert winding_number(q, radius).count == 20
         # Newton's points take the same fallback: the unshifted terms, log2 |c_0| = 0
@@ -1229,7 +1232,8 @@ def test_a_shifted_circle_near_a_zero_counts_as_its_unshifted_twin():
     # shifted circle (J = 10) carries the turn e^{i J psi} of the FFT samples
     q = QParameter(cmath.rect(0.45, 3.0))
     radius = abs(locate_zero(q, 20).location) * (1 + 1e-5)
-    assert zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET)[2] == 10
+    assert zeros._head_shift(q, radius) == 10
+    assert zeros._shifted_circle(q, radius, 10, zeros.DEFAULT_BUDGET)[2] == 10
     shifted = winding_number(q, radius)
     with _unshifted():
         plain = winding_number(q, radius)
@@ -1275,7 +1279,8 @@ def test_a_count_needs_its_minimum_above_the_head(monkeypatch):
     q = QParameter(-0.3 + 0.1j)
     radius = q.modulus ** -20.5
     m = math.floor(math.log(radius) / -math.log(q.modulus))
-    kept, res, shift, head, slope = zeros._shifted_circle(q, radius, True, zeros.DEFAULT_BUDGET, m)
+    kept, res, shift, head, slope = zeros._shifted_circle(q, radius, zeros._head_shift(q, radius),
+                                                          zeros.DEFAULT_BUDGET, m)
     assert shift and head
     least = winding_number(q, radius).min_modulus_on_contour
     monkeypatch.setattr(zeros, "_shifted_circle",
@@ -1372,6 +1377,106 @@ def test_a_shifted_count_whose_head_bound_fails_counts_the_inner_circle_too(monk
     assert count_zeros_in_annulus(q, annulus) == 3
     assert shapes == [(1, 256), (2, 256)]  # the outer circle alone, then both as one block
     assert _two_circle_count(q, annulus) == 3
+
+
+def _stage_spies(monkeypatch):
+    """Record each entry to the winding stage and to `_resolve_phase`, and every `_head_shift`."""
+    entries = []
+    for name in ("_wind", "_resolve_phase", "_head_shift"):
+        stage = getattr(zeros, name)
+        monkeypatch.setattr(zeros, name, lambda *args, _stage=stage, _name=name, **kwargs: (
+            entries.append(_name) or _stage(*args, **kwargs)))
+    return entries
+
+
+def test_a_one_circle_count_whose_arcs_clear_their_pads_forms_no_winding(monkeypatch):
+    # the `deep` cell of test_a_shifted_count_sums_one_circle: every sample of its outer circle
+    # clears its pad and the floor, so the count d reads no phase, and J is decided once
+    entries, shapes = _stage_spies(monkeypatch), []
+    fold = zeros.fold_terms
+    monkeypatch.setattr(zeros, "fold_terms",
+                        lambda *args: shapes.append((block := fold(*args)).shape) or block)
+    q = QParameter(cmath.rect(0.33, 2.4))
+    assert count_zeros_in_annulus(q, Annulus.for_index(25)) == 1
+    assert entries == ["_head_shift"] and shapes == [(1, 256)]
+    # the same circle counted by `winding_number` takes both stages
+    assert winding_number(q, Annulus.for_index(25).outer_radius(q)).count == 25
+    assert entries[1:] == ["_head_shift", "_wind", "_resolve_phase"]
+
+
+def _near_zero_annulus(q, k, offset):
+    """An annulus of gap 1 whose outer circle lies a relative `offset` off the k-th zero."""
+    exponent = -math.log(abs(locate_zero(q, k).location) * (1.0 + offset)) / math.log(q.modulus)
+    return Annulus(exponent - 1.0, exponent)
+
+
+@pytest.mark.parametrize("offset, count", [(1e-9, None), (-1e-9, None), (5e-6, 1)])
+def test_a_one_circle_count_near_a_zero_winds_as_the_two_circle_count(monkeypatch, offset,
+                                                                      count):
+    # within 1e-9 of the 25th zero a sample is within its pad: the outer circle takes the
+    # winding stage and raises as the two-circle count does; 5e-6 off it bisects and counts
+    q = QParameter(cmath.rect(0.33, 2.4))
+    annulus = _near_zero_annulus(q, 25, offset)
+    assert zeros._head_shift(q, annulus.outer_radius(q)) == 17
+    entries = _stage_spies(monkeypatch)
+    outcome = _count_outcome(lambda: count_zeros_in_annulus(q, annulus))
+    assert "_wind" in entries and "_resolve_phase" in entries
+    assert outcome == _count_outcome(lambda: _two_circle_count(q, annulus))
+    if count is None:
+        assert outcome[0] == "ContourTooClose" and "unresolved phase jump" in outcome[1]
+    else:
+        assert outcome == count
+
+
+def test_a_one_circle_count_under_the_floor_raises_as_the_two_circle_count(monkeypatch):
+    # every arc clears its pad, but a floor above the least scaled sample refuses the circle
+    q = QParameter(cmath.rect(0.33, 2.4))
+    annulus = Annulus.for_index(25)
+    least = winding_number(q, annulus.outer_radius(q)).min_modulus_on_contour
+    monkeypatch.setattr(zeros, "CONTOUR_SAFETY", 2.0 * least)
+    outcome = _count_outcome(lambda: count_zeros_in_annulus(q, annulus))
+    assert outcome[0] == "ContourTooClose" and outcome[1].startswith("min scaled |theta|")
+    assert outcome == _count_outcome(lambda: _two_circle_count(q, annulus))
+
+
+def _single_term_circle(monkeypatch, terms, head):
+    """Every circle's kept terms are `terms`, with scale 1, no tail, M1 0 and `head`."""
+    res = EvalResult(None, 0.0, len(terms), 1.0, 0)
+    monkeypatch.setattr(zeros, "_shifted_circle",
+                        lambda q, radius, shift, budget, m=None: (terms, res, shift, head, 0.0))
+
+
+def test_a_one_circle_count_whose_least_sample_equals_its_pad_winds(monkeypatch):
+    # a sample on its pad does not clear it: the count takes the winding stage, whose heap
+    # decides the arcs beside it from the scalar moduli of their ends
+    q = QParameter(cmath.rect(0.33, 2.4))
+    annulus = Annulus.for_index(25)
+    radius, shift = annulus.outer_radius(q), zeros._head_shift(q, annulus.outer_radius(q))
+    _single_term_circle(monkeypatch, [1.0 + 0j], 0.0)
+    block = zeros._sample(q, [radius], 256, zeros.DEFAULT_BUDGET, shifts=[shift])
+    low, head = block.lows[0], block.lows[0] - block.pads[0]
+    for _ in range(200):  # the head for which the pad, head plus eps, is the least sample
+        _single_term_circle(monkeypatch, [1.0 + 0j], head)
+        block = zeros._sample(q, [radius], 256, zeros.DEFAULT_BUDGET, shifts=[shift])
+        if block.pads[0] == low:
+            break
+        head = math.nextafter(head, -math.inf if block.pads[0] > low else math.inf)
+    assert block.lows[0] == block.pads[0] == low and block.minima[0] >= zeros.CONTOUR_SAFETY
+    entries = _stage_spies(monkeypatch)
+    assert count_zeros_in_annulus(q, annulus) == 1 == _two_circle_count(q, annulus)
+    assert entries[:3] == ["_head_shift", "_wind", "_resolve_phase"]
+
+
+def test_a_one_circle_count_through_an_exact_zero_sample_raises(monkeypatch):
+    # 1 - e^{i psi} vanishes exactly at the first sample: the floor refuses the circle with
+    # no division by that sample
+    q = QParameter(cmath.rect(0.33, 2.4))
+    _single_term_circle(monkeypatch, [1.0 + 0j, -1.0 + 0j], 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ContourTooClose) as raised:
+            count_zeros_in_annulus(q, Annulus.for_index(25))
+    assert raised.value.min_modulus == 0.0
 
 
 def test_unshifted_annuli_keep_their_two_circle_counts():
