@@ -389,7 +389,8 @@ def _product_eval(first_dev, ratio, budget, what):
     and for Q at |q| <= 0.95), and large only near a zero of the product.  The computed d_1 is
     within 4.5 u of d_1 (a product z q, or a division 1 / z; -q is exact), and each later one
     a complex product more, within sqrt(5) u < 2.25 u: so d_j is within
-    theta_j <= 2.25 (j + 1) u (1 + 2^-40) of d_j, relative, for (j + 1) u < 2^-45.  Forming
+    theta_j <= 2.25 (j + 1) u (1 + 2^-40) of d_j, relative, for (j + 1) u < 2^-42 (so for
+    n < 2047 factors): it is at most e^y - 1 <= y (1 + y), y = 2.25 (j + 1) u < 2^-40.  Forming
     1 + d_j rounds its real part, a relative u of |1 + d_j|, so the factor is within
     |d_j| / |1 + d_j| 2.25 (j + 1) u (1 + 2^-39) + u of 1 + d_j, relative.  The product takes
     n - 1 complex products (the first, by 1, is exact), each within 2.25 u.  In all the value
@@ -409,6 +410,7 @@ def _product_eval(first_dev, ratio, budget, what):
     rho = abs(ratio)
     used = 0
     scale = 0.0
+    small, gap = budget.tolerance / 10.0, 1.0 - rho
     while True:
         prod *= (factor := 1.0 + dev)
         if not cmath.isfinite(prod) or not prod and factor:
@@ -419,13 +421,14 @@ def _product_eval(first_dev, ratio, budget, what):
         if prod == 0:
             # an exact zero factor annihilates the full product
             return EvalResult(prod, 0.0, used, scale)
-        tail_sum = m * rho / (1.0 - rho)
-        try:
-            bound = abs(prod) * math.expm1(tail_sum)
-        except OverflowError:
-            bound = math.inf
-        if m < budget.tolerance / 10.0 and bound <= budget.tolerance:
-            return EvalResult(prod, bound, used, scale + tail_sum)
+        if m < small:  # the bound is formed only where the deviation can stop the product
+            tail_sum = m * rho / gap
+            try:
+                bound = abs(prod) * math.expm1(tail_sum)
+            except OverflowError:
+                bound = math.inf
+            if bound <= budget.tolerance:
+                return EvalResult(prod, bound, used, scale + tail_sum)
         if used >= budget.max_terms:
             raise BudgetExceeded(
                 f"{what}: product tail not below {budget.tolerance:g} "

@@ -1,21 +1,24 @@
-"""Argument-principle zero counting and contour-moment location of the zeros of theta(q, .).
+"""Zeros of theta(q, .): counted by Rouche in closed form or by the argument principle, and located.
 
 For q in the left half-disk the k-th zero sits near -q^{-k}; each one is
 isolated inside the modulus annulus |q|^{-k+1/2} < |z| < |q|^{-k-1/2} (the
-punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.  Zeros
-inside a circle are counted by the argument principle: the 256 samples of
-theta on each circle are one inverse FFT of the series terms (core's
-`circle_terms`), all circles of a call are rows of one block that core's
-`fold_terms` fills in one call and one 2-D pass transforms, an arc whose two
-samples clear a proven pad is decided in that pass (`_resolve_phase`: counts
-are proven), and only the other arcs are bisected, one Horner pass over the
-circle's kept terms a new point.  That pass runs in two stages: `_sample`
-sums, folds and transforms the circles and forms each row's least sample
-modulus, its pad and the floor's ratio; `_wind` forms the phase increments and totals,
-bisects and takes the moments.  `winding_numbers` and `verify_separation`
-read winding numbers and take both.  The one-circle annulus count reads
-none (its count is the gap d whatever the winding), so it takes `_wind`
-only where a sample lies within its pad or under the floor.
+punctured disk |z| < |q|^{-3/2} for k = 1) whenever separation holds.
+
+An annulus is counted in closed form where it can be, by Rouche's theorem
+against theta* = theta + G = Q U R (Jacobi's triple product), whose zeros
+-q^{-m} are known exactly: where |G| < |theta*| on both boundary circles,
+theta has as many zeros between them as theta*, one for each integer m
+between the two exponents.  Both sides are bounded from |q| and |Q(q)|
+alone, in logs, with a proven rounding allowance (`count_zeros_in_annulus`
+holds the proof), so no series is summed.
+
+Every other count, and every winding number, is proven by the argument
+principle: the 256 samples of theta on each circle are one inverse FFT of
+the series terms (core's `circle_terms`), all circles of a call are rows of
+one block that core's `fold_terms` fills in one call and one 2-D pass
+transforms (`_contours`), an arc whose two samples clear a proven pad is
+decided in that pass (`_resolve_phase`), and only the other arcs are
+bisected, one Horner pass over the circle's kept terms a new point.
 
 `verify_separation` also takes z theta' at the same samples, from a second
 folded row of each circle in the same FFT pass.  The first moment
@@ -63,14 +66,6 @@ q^{J(J+1)/2} z^J cancels in the step and the residual.  The moment circles
 of `verify_separation` stay unshifted: their Horner check needs the terms
 down to the inner radius.
 
-An annulus |q|^d r < |z| < r with d a positive integer (d = 1 for the k-th
-annulus) whose outer circle takes a shift J >= d is counted from that one
-circle: at the shift J - d the inner circle's centre q^{J-d} |q|^d r is
-q^J r (|q| / q)^d, so its kept terms, tail and head bound are the outer
-circle's turned by d arg q.  The outer circle's pads then prove the inner
-count too, J - d plus the same winding, and the annulus holds d zeros
-(`count_zeros_in_annulus`).  Any other annulus sums both circles.
-
 Residuals are backward-relative: |theta(z)| divided by the sum of the term
 moduli at z.  The raw modulus |theta(z)| has an irreducible rounding floor
 of about `scale * eps` (the series reaches 1e15 at desk-scale inputs), so
@@ -97,6 +92,7 @@ from .core import (
     DEFAULT_BUDGET,
     as_q,
     circle_terms,
+    eval_Q,
     eval_theta,  # noqa: F401  (kept importable: bench/tracer.py wraps zeros.eval_theta
     eval_theta_dz,  # noqa: F401  and zeros.eval_theta_dz)
     fold_terms,
@@ -223,10 +219,6 @@ class SeparationReport:
 # A counting circle of `_contours`: its place among the radii, its kept terms and their EvalResult
 # (core's `circle_terms`), J, m, M1 and allowance (`_resolve_phase`).
 _Circle = namedtuple("_Circle", "index terms res shift m slope allowance")
-# The sampling stage's block (`_sample`): N; per radius the series' exception and its _Circle (each
-# None where it has none); per row the _Circle, the FFT samples, theta's samples and their moduli,
-# the least modulus, it over the scale, and the pad of a full arc.
-_Block = namedtuple("_Block", "n0 results taken circles samples vals moduli lows minima pads")
 
 
 def _head_shift(q, modulus):
@@ -334,46 +326,35 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 def _contours(q, radii, initial_samples, budget, moments=False):
     """`winding_numbers`, and with `moments` the first moment s1 and the terms of each circle.
 
-    The sampling stage (`_sample`) then the winding stage (`_wind`) on its block: every
-    caller of `_contours` reads winding numbers, so each row forms its phase totals (only
-    `count_zeros_in_annulus`'s one-circle count, which reads none, takes `_sample` alone).
-    With `moments` a row is a (2, N) pair whose second row folds z theta', and
+    Each radius takes `_head_shift`'s J (0 with `moments`).  The terms of the circles whose
+    series succeed, in their order, become the rows of one block by one call of core's
+    `fold_terms`, and the block takes one inverse FFT.  With `moments` a row is a (2, N) pair
+    whose second row folds z theta', and
     s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
     samples, the sum of the zeros inside |z| = r; theta and z theta' come
-    from the same inverse FFT, so the exponent cancels in the ratio.
+    from the same inverse FFT, so the exponent cancels in the ratio.  The
+    arcs take `_resolve_phase`'s test as one array, with m = n* (the last n
+    with |q|^n r >= 1); those that fail go onto per-circle heaps for it.
+    Each circle's M1 comes from its series pass (core's `circle_terms` with
+    pivot m - J), not from a second pass over its terms; -ln|q| and the
+    FFT's share of eps are formed once a call.
     Returns the results, the moments and each radius's `_Circle`: its kept
     terms and their EvalResult (core's `circle_terms`) and the shift J it
     took; a moment is None where the circle failed, its `_Circle` where its
     series did.
-    """
-    return _wind(radii, _sample(q, radii, initial_samples, budget, moments), moments)
-
-
-def _sample(q, radii, initial_samples, budget, moments=False, shifts=None):
-    """The sampling stage of `_contours`: each circle's terms, the FFT samples and their pads.
-
-    Each radius takes J from `shifts` where given (J already decided by the caller), else
-    `_head_shift`'s (0 with `moments`).  The terms of the circles whose series succeed, in
-    their order, become the rows of one block by one call of core's `fold_terms`, and the
-    block takes one inverse FFT.  Each row's pad is `_resolve_phase`'s for a full arc, with
-    m = n* (the last n with |q|^n r >= 1); a row whose least sample modulus is above its pad
-    and whose least scaled modulus is at least CONTOUR_SAFETY passes every arc and the floor
-    with no phase formed.  Each circle's M1 comes from its series pass (core's `circle_terms`
-    with pivot m - J), not from a second pass over its terms; -ln|q| and the FFT's share of
-    eps are formed once a call.  Returns the `_Block`.
     """
     q = as_q(q)
     for radius in radii:
         if not (radius > 0 and math.isfinite(radius)):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
-    results, taken = [None] * len(radii), [None] * len(radii)
+    results, sums, taken = [None] * len(radii), [None] * len(radii), [None] * len(radii)
     circles, rows = [], []  # the _Circle and (terms, J) of each row
     # -ln|q|, and the inverse FFT's share of eps / scale for n0 samples (see `_resolve_phase`)
     a, fft = -math.log(q.modulus), 2.0 ** -48 * math.log2(n0) * math.sqrt(n0)
     for i, radius in enumerate(radii):
         m = max(0, math.floor(math.log(radius) / a))
-        shift = shifts[i] if shifts else 0 if moments else _head_shift(q, radius)
+        shift = 0 if moments else _head_shift(q, radius)
         try:
             kept, res, shift, head, slope = _shifted_circle(q, radius, shift, budget, m)
         except (BudgetExceeded, OverflowError) as exc:
@@ -384,33 +365,17 @@ def _sample(q, radii, initial_samples, budget, moments=False, shifts=None):
                 head + (2.0 ** -52 * (len(kept) + 6) ** 2 + fft))))
             taken[i] = circles[-1]
     if not circles:
-        return _Block(n0, results, taken, circles, None, None, None, [], [], [])
+        return results, sums, taken
     samples = np.fft.ifft(fold_terms(rows, n0, moments), axis=-1, norm="forward")
     vals = samples[:, 0] if moments else samples
     moduli = np.abs(vals)
     lows = moduli.min(axis=1).tolist()
-    step = 2.0 * math.pi / n0
-    return _Block(n0, results, taken, circles, samples, vals, moduli, lows,
-                  [low / circle.res.scale for low, circle in zip(lows, circles)],
-                  [c.slope * 0.5 * step + c.allowance for c in circles])
-
-
-def _wind(radii, block, moments=False):
-    """The winding stage of `_contours` on `_sample`'s block: phase totals, bisection, moments.
-
-    Every row's phase increments are summed; the arcs with a sample within their pad go onto
-    per-circle heaps for `_resolve_phase`, whose WindingResult or exception becomes the
-    radius's result.  A row with a zero sample is replaced before any division.  Returns the
-    results, the moments and the `_Circle`s, as `_contours`.
-    """
-    n0, results, taken, circles, samples, vals, moduli, lows, minima, pads = block
-    sums = [None] * len(radii)
-    if not circles:
-        return results, sums, taken
+    minima = [low / circle.res.scale for low, circle in zip(lows, circles)]
     if 0.0 in minima:
         # a circle through an exact zero fails its contour floor; no array divides by its samples
         vals[[low == 0.0 for low in minima]] = 1.0
     step = 2.0 * math.pi / n0
+    pads = [c.slope * 0.5 * step + c.allowance for c in circles]
     next_vals = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
     ratios = next_vals / vals
     ratios *= np.exp([-1j * step * c.m for c in circles])[:, None]
@@ -510,8 +475,8 @@ def _resolve_phase(radius, arcs, total, min_scaled, n0, circle):
             if local < 1e-3:
                 raise ContourTooClose(
                     f"unresolved phase jump near angle {0.5 * (i0 + i1) * turn:.6f} on "
-                    f"|z| = {radius:g} (scaled modulus {local:.2e}): probable zero on contour",
-                    radius=radius, min_modulus=local)
+                    f"|z| = {radius:g}: an arc of width 2 pi / {units} still has a sample within "
+                    f"its pad (scaled modulus {local:.2e})", radius=radius, min_modulus=local)
             raise BudgetExceeded(f"phase not resolvable on |z| = {radius:g} at the depth cap")
         im = (i0 + i1) // 2
         vm = _horner(circle.terms, cmath.exp(1j * im * turn))[0] * cmath.exp(
@@ -531,78 +496,182 @@ def _resolve_phase(radius, arcs, total, min_scaled, n0, circle):
 def count_zeros_in_annulus(q, annulus, budget=DEFAULT_BUDGET):
     """Zeros (with multiplicity) strictly between the two boundary circles.
 
-    Where d = outer_exponent - inner_exponent is exactly a positive integer
-    and the outer circle |z| = r takes a shift J >= d (`_head_shift`, decided
-    before any sum), only that circle is summed and counted, and the count is
-    d.  Its centre is x = q^J r.  The inner circle rho = |q|^d r at the shift
-    J - d has the centre q^{J-d} rho = x (|q| / q)^d = x e^{-i d w}, w = arg q,
-    so on it theta(q, z) = head' + q^{(J-d)(J-d+1)/2} z^{J-d} theta(q, x e^{i (psi - d w)}):
-    the same kept terms c_i turned by e^{-i i d w}, the same tail, and a head
-    whose bound in units of its first kept term depends on |x| alone, as the
-    outer head's does (0 at J = d).  In `_resolve_phase`'s units the inner
-    T_in(psi) is therefore within tail + head of e^{-i d psi} e^{i J d w} v(psi - d w),
-    v the outer circle's kept polynomial.  The outer circle's pads prove, arc
-    by arc, that any function within tail + head of v at every angle has no
-    zero on the circle and winds count_out times; so T_in has no zero on its
-    circle and winds count_out - d times, and the annulus holds
-    (J + W) - (J - d + W) = d zeros, W the zeros of theta(q, .) inside |x|.
+    Both radii are formed first, so a radius past the float range raises its
+    OverflowError.  A non-degenerate annulus is then counted in closed form
+    where it can be (`_rouche_count`), by Rouche's theorem against
+    theta* = theta + G = Q U R (core's `eval_theta_star`), with
+    G(q, z) = sum_{j>=1} q^{j(j-1)/2} z^{-j}.  theta and theta* are
+    holomorphic on z != 0, so on a neighbourhood of the closed annulus.  Where
+    |G| < |theta*| on both boundary circles, theta = theta* - G has no zero on
+    them and, by the argument principle on the boundary (the outer circle less
+    the inner one), as many zeros in the annulus as theta*.  Those of theta*
+    are the zeros of U, -q^{-m} of modulus |q|^{-m} (m >= 1, each simple), and
+    those of R, -q^{m-1}, of modulus at most 1, which no annulus the test
+    passes meets (its exponents are not integers, so the inner one is above
+    0).  So the count is #{m >= 1 : inner < m < outer}, with no series summed.
 
-    That count needs every arc of the outer circle to clear its pad and the
-    floor to hold, not the winding W.  So the outer circle takes `_sample`
-    alone, with the J already decided: where every sample's modulus is above
-    its pad and the least scaled one at least CONTOUR_SAFETY (so no sample is
-    0), every arc passes and no phase is formed.  Only where a sample lies
-    within its pad or under the floor does it take `_wind` on the same
-    samples, for the bisection that proves its arcs or the raise; the count
-    that stage forms reaches no caller.
+    The test on |z| = |q|^{-s}, with a = -ln|q|, n = floor(s) and f = s - n in
+    (0, 1) (an integer s fails it: a zero of theta* may lie on the circle):
 
-    The inner radius is the computed |q|^-inner_exponent = rho (1 + delta):
-    both radii are one pow each, within an ulp, so |delta| < 2^-50.  On
-    |z| = rho (1 + t), |t| <= |delta|, the kept terms are c_i (1 + t)^i, which
-    moves their sum by at most |t| sum_i i |c_i| (1 + |t|)^L < 4.04 (L - 1) 2^-52
-    scale for L kept terms.  At every sample, initial or midpoint, the pads
-    leave at least (0.33 L^2 - 7.54 L + 202) 2^-52 scale of eps unused (the
-    FFT uses under a quarter of eps's second part; see `_resolve_phase`), and
-    0.33 L^2 - 11.58 L + 206 has no real root.  The tail's geometric bound
-    grows by the factor (1 + t)^L (1 - r) / (1 - r (1 + t)) at its last
-    ratio r, under 1 + (4.04 L + 4.4 x) 2^-52 with x = r / (1 - r); core's
-    allowance 1 + 2^-52 (L + 6)^2 max(1, x) exceeds the roundings it covers
-    (core's `circle_terms`) by at least 2^-52 (0.43 L^2 + 8 L + 20) max(1, x),
-    which is more.  The head bound grows by under 1 / (1 - 2 |t|), inside
-    _HEAD_ROUNDING.  So theta has no zero between rho and the inner radius,
-    and both circles hold count_out - d zeros.
+    * |G| <= sum_{j>=1} |q|^{j(j-1)/2 + j s} <= |q|^s / (1 - |q|^{1+s}), as the
+      ratio of term j + 1 to term j is |q|^{j+s} <= |q|^{1+s}.
+    * |U| = prod_{j>=1} |1 + z q^j|, |z q^j| = |q|^{j-s}.  For j <= n the factor
+      is at least e^{a(s-j)} (1 - |q|^{s-j}), where s - j runs over f + i, i < n,
+      and the e^{a(s-j)} multiply to e^{a (n f + n(n-1)/2)}; for j > n it is at
+      least 1 - |q|^{j-s}, where j - s runs over 1 - f + i, i >= 0.
+    * |R| = prod_{j>=1} |1 + q^{j-1} / z| >= prod_{i>=0} (1 - |q|^{s+i}).
+    * |Q| >= |v| (1 - 2^-52 (N + 6)^2 kappa) - 2B for `eval_Q`'s value v of N
+      factors and tail bound B (`_log_q_floor`).
 
-    Any other annulus, and one whose outer shifted sum falls back to the
-    unshifted circle (its head bound fails or its sum raises), counts both
-    circles as one `_contours` block.  The outer circle's failure is raised
-    first either way; an inner circle that only its own samples would refuse
-    (one under the contour floor at its angles) raises nothing on the
-    one-circle path, as its count is proven by the outer circle's pads.
+    With P(c, n) = sum_{i<n} ln(1 - |q|^{c+i}) (`_log_factors` bounds it from
+    below; n = inf for the last two) that gives
+    ln|theta*| >= ln|Q|_lo + a (n f + n(n-1)/2) + P(f, n) + P(1 - f) + P(s) and
+    ln|G| <= -a s - ln(1 - |q|^{1+s}) (`_circle_bounds`), and the circle passes
+    where the first exceeds the second by more than the rounding allowance of
+    both.
+
+    Allowance, u = 2^-53.  Only the computed lower bound exceeding its exact
+    value, or the upper one falling short of its, could pass a circle in
+    error, and the allowance bounds both.  The computed |q| is within 2u of
+    |q|, relative, so -ln of it within 2u (a + 1.01) of a; with
+    D = n f + n(n-1)/2 + s (each part exact but for two roundings) the two
+    products by a are within u (5.1 a D + 2.1 D) in all.  ln|Q|_lo is within
+    u (2 |ln Q| + 24): its bound on |Q| takes four roundings of parts at most
+    2.05 times it, and the log one.  Each P exceeds its exact value by at
+    most u ((K + 3) |P| + 6 (E + 2 + 1 / (1 - |q|)) Y + 1 / (1 - |q|))
+    (`_log_factors`, for its K, E and Y), and g = ln(1 - y), y = |q|^{1+s}, by at most
+    u (2 |g| + 4.5 (s + 2) y / (1 - y) + 1), as P's terms do.  The five
+    additions and the difference of the bounds add 6u times the sum of the
+    moduli of their parts.  In all the computed difference exceeds the exact
+    one by at most u (11.1 a D + 2.1 D + 8 |ln Q| + 25 + sum_P ((K + 9) |P| +
+    6 (E + 2 + 1 / (1 - |q|)) Y + 1 / (1 - |q|)) + 8 |g| + 4.5 (s + 2) y / (1 - y)),
+    and the allowance, 2^-48 = 32u times a D + D + |ln Q| + 8 + the
+    `_log_factors` shares (K + 1) |P| + (E + 2 + 1 / (1 - |q|)) Y + 1 / (1 - |q|)
+    + (s + 3) (|g| + y / (1 - y)), is more than that.  So the computed lower
+    bound less the allowance is at most ln|theta*|, and the computed upper
+    bound plus it at least ln|G|.
+
+    An annulus the test cannot decide (the punctured disk of k = 1, an
+    integer exponent, |q| near 1 where the bounds are too weak, or an `eval_Q`
+    that raises or whose bound is not proven) counts both circles by the
+    argument principle, as one `_contours` block; the outer circle's failure
+    is raised first.
     """
     q = as_q(q)
     radii = [annulus.outer_radius(q)]
     if not annulus.degenerate:
         radii.append(annulus.inner_radius(q))
-        inner, outer = float(annulus.inner_exponent), float(annulus.outer_exponent)
-        gap = outer - inner
-        # d must be the exact difference of the exponents the radii were raised to
-        if gap.is_integer() and not math.fsum((outer, -inner, -gap)) and (
-                (shift := _head_shift(q, radii[0])) >= gap):
-            block = _sample(q, radii[:1], INITIAL_SAMPLES, budget, shifts=[shift])
-            # the count reads no winding: only a sample within its pad or under the floor winds
-            if not (block.circles and block.lows[0] > block.pads[0]
-                    and block.minima[0] >= CONTOUR_SAFETY):
-                (result,), _, _ = _wind(radii[:1], block)
-                if isinstance(result, Exception):
-                    raise result
-            if block.taken[0].shift >= gap:
-                return int(gap)
+        count = _rouche_count(q, annulus.inner_exponent, annulus.outer_exponent, budget)
+        if count is not None:
+            return count
     counts = []
     for result in winding_numbers(q, radii, budget=budget):
         if isinstance(result, Exception):
             raise result
         counts.append(result.count)
     return counts[0] - sum(counts[1:])
+
+
+def _rouche_count(q, inner, outer, budget):
+    """The zeros of theta(q, .) in |q|^-inner < |z| < |q|^-outer, or None where Rouche cannot tell.
+
+    The count floor(outer) - floor(inner) where both circles pass
+    `count_zeros_in_annulus`'s test: the lower bound of ln|theta*| less the
+    upper bound of ln|G| above their allowance.
+    """
+    ln_q = _log_q_floor(q, budget)
+    if ln_q is None:
+        return None
+    for s in (inner, outer):
+        bounds = _circle_bounds(q, s, ln_q)
+        if bounds is None or not bounds[0] - bounds[1] > bounds[2]:
+            return None
+    return math.floor(outer) - math.floor(inner)
+
+
+def _log_q_floor(q, budget):
+    """ln of a proven lower bound of |Q(q)|, from `eval_Q`; None where that bound is not proven.
+
+    `eval_Q`'s value v of N factors is within 2^-52 (N + 6)^2 kappa |v| of the
+    exact partial product, and B falls short of that product's own tail by a
+    relative (N + 8 + |q| / (1 - |q|)) 2.25 u (1 + S) at most, S < 1/4, so
+    the tail is under 2B (core's `_product_eval`, for N < 2047 factors of
+    normal modulus, |q|^N > e^-700, and B <= |v| / 4).  So
+    |Q| >= |v| (1 - 2^-52 (N + 6)^2 kappa) - 2B.  kappa = max(1, 2 w / (N^2 + 3N))
+    takes w <= |q| (2 - |q|) / (1 - |q|)^3, as |1 - q^j| >= 1 - |q|.
+    """
+    try:
+        product = eval_Q(q, budget)
+    except (BudgetExceeded, OverflowError):
+        return None
+    factors, value, tail = product.terms_used, abs(product.value), product.tail_bound
+    m = q.modulus
+    if not (factors < 2047 and -math.log(m) * factors < 700.0 and tail <= 0.25 * value):
+        return None
+    kappa = max(1.0, 2.0 * m * (2.0 - m) / ((1.0 - m) ** 3 * (factors * factors + 3 * factors)))
+    return math.log(value * (1.0 - 2.0 ** -52 * (factors + 6) ** 2 * kappa) - 2.0 * tail)
+
+
+def _circle_bounds(q, s, ln_q):
+    """(lower bound of ln|theta*|, upper bound of ln|G|, allowance) on |z| = |q|^-s, or None.
+
+    `ln_q` is `_log_q_floor`'s; `count_zeros_in_annulus` derives both bounds and
+    the allowance, which covers the rounding of both and of their difference.
+    """
+    n = math.floor(s)
+    f = s - n
+    if not f:
+        return None
+    m = q.modulus
+    a = -math.log(m)
+    degree = f * n + 0.5 * (n * (n - 1))
+    (p1, w1), (p2, w2), (p3, w3) = (_log_factors(m, f, n), _log_factors(m, 1.0 - f),
+                                    _log_factors(m, s))
+    y = m ** (1.0 + s)
+    g = math.log1p(-y)
+    allowance = 2.0 ** -48 * (a * (degree + s) + degree + s + abs(ln_q) + 8.0 + w1 + w2 + w3
+                              + (s + 3.0) * (y / (1.0 - y) - g))
+    return ln_q + a * degree + p1 + p2 + p3, -a * s - g, allowance
+
+
+def _log_factors(m, c, n=math.inf):
+    """(P, share): a lower bound P of sum_{i<n} ln(1 - y_i), y_i = m^{c+i}, and its allowance share.
+
+    The K terms with y_i >= 1/4 (y_i falls with i) are taken by `log1p`; the
+    rest, from i0 = K on, by -ln(1 - y) <= y / (1 - y) and y_i <= y_{i0} m^{i-i0}:
+    their sum is at most T = y_{i0} / ((1 - y_{i0}) (1 - m)), and none is taken
+    where i0 = n.  y_0 is m^c, and each later y_i one product by m.
+
+    Rounding, u = 2^-53: y_i is within 4.5 u (e_i + 1) of |q|^{e_i}, relative,
+    for the exponent e_i = c + i (the computed |q| is within 2u, its power
+    within 2u more, each product 3u, and a rounded c moves m^c by at most
+    u a c <= u ln 4 where y >= 1/4; where y < 1/4 that part moves T by under
+    u a c e^{-a c} 4 / (3 (1 - m)) < u / (1 - m), as x e^{-x} <= 1/e).  As
+    ln(1 + x) <= x, the computed ln(1 - y_i) exceeds ln(1 - y_i) by at most
+    4.5 u (e_i + 1) y_i / (1 - y_i), whatever y_i's size, and log1p adds 2u of
+    its value; the K additions add K u |P|.  T falls short of its exact value
+    by at most u T (6 (E + 1) + 2.1 / (1 - m) + 4), E = c + K: y's error
+    enters 4/3 times, and the 1 / (1 - m) is the rounding of m in 1 - m.
+    With Y = K y_0 / (1 - y_0) + T, at least the sum of the y / (1 - y) of all
+    terms, P exceeds its exact value by at most
+    u ((K + 3) |P| + 6 (E + 2 + 1 / (1 - m)) Y + 1 / (1 - m)), and the share
+    is (K + 1) |P| + (E + 2 + 1 / (1 - m)) Y + 1 / (1 - m).  A y_0 that rounds to 1 (c below
+    about u / a) gives P = -inf with an infinite share: the circle fails.
+    """
+    y = first = m ** c
+    if first == 1.0:
+        return -math.inf, math.inf
+    total, k = 0.0, 0
+    while y >= 0.25 and k < n:
+        total += math.log1p(-y)
+        y *= m
+        k += 1
+    spread, inverse = k * first / (1.0 - first) if k else 0.0, 1.0 / (1.0 - m)
+    if k < n:
+        tail = y * inverse / (1.0 - y)
+        total -= tail
+        spread += tail
+    return total, (k + 1) * -total + (c + k + 2.0 + inverse) * spread + inverse
 
 
 def _raw_abs(modulus, exponent, log2_factor=0.0):

@@ -35,3 +35,19 @@ def test_a_seed_1_deck_of_each_workload_is_correct_under_the_tracer(name, monkey
     assert tally.attempted == len(deck)
     assert tally.wrong == []
     assert workloads.mp_failures(tally.located) == []
+
+
+def test_the_seed_1_deep_deck_counts_every_annulus_in_closed_form(monkeypatch):
+    # every `deep` cell (|q| 0.05-0.5, k 10-40) passes the Rouche test against theta*, so its
+    # count sums, folds and transforms no circle
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    from thetasep import Annulus, QParameter, zeros
+
+    folds, fold = [], zeros.fold_terms
+    monkeypatch.setattr(zeros, "fold_terms", lambda *args: folds.append(1) or fold(*args))
+    deck = workloads.Deep().deck(np.random.default_rng(1))
+    counts = [zeros.count_zeros_in_annulus(QParameter(q), Annulus.for_index(k))
+              for _, (q, k, _) in deck]
+    assert len(deck) == 124 and counts == [1] * 124 and folds == []

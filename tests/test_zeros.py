@@ -645,18 +645,24 @@ def test_a_coarse_grid_near_a_zero_counts_by_the_slope_pad(n0, samples):
 
 
 def test_a_circle_the_pads_cannot_decide_bisects_its_least_sample_first(monkeypatch):
-    # outside the proven region the outer circle of Annulus(42.5, 43.5) passes near a zero
-    # where no pad is met; bisecting the arc with the least sample first reaches the depth cap
-    # there within a few passes (in last-in-first-out order it took 27 400)
+    # outside the proven region the outer circle of Annulus(42.5, 43.5) passes where theta
+    # cancels to a scaled 9e-8 with no zero near (40-digit mpmath: max |G| / |theta*| is 8e-42
+    # on it), and no pad is met; bisecting the arc with the least sample first reaches the
+    # depth cap there within a few passes (in last-in-first-out order it took 27 400), and the
+    # raise says what it measured.  The closed form proves the annulus's count.
     passes = []
     horner = zeros._horner
     monkeypatch.setattr(zeros, "_horner", lambda *args: passes.append(1) or horner(*args))
     q = QParameter(0.8796 + 0.1285j)
     annulus = Annulus(42.5, 43.5)
-    assert annulus.outer_radius(q) == pytest.approx(167.54, abs=0.01)
-    with pytest.raises(ContourTooClose, match=r"on \|z\| = 167\.54"):
-        count_zeros_in_annulus(q, annulus)
+    radius = annulus.outer_radius(q)
+    assert radius == pytest.approx(167.54, abs=0.01)
+    with pytest.raises(ContourTooClose, match=r"^unresolved phase jump near angle \S+ on \|z\| = "
+                       r"167\.54: an arc of width 2 pi / 1048576 still has a sample within its "
+                       r"pad \(scaled modulus \S+\)$"):
+        winding_number(q, radius)
     assert 0 < len(passes) <= 100
+    assert count_zeros_in_annulus(q, annulus) == 1
 
 
 @pytest.mark.parametrize("modulus, argument, exponent, tolerance, count", [
@@ -1076,7 +1082,8 @@ def test_count_only_contours_fold_no_derivative_row(monkeypatch):
 
     monkeypatch.setattr(zeros, "fold_terms", spy)
     q = QParameter(-0.3 + 0.3j)
-    count_zeros_in_annulus(q, Annulus.for_index(3))
+    count_zeros_in_annulus(q, Annulus.for_index(3))  # in closed form: no block
+    count_zeros_in_annulus(_UNDECIDED_Q, _UNDECIDED)
     winding_numbers(q, [q.modulus ** -1.5, q.modulus ** -2.5, q.modulus ** -3.5])
     assert shapes == [(2, 256), (3, 256)]
     verify_separation(q, 3)
@@ -1299,7 +1306,7 @@ def test_fold_terms_offset_multiplies_the_samples_by_the_bin_turn():
 
 
 # ---------------------------------------------------------------------------
-# a shifted annulus counts from its outer circle: the inner one is it turned by arg q
+# an annulus counts in closed form by Rouche against theta*, else from both circles
 # ---------------------------------------------------------------------------
 
 def _count_outcome(count):
@@ -1317,27 +1324,46 @@ def _two_circle_count(q, annulus):
     return outer.count - inner.count
 
 
+def _closed_form(q, annulus, budget=zeros.DEFAULT_BUDGET):
+    return zeros._rouche_count(q, annulus.inner_exponent, annulus.outer_exponent, budget)
+
+
+# An annulus the closed form cannot decide (|q| too near 1 for its bounds at this k), whose
+# circles both take a shift (J = 3 and 2) and count it: the two-circle path with shifts.
+_UNDECIDED_Q = QParameter(cmath.rect(0.93, 2.4))
+_UNDECIDED = Annulus.for_index(35)
+
+
 def test_one_circle_counts_equal_the_two_circle_winding_difference():
-    # seeded cells, |q| in (0.01, 0.95), k <= 60, gaps 1-3: every cell whose outer shift J is
-    # the gap d (the inner circle then unshifted) and the first 90 others
+    # seeded cells, |q| in (0.01, 0.95), k <= 60, gaps 1-3: the closed-form count equals the
+    # two-circle count wherever the latter returns, and an annulus it cannot decide takes the
+    # two-circle count, exceptions included
     rng = np.random.default_rng(19)
-    cells, edges = [], []
+    decided, undecided, proven_past_a_raise = 0, 0, 0
     for _ in range(600):
         q = QParameter.from_polar(0.01 + 0.94 * rng.random(), 2.0 * math.pi * rng.random())
         k, gap = int(rng.integers(2, 61)), int(rng.integers(1, 4))
         annulus = Annulus(k - 0.5, k - 0.5 + gap)
-        shift = zeros._head_shift(q, annulus.outer_radius(q))
-        (edges if shift == gap else cells).append((q, annulus, shift))
-    assert {a.outer_exponent - a.inner_exponent for _, a, _ in edges} == {1, 2, 3}
-    cells = edges + cells[:90]
-    one_circle = sum(shift >= a.outer_exponent - a.inner_exponent for _, a, shift in cells)
-    assert one_circle >= len(edges) + 60 and len(cells) - one_circle >= 10  # both paths
-    for q, annulus, _ in cells:
-        assert (_count_outcome(lambda: count_zeros_in_annulus(q, annulus))
-                == _count_outcome(lambda: _two_circle_count(q, annulus))), (q, annulus)
+        closed = _closed_form(q, annulus)
+        two_circle = _count_outcome(lambda: _two_circle_count(q, annulus))
+        outcome = _count_outcome(lambda: count_zeros_in_annulus(q, annulus))
+        if closed is None:
+            undecided += 1
+            assert outcome == two_circle, (q, annulus)
+        else:
+            decided += 1
+            assert outcome == closed == gap, (q, annulus)
+            if isinstance(two_circle, tuple):
+                proven_past_a_raise += 1
+            else:
+                assert two_circle == closed, (q, annulus)
+    assert decided >= 500 and undecided >= 30 and proven_past_a_raise >= 1  # both paths
 
 
 def test_a_shifted_count_sums_one_circle(monkeypatch):
+    # the `deep` cell q = 0.33 e^{2.4i}, k = 25 counts in closed form: no series is summed and
+    # no circle folded, for a gap that is no integer too; an annulus the closed form cannot
+    # decide sums its two shifted circles as one block
     calls, shapes = [], []
     terms, fold = zeros.circle_terms, zeros.fold_terms
 
@@ -1352,37 +1378,50 @@ def test_a_shifted_count_sums_one_circle(monkeypatch):
 
     monkeypatch.setattr(zeros, "circle_terms", terms_spy)
     monkeypatch.setattr(zeros, "fold_terms", fold_spy)
-    q = QParameter(cmath.rect(0.33, 2.4))  # a `deep` cell: J = 17 on the outer circle
-    assert zeros._head_shift(q, Annulus.for_index(25).outer_radius(q)) == 17
+    q = QParameter(cmath.rect(0.33, 2.4))
     assert count_zeros_in_annulus(q, Annulus.for_index(25)) == 1
-    assert len(calls) == 1 and shapes == [(1, 256)]
-    # a gap that is no integer counts both circles as one block
     assert count_zeros_in_annulus(q, Annulus(24.3, 25.5)) == 1
-    assert len(calls) == 3 and shapes[1:] == [(2, 256)]
+    assert calls == [] and shapes == []
+    q, annulus = _UNDECIDED_Q, _UNDECIDED
+    assert _closed_form(q, annulus) is None
+    radii = [annulus.outer_radius(q), annulus.inner_radius(q)]
+    assert [zeros._head_shift(q, radius) for radius in radii] == [3, 2]
+    assert count_zeros_in_annulus(q, annulus) == 1
+    assert len(calls) == 2 and calls != radii and shapes == [(2, 256)]
 
 
 def test_a_shifted_count_whose_head_bound_fails_counts_the_inner_circle_too(monkeypatch):
-    q = QParameter(cmath.rect(0.33, 2.4))
-    annulus = Annulus(20.5, 23.5)
-    shapes = []
-    fold = zeros.fold_terms
+    # with every head bound failing, an annulus the closed form cannot decide sums both
+    # circles unshifted, as one block; a count in closed form sums neither
+    calls, shapes = [], []
+    terms, fold = zeros.circle_terms, zeros.fold_terms
+
+    def terms_spy(q, centre, budget=zeros.DEFAULT_BUDGET, pivot=None):
+        calls.append(centre)
+        return terms(q, centre, budget, pivot=pivot)
 
     def fold_spy(circles, n, derivative=False):
         block = fold(circles, n, derivative)
         shapes.append(block.shape)
         return block
 
+    monkeypatch.setattr(zeros, "circle_terms", terms_spy)
     monkeypatch.setattr(zeros, "fold_terms", fold_spy)
     monkeypatch.setattr(zeros, "_head_bound", lambda *args: None)
-    assert count_zeros_in_annulus(q, annulus) == 3
-    assert shapes == [(1, 256), (2, 256)]  # the outer circle alone, then both as one block
-    assert _two_circle_count(q, annulus) == 3
+    assert count_zeros_in_annulus(QParameter(cmath.rect(0.33, 2.4)), Annulus(20.5, 23.5)) == 3
+    assert calls == [] and shapes == []
+    q, annulus = _UNDECIDED_Q, _UNDECIDED
+    assert count_zeros_in_annulus(q, annulus) == 1
+    # each circle's shifted sum, then the unshifted one its failing head bound falls back to
+    assert calls[1::2] == [annulus.outer_radius(q), annulus.inner_radius(q)]
+    assert len(calls) == 4 and shapes == [(2, 256)]
+    assert _two_circle_count(q, annulus) == 1
 
 
 def _stage_spies(monkeypatch):
-    """Record each entry to the winding stage and to `_resolve_phase`, and every `_head_shift`."""
+    """Record each entry to `_rouche_count`, `_contours`, `_resolve_phase` and `_head_shift`."""
     entries = []
-    for name in ("_wind", "_resolve_phase", "_head_shift"):
+    for name in ("_rouche_count", "_contours", "_resolve_phase", "_head_shift"):
         stage = getattr(zeros, name)
         monkeypatch.setattr(zeros, name, lambda *args, _stage=stage, _name=name, **kwargs: (
             entries.append(_name) or _stage(*args, **kwargs)))
@@ -1390,18 +1429,17 @@ def _stage_spies(monkeypatch):
 
 
 def test_a_one_circle_count_whose_arcs_clear_their_pads_forms_no_winding(monkeypatch):
-    # the `deep` cell of test_a_shifted_count_sums_one_circle: every sample of its outer circle
-    # clears its pad and the floor, so the count d reads no phase, and J is decided once
+    # the `deep` cell of test_a_shifted_count_sums_one_circle counts in closed form: no shift,
+    # no contour and no phase; its outer circle counted by `winding_number` takes all three
     entries, shapes = _stage_spies(monkeypatch), []
     fold = zeros.fold_terms
     monkeypatch.setattr(zeros, "fold_terms",
                         lambda *args: shapes.append((block := fold(*args)).shape) or block)
     q = QParameter(cmath.rect(0.33, 2.4))
     assert count_zeros_in_annulus(q, Annulus.for_index(25)) == 1
-    assert entries == ["_head_shift"] and shapes == [(1, 256)]
-    # the same circle counted by `winding_number` takes both stages
+    assert entries == ["_rouche_count"] and shapes == []
     assert winding_number(q, Annulus.for_index(25).outer_radius(q)).count == 25
-    assert entries[1:] == ["_head_shift", "_wind", "_resolve_phase"]
+    assert entries[1:] == ["_contours", "_head_shift", "_resolve_phase"] and shapes == [(1, 256)]
 
 
 def _near_zero_annulus(q, k, offset):
@@ -1413,15 +1451,16 @@ def _near_zero_annulus(q, k, offset):
 @pytest.mark.parametrize("offset, count", [(1e-9, None), (-1e-9, None), (5e-6, 1)])
 def test_a_one_circle_count_near_a_zero_winds_as_the_two_circle_count(monkeypatch, offset,
                                                                       count):
-    # within 1e-9 of the 25th zero a sample is within its pad: the outer circle takes the
-    # winding stage and raises as the two-circle count does; 5e-6 off it bisects and counts
+    # within 1e-9 of the 25th zero a sample of the outer circle is within its pad, and the
+    # two-circle count raises; 5e-6 off it bisects and counts.  The closed form proves the
+    # count 1 on all three: |G| < |theta*| on both circles, with a zero 1e-9 off the outer one
     q = QParameter(cmath.rect(0.33, 2.4))
     annulus = _near_zero_annulus(q, 25, offset)
     assert zeros._head_shift(q, annulus.outer_radius(q)) == 17
     entries = _stage_spies(monkeypatch)
-    outcome = _count_outcome(lambda: count_zeros_in_annulus(q, annulus))
-    assert "_wind" in entries and "_resolve_phase" in entries
-    assert outcome == _count_outcome(lambda: _two_circle_count(q, annulus))
+    assert count_zeros_in_annulus(q, annulus) == 1 and entries == ["_rouche_count"]
+    outcome = _count_outcome(lambda: _two_circle_count(q, annulus))
+    assert "_contours" in entries and "_resolve_phase" in entries
     if count is None:
         assert outcome[0] == "ContourTooClose" and "unresolved phase jump" in outcome[1]
     else:
@@ -1429,14 +1468,16 @@ def test_a_one_circle_count_near_a_zero_winds_as_the_two_circle_count(monkeypatc
 
 
 def test_a_one_circle_count_under_the_floor_raises_as_the_two_circle_count(monkeypatch):
-    # every arc clears its pad, but a floor above the least scaled sample refuses the circle
-    q = QParameter(cmath.rect(0.33, 2.4))
-    annulus = Annulus.for_index(25)
+    # every arc clears its pad, but a floor above the least scaled sample refuses the outer
+    # circle of an annulus the closed form cannot decide; a count in closed form reads no sample
+    q, annulus = _UNDECIDED_Q, _UNDECIDED
+    assert _closed_form(q, annulus) is None
     least = winding_number(q, annulus.outer_radius(q)).min_modulus_on_contour
     monkeypatch.setattr(zeros, "CONTOUR_SAFETY", 2.0 * least)
     outcome = _count_outcome(lambda: count_zeros_in_annulus(q, annulus))
     assert outcome[0] == "ContourTooClose" and outcome[1].startswith("min scaled |theta|")
     assert outcome == _count_outcome(lambda: _two_circle_count(q, annulus))
+    assert count_zeros_in_annulus(QParameter(cmath.rect(0.33, 2.4)), Annulus.for_index(25)) == 1
 
 
 def _single_term_circle(monkeypatch, terms, head):
@@ -1447,35 +1488,48 @@ def _single_term_circle(monkeypatch, terms, head):
 
 
 def test_a_one_circle_count_whose_least_sample_equals_its_pad_winds(monkeypatch):
-    # a sample on its pad does not clear it: the count takes the winding stage, whose heap
-    # decides the arcs beside it from the scalar moduli of their ends
-    q = QParameter(cmath.rect(0.33, 2.4))
-    annulus = Annulus.for_index(25)
-    radius, shift = annulus.outer_radius(q), zeros._head_shift(q, annulus.outer_radius(q))
+    # a sample on its pad does not clear it: the arcs beside it go onto `_resolve_phase`'s
+    # heap, which decides them from the scalar moduli of their ends (an annulus the closed
+    # form cannot decide, its circles the constant 1 folded at their shifts J = 3 and 2)
+    q, annulus = _UNDECIDED_Q, _UNDECIDED
+    assert _closed_form(q, annulus) is None
+    radii = [annulus.outer_radius(q), annulus.inner_radius(q)]
+    seen, resolve = [], zeros._resolve_phase
+
+    def first_row(radius, arcs, total, min_scaled, n0, circle):
+        # the outer row's least scaled sample and pad, then no bisection
+        seen.append((min_scaled, circle.slope * 0.5 * (2.0 * math.pi / n0) + circle.allowance))
+        return zeros.WindingResult(0, n0, min_scaled)
+
+    monkeypatch.setattr(zeros, "_resolve_phase", first_row)
     _single_term_circle(monkeypatch, [1.0 + 0j], 0.0)
-    block = zeros._sample(q, [radius], 256, zeros.DEFAULT_BUDGET, shifts=[shift])
-    low, head = block.lows[0], block.lows[0] - block.pads[0]
+    winding_numbers(q, radii)
+    low, head = seen[0][0], seen[0][0] - seen[0][1]
     for _ in range(200):  # the head for which the pad, head plus eps, is the least sample
         _single_term_circle(monkeypatch, [1.0 + 0j], head)
-        block = zeros._sample(q, [radius], 256, zeros.DEFAULT_BUDGET, shifts=[shift])
-        if block.pads[0] == low:
+        seen.clear()
+        winding_numbers(q, radii)
+        if seen[0][1] == low:
             break
-        head = math.nextafter(head, -math.inf if block.pads[0] > low else math.inf)
-    assert block.lows[0] == block.pads[0] == low and block.minima[0] >= zeros.CONTOUR_SAFETY
-    entries = _stage_spies(monkeypatch)
+        head = math.nextafter(head, -math.inf if seen[0][1] > low else math.inf)
+    assert seen[0][0] == seen[0][1] == low and low >= zeros.CONTOUR_SAFETY
+    arcs = []
+    monkeypatch.setattr(zeros, "_resolve_phase", lambda radius, heap, *args: (
+        arcs.append(len(heap)) or resolve(radius, heap, *args)))
     assert count_zeros_in_annulus(q, annulus) == 1 == _two_circle_count(q, annulus)
-    assert entries[:3] == ["_head_shift", "_wind", "_resolve_phase"]
+    assert arcs[0] > 0
 
 
 def test_a_one_circle_count_through_an_exact_zero_sample_raises(monkeypatch):
-    # 1 - e^{i psi} vanishes exactly at the first sample: the floor refuses the circle with
-    # no division by that sample
-    q = QParameter(cmath.rect(0.33, 2.4))
+    # 1 - e^{i psi} vanishes exactly at the first sample: the floor refuses the outer circle
+    # of an annulus the closed form cannot decide, with no division by that sample
+    q, annulus = _UNDECIDED_Q, _UNDECIDED
+    assert _closed_form(q, annulus) is None
     _single_term_circle(monkeypatch, [1.0 + 0j, -1.0 + 0j], 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ContourTooClose) as raised:
-            count_zeros_in_annulus(q, Annulus.for_index(25))
+            count_zeros_in_annulus(q, annulus)
     assert raised.value.min_modulus == 0.0
 
 
@@ -1493,3 +1547,134 @@ def test_a_radius_past_the_float_range_names_itself():
         count_zeros_in_annulus(0.6j, Annulus.for_index(1400))
     with pytest.raises(OverflowError, match=r"^the radius \|q\|\^-2999\.5 leaves the float range$"):
         Annulus(2999.5, 3000.5).inner_radius(0.6)
+
+
+# ---------------------------------------------------------------------------
+# the closed form's bounds against 40-digit mpmath
+# ---------------------------------------------------------------------------
+
+_CIRCLE_POINTS = 512
+
+
+def _rouche_cells(count=200):
+    """Seeded (q, s), |q| in [0.05, 0.95] and s in [0.1, 30]: every fourth q real positive.
+
+    At a real positive q the bounds of |U|, |R| and |Q| are attained at z = -|z|, a point of
+    the circle, and the bound of |G| nearly at z = |z|: there the sampled extremes test them
+    closely.
+    """
+    rng = np.random.default_rng(26)
+    return [(QParameter.from_polar(0.05 + 0.9 * rng.random(),
+                                   0.0 if i % 4 == 0 else 2.0 * math.pi * rng.random()),
+             0.1 + 29.9 * rng.random()) for i in range(count)]
+
+
+def _float_circle_logs(q, s):
+    """Float guides to the extremes on |z| = |q|^-s: ln|Q U R| at its points, and for G the
+    part ln|1 + w| of ln|G| = ln|1 / z| + ln|1 + w| that varies along the circle."""
+    m, value = q.modulus, q.value
+    z = m ** -s * np.exp(2j * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)
+    powers = value ** np.arange(1, int(s + 40.0 / -math.log(m)) + 2)
+    ln_theta_star = (np.log(abs(np.prod(1.0 - powers)))
+                     + np.log(np.abs(1.0 + np.outer(powers, z))).sum(axis=0)
+                     + np.log(np.abs(1.0 + np.outer(np.concatenate(([1.0], powers[:-1])), 1.0 / z)))
+                     .sum(axis=0))
+    w, term = 0.0, 1.0 + 0j
+    for j in range(1, 40):  # term j is z G's term j + 1, q^{j(j+1)/2} z^-j
+        term = term * (value ** j / z)
+        w = w + term
+    return ln_theta_star, 0.5 * np.log1p(2.0 * w.real + np.abs(w) ** 2)
+
+
+def _mp_circle_logs(q, s, points, series):
+    """ln|Q U R| (series "star") or ln|G| (series "G") at `points` of |z| = |q|^-s, in 40-digit
+    mpmath, and ln|Q|.
+
+    A product of factors 1 + d q^j runs until |d| < 1e-12 and takes the rest as
+    Re(d / (1 - q) - d^2 / (2 (1 - q^2)) + d^3 / (3 (1 - q^3))) of its log, within 1e-47; G
+    runs until its term falls below 1e-45 of its sum.
+    """
+    with mpmath.workdps(40):
+        qm, small = mpmath.mpc(q.value), mpmath.mpf(10) ** -45
+
+        def log_product(dev):
+            total = mpmath.mpf(1)
+            while abs(dev) >= 1e-12:
+                total, dev = total * (1 + dev), dev * qm
+            return mpmath.log(abs(total)) + mpmath.re(
+                dev / (1 - qm) - dev ** 2 / (2 * (1 - qm ** 2)) + dev ** 3 / (3 * (1 - qm ** 3)))
+
+        def g(z):
+            total, j, term = mpmath.mpf(0), 1, 1 / z
+            while abs(term) > small * abs(total) or j < 3:
+                total, term, j = total + term, term * qm ** j / z, j + 1
+            return total
+
+        ln_q, logs = log_product(-qm), []
+        for point in points:
+            z = abs(qm) ** -mpmath.mpf(s) * mpmath.expjpi(mpmath.mpf(2 * point) / _CIRCLE_POINTS)
+            logs.append(ln_q + log_product(z * qm) + log_product(1 / z) if series == "star"
+                        else mpmath.log(abs(g(z))))
+        return logs, ln_q
+
+
+def _extreme_points(values, least):
+    """The points whose float value is within a millionth of the spread of the least (or the
+    largest) of `values`: far more than the float error of either guide."""
+    spread = 1e-6 * (values.max() - values.min()) + 1e-300
+    if least:
+        return np.flatnonzero(values <= values.min() + spread).tolist()
+    return np.flatnonzero(values >= values.max() - spread).tolist()
+
+
+def test_the_closed_form_bounds_hold_against_40_digit_mpmath():
+    # on each circle the lower bound of ln|theta*| less the allowance is at most the least
+    # ln|Q U R| over 512 points, and the upper bound of ln|G| plus it at least the largest
+    # sampled ln|G|, both in 40-digit mpmath; ln|Q|_lo is at most ln|Q|.  The float samples
+    # only pick the points that can hold the extremes (their error is far below 1e-6).
+    checked = tight_below = tight_above = 0
+    for q, s in _rouche_cells():
+        ln_q = zeros._log_q_floor(q, zeros.DEFAULT_BUDGET)
+        if ln_q is None:  # |Q| is below eval_Q's tail at |q| near 0.95, arg q near 0
+            assert q.modulus > 0.85
+            continue
+        lower, upper, allowance = zeros._circle_bounds(q, s, ln_q)
+        float_star, float_g = _float_circle_logs(q, s)
+        stars, mp_ln_q = _mp_circle_logs(q, s, _extreme_points(float_star, True), "star")
+        least, largest = min(stars), max(_mp_circle_logs(q, s, _extreme_points(float_g, False),
+                                                         "G")[0])
+        assert ln_q <= mp_ln_q, (q, s)
+        assert lower - allowance <= least, (q, s, lower, least)
+        assert upper + allowance >= largest, (q, s, upper, largest)
+        checked += 1
+        tight_below += float(least) - lower < 0.05
+        tight_above += upper - float(largest) < 1e-9
+    assert checked >= 190 and tight_below >= 10 and tight_above >= 50
+
+
+def test_a_margin_inside_the_allowance_does_not_decide():
+    # at a real q the inner circle s = 9.5 of Annulus(9.5, 10.5) passes below some |q| and
+    # fails above it; at a |q| where its computed margin is positive but within the allowance
+    # the closed form leaves the annulus to the contours, while its outer circle passes
+    inner = 9.5
+
+    def margin(q, s):
+        lower, upper, allowance = zeros._circle_bounds(
+            q, s, zeros._log_q_floor(q, zeros.DEFAULT_BUDGET))
+        return lower - upper, allowance
+
+    good, bad = 0.5, 0.9
+    assert margin(QParameter(good), inner)[0] > 1.0 and margin(QParameter(bad), inner)[0] < 0.0
+    for _ in range(100):
+        mid = 0.5 * (good + bad)
+        difference, allowance = margin(QParameter(mid), inner)
+        if 0.0 < difference <= allowance:
+            break
+        good, bad = (mid, bad) if difference > 0.0 else (good, mid)
+    q = QParameter(mid)
+    assert 0.0 < difference <= allowance
+    assert margin(q, inner + 1.0)[0] > 1.0
+    assert zeros._rouche_count(q, inner, inner + 1.0, zeros.DEFAULT_BUDGET) is None
+    annulus = Annulus(inner, inner + 1.0)
+    assert (_count_outcome(lambda: count_zeros_in_annulus(q, annulus))
+            == _count_outcome(lambda: _two_circle_count(q, annulus)))
