@@ -344,23 +344,22 @@ def _bins(n):
 
 
 def fold_terms(circles, n, derivative=False):
-    """The block of the circles' terms folded mod n: one row per (terms, offset J) pair.
+    """The block of the circles' terms folded mod n: one row per list of terms.
 
-    Row i takes circle i's terms c_j at bins J + j mod n (0 <= J < n) by one slice assignment;
-    only a row of more than n - J terms is folded.  At psi = 2 pi k / n the samples of
+    Row i takes circle i's terms c_j at bins j mod n by one slice assignment; only a row of
+    more than n terms is folded.  At psi = 2 pi k / n the samples of
     theta(q, r e^{i psi}) = sum_j c_j e^{i j psi} are the inverse DFT, without the 1/n, of the
-    folded a_m = sum_{j = m mod n} c_j; J multiplies them by e^{i J psi}.  With `derivative`
-    (J = 0) the block is (len(circles), 2, n), and each second row folds the j c_j of z theta',
-    m a_m + n sum_l l c_{m + l n} at bin m: wraps first, then one multiply by the bin indices.
+    folded a_m = sum_{j = m mod n} c_j.  With `derivative` the block is (len(circles), 2, n),
+    and each second row folds the j c_j of z theta', m a_m + n sum_l l c_{m + l n} at bin m:
+    wraps first, then one multiply by the bin indices.
     """
     import numpy as np
 
     block = np.zeros((len(circles), 2, n) if derivative else (len(circles), n), dtype=complex)
     folded = block[:, 0] if derivative else block
-    for row, (terms, offset) in enumerate(circles):
-        head = n - offset
-        folded[row, offset:offset + len(terms)] = terms[:head]
-        for wrap, start in enumerate(range(head, len(terms), n), 1):
+    for row, terms in enumerate(circles):
+        folded[row, :len(terms)] = terms[:n]
+        for wrap, start in enumerate(range(n, len(terms), n), 1):
             chunk = terms[start:start + n]
             folded[row, :len(chunk)] += chunk
             if derivative:

@@ -44,9 +44,8 @@ a Newton iterate) is one Horner pass (`_horner`) over the kept terms of a
 circle, in that circle's units, so the phases, the Newton step f / f' and
 the scaled modulus |theta| / scale ignore E.
 
-Counting circles and Newton points also skip the terms far below the
-largest one, by the shift identity (from theta(q, z) = 1 + q z theta(q, q z)
-applied J times)
+Newton points also skip the terms far below the largest one, by the shift
+identity (from theta(q, z) = 1 + q z theta(q, q z) applied J times)
 
     theta(q, z) = sum_{j<J} c_j + q^{J(J+1)/2} z^J theta(q, q^J z),
 
@@ -55,16 +54,12 @@ so where |q| / |x| <= 1/2, x = q^J z, the head sum_{j<J} |c_j| is at most
 |c_J| / (|x| - |q|).  J is the largest index for which that bound is at most
 HEAD_FRACTION = 2^-53 of the largest term (`_head_shift`); after the sum the
 bound is checked against the kept series' own scale (`_head_bound`), and
-where it fails the point is summed unshifted, as with J = 0.  A circle
-|z| = r sums theta(q, q^J r) and folds its terms at bins J + i, so that its
-samples are e^{i J psi} theta(q, q^J r e^{i psi}): theta's own samples over
-the constant q^{J(J+1)/2} r^J, up to the head, which joins the tail in
-every pad of the count.  A Newton iterate z takes the kept terms c_i of the
-circle |z| and one Horner pass at w = z / |z|: theta(q, q^J z) = sum_i c_i w^i
-and its slope J theta / z + sum_i i c_i w^{i-1} / |z|; the factor
-q^{J(J+1)/2} z^J cancels in the step and the residual.  The moment circles
-of `verify_separation` stay unshifted: their Horner check needs the terms
-down to the inner radius.
+where it fails the point is summed unshifted, as with J = 0.  A Newton
+iterate z takes the kept terms c_i of theta(q, q^J |z|) and one Horner pass
+at w = z / |z|: theta(q, q^J z) = sum_i c_i w^i and its slope
+J theta / z + sum_i i c_i w^{i-1} / |z|; the factor q^{J(J+1)/2} z^J cancels
+in the step and the residual.  Every counting and moment circle sums theta
+unshifted, from j = 0.
 
 Residuals are backward-relative: |theta(z)| divided by the sum of the term
 moduli at z.  The raw modulus |theta(z)| has an irreducible rounding floor
@@ -100,8 +95,8 @@ from .core import (
 )
 from .errors import BudgetExceeded, ContourTooClose, DomainError, NoConvergence
 
-# A shifted sum drops the head sum_{j<J} |c_j| only where its proven bound is at most this
-# fraction of the scale of the terms it keeps: below the rounding of that sum.
+# A shifted Newton sum drops the head sum_{j<J} |c_j| only where its proven bound is at most
+# this fraction of the scale of the terms it keeps: below the rounding of that sum.
 HEAD_FRACTION = 2.0 ** -53
 _LN2 = math.log(2.0)
 _LOG_KEPT_FLOOR = math.log(2.0 / HEAD_FRACTION)  # 54 ln 2: see `_head_shift`
@@ -217,12 +212,12 @@ class SeparationReport:
 
 
 # A counting circle of `_contours`: its place among the radii, its kept terms and their EvalResult
-# (core's `circle_terms`), J, m, M1 and allowance (`_resolve_phase`).
-_Circle = namedtuple("_Circle", "index terms res shift m slope allowance")
+# (core's `circle_terms`), m, M1 and allowance (`_resolve_phase`).
+_Circle = namedtuple("_Circle", "index terms res m slope allowance")
 
 
 def _head_shift(q, modulus):
-    """The shift J the terms on |z| = modulus take: the largest whose head is provably negligible.
+    """Newton's shift J on |z| = modulus: the largest whose head is provably negligible.
 
     With a = -ln|q|, b = ln|z| and t_j = ln(|q|^j |z|) = b - a j, the ratio
     |c_{j-1} / c_j| is e^{-t_j}.  In units of |c_J| the head sum_{j<J} |c_j|
@@ -269,33 +264,29 @@ def _head_bound(q, x, res):
     return head if head <= HEAD_FRACTION * res.scale else None
 
 
-def _shifted_circle(q, radius, shift, budget, m=None):
-    """(terms, result, J, head): the kept terms of the circle |z| = radius, the one source of theta.
+def _shifted_circle(q, radius, shift, budget):
+    """(terms, result, J, head): the kept terms of a Newton point's circle |z| = radius.
 
     With `shift` = J >= 1, the caller's `_head_shift`, the terms are those of
     theta(q, x) at the centre x = q^J radius, and head is their scaled
-    dropped head (`_head_bound`, as a share of the kept scale); folded at
-    bins J + i they give e^{i J psi} theta(q, x e^{i psi}), the samples of
-    theta(q, z) / (q^{J(J+1)/2} z^J) e^{i J psi} up to the head, and a
-    Horner pass over them at w = e^{i psi} gives any other point of the
-    circle (a bisection midpoint, a Newton iterate).  Where J is 0, the
-    head check fails or the shifted sum raises, it is the unshifted circle:
-    the terms of theta(q, radius), J = 0 and head 0.  With `m` (a counting
-    circle's, see `_contours`) a fifth entry is M1 = sum_i |J + i - m| |c_i|,
-    which core's `circle_terms` forms with pivot m - J as it forms the terms.
+    dropped head (`_head_bound`, as a share of the kept scale); a Horner pass
+    over them at w = z / radius gives theta(q, z) / (q^{J(J+1)/2} z^J) up to
+    the head.  Where J is 0, the head check fails or the shifted sum raises,
+    it is the unshifted circle: the terms of theta(q, radius), J = 0 and
+    head 0.
     """
     if shift:
-        centre, pivot = q.value ** shift * radius, None if m is None else m - shift
+        centre = q.value ** shift * radius
         try:
-            kept, res, *slope = circle_terms(q, centre, budget, pivot=pivot)
+            kept, res = circle_terms(q, centre, budget)
         except (BudgetExceeded, OverflowError):
             pass
         else:
             head = _head_bound(q, centre, res)
             if head is not None:
-                return kept, res, shift, head / res.scale, *slope
-    kept, res, *slope = circle_terms(q, radius, budget, pivot=m)
-    return kept, res, 0, 0.0, *slope
+                return kept, res, shift, head / res.scale
+    kept, res = circle_terms(q, radius, budget)
+    return kept, res, 0, 0.0
 
 
 def winding_number(q, radius, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BUDGET):
@@ -326,22 +317,21 @@ def winding_numbers(q, radii, initial_samples=INITIAL_SAMPLES, budget=DEFAULT_BU
 def _contours(q, radii, initial_samples, budget, moments=False):
     """`winding_numbers`, and with `moments` the first moment s1 and the terms of each circle.
 
-    Each radius takes `_head_shift`'s J (0 with `moments`).  The terms of the circles whose
-    series succeed, in their order, become the rows of one block by one call of core's
-    `fold_terms`, and the block takes one inverse FFT.  With `moments` a row is a (2, N) pair
-    whose second row folds z theta', and
+    Each radius sums theta unshifted.  The terms of the circles whose series succeed, in
+    their order, become the rows of one block by one call of core's `fold_terms`, and the
+    block takes one inverse FFT.  With `moments` a row is a (2, N) pair whose second row folds
+    z theta', and
     s1(r) = (1/N) sum_n z_n (z_n theta'_n) / theta_n over the N initial
     samples, the sum of the zeros inside |z| = r; theta and z theta' come
     from the same inverse FFT, so the exponent cancels in the ratio.  The
     arcs take `_resolve_phase`'s test as one array, with m = n* (the last n
     with |q|^n r >= 1); those that fail go onto per-circle heaps for it.
     Each circle's M1 comes from its series pass (core's `circle_terms` with
-    pivot m - J), not from a second pass over its terms; -ln|q| and the
-    FFT's share of eps are formed once a call.
+    pivot m), not from a second pass over its terms; -ln|q| and the FFT's
+    share of eps are formed once a call.
     Returns the results, the moments and each radius's `_Circle`: its kept
-    terms and their EvalResult (core's `circle_terms`) and the shift J it
-    took; a moment is None where the circle failed, its `_Circle` where its
-    series did.
+    terms and their EvalResult (core's `circle_terms`); a moment is None
+    where the circle failed, its `_Circle` where its series did.
     """
     q = as_q(q)
     for radius in radii:
@@ -349,24 +339,23 @@ def _contours(q, radii, initial_samples, budget, moments=False):
             raise DomainError(f"radius must be positive and finite, got {radius!r}")
     n0 = max(int(initial_samples), 16)
     results, sums, taken = [None] * len(radii), [None] * len(radii), [None] * len(radii)
-    circles, rows = [], []  # the _Circle and (terms, J) of each row
+    circles = []  # the _Circle of each row
     # -ln|q|, and the inverse FFT's share of eps / scale for n0 samples (see `_resolve_phase`)
     a, fft = -math.log(q.modulus), 2.0 ** -48 * math.log2(n0) * math.sqrt(n0)
     for i, radius in enumerate(radii):
         m = max(0, math.floor(math.log(radius) / a))
-        shift = 0 if moments else _head_shift(q, radius)
         try:
-            kept, res, shift, head, slope = _shifted_circle(q, radius, shift, budget, m)
+            kept, res, slope = circle_terms(q, radius, budget, pivot=m)
         except (BudgetExceeded, OverflowError) as exc:
             results[i] = exc
         else:
-            rows.append((kept, shift % n0))
-            circles.append(_Circle(i, kept, res, shift, m, slope, res.tail_bound + res.scale * (
-                head + (2.0 ** -52 * (len(kept) + 6) ** 2 + fft))))
+            circles.append(_Circle(i, kept, res, m, slope, res.tail_bound + res.scale * (
+                2.0 ** -52 * (len(kept) + 6) ** 2 + fft)))
             taken[i] = circles[-1]
     if not circles:
         return results, sums, taken
-    samples = np.fft.ifft(fold_terms(rows, n0, moments), axis=-1, norm="forward")
+    samples = np.fft.ifft(fold_terms([c.terms for c in circles], n0, moments), axis=-1,
+                          norm="forward")
     vals = samples[:, 0] if moments else samples
     moduli = np.abs(vals)
     lows = moduli.min(axis=1).tolist()
@@ -417,11 +406,11 @@ def _unit_roots(n):
 def _resolve_phase(radius, arcs, total, min_scaled, n0, circle):
     """Decide the `arcs` of one circle that failed the array test, by bisection; its WindingResult.
 
-    The `circle` (see `_contours`) keeps terms c_i at bins b_i = J + i in units 2^-E, so its
-    samples are those of v(psi) = sum_i c_i e^{i b_i psi}, within tail + head of T(psi) =
-    theta(q, r e^{i psi}) / (q^{J(J+1)/2} r^J 2^E).  A computed sample is within
+    The `circle` (see `_contours`) keeps terms c_j at bins j in units 2^-E, so its samples are
+    those of v(psi) = sum_j c_j e^{i j psi}, within tail of T(psi) = theta(q, r e^{i psi}) / 2^E.
+    A computed sample is within
     eps = scale (2^-52 (L + 6)^2 + 2^-48 sqrt(N) log2 N) of v for L terms and N samples.  In
-    core's `circle_terms` c_j is c_{j-1} (q^j centre), q^j a running product, so c_j carries
+    core's `circle_terms` c_j is c_{j-1} (q^j r), q^j a running product, so c_j carries
     at most (j^2 + 3j) / 2 complex products, each of relative error 2.25 u or less, u = 2^-53:
     with j < L, under 1.14 (L^2 + L) u |c_j|, in all under 0.57 of the first part.  Its rest,
     0.43 (L + 6)^2 2^-52 scale, covers the folds (under (L / N + 1) u scale), the shortfall of
@@ -429,23 +418,23 @@ def _resolve_phase(radius, arcs, total, min_scaled, n0, circle):
     roundings of the pad and the test (a few u scale).  An inverse FFT is within
     log2(N) (u + gamma_4 (sqrt 2 + u)) sqrt(N) scale of the exact sums (Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., 24.1), covered by the second part.  A
-    midpoint takes neither folds nor the FFT: it is e^{i J psi} h, with h one Horner pass
-    (`_horner`) over the c_i at the computed w = e^{i psi}.  Each angle is an exact integer
-    times the rounded 2 pi / D, so within 3u 2 pi < 19u, and cmath.exp adds under 2u: w is
-    within 21u of e^{i psi}, which moves sum_i c_i w^i by under 21 L u scale (1 + 21 L u).
-    Horner's rounding is under gamma_4L (1 + 2u)^L scale, and the turn e^{i J psi} and its
-    product under 24u scale.  For L u < 2^-20 that is under (12.6 L + 12.1) 2^-52 scale, and
-    eps less the term roundings, M1 and the pad leaves at least (0.33 L^2 + 5.06 L + 12.48 +
-    256) 2^-52 scale, the 256 from the second part at N >= 16; the difference, a quadratic in
-    L of discriminant 7.54^2 - 4 0.33 256.4 < 0, is positive at every L.  So
-    allowance = tail + head + eps bounds |sample - T| at every sample, initial or midpoint.
+    midpoint takes neither folds nor the FFT: it is one Horner pass (`_horner`) over the c_j
+    at the computed w = e^{i psi}.  Each angle is an exact integer times the rounded
+    2 pi / D, so within 3u 2 pi < 19u, and cmath.exp adds under 2u: w is within 21u of
+    e^{i psi}, which moves sum_j c_j w^j by under 21 L u scale (1 + 21 L u).  Horner's
+    rounding is under gamma_4L (1 + 2u)^L scale.  For L u < 2^-20 that is under 12.6 L 2^-52
+    scale, and eps less the term roundings, M1 and the pad leaves at least (0.33 L^2 +
+    5.06 L + 12.48 + 256) 2^-52 scale, the 256 from the second part at N >= 16; the
+    difference, a quadratic in L of discriminant 7.54^2 - 4 0.33 268.48 < 0, is positive at
+    every L.  So allowance = tail + eps bounds |sample - T| at every sample, initial or
+    midpoint.
 
-    M1 is formed in core's `circle_terms` loop from each running |c_i|, rescaled with the scale
-    (pivot m - J): the products and sums, in order, of the sum over the kept c_i, so the share
+    M1 is formed in core's `circle_terms` loop from each running |c_j|, rescaled with the scale
+    (pivot m): the products and sums, in order, of the sum over the kept c_j, so the share
     above holds as it did for that sum.  A kept term that is subnormal enters M1 with its
-    modulus before that rounding, within 2^-1074 |b_i - m| of it, far inside the same share.
+    modulus before that rounding, within 2^-1074 |j - m| of it, far inside the same share.
 
-    With g = e^{-i m psi} v, |g'| <= M1 = sum_i |b_i - m| |c_i| (`slope`).  An arc [a, b] of
+    With g = e^{-i m psi} v, |g'| <= M1 = sum_j |j - m| |c_j| (`slope`).  An arc [a, b] of
     width w passes when min(|v_a|, |v_b|) > M1 w / 2 + allowance: on its first half
     e^{-i m psi} T lies within that pad of e^{-i m a} v_a, in a disc that misses 0, and on its
     second around e^{-i m b} v_b.  So T has no zero on the arc, and from one sample to the next
@@ -456,9 +445,8 @@ def _resolve_phase(radius, arcs, total, min_scaled, n0, circle):
     with the least sample is bisected first (a heap), to MAX_BISECTION_DEPTH, so a circle the
     pads cannot decide raises within a few passes; a decided one takes all its arcs either way.
     A midpoint is one Horner pass, in the circle's own units; an angle is an integer i of
-    2 pi / D, D = N 2^MAX_BISECTION_DEPTH, and e^{i J psi} is formed from the turn
-    (J i mod D) / D.  `total` and `min_scaled` cover the arcs passed in the array and the
-    initial samples; a count also needs min_scaled >= CONTOUR_SAFETY.
+    2 pi / D, D = N 2^MAX_BISECTION_DEPTH.  `total` and `min_scaled` cover the arcs passed in
+    the array and the initial samples; a count also needs min_scaled >= CONTOUR_SAFETY.
     """
     scale = circle.res.scale
     samples, units = n0, n0 << MAX_BISECTION_DEPTH
@@ -479,8 +467,7 @@ def _resolve_phase(radius, arcs, total, min_scaled, n0, circle):
                     f"its pad (scaled modulus {local:.2e})", radius=radius, min_modulus=local)
             raise BudgetExceeded(f"phase not resolvable on |z| = {radius:g} at the depth cap")
         im = (i0 + i1) // 2
-        vm = _horner(circle.terms, cmath.exp(1j * im * turn))[0] * cmath.exp(
-            1j * turn * (circle.shift * im % units))
+        vm = _horner(circle.terms, cmath.exp(1j * im * turn))[0]
         samples += 1
         min_scaled = min(min_scaled, abs(vm) / scale)
         heapq.heappush(arcs, (min(abs(v0), abs(vm)), i0, im, v0, vm))
@@ -698,8 +685,8 @@ def _moduli(value, slope, res, radius, log2_factor=0.0):
 def _newton(q, seed, residual_tol, max_iterations, budget):
     """Newton iteration for theta(q, .) = 0; returns (record fields, converged).
 
-    Each iterate z takes the kept terms c_i of the circle |z| (`_shifted_circle`,
-    shifted as a counting circle), so theta(z) = c_J 2^E sum_i c_i w^i up to
+    Each iterate z takes the kept terms c_i of the circle |z| (`_shifted_circle`
+    with `_head_shift`'s J), so theta(z) = c_J 2^E sum_i c_i w^i up to
     the head, with w = z / |z| and c_J = q^{J(J+1)/2} z^J.  One Horner pass
     (`_horner`) at w gives that sum, S = sum_i i c_i w^{i-1} and the scale;
     theta'(z) = c_J 2^E (J value / w + S) / |z|.  The factor c_J 2^E cancels

@@ -814,7 +814,7 @@ def test_fft_contour_matches_scalar_eval(q, exponent, n, rescaled, folded):
     radius = q.modulus ** -exponent
     # the contour path of zeros._contours: the terms folded mod n, one inverse FFT
     terms, res = circle_terms(q, radius)
-    (coefficients,) = fold_terms([(terms, 0)], n)
+    (coefficients,) = fold_terms([terms], n)
     vals, scale, exp2 = np.fft.ifft(coefficients, norm="forward"), res.scale, res.exponent
     centre = eval_theta(q, radius)  # the same terms: its tail is the contour's tail
     assert (exp2 == 600) is rescaled
@@ -831,7 +831,7 @@ def test_fft_contour_matches_scalar_eval(q, exponent, n, rescaled, folded):
 @given(modulus=st.floats(1e-300, 0.6), arg_q=st.floats(-math.pi, math.pi),
        log_radius=st.floats(-50.0, 700.0), shifted=st.booleans())
 def test_circle_terms_are_the_terms_of_eval_theta(modulus, arg_q, log_radius, shifted):
-    # real radii up to 1e304, and the complex centres q^J r of zeros._shifted_circle
+    # real radii up to 1e304, and the complex centres q^J r of Newton's zeros._shifted_circle
     from thetasep import zeros
     q, centre = QParameter(cmath.rect(modulus, arg_q)), math.exp(log_radius)
     if shifted and (shift := zeros._head_shift(q, centre)):

@@ -139,20 +139,19 @@ def test_winding_mixed_array_and_bisection_path():
 
 
 def test_winding_bisection_samples_carried_into_array_units():
-    # on the unshifted circle |z| = |q|^-24.02 the terms reach 1e203: the contour array is
-    # rescaled once, while the reference's scalar samples fit in a float
+    # on the circle |z| = |q|^-24.02 the terms reach 1e203: the contour array is rescaled
+    # once, while the reference's scalar samples fit in a float
     q = QParameter(cmath.rect(0.2, 3.0))
     radius = q.modulus ** -24.02
     assert circle_terms(q, radius)[1].exponent == 600
     assert eval_theta(q, radius).exponent == 0
-    with _unshifted():
-        res = winding_number(q, radius, initial_samples=64)
+    res = winding_number(q, radius, initial_samples=64)
     count, samples, low = _winding_reference(q, radius, 64)
     assert (res.count, res.samples_used) == (count, samples) == (24, 66)
     # the smallest sampled modulus is a bisection midpoint, a Horner pass over the rescaled
     # terms: it matches the reference only if both are in the array's units
     terms, circle = circle_terms(q, radius)
-    initial = np.abs(np.fft.ifft(fold_terms([(terms, 0)], 64), norm="forward")).min()
+    initial = np.abs(np.fft.ifft(fold_terms([terms], 64), norm="forward")).min()
     assert res.min_modulus_on_contour < initial / circle.scale
     assert res.min_modulus_on_contour == pytest.approx(low, rel=1e-9)
 
@@ -230,10 +229,10 @@ def test_one_call_mixes_fine_rows_with_a_bisected_row():
 # ---------------------------------------------------------------------------
 
 def _slope_reference(circle):
-    """M1 = sum_i |J + i - m| |c_i| over a `_Circle`'s kept terms, summed in index order."""
+    """M1 = sum_i |i - m| |c_i| over a `_Circle`'s kept terms, summed in index order."""
     total = 0.0
     for i, c in enumerate(circle.terms):
-        total += abs(circle.shift + i - circle.m) * abs(c)
+        total += abs(i - circle.m) * abs(c)
     return total
 
 
@@ -254,17 +253,7 @@ def test_moment_circle_slopes_equal_the_explicit_sum():
         q = QParameter(cmath.rect(0.6 * math.sqrt(rng.random()),
                                   math.pi / 2 + math.pi * rng.random()))
         taken = _circles_with_slopes(q, [q.modulus ** -(k + 0.5) for k in range(1, 9)], True)
-        assert len(taken) == 8 and not any(c.shift for c in taken)
-
-
-def test_shifted_counting_circle_slopes_equal_the_explicit_sum():
-    # deep-like cells: the outer circle of the k-th annulus, k 10..40, most of them shifted
-    rng = np.random.default_rng(2024)
-    shifts = []
-    for k in range(10, 41):
-        q = QParameter(cmath.rect(rng.uniform(0.05, 0.5), math.pi / 2 + math.pi * rng.random()))
-        shifts += [c.shift for c in _circles_with_slopes(q, [Annulus.for_index(k).outer_radius(q)])]
-    assert sum(map(bool, shifts)) >= 20
+        assert len(taken) == 8
 
 
 def test_large_k_circle_slopes_equal_the_explicit_sum():
@@ -1096,50 +1085,12 @@ def test_circle_budget_message_names_the_radius():
 
 
 # ---------------------------------------------------------------------------
-# the shift identity: theta(q, z) = head + q^{J(J+1)/2} z^J theta(q, q^J z)
+# Newton's shift identity: theta(q, z) = head + q^{J(J+1)/2} z^J theta(q, q^J z)
 # ---------------------------------------------------------------------------
 
 def _unshifted():
-    """A context in which every circle and Newton point takes J = 0, the unshifted sums."""
+    """A context in which every Newton point takes J = 0, the unshifted sums."""
     return mock.patch.object(zeros, "_head_shift", lambda q, modulus: 0)
-
-
-def _outcome(result):
-    if isinstance(result, Exception):
-        return type(result).__name__, getattr(result, "min_modulus", None)
-    return result.count, result.samples_used, result.min_modulus_on_contour
-
-
-def _assert_same_circles(shifted, plain):
-    for a, b in zip(map(_outcome, shifted), map(_outcome, plain)):
-        assert a[:-1] == b[:-1]
-        if a[-1] is not None or b[-1] is not None:
-            assert a[-1] == pytest.approx(b[-1], rel=1e-9, abs=1e-14)
-
-
-@settings(max_examples=150, deadline=None)
-@given(modulus=st.floats(0.01, 0.6), arg_q=st.floats(math.pi / 2, 3 * math.pi / 2),
-       k=st.integers(2, 60))
-def test_shifted_circles_count_as_the_unshifted_ones(modulus, arg_q, k):
-    q = QParameter.from_polar(modulus, arg_q)
-    radii = [modulus ** -(k + 0.5), modulus ** -(k - 0.5), modulus ** -k]
-    shifted = winding_numbers(q, radii)
-    with _unshifted():
-        plain = winding_numbers(q, radii)
-    _assert_same_circles(shifted, plain)
-
-
-@settings(max_examples=60, deadline=None)
-@given(modulus=st.floats(0.01, 0.6), arg_q=st.floats(math.pi / 2, 3 * math.pi / 2),
-       k=st.integers(6, 40), offset=st.floats(-1e-9, 1e-9))
-def test_shifted_circles_within_1e_9_of_a_zero_fail_as_the_unshifted_ones(modulus, arg_q, k,
-                                                                          offset):
-    q = QParameter.from_polar(modulus, arg_q)
-    radius = abs(locate_zero(q, k).location) * (1.0 + offset)
-    shifted = winding_numbers(q, [radius])
-    with _unshifted():
-        plain = winding_numbers(q, [radius])
-    _assert_same_circles(shifted, plain)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1235,19 +1186,16 @@ def test_a_shift_past_the_bound_falls_back_to_the_unshifted_circle():
 
 
 def test_a_shifted_circle_near_a_zero_counts_as_its_unshifted_twin():
-    # 1e-5 outside the 20th zero the arcs beside it are bisected; every midpoint of the
-    # shifted circle (J = 10) carries the turn e^{i J psi} of the FFT samples
+    # 1e-5 outside the 20th zero, where a Newton point takes J = 10, the circle sums theta
+    # unshifted and bisects the arcs beside the zero as the scalar reference does
     q = QParameter(cmath.rect(0.45, 3.0))
     radius = abs(locate_zero(q, 20).location) * (1 + 1e-5)
     assert zeros._head_shift(q, radius) == 10
-    assert zeros._shifted_circle(q, radius, 10, zeros.DEFAULT_BUDGET)[2] == 10
-    shifted = winding_number(q, radius)
-    with _unshifted():
-        plain = winding_number(q, radius)
-    assert shifted.count == plain.count == 20
-    assert shifted.samples_used == plain.samples_used == 285
-    assert shifted.min_modulus_on_contour == pytest.approx(plain.min_modulus_on_contour,
-                                                           rel=1e-9)
+    res = winding_number(q, radius)
+    count, samples, low = _winding_reference(q, radius, 256)
+    assert res.count == count == 20
+    assert res.samples_used == samples == 285
+    assert res.min_modulus_on_contour == pytest.approx(low, rel=1e-9)
 
 
 def test_zeros_sums_no_series_of_its_own(monkeypatch):
@@ -1274,35 +1222,22 @@ def test_zeros_sums_no_series_of_its_own(monkeypatch):
     assert calls == ["eval_theta", "eval_theta_dz"]
 
 
-def test_moment_circles_stay_unshifted():
-    q = QParameter(-0.1 + 0.05j)
-    with mock.patch.object(zeros, "_head_shift", side_effect=AssertionError):
-        assert verify_separation(q, 12).strongly_separated
-
-
-def test_a_count_needs_its_minimum_above_the_head(monkeypatch):
-    # the dropped head is part of every pad: where its bound passed the least sample, the arcs
-    # beside that sample would fail at every depth, and the circle is refused
-    q = QParameter(-0.3 + 0.1j)
-    radius = q.modulus ** -20.5
-    m = math.floor(math.log(radius) / -math.log(q.modulus))
-    kept, res, shift, head, slope = zeros._shifted_circle(q, radius, zeros._head_shift(q, radius),
-                                                          zeros.DEFAULT_BUDGET, m)
-    assert shift and head
-    least = winding_number(q, radius).min_modulus_on_contour
-    monkeypatch.setattr(zeros, "_shifted_circle",
-                        lambda *args: (kept, res, shift, 2.0 * least, slope))
-    with pytest.raises(BudgetExceeded, match="phase not resolvable"):
-        winding_number(q, radius)
-
-
-def test_fold_terms_offset_multiplies_the_samples_by_the_bin_turn():
-    terms = [complex(j + 1, -j) for j in range(40)]
-    n, shift = 16, 5
-    plain, moved = fold_terms([(terms, 0), (terms, shift)], n)
-    turn = np.exp(2j * math.pi * shift * np.arange(n) / n)
-    assert np.allclose(np.fft.ifft(moved, norm="forward"),
-                       turn * np.fft.ifft(plain, norm="forward"), rtol=1e-13, atol=1e-12)
+def test_only_newton_takes_the_head_shift(monkeypatch):
+    # counting and moment circles sum theta unshifted, also where a Newton point takes J = 12
+    # (|z| = |q|^-20.5) or 17 (the outer circle); Newton from -q^-25 still takes J = 17
+    shifts, head_shift, shifted_circle = [], zeros._head_shift, zeros._shifted_circle
+    monkeypatch.setattr(zeros, "_head_shift", lambda *args: shifts.append(head_shift(*args))
+                        or shifts[-1])
+    monkeypatch.setattr(zeros, "_shifted_circle", lambda *args: shifts.append("circle")
+                        or shifted_circle(*args))
+    q = QParameter(cmath.rect(0.33, 2.4))
+    outer = Annulus.for_index(25).outer_radius(q)
+    assert [res.count for res in winding_numbers(q, [q.modulus ** -20.5, outer])] == [20, 25]
+    assert count_zeros_in_annulus(_UNDECIDED_Q, _UNDECIDED) == 1
+    assert verify_separation(-0.1 + 0.05j, 12).strongly_separated
+    assert shifts == []
+    assert locate_zero(q, 25).converged
+    assert shifts[:2] == [17, "circle"]
 
 
 # ---------------------------------------------------------------------------
@@ -1328,8 +1263,8 @@ def _closed_form(q, annulus, budget=zeros.DEFAULT_BUDGET):
     return zeros._rouche_count(q, annulus.inner_exponent, annulus.outer_exponent, budget)
 
 
-# An annulus the closed form cannot decide (|q| too near 1 for its bounds at this k), whose
-# circles both take a shift (J = 3 and 2) and count it: the two-circle path with shifts.
+# An annulus the closed form cannot decide (|q| too near 1 for its bounds at this k): its two
+# circles are counted by the argument principle, as one block.
 _UNDECIDED_Q = QParameter(cmath.rect(0.93, 2.4))
 _UNDECIDED = Annulus.for_index(35)
 
@@ -1363,7 +1298,7 @@ def test_one_circle_counts_equal_the_two_circle_winding_difference():
 def test_a_shifted_count_sums_one_circle(monkeypatch):
     # the `deep` cell q = 0.33 e^{2.4i}, k = 25 counts in closed form: no series is summed and
     # no circle folded, for a gap that is no integer too; an annulus the closed form cannot
-    # decide sums its two shifted circles as one block
+    # decide sums its two circles at their radii, as one block
     calls, shapes = [], []
     terms, fold = zeros.circle_terms, zeros.fold_terms
 
@@ -1384,15 +1319,13 @@ def test_a_shifted_count_sums_one_circle(monkeypatch):
     assert calls == [] and shapes == []
     q, annulus = _UNDECIDED_Q, _UNDECIDED
     assert _closed_form(q, annulus) is None
-    radii = [annulus.outer_radius(q), annulus.inner_radius(q)]
-    assert [zeros._head_shift(q, radius) for radius in radii] == [3, 2]
     assert count_zeros_in_annulus(q, annulus) == 1
-    assert len(calls) == 2 and calls != radii and shapes == [(2, 256)]
+    assert calls == [annulus.outer_radius(q), annulus.inner_radius(q)] and shapes == [(2, 256)]
 
 
 def test_a_shifted_count_whose_head_bound_fails_counts_the_inner_circle_too(monkeypatch):
-    # with every head bound failing, an annulus the closed form cannot decide sums both
-    # circles unshifted, as one block; a count in closed form sums neither
+    # a count reads no head bound: an annulus the closed form cannot decide sums both circles
+    # at their radii, as one block; a count in closed form sums neither
     calls, shapes = [], []
     terms, fold = zeros.circle_terms, zeros.fold_terms
 
@@ -1407,21 +1340,19 @@ def test_a_shifted_count_whose_head_bound_fails_counts_the_inner_circle_too(monk
 
     monkeypatch.setattr(zeros, "circle_terms", terms_spy)
     monkeypatch.setattr(zeros, "fold_terms", fold_spy)
-    monkeypatch.setattr(zeros, "_head_bound", lambda *args: None)
+    monkeypatch.setattr(zeros, "_head_bound", mock.Mock(side_effect=AssertionError))
     assert count_zeros_in_annulus(QParameter(cmath.rect(0.33, 2.4)), Annulus(20.5, 23.5)) == 3
     assert calls == [] and shapes == []
     q, annulus = _UNDECIDED_Q, _UNDECIDED
     assert count_zeros_in_annulus(q, annulus) == 1
-    # each circle's shifted sum, then the unshifted one its failing head bound falls back to
-    assert calls[1::2] == [annulus.outer_radius(q), annulus.inner_radius(q)]
-    assert len(calls) == 4 and shapes == [(2, 256)]
+    assert calls == [annulus.outer_radius(q), annulus.inner_radius(q)] and shapes == [(2, 256)]
     assert _two_circle_count(q, annulus) == 1
 
 
 def _stage_spies(monkeypatch):
-    """Record each entry to `_rouche_count`, `_contours`, `_resolve_phase` and `_head_shift`."""
+    """Record each entry to `_rouche_count`, `_contours` and `_resolve_phase`."""
     entries = []
-    for name in ("_rouche_count", "_contours", "_resolve_phase", "_head_shift"):
+    for name in ("_rouche_count", "_contours", "_resolve_phase"):
         stage = getattr(zeros, name)
         monkeypatch.setattr(zeros, name, lambda *args, _stage=stage, _name=name, **kwargs: (
             entries.append(_name) or _stage(*args, **kwargs)))
@@ -1429,8 +1360,8 @@ def _stage_spies(monkeypatch):
 
 
 def test_a_one_circle_count_whose_arcs_clear_their_pads_forms_no_winding(monkeypatch):
-    # the `deep` cell of test_a_shifted_count_sums_one_circle counts in closed form: no shift,
-    # no contour and no phase; its outer circle counted by `winding_number` takes all three
+    # the `deep` cell of test_a_shifted_count_sums_one_circle counts in closed form: no contour
+    # and no phase; its outer circle counted by `winding_number` takes both
     entries, shapes = _stage_spies(monkeypatch), []
     fold = zeros.fold_terms
     monkeypatch.setattr(zeros, "fold_terms",
@@ -1439,7 +1370,7 @@ def test_a_one_circle_count_whose_arcs_clear_their_pads_forms_no_winding(monkeyp
     assert count_zeros_in_annulus(q, Annulus.for_index(25)) == 1
     assert entries == ["_rouche_count"] and shapes == []
     assert winding_number(q, Annulus.for_index(25).outer_radius(q)).count == 25
-    assert entries[1:] == ["_contours", "_head_shift", "_resolve_phase"] and shapes == [(1, 256)]
+    assert entries[1:] == ["_contours", "_resolve_phase"] and shapes == [(1, 256)]
 
 
 def _near_zero_annulus(q, k, offset):
@@ -1456,7 +1387,6 @@ def test_a_one_circle_count_near_a_zero_winds_as_the_two_circle_count(monkeypatc
     # count 1 on all three: |G| < |theta*| on both circles, with a zero 1e-9 off the outer one
     q = QParameter(cmath.rect(0.33, 2.4))
     annulus = _near_zero_annulus(q, 25, offset)
-    assert zeros._head_shift(q, annulus.outer_radius(q)) == 17
     entries = _stage_spies(monkeypatch)
     assert count_zeros_in_annulus(q, annulus) == 1 and entries == ["_rouche_count"]
     outcome = _count_outcome(lambda: _two_circle_count(q, annulus))
@@ -1480,17 +1410,17 @@ def test_a_one_circle_count_under_the_floor_raises_as_the_two_circle_count(monke
     assert count_zeros_in_annulus(QParameter(cmath.rect(0.33, 2.4)), Annulus.for_index(25)) == 1
 
 
-def _single_term_circle(monkeypatch, terms, head):
-    """Every circle's kept terms are `terms`, with scale 1, no tail, M1 0 and `head`."""
-    res = EvalResult(None, 0.0, len(terms), 1.0, 0)
-    monkeypatch.setattr(zeros, "_shifted_circle",
-                        lambda q, radius, shift, budget, m=None: (terms, res, shift, head, 0.0))
+def _single_term_circle(monkeypatch, terms, tail):
+    """Every circle's kept terms are `terms`, with scale 1, `tail` and their M1 about the pivot."""
+    res = EvalResult(None, tail, len(terms), 1.0, 0)
+    monkeypatch.setattr(zeros, "circle_terms", lambda q, centre, budget, pivot: (
+        terms, res, math.fsum(abs(j - pivot) * abs(c) for j, c in enumerate(terms))))
 
 
 def test_a_one_circle_count_whose_least_sample_equals_its_pad_winds(monkeypatch):
     # a sample on its pad does not clear it: the arcs beside it go onto `_resolve_phase`'s
     # heap, which decides them from the scalar moduli of their ends (an annulus the closed
-    # form cannot decide, its circles the constant 1 folded at their shifts J = 3 and 2)
+    # form cannot decide, its circles the constant 1, which winds 0 times)
     q, annulus = _UNDECIDED_Q, _UNDECIDED
     assert _closed_form(q, annulus) is None
     radii = [annulus.outer_radius(q), annulus.inner_radius(q)]
@@ -1504,19 +1434,19 @@ def test_a_one_circle_count_whose_least_sample_equals_its_pad_winds(monkeypatch)
     monkeypatch.setattr(zeros, "_resolve_phase", first_row)
     _single_term_circle(monkeypatch, [1.0 + 0j], 0.0)
     winding_numbers(q, radii)
-    low, head = seen[0][0], seen[0][0] - seen[0][1]
-    for _ in range(200):  # the head for which the pad, head plus eps, is the least sample
-        _single_term_circle(monkeypatch, [1.0 + 0j], head)
+    low, tail = seen[0][0], seen[0][0] - seen[0][1]
+    for _ in range(200):  # the tail for which the pad, M1 w / 2 + tail + eps, is the least sample
+        _single_term_circle(monkeypatch, [1.0 + 0j], tail)
         seen.clear()
         winding_numbers(q, radii)
         if seen[0][1] == low:
             break
-        head = math.nextafter(head, -math.inf if seen[0][1] > low else math.inf)
+        tail = math.nextafter(tail, -math.inf if seen[0][1] > low else math.inf)
     assert seen[0][0] == seen[0][1] == low and low >= zeros.CONTOUR_SAFETY
     arcs = []
     monkeypatch.setattr(zeros, "_resolve_phase", lambda radius, heap, *args: (
         arcs.append(len(heap)) or resolve(radius, heap, *args)))
-    assert count_zeros_in_annulus(q, annulus) == 1 == _two_circle_count(q, annulus)
+    assert count_zeros_in_annulus(q, annulus) == 0 == _two_circle_count(q, annulus)
     assert arcs[0] > 0
 
 
